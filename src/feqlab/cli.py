@@ -16,17 +16,7 @@ from typing import Callable
 import numpy as np
 
 from .characters import enumerate_characters
-from .equations import (
-    battery_report,
-    companion_cosine,
-    residual_central_dalembert,
-    residual_dalembert,
-    residual_integral_dalembert,
-    residual_sine_addition,
-    residual_spherical,
-    residual_vanvleck,
-    residual_wilson,
-)
+from .equations import EQUATIONS, battery_report, companion_cosine, residual
 from .errors import HypothesisError, ParseError, StructuralError, UsageError
 from .fixtures import write_fixtures
 from .jsonio import (
@@ -40,25 +30,10 @@ from .jsonio import (
 )
 from .measures import DEFAULT_TOL, ToleranceConfig, check_function
 from .semigroups import MorphismKind, center, enumerate_involutive_morphisms
-from .solvers import (
-    match_solution_sets,
-    newton_oracle,
-    solve_central_dalembert,
-    solve_dalembert,
-    solve_spherical,
-    solve_vanvleck,
-)
+from .solvers import closed_form, match_solution_sets, newton_oracle
 from .stability import CampaignConfig, fuzz_campaign
 
-EQUATION_TAGS = (
-    "vanvleck",
-    "dalembert_variant",
-    "integral_dalembert",
-    "corollary33",
-    "spherical",
-    "sine_addition",
-    "wilson_variant",
-)
+EQUATION_TAGS = tuple(EQUATIONS)
 
 ORACLE_MAX_ORDER = 4
 
@@ -131,16 +106,17 @@ def _tolerances(args) -> ToleranceConfig:
 def _need(args, flag: str):
     value = getattr(args, flag, None)
     if value is None:
-        raise UsageError(f"--{flag} is required for --eq {args.eq}")
+        what = f"--eq {args.eq}" if "eq" in args else args.command
+        raise UsageError(f"--{flag} is required for {what}")
     return value
 
 
-def _load_sigma(args, sg):
-    return load_morphism(_need(args, "sigma"), sg)
-
-
-def _load_mu(args):
-    return load_measure(_need(args, "mu"))
+def _load_inputs(args, sg, eq) -> tuple:
+    """(sigma, mu) as the equation needs them, loaded in that order; None
+    for an input it does not need."""
+    sigma = load_morphism(_need(args, "sigma"), sg) if "sigma" in eq.needs else None
+    mu = load_measure(_need(args, "mu")) if "mu" in eq.needs else None
+    return sigma, mu
 
 
 def cmd_validate(args) -> tuple[dict, int]:
@@ -172,46 +148,25 @@ def cmd_analyze(args) -> tuple[dict, int]:
 def cmd_solve(args) -> tuple[dict, int]:
     sg = load_semigroup(args.sg)
     tol = _tolerances(args)
-    eq = args.eq
-    if eq == "vanvleck":
-        sols = solve_vanvleck(sg, _load_sigma(args, sg), _load_mu(args), tol)
-    elif eq == "dalembert_variant":
-        sols = solve_dalembert(sg, _load_sigma(args, sg), tol)
-    elif eq in ("corollary33", "integral_dalembert"):
-        sols = solve_central_dalembert(sg, _load_sigma(args, sg), _load_mu(args), tol)
-    elif eq == "spherical":
-        sols = solve_spherical(sg, _load_mu(args), tol)
-    else:
-        raise UsageError(f"no closed-form solver for --eq {eq}")
-    return sols.to_json(), 0
+    eq = EQUATIONS[args.eq]
+    if eq.closed_form is None:
+        raise UsageError(f"no closed-form solver for --eq {args.eq}")
+    sigma, mu = _load_inputs(args, sg, eq)
+    return closed_form(args.eq, sg, sigma, mu, tol).to_json(), 0
 
 
 def cmd_verify(args) -> tuple[dict, int]:
     sg = load_semigroup(args.sg)
     tol = _tolerances(args)
     f = check_function(sg, load_function(_need(args, "f")))
-    eq = args.eq
-    if eq == "vanvleck":
-        sigma, mu = _load_sigma(args, sg), _load_mu(args)
-        if args.battery:
-            report = battery_report(sg, f, sigma, mu, tol, force=args.force)
-        else:
-            report = residual_vanvleck(sg, f, sigma, mu, tol, force=args.force)
-    elif eq == "dalembert_variant":
-        report = residual_dalembert(sg, f, _load_sigma(args, sg))
-    elif eq == "integral_dalembert":
-        report = residual_integral_dalembert(sg, f, _load_sigma(args, sg), _load_mu(args), tol)
-    elif eq == "corollary33":
-        report = residual_central_dalembert(sg, f, _load_sigma(args, sg), _load_mu(args), tol)
-    elif eq == "spherical":
-        report = residual_spherical(sg, f, _load_mu(args))
-    elif eq == "sine_addition":
-        g = companion_cosine(sg, f, _load_mu(args), tol)
-        report = residual_sine_addition(sg, f, g)
-    else:  # wilson_variant
-        sigma, mu = _load_sigma(args, sg), _load_mu(args)
-        g = companion_cosine(sg, f, mu, tol)
-        report = residual_wilson(sg, f, g, sigma)
+    eq = EQUATIONS[args.eq]
+    sigma, mu = _load_inputs(args, sg, eq)
+    if args.battery and eq.battery:
+        report = battery_report(sg, f, sigma, mu, tol, force=args.force)
+    else:
+        # a lone candidate f meets its companion cosine as the second function
+        g = companion_cosine(sg, f, mu, tol) if eq.uses_g else None
+        report = residual(eq, sg, f, g=g, sigma=sigma, mu=mu, tol=tol, force=args.force)
     return report.to_json(), 0 if report.passed(tol) else 1
 
 
@@ -223,21 +178,9 @@ def cmd_stability(args) -> tuple[dict, int]:
     sg = load_semigroup(args.sg)
     config = CampaignConfig(trials=args.trials, radius_min=0.0, radius_max=args.radius,
                             seed=args.seed)
-    summary, _ = fuzz_campaign(sg, _load_sigma(args, sg), _load_mu(args), config,
-                               _tolerances(args))
+    sigma, mu = _load_inputs(args, sg, EQUATIONS["vanvleck"])
+    summary, _ = fuzz_campaign(sg, sigma, mu, config, _tolerances(args))
     return summary.to_json(), 0 if summary.violations == 0 else 1
-
-
-def _closed_form_for(eq: str, sg, sigma, mu, tol):
-    if eq == "vanvleck":
-        return solve_vanvleck(sg, sigma, mu, tol)
-    if eq == "dalembert_variant":
-        return solve_dalembert(sg, sigma, tol)
-    if eq in ("corollary33", "integral_dalembert"):
-        return solve_central_dalembert(sg, sigma, mu, tol)
-    if eq == "spherical":
-        return solve_spherical(sg, mu, tol)
-    raise UsageError(f"no oracle cross-check for --eq {eq}")
 
 
 def cmd_oracle(args) -> tuple[dict, int]:
@@ -250,12 +193,7 @@ def cmd_oracle(args) -> tuple[dict, int]:
     eq = args.eq
     sigma = load_morphism(args.sigma, sg) if args.sigma else None
     mu = load_measure(args.mu) if args.mu else None
-    need_sigma = eq != "spherical"
-    if need_sigma and sigma is None:
-        raise UsageError(f"--sigma is required for --eq {eq}")
-    if eq != "dalembert_variant" and mu is None:
-        raise UsageError(f"--mu is required for --eq {eq}")
-    closed = _closed_form_for(eq, sg, sigma, mu, tol)
+    closed = closed_form(eq, sg, sigma, mu, tol)
     roots = newton_oracle(sg, eq, sigma, mu, starts=args.starts, seed=args.seed, tol=tol)
     refs = closed.vectors()
     pairs, oracle_only, closed_only = match_solution_sets(roots, refs, tol)

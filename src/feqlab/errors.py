@@ -57,6 +57,10 @@ class NotMorphism(StructuralError):
     """map violates the structure law of its declared kind."""
 
 
+class NonFiniteResidual(StructuralError):
+    """A residual or battery term overflowed or met a non-finite value."""
+
+
 class ParseError(FeqlabError):
     """JSON input violates the documented schema."""
 

@@ -61,7 +61,10 @@ def _as_complex(pair: Any, what: str, path: str | Path) -> complex:
     if (not isinstance(pair, list) or len(pair) != 2
             or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in pair)):
         raise ParseError(f"{path}: {what} must be a [re, im] pair")
-    return complex(pair[0], pair[1])
+    try:
+        return complex(pair[0], pair[1])
+    except OverflowError as exc:  # an integer beyond the float range
+        raise ParseError(f"{path}: {what} must be finite") from exc
 
 
 def load_measure(path: str | Path) -> DiracMeasure:
@@ -83,6 +86,8 @@ def load_function(path: str | Path) -> np.ndarray:
     if not isinstance(obj, dict) or not isinstance(obj.get("values"), list):
         raise ParseError(f"{path}: function JSON needs a 'values' list")
     vals = [_as_complex(v, "function value", path) for v in obj["values"]]
+    if not all(math.isfinite(v.real) and math.isfinite(v.imag) for v in vals):
+        raise ParseError(f"{path}: function values must be finite")
     return np.array(vals, dtype=complex)
 
 

@@ -10,7 +10,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Iterator, Sequence
+
+import numpy as np
 
 from .errors import BadParams, EntryOutOfRange, NotAssociative, NotInvolutive, NotMorphism, TooLarge
 
@@ -39,6 +42,11 @@ class FiniteSemigroup:
 
     def mul(self, x: int, y: int) -> int:
         return self.table[x][y]
+
+    @cached_property
+    def index_table(self) -> np.ndarray:
+        """The Cayley table as an integer array, built once per semigroup."""
+        return np.array(self.table, dtype=np.intp)
 
     def elements(self) -> range:
         return range(self.n)
@@ -121,8 +129,8 @@ def validate_semigroup(table: Sequence[Sequence[int]], name: str | None = None) 
 
 def center(sg: FiniteSemigroup) -> list[int]:
     """Elements commuting with everything, ascending."""
-    t = sg.table
-    return [z for z in sg.elements() if all(t[z][x] == t[x][z] for x in sg.elements())]
+    table = sg.index_table
+    return np.flatnonzero((table == table.T).all(axis=1)).tolist()
 
 
 def validate_morphism(sg: FiniteSemigroup, map_: Sequence[int], kind: MorphismKind) -> InvolutiveMorphism:

@@ -17,23 +17,23 @@ import numpy as np
 
 from .characters import Character, character_to_scalar, characters_cached, compose_sigma
 from .equations import (
+    EQUATIONS,
+    require_hypotheses,
     residual_central_dalembert,
     residual_dalembert,
     residual_integral_dalembert,
     residual_spherical,
     residual_spherical_right,
     residual_vanvleck,
+    term_groups,
 )
 from .errors import (
     DegenerateMeasureWarning,
     FeqlabError,
-    NonCentralSupport,
     NotAMonoid,
     NotCentral,
-    NotSigmaInvariant,
     NotSpherical,
     UsageError,
-    WrongMorphismKind,
 )
 from .measures import (
     DEFAULT_TOL,
@@ -41,11 +41,9 @@ from .measures import (
     ToleranceConfig,
     check_function,
     integrate,
-    is_sigma_invariant,
     measure_norm,
-    support_in_center,
 )
-from .semigroups import FiniteSemigroup, InvolutiveMorphism, MorphismKind, center
+from .semigroups import FiniteSemigroup, InvolutiveMorphism, center
 
 # Gauss-Newton converges happily to points in the flat valley around the
 # zero function (residual is quadratic there), so the oracle drops roots
@@ -122,8 +120,7 @@ def solve_vanvleck(sg: FiniteSemigroup, sigma: InvolutiveMorphism, mu: DiracMeas
     mean(chi) != 0 and mean(chi o sigma) = -mean(chi); chi and chi o
     sigma produce the same function, deduplicated canonically.
     """
-    if not support_in_center(mu, sg):
-        raise NonCentralSupport("mu must be supported in the center")
+    require_hypotheses(EQUATIONS["vanvleck"].hypotheses, sg, sigma, mu, tol)
     out: list[Solution] = []
     if _warn_degenerate(mu):
         return SolutionSet("vanvleck", tuple(out))
@@ -194,12 +191,7 @@ def solve_central_dalembert(sg: FiniteSemigroup, sigma: InvolutiveMorphism,
                             tol: ToleranceConfig = DEFAULT_TOL) -> SolutionSet:
     """Nonzero solutions of the integral cosine variant with central
     sigma-invariant measure: (chi + chi o sigma)/2 * mean(chi)."""
-    if sigma.kind is not MorphismKind.AUTOMORPHISM:
-        raise WrongMorphismKind("integral cosine variant requires an automorphism")
-    if not is_sigma_invariant(upsilon, sigma, tol):
-        raise NotSigmaInvariant("measure must equal its pushforward under sigma")
-    if not support_in_center(upsilon, sg):
-        raise NonCentralSupport("measure must be supported in the center")
+    require_hypotheses(("automorphism", "invariant", "central"), sg, sigma, upsilon, tol)
     out: list[Solution] = []
     if _warn_degenerate(upsilon):
         return SolutionSet("corollary33", tuple(out))
@@ -224,10 +216,7 @@ def symmetrize_spherical(sg: FiniteSemigroup, psi: Sequence[complex],
                          tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     """Build f = (psi + psi o sigma)/2 from a spherical psi and verify it
     solves the middle-integral cosine variant."""
-    if sigma.kind is not MorphismKind.AUTOMORPHISM:
-        raise WrongMorphismKind("symmetrization requires an automorphism")
-    if not is_sigma_invariant(upsilon, sigma, tol):
-        raise NotSigmaInvariant("measure must equal its pushforward under sigma")
+    require_hypotheses(("automorphism", "invariant"), sg, sigma, upsilon, tol)
     arr = check_function(sg, psi)
     rep = residual_spherical(sg, arr, upsilon)
     if rep.max_abs > tol.eq_tol:
@@ -238,76 +227,30 @@ def symmetrize_spherical(sg: FiniteSemigroup, psi: Sequence[complex],
     return f
 
 
+def _require_inputs(equation: str, sigma: InvolutiveMorphism | None,
+                    mu: DiracMeasure | None):
+    """The registry entry of an equation with a closed form, once the
+    inputs it needs are present."""
+    eq = EQUATIONS.get(equation)
+    if eq is None or eq.closed_form is None:
+        raise UsageError(f"no closed form for equation '{equation}'")
+    for name, value in (("sigma", sigma), ("mu", mu)):
+        if name in eq.needs and value is None:
+            raise UsageError(f"equation '{equation}' needs {name}")
+    return eq
+
+
+def closed_form(equation: str, sg: FiniteSemigroup, sigma: InvolutiveMorphism | None,
+                mu: DiracMeasure | None, tol: ToleranceConfig = DEFAULT_TOL) -> SolutionSet:
+    """Solution set of a registered equation from its closed-form solver,
+    which takes the inputs the equation needs."""
+    eq = _require_inputs(equation, sigma, mu)
+    inputs = {"sigma": sigma, "mu": mu}
+    return globals()[eq.closed_form](sg, *(inputs[name] for name in eq.needs), tol)
+
+
 # ---------------------------------------------------------------------------
 # Numeric oracle
-
-
-def _oracle_system(sg: FiniteSemigroup, equation: str, sigma: InvolutiveMorphism | None,
-                   mu: DiracMeasure | None) -> tuple[np.ndarray, float]:
-    """Linear part L (n^2 x n) and quadratic coefficient c of the defect
-    system r(f) = L f - c * f(x) f(y) over row index x*n + y."""
-    n = sg.n
-    t = sg.table
-    L = np.zeros((n * n, n), dtype=complex)
-
-    def need_sigma() -> InvolutiveMorphism:
-        if sigma is None:
-            raise UsageError(f"equation '{equation}' needs sigma")
-        return sigma
-
-    def need_mu() -> DiracMeasure:
-        if mu is None:
-            raise UsageError(f"equation '{equation}' needs a measure")
-        return mu
-
-    if equation == "vanvleck":
-        s, m = need_sigma(), need_mu()
-        for x in range(n):
-            for y in range(n):
-                row = x * n + y
-                left = t[s.map[y]][x]
-                right = t[x][y]
-                for p, w in m.atoms:
-                    L[row, t[left][p]] += w
-                    L[row, t[right][p]] -= w
-        return L, 2.0
-    if equation == "dalembert_variant":
-        s = need_sigma()
-        for x in range(n):
-            for y in range(n):
-                row = x * n + y
-                L[row, t[x][y]] += 1.0
-                L[row, t[s.map[y]][x]] += 1.0
-        return L, 2.0
-    if equation == "integral_dalembert":
-        s, m = need_sigma(), need_mu()
-        for x in range(n):
-            for y in range(n):
-                row = x * n + y
-                for p, w in m.atoms:
-                    L[row, t[t[x][p]][y]] += w
-                    L[row, t[t[s.map[y]][p]][x]] += w
-        return L, 2.0
-    if equation == "corollary33":
-        s, m = need_sigma(), need_mu()
-        for x in range(n):
-            for y in range(n):
-                row = x * n + y
-                xy = t[x][y]
-                syx = t[s.map[y]][x]
-                for p, w in m.atoms:
-                    L[row, t[xy][p]] += w
-                    L[row, t[syx][p]] += w
-        return L, 2.0
-    if equation == "spherical":
-        m = need_mu()
-        for x in range(n):
-            for y in range(n):
-                row = x * n + y
-                for p, w in m.atoms:
-                    L[row, t[t[x][p]][y]] += w
-        return L, 1.0
-    raise UsageError(f"no oracle for equation '{equation}'")
 
 
 def newton_oracle(sg: FiniteSemigroup, equation: str,
@@ -327,9 +270,17 @@ def newton_oracle(sg: FiniteSemigroup, equation: str,
     """
     if starts < 1:
         raise UsageError("starts must be >= 1")
-    L, c = _oracle_system(sg, equation, sigma, mu)
+    eq = _require_inputs(equation, sigma, mu)
     n = sg.n
     rows = np.arange(n * n)
+    # linear part L (n^2 x n) over row index x*n + y; equations with a
+    # closed form are quadratic in f alone: r(f) = L f - c f(x) f(y)
+    L = np.zeros((n * n, n), dtype=complex)
+    for w, terms in term_groups(eq, sg, sigma, mu):
+        weight = 1.0 if w is None else w
+        for sign, idx in terms:
+            L[rows, idx.ravel()] += weight if sign > 0 else -weight
+    c = eq.products[0].coef
     xs = rows // n
     ys = rows % n
 

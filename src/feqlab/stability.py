@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .equations import companion_cosine, residual_dalembert, residual_vanvleck
+from .equations import companion_cosine, residual_dalembert, residual_vanvleck, sup_terms
 from .errors import BadParams, DegenerateIntegral, EmptySolutionSet
 from .measures import (
     DEFAULT_TOL,
@@ -177,39 +177,13 @@ def approximate_battery(sg: FiniteSemigroup, f: Sequence[complex], sigma: Involu
     if delta < 0:
         raise BadParams("delta must be nonnegative")
     arr = check_function(sg, f)
-    t = sg.table
-    n = sg.n
-    smap = sigma.map
     mean = integrate(arr, mu)
     if abs(mean) <= tol.eq_tol:
         raise DegenerateIntegral("mean of f under mu vanishes; bounds are undefined")
     norm = measure_norm(mu)
     amean = abs(mean)
     eq = tol.eq_tol
-
-    def sup(vals) -> float:
-        return float(max(abs(v) for v in vals))
-
-    odd = sup(arr[smap[x]] + arr[x] for x in range(n))
-    cross = sup(arr[t[smap[x]][y]] + arr[t[smap[y]][x]] for x in range(n) for y in range(n))
-    twisted = sup(
-        sum(wa * wb * arr[t[t[x][smap[a]]][b]] for a, wa in mu.atoms for b, wb in mu.atoms)
-        - arr[x] * mean
-        for x in range(n)
-    )
-    plain = sup(
-        sum(wa * wb * arr[t[t[x][a]][b]] for a, wa in mu.atoms for b, wb in mu.atoms)
-        + arr[x] * mean
-        for x in range(n)
-    )
-    twist_mean = sup(
-        sum(w * (arr[t[x][smap[p]]] - arr[t[smap[x]][smap[p]]]) for p, w in mu.atoms)
-        for x in range(n)
-    )
-    right_mean = sup(
-        sum(w * (arr[t[x][p]] - arr[t[smap[x]][p]]) for p, w in mu.atoms)
-        for x in range(n)
-    )
+    sups = sup_terms(sg, arr, sigma, mu, mean)
     g = companion_cosine(sg, arr, mu, tol)
     g_defect = residual_dalembert(sg, g, sigma).max_abs
 
@@ -217,13 +191,13 @@ def approximate_battery(sg: FiniteSemigroup, f: Sequence[complex], sigma: Involu
         return InequalityItem(name, lhs, rhs, False, lhs <= rhs + eq)
 
     return [
-        bounded("1_sigma_odd", odd, 0.0),
-        bounded("2_cross_sum", cross, 3.0 * delta * norm / amean),
-        bounded("3_twisted_double_mean", twisted, delta * norm / 2.0),
-        bounded("4_double_mean", plain, 3.0 * delta * norm / 2.0),
+        bounded("1_sigma_odd", sups.odd, 0.0),
+        bounded("2_cross_sum", sups.cross, 3.0 * delta * norm / amean),
+        bounded("3_twisted_double_mean", sups.twisted, delta * norm / 2.0),
+        bounded("4_double_mean", sups.plain, 3.0 * delta * norm / 2.0),
         InequalityItem("5_nonzero_mean", amean, 0.0, True, amean > eq),
-        bounded("6_sigma_twist_mean", twist_mean, 0.0),
-        bounded("7_sigma_right_mean", right_mean, 6.0 * delta * norm * norm / amean),
+        bounded("6_sigma_twist_mean", sups.sigma_twist, 0.0),
+        bounded("7_sigma_right_mean", sups.sigma_right, 6.0 * delta * norm * norm / amean),
         bounded("8_companion_cosine_defect", g_defect, 3.0 * delta * norm * norm / (amean * amean)),
     ]
 

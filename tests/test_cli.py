@@ -287,3 +287,125 @@ class TestFixturesCommand:
         for name in payload["written"]:
             assert (out / name).exists()
         assert "c4.sg.json" in payload["written"]
+
+
+# The C4 fixture inputs of each tag: its measure flag (if any) and a
+# function file holding one of its exact solutions. alt is -chi_2, which
+# solves the half-pair cosine and spherical laws.
+TAG_INPUTS = {
+    "vanvleck": ("c4_delta1.mu.json", "c4_sine.fn.json"),
+    "dalembert_variant": (None, "c4_cosine.fn.json"),
+    "integral_dalembert": ("c4_halfpair.mu.json", "alt.fn.json"),
+    "corollary33": ("c4_halfpair.mu.json", "alt.fn.json"),
+    "spherical": ("c4_halfpair.mu.json", "alt.fn.json"),
+    "sine_addition": ("c4_delta1.mu.json", "c4_sine.fn.json"),
+    "wilson_variant": ("c4_delta1.mu.json", "c4_sine.fn.json"),
+}
+NO_CLOSED_FORM = ("sine_addition", "wilson_variant")
+
+
+class TestEquationMatrix:
+    @pytest.fixture(scope="class")
+    def matrix_dir(self, tmp_path_factory):
+        d = tmp_path_factory.mktemp("matrix")
+        write_fixtures(d)
+        (d / "alt.fn.json").write_text(json.dumps({"values": [[-1, 0], [1, 0], [-1, 0], [1, 0]]}))
+        return d
+
+    @pytest.mark.parametrize("command", ["solve", "oracle", "verify"])
+    @pytest.mark.parametrize("eq", list(TAG_INPUTS))
+    def test_exit_code(self, capsys, matrix_dir, eq, command):
+        mu, fn = TAG_INPUTS[eq]
+        argv = [command, "--eq", eq, "--sg", str(matrix_dir / "c4.sg.json"),
+                "--sigma", str(matrix_dir / "c4_negation.sigma.json")]
+        if mu is not None:
+            argv += ["--mu", str(matrix_dir / mu)]
+        if command == "verify":
+            argv += ["--f", str(matrix_dir / fn)]
+        code, out, err = run(capsys, *argv)
+        if command != "verify" and eq in NO_CLOSED_FORM:
+            assert code == 64 and out == "" and "usage error" in err
+        else:
+            assert code == 0, err
+            payload = json.loads(out)
+            if command == "solve":
+                assert payload["solutions"]
+            elif command == "oracle":
+                assert payload["matched"] >= 1
+
+
+README_STABILITY = ('{"trials": 1000, "violations": 0, "exact": 0, "within_bound": 1000, '
+                    '"max_ratio": 0.99631781186880175, "seed": 42}\n')
+
+
+class TestPinnedOutput:
+    def test_readme_stability_campaign(self, capsys, fxdir):
+        # any change to the bits of the residual grids moves max_ratio
+        code, out, _ = run(
+            capsys, "stability", "--trials", "1000", "--seed", "42",
+            "--sg", str(fxdir / "c4.sg.json"),
+            "--sigma", str(fxdir / "c4_negation.sigma.json"),
+            "--mu", str(fxdir / "c4_delta1.mu.json"))
+        assert code == 0
+        assert out == README_STABILITY
+
+
+class TestNonFiniteInputs:
+    def verify(self, capsys, fxdir, fn):
+        return run(capsys, "verify", "--eq", "vanvleck",
+                   "--sg", str(fxdir / "c4.sg.json"),
+                   "--sigma", str(fxdir / "c4_negation.sigma.json"),
+                   "--mu", str(fxdir / "c4_delta1.mu.json"),
+                   "--f", str(fn))
+
+    @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity", "1e999", "1" + "0" * 400])
+    def test_non_finite_function_value_exit_3(self, capsys, fxdir, tmp_path, value):
+        fn = tmp_path / "bad.fn.json"
+        fn.write_text('{"values": [[%s, 0], [1, 0], [0, 0], [-1, 0]]}' % value)
+        code, out, err = self.verify(capsys, fxdir, fn)
+        assert code == 3 and out == ""
+        assert "parse error" in err and "finite" in err
+
+    def test_non_finite_measure_weight_stays_exit_2(self, capsys, fxdir, tmp_path):
+        mu = tmp_path / "nan.mu.json"
+        mu.write_text('{"atoms": [{"point": 1, "w": [NaN, 0]}]}')
+        code, out, err = run(capsys, "solve", "--eq", "vanvleck",
+                             "--sg", str(fxdir / "c4.sg.json"),
+                             "--sigma", str(fxdir / "c4_negation.sigma.json"),
+                             "--mu", str(mu))
+        assert code == 2 and out == "" and "finite" in err
+
+    def test_overflowing_residual_exit_2(self, capsys, fxdir, tmp_path):
+        fn = tmp_path / "huge.fn.json"
+        fn.write_text(json.dumps({"values": [[1e300, 0], [1, 0], [0, 0], [-1, 0]]}))
+        code, out, err = self.verify(capsys, fxdir, fn)
+        assert code == 2 and out == ""
+        assert "structural error" in err and "not finite" in err
+
+    def test_overflowing_campaign_is_no_violation(self, capsys, fxdir, tmp_path):
+        mu = tmp_path / "heavy.mu.json"
+        mu.write_text(json.dumps({"atoms": [{"point": 1, "w": [1e308, 0]}]}))
+        code, out, err = run(capsys, "stability", "--trials", "50", "--seed", "1",
+                             "--sg", str(fxdir / "c4.sg.json"),
+                             "--sigma", str(fxdir / "c4_negation.sigma.json"),
+                             "--mu", str(mu))
+        assert code == 2 and out == ""
+        assert "not finite" in err
+
+    def test_stability_missing_sigma_is_usage_error(self, capsys, fxdir):
+        code, out, err = run(capsys, "stability", "--trials", "5",
+                             "--sg", str(fxdir / "c4.sg.json"),
+                             "--mu", str(fxdir / "c4_delta1.mu.json"))
+        assert code == 64 and out == "" and "--sigma" in err
+
+
+class TestAtomRange:
+    @pytest.mark.parametrize("eq", ["spherical", "vanvleck"])
+    def test_out_of_range_atom_exit_2(self, capsys, fxdir, tmp_path, eq):
+        mu = tmp_path / "far.mu.json"
+        mu.write_text(json.dumps({"atoms": [{"point": 7, "w": [1, 0]}]}))
+        code, out, err = run(capsys, "verify", "--eq", eq,
+                             "--sg", str(fxdir / "c4.sg.json"),
+                             "--sigma", str(fxdir / "c4_negation.sigma.json"),
+                             "--mu", str(mu), "--f", str(fxdir / "c4_sine.fn.json"))
+        assert code == 2 and out == "" and "outside" in err

@@ -20,11 +20,13 @@ from feqlab import (
     residual_spherical_right,
     residual_vanvleck,
     residual_wilson,
+    enumerate_involutive_morphisms,
     symmetric_group_3,
 )
 from feqlab.errors import (
     DegenerateIntegral,
     NonCentralSupport,
+    NonFiniteResidual,
     NotSigmaInvariant,
     WrongMorphismKind,
 )
@@ -300,3 +302,115 @@ class TestReportShape:
         assert obj["argmax"] == [0, 0]
         obj = battery_report(c4, sine, sigma_neg, mu_delta1).to_json()
         assert list(obj) == ["equation", "max_abs", "argmax", "per_item"]
+
+
+def _pointwise(sg, sigma, mu, f, g):
+    """Every law's defect evaluated cell by cell with scalar arithmetic,
+    atoms accumulated in order: the rounding the grids must reproduce."""
+    t, s = sg.mul, sigma.map
+
+    def avg(term):
+        acc = 0j
+        for p, w in mu.atoms:
+            acc += w * term(p)
+        return acc
+
+    laws = {
+        "vanvleck": lambda x, y: avg(lambda p: f[t(t(s[y], x), p)] - f[t(t(x, y), p)])
+        - 2.0 * f[x] * f[y],
+        "dalembert_variant": lambda x, y: f[t(x, y)] + f[t(s[y], x)] - 2.0 * f[x] * f[y],
+        "integral_dalembert": lambda x, y: avg(lambda p: f[t(t(x, p), y)] + f[t(t(s[y], p), x)])
+        - 2.0 * f[x] * f[y],
+        "corollary33": lambda x, y: avg(lambda p: f[t(t(x, y), p)] + f[t(t(s[y], x), p)])
+        - 2.0 * f[x] * f[y],
+        "spherical": lambda x, y: avg(lambda p: f[t(t(x, p), y)]) - f[x] * f[y],
+        "spherical_right": lambda x, y: avg(lambda p: f[t(t(x, y), p)]) - f[x] * f[y],
+        "sine_addition": lambda x, y: f[t(x, y)] - f[x] * g[y] - f[y] * g[x],
+        "wilson_variant": lambda x, y: f[t(x, y)] + f[t(s[y], x)] - 2.0 * f[x] * g[y],
+        "middle_commutation": lambda x, y: avg(lambda p: f[t(t(x, p), y)] - f[t(t(y, p), x)]),
+    }
+    out = {}
+    for name, law in laws.items():
+        grid = np.array([[law(x, y) for y in range(sg.n)] for x in range(sg.n)])
+        mags = np.abs(grid)
+        flat = int(np.argmax(mags))
+        out[name] = (float(mags.flat[flat]), divmod(flat, sg.n))
+    return out
+
+
+class TestRegistryGrids:
+    """The vectorized grids against cell-by-cell scalar evaluation, to the bit."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_bit_equal_to_pointwise(self, s3, seed):
+        rng = np.random.default_rng(seed)
+        autos = enumerate_involutive_morphisms(s3, MorphismKind.AUTOMORPHISM)
+        sigma = autos[1 + seed % (len(autos) - 1)]  # not the identity
+        points = rng.choice(6, size=2, replace=False)
+        weights = rng.normal(size=2) + 1j * rng.normal(size=2)
+        mu = DiracMeasure.from_pairs([(int(p), complex(w) / 2) for p, w in zip(points, weights)]
+                                     + [(sigma.map[p], complex(w) / 2) for p, w in zip(points, weights)])
+        f = rng.normal(size=6) + 1j * rng.normal(size=6)
+        g = rng.normal(size=6) + 1j * rng.normal(size=6)
+        reports = {
+            "vanvleck": residual_vanvleck(s3, f, sigma, mu, force=True),
+            "dalembert_variant": residual_dalembert(s3, f, sigma),
+            "integral_dalembert": residual_integral_dalembert(s3, f, sigma, mu),
+            "corollary33": residual_central_dalembert(s3, f, sigma, mu),
+            "spherical": residual_spherical(s3, f, mu),
+            "spherical_right": residual_spherical_right(s3, f, mu),
+            "sine_addition": residual_sine_addition(s3, f, g),
+            "wilson_variant": residual_wilson(s3, f, g, sigma),
+            "middle_commutation": residual_middle_commutation(s3, f, mu),
+        }
+        for name, (top, arg) in _pointwise(s3, sigma, mu, f, g).items():
+            assert reports[name].max_abs == top, name
+            assert reports[name].argmax == arg, name
+
+
+class TestNonFinite:
+    def test_overflow_raises(self, c4, sigma_neg, mu_delta1):
+        f = np.array([1e300, 1, 0, -1], dtype=complex)
+        with pytest.raises(NonFiniteResidual):
+            residual_vanvleck(c4, f, sigma_neg, mu_delta1)
+
+    def test_nan_raises(self, c4, sigma_neg, upsilon):
+        f = np.array([0, np.nan, 0, 0], dtype=complex)
+        with pytest.raises(NonFiniteResidual):
+            residual_central_dalembert(c4, f, sigma_neg, upsilon)
+        with pytest.raises(NonFiniteResidual):
+            identity_battery(c4, f, sigma_neg, DiracMeasure.point_mass(1))
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_battery_bit_equal_to_pointwise(self, s3, seed):
+        rng = np.random.default_rng(10 + seed)
+        sigma = enumerate_involutive_morphisms(s3, MorphismKind.AUTOMORPHISM)[1 + seed]
+        points = rng.choice(6, size=2, replace=False)
+        weights = rng.normal(size=2) + 1j * rng.normal(size=2)
+        mu = DiracMeasure.from_pairs(list(zip(points.tolist(), weights.tolist())))
+        f = rng.normal(size=6) + 1j * rng.normal(size=6)
+        t, s, n = s3.mul, sigma.map, 6
+        mean = integrate(f, mu)
+
+        def sup(vals):
+            return float(max(abs(v) for v in vals))
+
+        def double(x, twist):
+            return sum(wa * wb * f[t(t(x, s[a] if twist else a), b)]
+                       for a, wa in mu.atoms for b, wb in mu.atoms)
+
+        def right(x):
+            return sum(w * f[t(x, p)] for p, w in mu.atoms)
+
+        want = {
+            "1_sigma_odd": sup(f[s[x]] + f[x] for x in range(n)),
+            "3_cross_antisym": sup(f[t(s[y], x)] + f[t(s[x], y)] for x in range(n) for y in range(n)),
+            "4_twisted_double_mean": sup(double(x, True) - f[x] * mean for x in range(n)),
+            "5_double_mean": sup(double(x, False) + f[x] * mean for x in range(n)),
+            "6_sigma_right_mean": sup(right(s[x]) - right(x) for x in range(n)),
+            "7_sigma_twist_mean": sup(
+                sum(w * (f[t(x, s[p])] - f[t(s[x], s[p])]) for p, w in mu.atoms) for x in range(n)),
+        }
+        got = {it.name: it.value for it in identity_battery(s3, f, sigma, mu, force=True)}
+        for name, value in want.items():
+            assert got[name] == value, name

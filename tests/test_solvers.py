@@ -33,6 +33,7 @@ from feqlab import (
 from feqlab.errors import (
     DegenerateMeasureWarning,
     NonCentralSupport,
+    NonFiniteResidual,
     NotAMonoid,
     NotCentral,
     NotSigmaInvariant,
@@ -75,6 +76,11 @@ class TestSolveVanVleck:
         sigma = InvolutiveMorphism(map=(0, 1, 2, 3, 4, 5), kind=MorphismKind.AUTOMORPHISM)
         with pytest.raises(NonCentralSupport):
             solve_vanvleck(s3, sigma, DiracMeasure.point_mass(1))
+
+    def test_overflow_fails_self_verification(self, c4, sigma_neg):
+        # the self-check grid overflows; a NaN residual must not pass as verified
+        with pytest.raises(NonFiniteResidual):
+            solve_vanvleck(c4, sigma_neg, DiracMeasure.point_mass(1, 1e308))
 
     def test_solutions_verify_and_dedup(self, c4, sigma_neg):
         # a scaled measure: solutions rescale but stay closed under the engine
