@@ -67,32 +67,15 @@ def is_multiplicative(sg: FiniteSemigroup, f: Sequence[complex],
     )
 
 
-def _zero_closure(sg: FiniteSemigroup, start: int,
-                  values: list[RootValue | None]) -> set[int] | None:
-    """Elements forced to zero once chi(start) = 0; None if that clashes
-    with an already-assigned nonzero value."""
-    t = sg.table
-    closure = {start}
-    frontier = [start]
-    while frontier:
-        x = frontier.pop()
-        for y in sg.elements():
-            for p in (t[x][y], t[y][x]):
-                if p not in closure:
-                    v = values[p]
-                    if v is not None and not v.is_zero:
-                        return None
-                    closure.add(p)
-                    frontier.append(p)
-    return closure
-
-
 def enumerate_characters(sg: FiniteSemigroup) -> list[Character]:
     """All nonzero multiplicative functions on sg, canonically sorted.
 
     Backtracking over exact candidate values, most-constrained element
-    first, with zero-propagation (chi(x) = 0 forces chi on the ideal
-    generated by x). The all-zero function is excluded.
+    first. Each choice is propagated: chi(x) = 0 forces zero on the ideal
+    generated by x, and a nonzero chi(x) forces chi(xy) and chi(yx) for
+    every assigned y. A forced value that clashes prunes the branch, and
+    every assigned pair has its product checked, so a complete assignment
+    is multiplicative. The all-zero function is excluded.
     """
     n = sg.n
     t = sg.table
@@ -107,20 +90,27 @@ def enumerate_characters(sg: FiniteSemigroup) -> list[Character]:
 
     order = sorted(sg.elements(), key=lambda x: (len(domains[x]), x))
     values: list[RootValue | None] = [None] * n
+    trail: list[int] = []  # assigned elements in assignment order, for undo
     found: list[tuple[RootValue, ...]] = []
 
-    def consistent() -> bool:
-        for x in range(n):
-            vx = values[x]
-            if vx is None:
-                continue
-            for y in range(n):
-                vy = values[y]
-                if vy is None:
-                    continue
-                vp = values[t[x][y]]
-                if vp is not None and vp != vx * vy:
+    def assign(e: int, v: RootValue) -> bool:
+        """Set chi(e) = v and everything it forces; False on a clash."""
+        pending = [(e, v)]
+        while pending:
+            x, vx = pending.pop()
+            if values[x] is not None:
+                if values[x] != vx:
                     return False
+                continue
+            values[x] = vx
+            trail.append(x)
+            if vx.is_zero:
+                for y in sg.elements():
+                    pending += ((t[x][y], zero), (t[y][x], zero))
+            else:
+                for y in trail:
+                    vxy = vx * values[y]  # the value monoid is commutative
+                    pending += ((t[x][y], vxy), (t[y][x], vxy))
         return True
 
     def extend(pos: int) -> None:
@@ -133,22 +123,12 @@ def enumerate_characters(sg: FiniteSemigroup) -> list[Character]:
             extend(pos + 1)
             return
         for v in domains[e]:
-            if v.is_zero:
-                closure = _zero_closure(sg, e, values)
-                if closure is None:
-                    continue
-                newly = [p for p in closure if values[p] is None]
-                for p in newly:
-                    values[p] = zero
-                if consistent():
-                    extend(pos + 1)
-                for p in newly:
-                    values[p] = None
-            else:
-                values[e] = v
-                if consistent():
-                    extend(pos + 1)
-                values[e] = None
+            mark = len(trail)
+            if assign(e, v):
+                extend(pos + 1)
+            for x in trail[mark:]:
+                values[x] = None
+            del trail[mark:]
 
     extend(0)
     found.sort(key=lambda vals: tuple(v.sort_key() for v in vals))

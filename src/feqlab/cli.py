@@ -10,12 +10,13 @@ parsing. An empty solution set is a success: absence is an answer.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from typing import Callable
 
 import numpy as np
 
-from .characters import enumerate_characters
+from .characters import characters_cached
 from .equations import EQUATIONS, battery_report, companion_cosine, residual
 from .errors import HypothesisError, ParseError, StructuralError, UsageError
 from .fixtures import write_fixtures
@@ -94,13 +95,17 @@ def build_parser() -> _Parser:
     return parser
 
 
+def _finite_nonnegative(flag: str, value: float) -> float:
+    if not 0 <= value < math.inf:  # NaN fails every comparison
+        raise UsageError(f"--{flag} must be finite and nonnegative, got {value}")
+    return value
+
+
 def _tolerances(args) -> ToleranceConfig:
     tol = getattr(args, "tol", None)
     if tol is None:
         return DEFAULT_TOL
-    if tol < 0:
-        raise UsageError("--tol must be nonnegative")
-    return ToleranceConfig(eq_tol=tol)
+    return ToleranceConfig(eq_tol=_finite_nonnegative("tol", tol))
 
 
 def _need(args, flag: str):
@@ -131,7 +136,7 @@ def cmd_analyze(args) -> tuple[dict, int]:
     sg = load_semigroup(args.sg)
     autos = enumerate_involutive_morphisms(sg, MorphismKind.AUTOMORPHISM)
     antis = enumerate_involutive_morphisms(sg, MorphismKind.ANTI_AUTOMORPHISM)
-    chars = enumerate_characters(sg)
+    chars = characters_cached(sg)
     payload = {
         "n": sg.n,
         "name": sg.name,
@@ -173,10 +178,9 @@ def cmd_verify(args) -> tuple[dict, int]:
 def cmd_stability(args) -> tuple[dict, int]:
     if args.trials < 1:
         raise UsageError("--trials must be >= 1")
-    if args.radius < 0:
-        raise UsageError("--radius must be nonnegative")
+    radius = _finite_nonnegative("radius", args.radius)
     sg = load_semigroup(args.sg)
-    config = CampaignConfig(trials=args.trials, radius_min=0.0, radius_max=args.radius,
+    config = CampaignConfig(trials=args.trials, radius_min=0.0, radius_max=radius,
                             seed=args.seed)
     sigma, mu = _load_inputs(args, sg, EQUATIONS["vanvleck"])
     summary, _ = fuzz_campaign(sg, sigma, mu, config, _tolerances(args))
@@ -191,8 +195,7 @@ def cmd_oracle(args) -> tuple[dict, int]:
         raise UsageError("--starts must be >= 1")
     tol = _tolerances(args)
     eq = args.eq
-    sigma = load_morphism(args.sigma, sg) if args.sigma else None
-    mu = load_measure(args.mu) if args.mu else None
+    sigma, mu = _load_inputs(args, sg, EQUATIONS[eq])
     closed = closed_form(eq, sg, sigma, mu, tol)
     roots = newton_oracle(sg, eq, sigma, mu, starts=args.starts, seed=args.seed, tol=tol)
     refs = closed.vectors()

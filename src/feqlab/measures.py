@@ -28,8 +28,8 @@ class ToleranceConfig:
     oracle_tol: float = 1e-6
 
     def __post_init__(self):
-        if min(self.eq_tol, self.dedup_tol, self.oracle_tol) < 0:
-            raise BadParams("tolerances must be nonnegative")
+        if not all(0 <= t < math.inf for t in (self.eq_tol, self.dedup_tol, self.oracle_tol)):
+            raise BadParams("tolerances must be finite and nonnegative")
 
 
 DEFAULT_TOL = ToleranceConfig()

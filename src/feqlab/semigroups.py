@@ -133,6 +133,14 @@ def center(sg: FiniteSemigroup) -> list[int]:
     return np.flatnonzero((table == table.T).all(axis=1)).tolist()
 
 
+def _obeys_law(table: Sequence[Sequence[int]], m: Sequence[int], kind: MorphismKind) -> bool:
+    """m(xy) = m(x)m(y) for an automorphism, m(xy) = m(y)m(x) for an anti."""
+    n = len(table)
+    if kind is MorphismKind.AUTOMORPHISM:
+        return all(m[table[x][y]] == table[m[x]][m[y]] for x in range(n) for y in range(n))
+    return all(m[table[x][y]] == table[m[y]][m[x]] for x in range(n) for y in range(n))
+
+
 def validate_morphism(sg: FiniteSemigroup, map_: Sequence[int], kind: MorphismKind) -> InvolutiveMorphism:
     """Check an explicit map against the involution and structure laws."""
     n = sg.n
@@ -141,12 +149,7 @@ def validate_morphism(sg: FiniteSemigroup, map_: Sequence[int], kind: MorphismKi
     m = tuple(map_)
     if any(m[m[x]] != x for x in range(n)):
         raise NotInvolutive("map composed with itself is not the identity")
-    t = sg.table
-    if kind is MorphismKind.AUTOMORPHISM:
-        ok = all(m[t[x][y]] == t[m[x]][m[y]] for x in range(n) for y in range(n))
-    else:
-        ok = all(m[t[x][y]] == t[m[y]][m[x]] for x in range(n) for y in range(n))
-    if not ok:
+    if not _obeys_law(sg.table, m, kind):
         raise NotMorphism(f"map does not satisfy the {kind.value} structure law")
     return InvolutiveMorphism(map=m, kind=kind)
 
@@ -161,18 +164,9 @@ def enumerate_involutive_morphisms(sg: FiniteSemigroup, kind: MorphismKind) -> l
     n = sg.n
     if n > MAX_MORPHISM_ORDER:
         raise TooLarge(f"morphism enumeration caps at order {MAX_MORPHISM_ORDER}, got {n}")
-    t = sg.table
-    out = []
-    for perm in itertools.permutations(range(n)):
-        if any(perm[perm[x]] != x for x in range(n)):
-            continue
-        if kind is MorphismKind.AUTOMORPHISM:
-            ok = all(perm[t[x][y]] == t[perm[x]][perm[y]] for x in range(n) for y in range(n))
-        else:
-            ok = all(perm[t[x][y]] == t[perm[y]][perm[x]] for x in range(n) for y in range(n))
-        if ok:
-            out.append(InvolutiveMorphism(map=perm, kind=kind))
-    return out
+    return [InvolutiveMorphism(map=perm, kind=kind)
+            for perm in itertools.permutations(range(n))
+            if all(perm[perm[x]] == x for x in range(n)) and _obeys_law(sg.table, perm, kind)]
 
 
 def index_period(sg: FiniteSemigroup, x: int) -> ElementOrbit:

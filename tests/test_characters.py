@@ -12,8 +12,12 @@ from feqlab import (
     character_to_scalar,
     compose_sigma,
     cyclic_group,
+    direct_product,
+    enumerate_all_semigroups,
     enumerate_characters,
     is_multiplicative,
+    left_zero,
+    null_semigroup,
     s3_inversion,
 )
 from feqlab.errors import LengthMismatch
@@ -66,6 +70,44 @@ def test_cyclic_group_characters_match_oracle(n):
     got = {as_turns(c) for c in enumerate_characters(sg)}
     assert got == brute_characters(sg)
     assert len(got) == n  # the dual group of Z/n
+
+
+# Every labeled table of order <= 3, then two products: null2 x C2, whose
+# square is the proper ideal {0} x C2, and leftzero2 x C3, whose rows
+# {a} x C3 are proper right ideals.
+ORACLE_CASES = [
+    pytest.param(sg, id=f"census{n}-{i}")
+    for n in (1, 2, 3)
+    for i, sg in enumerate(enumerate_all_semigroups(n))
+] + [
+    pytest.param(direct_product(null_semigroup(2), cyclic_group(2)), id="null2xC2"),
+    pytest.param(direct_product(left_zero(2), cyclic_group(3)), id="leftzero2xC3"),
+]
+
+
+@pytest.mark.parametrize("sg", ORACLE_CASES)
+def test_census_and_ideal_products_match_oracle(sg):
+    chars = enumerate_characters(sg)
+    got = [as_turns(c) for c in chars]
+    assert len(set(got)) == len(got)
+    assert set(got) == brute_characters(sg)
+
+
+@pytest.mark.parametrize("orders", [(16,), (4, 4), (2, 8)], ids=["C16", "C4xC4", "C2xC8"])
+def test_abelian_groups_give_their_dual_in_canonical_order(orders):
+    """The characters of C_a x C_b are (x, y) -> turns k x/a + l y/b, with
+    pair (x, y) at index x b + y; the list is sorted by turns, element by
+    element."""
+    sg = cyclic_group(orders[0])
+    for m in orders[1:]:
+        sg = direct_product(sg, cyclic_group(m))
+    coords = list(itertools.product(*(range(m) for m in orders)))
+    expected = sorted(
+        tuple(sum((Fraction(k * x, m) for k, x, m in zip(ks, xs, orders)), Fraction(0)) % 1
+              for xs in coords)
+        for ks in coords
+    )
+    assert [as_turns(c) for c in enumerate_characters(sg)] == expected
 
 
 def test_c4_characters_are_powers_of_i(c4):

@@ -222,6 +222,13 @@ class TestStability:
             "--sigma", str(fxdir / "c4_negation.sigma.json"),
             "--mu", str(fxdir / "c4_delta1.mu.json"))
         assert code == 64 and "usage error" in err
+        for radius in ("inf", "nan", "-1"):
+            code, out, err = run(
+                capsys, "stability", "--trials", "5", "--radius", radius,
+                "--sg", str(fxdir / "c4.sg.json"),
+                "--sigma", str(fxdir / "c4_negation.sigma.json"),
+                "--mu", str(fxdir / "c4_delta1.mu.json"))
+            assert code == 64 and out == "" and "--radius" in err
 
 
 class TestOracle:
@@ -248,6 +255,16 @@ class TestOracle:
             "--sg", str(fxdir / "c4.sg.json"),
             "--mu", str(fxdir / "c4_delta1.mu.json"))
         assert code == 64 and "sigma" in err
+
+    def test_unneeded_sigma_is_not_loaded(self, capsys, fxdir, tmp_path):
+        # spherical takes no sigma, so a non-permutation one is ignored as in solve
+        bad = tmp_path / "const.sigma.json"
+        bad.write_text(json.dumps({"map": [0, 0, 0, 0], "kind": "auto"}))
+        code, out, err = run(capsys, "oracle", "--eq", "spherical",
+                             "--sg", str(fxdir / "c4.sg.json"), "--sigma", str(bad),
+                             "--mu", str(fxdir / "c4_halfpair.mu.json"))
+        assert code == 0, err
+        assert json.loads(out)["matched"] >= 1
 
 
 class TestUsageAndFormats:
@@ -276,6 +293,16 @@ class TestUsageAndFormats:
             "--sigma", str(fxdir / "c4_negation.sigma.json"),
             "--mu", str(fxdir / "c4_delta1.mu.json"))
         assert code == 64
+        # NaN fails every comparison, so it would fake a verdict either way
+        inputs = ("--sg", str(fxdir / "c4.sg.json"),
+                  "--sigma", str(fxdir / "c4_negation.sigma.json"),
+                  "--mu", str(fxdir / "c4_delta1.mu.json"))
+        for argv in (("verify", "--eq", "vanvleck", "--tol", "nan",
+                      "--f", str(fxdir / "c4_sine.fn.json")),
+                     ("solve", "--eq", "vanvleck", "--tol", "inf"),
+                     ("stability", "--trials", "20", "--tol", "nan")):
+            code, out, err = run(capsys, *argv, *inputs)
+            assert code == 64 and out == "" and "--tol" in err
 
 
 class TestFixturesCommand:

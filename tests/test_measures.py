@@ -183,3 +183,6 @@ class TestToleranceConfig:
     def test_rejects_negative(self):
         with pytest.raises(BadParams):
             ToleranceConfig(eq_tol=-1.0)
+        for bad in (float("inf"), float("nan")):
+            with pytest.raises(BadParams):
+                ToleranceConfig(dedup_tol=bad)

@@ -172,6 +172,9 @@ class TestCampaign:
             CampaignConfig(trials=5, radius_min=-1.0)
         with pytest.raises(BadParams):
             CampaignConfig(trials=5, radius_min=2.0, radius_max=1.0)
+        for bad in (float("inf"), float("nan")):
+            with pytest.raises(BadParams):
+                CampaignConfig(trials=5, radius_max=bad)
 
     def test_no_violations_and_counts(self, c4, sigma_neg, mu_delta1):
         cfg = CampaignConfig(trials=200, radius_min=0.0, radius_max=1.0, seed=42)
