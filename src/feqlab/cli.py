@@ -153,10 +153,7 @@ def cmd_analyze(args) -> tuple[dict, int]:
 def cmd_solve(args) -> tuple[dict, int]:
     sg = load_semigroup(args.sg)
     tol = _tolerances(args)
-    eq = EQUATIONS[args.eq]
-    if eq.closed_form is None:
-        raise UsageError(f"no closed-form solver for --eq {args.eq}")
-    sigma, mu = _load_inputs(args, sg, eq)
+    sigma, mu = _load_inputs(args, sg, EQUATIONS[args.eq])
     return closed_form(args.eq, sg, sigma, mu, tol).to_json(), 0
 
 
@@ -178,6 +175,8 @@ def cmd_verify(args) -> tuple[dict, int]:
 def cmd_stability(args) -> tuple[dict, int]:
     if args.trials < 1:
         raise UsageError("--trials must be >= 1")
+    if args.seed < 0:
+        raise UsageError("--seed must be >= 0")
     radius = _finite_nonnegative("radius", args.radius)
     sg = load_semigroup(args.sg)
     config = CampaignConfig(trials=args.trials, radius_min=0.0, radius_max=radius,

@@ -3,7 +3,7 @@
 EQUATIONS holds every equation the CLI knows. An entry gives the linear
 terms of its defect as words in x, y, sigma(y) and an atom t of the
 measure, its quadratic part, the hypotheses it requires, the inputs it
-needs and the closed-form solver for it. One evaluator compiles the
+needs and its closed form in characters. One evaluator compiles the
 words to index arrays and computes any residual grid as a single
 gather-and-weight step; the Gauss-Newton oracle in `solvers` builds its
 linear operator from the same arrays.
@@ -63,6 +63,21 @@ class Product(NamedTuple):
     right: str
 
 
+class ClosedForm(NamedTuple):
+    """Solutions from each character chi: chi (sigma_sign 0), (chi + chi o
+    sigma)/2 (1) or (chi o sigma - chi)/2 (-1), times mean(chi) when the
+    equation has a measure. A vanishing mean skips chi, and so does
+    mean(chi o sigma) != -mean(chi) in the odd form. hypotheses may be
+    stricter than the equation's. Every solution is verified against each
+    equation sharing the form, then against checks."""
+
+    sigma_sign: int
+    formula: str
+    label: str
+    hypotheses: tuple[str, ...] = ()
+    checks: tuple[Equation, ...] = ()
+
+
 @dataclass(frozen=True)
 class Equation:
     """defect(x, y) = integral or sum of the terms - sum of the products.
@@ -71,8 +86,7 @@ class Equation:
     "invariant" (the measure equals its pushforward under sigma) and
     "central" (the measure's support lies in the center; force may
     override it). needs lists the inputs beside the function, in load
-    order. closed_form names the solver in `solvers`; battery marks the
-    equation the identity battery belongs to.
+    order. battery marks the equation the identity battery belongs to.
     """
 
     tag: str
@@ -80,7 +94,7 @@ class Equation:
     products: tuple[Product, ...]
     hypotheses: tuple[str, ...] = ()
     needs: tuple[str, ...] = ()
-    closed_form: str | None = None
+    closed_form: ClosedForm | None = None
     battery: bool = False
 
     @property
@@ -92,23 +106,36 @@ class Equation:
 _SQUARE2 = (Product(2.0, "fx", "fy"),)
 _COSINE_HYPOTHESES = ("automorphism", "invariant")
 
+# Two laws outside the CLI. integral psi(x y t) = psi(x) psi(y) reports
+# as "spherical"; integral f(x t y) = integral f(y t x) holds for
+# solutions of the middle-integral cosine variant.
+SPHERICAL_RIGHT = Equation("spherical", (Term(1, "xyt"),), (Product(1.0, "fx", "fy"),))
+MIDDLE_COMMUTATION = Equation("middle_commutation", (Term(1, "xty"), Term(-1, "ytx")), ())
+
+# Both integral cosine variants: with central support the middle and
+# trailing forms agree, and the solutions are reported as corollary33.
+_CENTRAL_COSINE = ClosedForm(1, "(chi + chi o sigma)/2 * mean(chi)", "corollary33",
+                             _COSINE_HYPOTHESES + ("central",))
+
 EQUATIONS: dict[str, Equation] = {eq.tag: eq for eq in (
     # integral f(sigma(y) x t) dmu - integral f(x y t) dmu = 2 f(x) f(y)
     Equation("vanvleck", (Term(1, "sxt"), Term(-1, "xyt")), _SQUARE2, ("central",),
-             ("sigma", "mu"), "solve_vanvleck", battery=True),
+             ("sigma", "mu"),
+             ClosedForm(-1, "(chi o sigma - chi)/2 * mean(chi)", "vanvleck", ("central",)),
+             battery=True),
     # g(xy) + g(sigma(y) x) = 2 g(x) g(y)
     Equation("dalembert_variant", (Term(1, "xy"), Term(1, "sx")), _SQUARE2, (),
-             ("sigma",), "solve_dalembert"),
+             ("sigma",), ClosedForm(1, "(chi + chi o sigma)/2", "dalembert_variant")),
     # integral f(x t y) + integral f(sigma(y) t x) = 2 f(x) f(y)
     Equation("integral_dalembert", (Term(1, "xty"), Term(1, "stx")), _SQUARE2,
-             _COSINE_HYPOTHESES, ("sigma", "mu"), "solve_central_dalembert"),
+             _COSINE_HYPOTHESES, ("sigma", "mu"), _CENTRAL_COSINE),
     # integral f(x y t) + integral f(sigma(y) x t) = 2 f(x) f(y): the trailing
     # form, equivalent to the middle one when the support is central
     Equation("corollary33", (Term(1, "xyt"), Term(1, "sxt")), _SQUARE2,
-             _COSINE_HYPOTHESES, ("sigma", "mu"), "solve_central_dalembert"),
+             _COSINE_HYPOTHESES, ("sigma", "mu"), _CENTRAL_COSINE),
     # integral psi(x t y) = psi(x) psi(y)
     Equation("spherical", (Term(1, "xty"),), (Product(1.0, "fx", "fy"),), (),
-             ("mu",), "solve_spherical"),
+             ("mu",), ClosedForm(0, "chi * mean(chi)", "spherical", checks=(SPHERICAL_RIGHT,))),
     # f(xy) = f(x) g(y) + f(y) g(x)
     Equation("sine_addition", (Term(1, "xy"),),
              (Product(1.0, "fx", "gy"), Product(1.0, "fy", "gx")), (), ("mu",)),
@@ -116,12 +143,6 @@ EQUATIONS: dict[str, Equation] = {eq.tag: eq for eq in (
     Equation("wilson_variant", (Term(1, "xy"), Term(1, "sx")), (Product(2.0, "fx", "gy"),),
              (), ("sigma", "mu")),
 )}
-
-# Two laws outside the CLI. integral psi(x y t) = psi(x) psi(y) reports
-# as "spherical"; integral f(x t y) = integral f(y t x) holds for
-# solutions of the middle-integral cosine variant.
-SPHERICAL_RIGHT = Equation("spherical", (Term(1, "xyt"),), (Product(1.0, "fx", "fy"),))
-MIDDLE_COMMUTATION = Equation("middle_commutation", (Term(1, "xty"), Term(-1, "ytx")), ())
 
 
 @dataclass(frozen=True)

@@ -19,17 +19,15 @@ from .characters import Character, character_to_scalar, characters_cached, compo
 from .equations import (
     EQUATIONS,
     require_hypotheses,
-    residual_central_dalembert,
-    residual_dalembert,
+    residual,
     residual_integral_dalembert,
     residual_spherical,
-    residual_spherical_right,
-    residual_vanvleck,
     term_groups,
 )
 from .errors import (
     DegenerateMeasureWarning,
     FeqlabError,
+    NonFiniteResidual,
     NotAMonoid,
     NotCentral,
     NotSpherical,
@@ -98,45 +96,13 @@ def _dedup_add(out: list[Solution], values: np.ndarray, prov: Provenance,
     out.append(Solution(values=values, provenance=prov))
 
 
-def _verify(report, tol: ToleranceConfig, what: str) -> None:
-    if report.max_abs > tol.eq_tol:
-        raise FeqlabError(f"internal: closed form for {what} failed verification "
-                          f"(residual {report.max_abs:.3e})")
-
-
-def _warn_degenerate(mu: DiracMeasure) -> bool:
-    if measure_norm(mu) == 0.0:
-        warnings.warn("zero-norm measure: equation degenerates, returning empty set",
-                      DegenerateMeasureWarning, stacklevel=3)
-        return True
-    return False
-
-
 def solve_vanvleck(sg: FiniteSemigroup, sigma: InvolutiveMorphism, mu: DiracMeasure,
                    tol: ToleranceConfig = DEFAULT_TOL) -> SolutionSet:
-    """All nonzero solutions of the sine variant.
-
-    Emits (chi o sigma - chi)/2 * mean(chi) for every character chi with
-    mean(chi) != 0 and mean(chi o sigma) = -mean(chi); chi and chi o
-    sigma produce the same function, deduplicated canonically.
-    """
-    require_hypotheses(EQUATIONS["vanvleck"].hypotheses, sg, sigma, mu, tol)
-    out: list[Solution] = []
-    if _warn_degenerate(mu):
-        return SolutionSet("vanvleck", tuple(out))
-    for chi in characters_cached(sg):
-        cvec = character_to_scalar(chi)
-        mean = integrate(cvec, mu)
-        if abs(mean) <= tol.eq_tol:
-            continue
-        svec = character_to_scalar(compose_sigma(chi, sigma))
-        if abs(integrate(svec, mu) + mean) > tol.eq_tol:
-            continue
-        f = (svec - cvec) / 2.0 * mean
-        _dedup_add(out, f, Provenance(chi, "(chi o sigma - chi)/2 * mean(chi)"), tol)
-    for sol in out:
-        _verify(residual_vanvleck(sg, sol.values, sigma, mu, tol), tol, "vanvleck")
-    return SolutionSet("vanvleck", tuple(out))
+    """All nonzero solutions of the sine variant: (chi o sigma - chi)/2 *
+    mean(chi) for every character chi with mean(chi) != 0 and
+    mean(chi o sigma) = -mean(chi); chi and chi o sigma produce the same
+    function, deduplicated canonically."""
+    return closed_form("vanvleck", sg, sigma, mu, tol)
 
 
 def solve_vanvleck_point(sg: FiniteSemigroup, sigma: InvolutiveMorphism, z0: int,
@@ -156,34 +122,14 @@ def solve_dalembert(sg: FiniteSemigroup, sigma: InvolutiveMorphism,
                     tol: ToleranceConfig = DEFAULT_TOL) -> SolutionSet:
     """All nonzero solutions of the measure-free cosine variant:
     (chi + chi o sigma)/2 over all characters, deduplicated."""
-    out: list[Solution] = []
-    for chi in characters_cached(sg):
-        cvec = character_to_scalar(chi)
-        svec = character_to_scalar(compose_sigma(chi, sigma))
-        g = (cvec + svec) / 2.0
-        _dedup_add(out, g, Provenance(chi, "(chi + chi o sigma)/2"), tol)
-    for sol in out:
-        _verify(residual_dalembert(sg, sol.values, sigma), tol, "dalembert_variant")
-    return SolutionSet("dalembert_variant", tuple(out))
+    return closed_form("dalembert_variant", sg, sigma, None, tol)
 
 
 def solve_spherical(sg: FiniteSemigroup, upsilon: DiracMeasure,
                     tol: ToleranceConfig = DEFAULT_TOL) -> SolutionSet:
     """Nonzero solutions of the middle-integral multiplicativity law:
     chi * mean(chi) for characters with mean(chi) != 0."""
-    out: list[Solution] = []
-    if _warn_degenerate(upsilon):
-        return SolutionSet("spherical", tuple(out))
-    for chi in characters_cached(sg):
-        cvec = character_to_scalar(chi)
-        mean = integrate(cvec, upsilon)
-        if abs(mean) <= tol.eq_tol:
-            continue
-        _dedup_add(out, cvec * mean, Provenance(chi, "chi * mean(chi)"), tol)
-    for sol in out:
-        _verify(residual_spherical(sg, sol.values, upsilon), tol, "spherical")
-        _verify(residual_spherical_right(sg, sol.values, upsilon), tol, "spherical (trailing)")
-    return SolutionSet("spherical", tuple(out))
+    return closed_form("spherical", sg, None, upsilon, tol)
 
 
 def solve_central_dalembert(sg: FiniteSemigroup, sigma: InvolutiveMorphism,
@@ -191,24 +137,7 @@ def solve_central_dalembert(sg: FiniteSemigroup, sigma: InvolutiveMorphism,
                             tol: ToleranceConfig = DEFAULT_TOL) -> SolutionSet:
     """Nonzero solutions of the integral cosine variant with central
     sigma-invariant measure: (chi + chi o sigma)/2 * mean(chi)."""
-    require_hypotheses(("automorphism", "invariant", "central"), sg, sigma, upsilon, tol)
-    out: list[Solution] = []
-    if _warn_degenerate(upsilon):
-        return SolutionSet("corollary33", tuple(out))
-    for chi in characters_cached(sg):
-        cvec = character_to_scalar(chi)
-        mean = integrate(cvec, upsilon)
-        if abs(mean) <= tol.eq_tol:
-            continue
-        svec = character_to_scalar(compose_sigma(chi, sigma))
-        f = (cvec + svec) / 2.0 * mean
-        _dedup_add(out, f, Provenance(chi, "(chi + chi o sigma)/2 * mean(chi)"), tol)
-    for sol in out:
-        _verify(residual_central_dalembert(sg, sol.values, sigma, upsilon, tol),
-                tol, "corollary33")
-        _verify(residual_integral_dalembert(sg, sol.values, sigma, upsilon, tol),
-                tol, "integral_dalembert")
-    return SolutionSet("corollary33", tuple(out))
+    return closed_form("corollary33", sg, sigma, upsilon, tol)
 
 
 def symmetrize_spherical(sg: FiniteSemigroup, psi: Sequence[complex],
@@ -216,14 +145,16 @@ def symmetrize_spherical(sg: FiniteSemigroup, psi: Sequence[complex],
                          tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     """Build f = (psi + psi o sigma)/2 from a spherical psi and verify it
     solves the middle-integral cosine variant."""
-    require_hypotheses(("automorphism", "invariant"), sg, sigma, upsilon, tol)
+    require_hypotheses(EQUATIONS["integral_dalembert"].hypotheses, sg, sigma, upsilon, tol)
     arr = check_function(sg, psi)
     rep = residual_spherical(sg, arr, upsilon)
     if rep.max_abs > tol.eq_tol:
         raise NotSpherical(f"psi is not spherical (residual {rep.max_abs:.3e})")
     f = (arr + arr[np.array(sigma.map)]) / 2.0
-    _verify(residual_integral_dalembert(sg, f, sigma, upsilon, tol),
-            tol, "symmetrized spherical")
+    rep = residual_integral_dalembert(sg, f, sigma, upsilon, tol)
+    if rep.max_abs > tol.eq_tol:
+        raise FeqlabError(f"internal: symmetrized spherical failed verification "
+                          f"(residual {rep.max_abs:.3e})")
     return f
 
 
@@ -242,17 +173,53 @@ def _require_inputs(equation: str, sigma: InvolutiveMorphism | None,
 
 def closed_form(equation: str, sg: FiniteSemigroup, sigma: InvolutiveMorphism | None,
                 mu: DiracMeasure | None, tol: ToleranceConfig = DEFAULT_TOL) -> SolutionSet:
-    """Solution set of a registered equation from its closed-form solver,
-    which takes the inputs the equation needs."""
+    """Solution set of a registered equation, built from the characters of
+    sg as its ClosedForm describes, given the inputs the equation needs.
+    Every solution is verified before it is returned."""
     eq = _require_inputs(equation, sigma, mu)
-    inputs = {"sigma": sigma, "mu": mu}
-    return globals()[eq.closed_form](sg, *(inputs[name] for name in eq.needs), tol)
+    form = eq.closed_form
+    if "mu" not in eq.needs:
+        mu = None  # an unneeded measure must not scale the solutions
+    require_hypotheses(form.hypotheses, sg, sigma, mu, tol)
+    out: list[Solution] = []
+    if mu is not None and measure_norm(mu) == 0.0:
+        # stacklevel 3 points past the solve_* wrapper at its caller
+        warnings.warn("zero-norm measure: equation degenerates, returning empty set",
+                      DegenerateMeasureWarning, stacklevel=3)
+        return SolutionSet(form.label, ())
+    for chi in characters_cached(sg):
+        c = character_to_scalar(chi)
+        if mu is not None:
+            mean = integrate(c, mu)
+            if abs(mean) <= tol.eq_tol:
+                continue
+        if form.sigma_sign:
+            s = character_to_scalar(compose_sigma(chi, sigma))
+        if form.sigma_sign < 0:
+            if abs(integrate(s, mu) + mean) > tol.eq_tol:
+                continue
+            f = (s - c) / 2.0
+        elif form.sigma_sign > 0:
+            f = (c + s) / 2.0
+        else:
+            f = c
+        _dedup_add(out, f if mu is None else f * mean, Provenance(chi, form.formula), tol)
+    laws = [eq for eq in EQUATIONS.values() if eq.closed_form is form] + list(form.checks)
+    for sol in out:
+        for law in laws:
+            rep = residual(law, sg, sol.values, sigma=sigma, mu=mu, tol=tol)
+            if rep.max_abs > tol.eq_tol:
+                raise FeqlabError(f"internal: closed form failed verification for "
+                                  f"{law.tag} (residual {rep.max_abs:.3e})")
+    return SolutionSet(form.label, tuple(out))
 
 
 # ---------------------------------------------------------------------------
 # Numeric oracle
 
 
+# Overflow at the starts raises NonFiniteResidual; an overflowing step is rejected.
+@np.errstate(over="ignore", invalid="ignore")
 def newton_oracle(sg: FiniteSemigroup, equation: str,
                   sigma: InvolutiveMorphism | None = None,
                   mu: DiracMeasure | None = None,
@@ -270,6 +237,8 @@ def newton_oracle(sg: FiniteSemigroup, equation: str,
     """
     if starts < 1:
         raise UsageError("starts must be >= 1")
+    if seed < 0:
+        raise UsageError("seed must be >= 0")
     eq = _require_inputs(equation, sigma, mu)
     n = sg.n
     rows = np.arange(n * n)
@@ -295,6 +264,8 @@ def newton_oracle(sg: FiniteSemigroup, equation: str,
 
     lam = np.full(starts, 1e-3)
     cost = np.sum(np.abs(residuals(F)) ** 2, axis=1)
+    if not np.all(np.isfinite(cost)):
+        raise NonFiniteResidual(f"{equation} oracle defect is not finite at the starts (overflow)")
     eye = np.eye(n)
     for _ in range(80):
         r = residuals(F)

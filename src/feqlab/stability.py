@@ -81,6 +81,8 @@ class CampaignConfig:
     def __post_init__(self):
         if self.trials < 1:
             raise BadParams("campaign needs at least one trial")
+        if self.seed < 0:
+            raise BadParams("campaign seed must be >= 0")
         if not 0 <= self.radius_min <= self.radius_max < math.inf:
             raise BadParams("need 0 <= radius_min <= radius_max < inf")
 

@@ -138,6 +138,24 @@ class TestSolve:
             "--sigma", str(fxdir / "c4_negation.sigma.json"))
         assert code == 64 and "usage error" in err
 
+    @pytest.mark.parametrize("flag, name, obj", [
+        ("--sg", "c2.sg.json", {"n": True, "table": [[0]]}),
+        ("--sg", "c2.sg.json", {"n": 2, "table": [[False, 1], [1, 0]]}),
+        ("--sigma", "bool.sigma.json", {"map": [False, True], "kind": "auto"}),
+        ("--mu", "bool.mu.json", {"atoms": [{"point": True, "w": [1, 0]}]}),
+    ])
+    def test_boolean_integers_exit_3(self, capsys, tmp_path, flag, name, obj):
+        # JSON true and false are not integers, though Python counts them as ints
+        (tmp_path / "c2.sg.json").write_text(json.dumps({"n": 2, "table": [[0, 1], [1, 0]]}))
+        (tmp_path / "id.sigma.json").write_text(json.dumps({"map": [0, 1], "kind": "auto"}))
+        (tmp_path / "delta1.mu.json").write_text(json.dumps({"atoms": [{"point": 1, "w": [1, 0]}]}))
+        (tmp_path / name).write_text(json.dumps(obj))
+        inputs = {"--sg": "c2.sg.json", "--sigma": "id.sigma.json", "--mu": "delta1.mu.json",
+                  flag: name}
+        argv = [arg for key, file in inputs.items() for arg in (key, str(tmp_path / file))]
+        code, out, err = run(capsys, "solve", "--eq", "vanvleck", *argv)
+        assert code == 3 and out == "" and "parse error" in err
+
 
 class TestVerify:
     def test_exact_solution_passes(self, capsys, fxdir):
@@ -229,6 +247,12 @@ class TestStability:
                 "--sigma", str(fxdir / "c4_negation.sigma.json"),
                 "--mu", str(fxdir / "c4_delta1.mu.json"))
             assert code == 64 and out == "" and "--radius" in err
+        inputs = ("--sg", str(fxdir / "c4.sg.json"),
+                  "--sigma", str(fxdir / "c4_negation.sigma.json"),
+                  "--mu", str(fxdir / "c4_delta1.mu.json"))
+        for argv in (("stability", "--seed", "-1"), ("oracle", "--eq", "vanvleck", "--seed", "-1")):
+            code, out, err = run(capsys, *argv, *inputs)
+            assert code == 64 and out == "" and "seed" in err
 
 
 class TestOracle:
@@ -329,6 +353,14 @@ TAG_INPUTS = {
     "wilson_variant": ("c4_delta1.mu.json", "c4_sine.fn.json"),
 }
 NO_CLOSED_FORM = ("sine_addition", "wilson_variant")
+# The solution-set label and provenance formula solve prints for each tag.
+CLOSED_FORMS = {
+    "vanvleck": ("vanvleck", "(chi o sigma - chi)/2 * mean(chi)"),
+    "dalembert_variant": ("dalembert_variant", "(chi + chi o sigma)/2"),
+    "integral_dalembert": ("corollary33", "(chi + chi o sigma)/2 * mean(chi)"),
+    "corollary33": ("corollary33", "(chi + chi o sigma)/2 * mean(chi)"),
+    "spherical": ("spherical", "chi * mean(chi)"),
+}
 
 
 class TestEquationMatrix:
@@ -356,16 +388,31 @@ class TestEquationMatrix:
             assert code == 0, err
             payload = json.loads(out)
             if command == "solve":
+                label, formula = CLOSED_FORMS[eq]
+                assert payload["equation"] == label
                 assert payload["solutions"]
+                assert all(s["provenance"]["formula"] == formula for s in payload["solutions"])
             elif command == "oracle":
                 assert payload["matched"] >= 1
 
 
+README_SOLVE = ('{"equation": "vanvleck", "solutions": [{"values": [[0, 0], [1, 0], [0, 0], [-1, 0]], '
+                '"provenance": {"chi": {"values": [{"q": 0, "m": 1}, {"q": 1, "m": 4}, {"q": 1, "m": 2}, '
+                '{"q": 3, "m": 4}]}, "formula": "(chi o sigma - chi)/2 * mean(chi)"}}]}\n')
 README_STABILITY = ('{"trials": 1000, "violations": 0, "exact": 0, "within_bound": 1000, '
                     '"max_ratio": 0.99631781186880175, "seed": 42}\n')
 
 
 class TestPinnedOutput:
+    def test_readme_solve(self, capsys, fxdir):
+        code, out, _ = run(
+            capsys, "solve", "--eq", "vanvleck",
+            "--sg", str(fxdir / "c4.sg.json"),
+            "--sigma", str(fxdir / "c4_negation.sigma.json"),
+            "--mu", str(fxdir / "c4_delta1.mu.json"))
+        assert code == 0
+        assert out == README_SOLVE
+
     def test_readme_stability_campaign(self, capsys, fxdir):
         # any change to the bits of the residual grids moves max_ratio
         code, out, _ = run(
@@ -418,6 +465,18 @@ class TestNonFiniteInputs:
                              "--mu", str(mu))
         assert code == 2 and out == ""
         assert "not finite" in err
+
+    def test_overflowing_oracle_exit_2(self, capsys, fxdir, tmp_path):
+        # the closed form holds the sine solution, so the oracle must not
+        # report a mismatch when its own defect overflows
+        mu = tmp_path / "heavy.mu.json"
+        mu.write_text(json.dumps({"atoms": [{"point": 1, "w": [1e100, 0]}]}))
+        code, out, err = run(capsys, "oracle", "--eq", "vanvleck",
+                             "--sg", str(fxdir / "c4.sg.json"),
+                             "--sigma", str(fxdir / "c4_negation.sigma.json"),
+                             "--mu", str(mu))
+        assert code == 2 and out == ""
+        assert "structural error" in err and "not finite" in err
 
     def test_stability_missing_sigma_is_usage_error(self, capsys, fxdir):
         code, out, err = run(capsys, "stability", "--trials", "5",

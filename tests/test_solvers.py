@@ -284,6 +284,8 @@ class TestNewtonOracle:
             newton_oracle(c4, "unknown_eq", None, None)
         with pytest.raises(UsageError):
             newton_oracle(c4, "vanvleck", None, None, starts=0)
+        with pytest.raises(UsageError, match="seed"):
+            newton_oracle(c4, "spherical", None, mu_delta1, seed=-1)
 
     def test_small_census_spot_checks(self, tol):
         # order-2 and order-3 semigroups where the closed form is nonempty

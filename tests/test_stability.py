@@ -172,6 +172,8 @@ class TestCampaign:
             CampaignConfig(trials=5, radius_min=-1.0)
         with pytest.raises(BadParams):
             CampaignConfig(trials=5, radius_min=2.0, radius_max=1.0)
+        with pytest.raises(BadParams):
+            CampaignConfig(trials=5, seed=-1)
         for bad in (float("inf"), float("nan")):
             with pytest.raises(BadParams):
                 CampaignConfig(trials=5, radius_max=bad)
