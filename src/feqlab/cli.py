@@ -31,12 +31,14 @@ from .jsonio import (
 )
 from .measures import DEFAULT_TOL, ToleranceConfig, check_function
 from .semigroups import MorphismKind, center, enumerate_involutive_morphisms
-from .solvers import closed_form, match_solution_sets, newton_oracle
+from .solvers import closed_form, closed_form_equation, match_solution_sets, newton_oracle
 from .stability import CampaignConfig, fuzz_campaign
 
 EQUATION_TAGS = tuple(EQUATIONS)
 
 ORACLE_MAX_ORDER = 4
+# newton_oracle holds starts x n^2 x n complex Jacobian entries: about 10 MB at n = 4
+ORACLE_MAX_STARTS = 10_000
 
 
 class _Parser(argparse.ArgumentParser):
@@ -152,8 +154,9 @@ def cmd_analyze(args) -> tuple[dict, int]:
 
 def cmd_solve(args) -> tuple[dict, int]:
     sg = load_semigroup(args.sg)
+    eq = closed_form_equation(args.eq)  # before any input is required or loaded
     tol = _tolerances(args)
-    sigma, mu = _load_inputs(args, sg, EQUATIONS[args.eq])
+    sigma, mu = _load_inputs(args, sg, eq)
     return closed_form(args.eq, sg, sigma, mu, tol).to_json(), 0
 
 
@@ -190,11 +193,11 @@ def cmd_oracle(args) -> tuple[dict, int]:
     sg = load_semigroup(args.sg)
     if sg.n > ORACLE_MAX_ORDER:
         raise UsageError(f"oracle command caps at order {ORACLE_MAX_ORDER}, got {sg.n}")
-    if args.starts < 1:
-        raise UsageError("--starts must be >= 1")
+    if not 1 <= args.starts <= ORACLE_MAX_STARTS:
+        raise UsageError(f"--starts must be between 1 and {ORACLE_MAX_STARTS}, got {args.starts}")
     tol = _tolerances(args)
     eq = args.eq
-    sigma, mu = _load_inputs(args, sg, EQUATIONS[eq])
+    sigma, mu = _load_inputs(args, sg, closed_form_equation(eq))
     closed = closed_form(eq, sg, sigma, mu, tol)
     roots = newton_oracle(sg, eq, sigma, mu, starts=args.starts, seed=args.seed, tol=tol)
     refs = closed.vectors()

@@ -18,6 +18,7 @@ import numpy as np
 from .characters import Character, character_to_scalar, characters_cached, compose_sigma
 from .equations import (
     EQUATIONS,
+    Equation,
     require_hypotheses,
     residual,
     residual_integral_dalembert,
@@ -158,13 +159,20 @@ def symmetrize_spherical(sg: FiniteSemigroup, psi: Sequence[complex],
     return f
 
 
+def closed_form_equation(equation: str) -> Equation:
+    """The registry entry of an equation with a closed form; a usage
+    error for any other tag."""
+    eq = EQUATIONS.get(equation)
+    if eq is None or eq.closed_form is None:
+        raise UsageError(f"no closed form for equation '{equation}'")
+    return eq
+
+
 def _require_inputs(equation: str, sigma: InvolutiveMorphism | None,
                     mu: DiracMeasure | None):
     """The registry entry of an equation with a closed form, once the
     inputs it needs are present."""
-    eq = EQUATIONS.get(equation)
-    if eq is None or eq.closed_form is None:
-        raise UsageError(f"no closed form for equation '{equation}'")
+    eq = closed_form_equation(equation)
     for name, value in (("sigma", sigma), ("mu", mu)):
         if name in eq.needs and value is None:
             raise UsageError(f"equation '{equation}' needs {name}")
@@ -216,6 +224,21 @@ def closed_form(equation: str, sg: FiniteSemigroup, sigma: InvolutiveMorphism | 
 
 # ---------------------------------------------------------------------------
 # Numeric oracle
+
+
+def _cluster_heads(V: np.ndarray, dedup_tol: float) -> list[np.ndarray]:
+    """Heads of the greedy single-linkage clustering of the rows of V.
+
+    Taken in order, a row joins the lowest-indexed cluster holding any
+    earlier row within dedup_tol in sup norm, or opens a new cluster
+    headed by itself (its best residual when V is sorted by residual).
+    So a row is a head exactly when no earlier row is that close, and
+    which cluster a row joins never changes the heads. One distance row
+    per k, O(len(V) * n) memory. Subtract and abs act elementwise and max
+    is exact, so each distance equals the scalar np.max(np.abs(a - b)).
+    """
+    return [V[k] for k in range(len(V))
+            if not np.any(np.max(np.abs(V[:k] - V[k]), axis=1) <= dedup_tol)]
 
 
 # Overflow at the starts raises NonFiniteResidual; an overflowing step is rejected.
@@ -288,18 +311,7 @@ def newton_oracle(sg: FiniteSemigroup, equation: str,
     res_inf = np.max(np.abs(residuals(F)), axis=1)
     order = sorted((i for i in range(starts) if res_inf[i] <= tol.oracle_tol),
                    key=lambda i: (float(res_inf[i]), i))
-    clusters: list[np.ndarray] = []
-    members: list[list[np.ndarray]] = []
-    for vec in (F[i] for i in order):
-        placed = False
-        for idx, group in enumerate(members):
-            if any(float(np.max(np.abs(vec - m))) <= tol.dedup_tol for m in group):
-                group.append(vec)
-                placed = True
-                break
-        if not placed:
-            clusters.append(vec)  # best residual in its cluster (sorted order)
-            members.append([vec])
+    clusters = _cluster_heads(F[order], tol.dedup_tol)
     roots = [vec for vec in clusters if float(np.max(np.abs(vec))) > ZERO_ROOT_CUTOFF]
     roots.sort(key=lambda v: tuple((round(z.real, 8), round(z.imag, 8)) for z in v))
     return roots

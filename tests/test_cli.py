@@ -253,6 +253,10 @@ class TestStability:
         for argv in (("stability", "--seed", "-1"), ("oracle", "--eq", "vanvleck", "--seed", "-1")):
             code, out, err = run(capsys, *argv, *inputs)
             assert code == 64 and out == "" and "seed" in err
+        # rejected before the oracle allocates its starts
+        for starts in ("0", "10001", "100000000"):
+            code, out, err = run(capsys, "oracle", "--eq", "vanvleck", "--starts", starts, *inputs)
+            assert code == 64 and out == "" and "--starts" in err
 
 
 class TestOracle:
@@ -383,7 +387,11 @@ class TestEquationMatrix:
             argv += ["--f", str(matrix_dir / fn)]
         code, out, err = run(capsys, *argv)
         if command != "verify" and eq in NO_CLOSED_FORM:
-            assert code == 64 and out == "" and "usage error" in err
+            assert code == 64 and out == "" and "no closed form" in err
+            # said before any input is required (no --mu) or loaded (a sigma not fitting C4)
+            code, out, err = run(capsys, command, "--eq", eq, "--sg", str(matrix_dir / "c4.sg.json"),
+                                 "--sigma", str(matrix_dir / "s3_inversion.sigma.json"))
+            assert code == 64 and out == "" and "no closed form" in err
         else:
             assert code == 0, err
             payload = json.loads(out)
@@ -399,6 +407,10 @@ class TestEquationMatrix:
 README_SOLVE = ('{"equation": "vanvleck", "solutions": [{"values": [[0, 0], [1, 0], [0, 0], [-1, 0]], '
                 '"provenance": {"chi": {"values": [{"q": 0, "m": 1}, {"q": 1, "m": 4}, {"q": 1, "m": 2}, '
                 '{"q": 3, "m": 4}]}, "formula": "(chi o sigma - chi)/2 * mean(chi)"}}]}\n')
+README_ORACLE = ('{"equation": "vanvleck", "oracle_roots": [[[-1.7878906288814485e-175, -3.8867187584379315e-176], '
+                 '[1, -8.7913876678953213e-176], [1.7878906288814485e-175, 3.8836340610105998e-176], '
+                 '[-1, 8.7913876678953213e-176]]], "closed_form": [[[0, 0], [1, 0], [0, 0], [-1, 0]]], '
+                 '"matched": 1, "oracle_only": [], "closed_only": []}\n')
 README_STABILITY = ('{"trials": 1000, "violations": 0, "exact": 0, "within_bound": 1000, '
                     '"max_ratio": 0.99631781186880175, "seed": 42}\n')
 
@@ -412,6 +424,16 @@ class TestPinnedOutput:
             "--mu", str(fxdir / "c4_delta1.mu.json"))
         assert code == 0
         assert out == README_SOLVE
+
+    def test_readme_oracle(self, capsys, fxdir):
+        # the root's last bits pin the oracle's clustering and its Gauss-Newton steps
+        code, out, _ = run(
+            capsys, "oracle", "--eq", "vanvleck", "--starts", "200", "--seed", "0",
+            "--sg", str(fxdir / "c4.sg.json"),
+            "--sigma", str(fxdir / "c4_negation.sigma.json"),
+            "--mu", str(fxdir / "c4_delta1.mu.json"))
+        assert code == 0
+        assert out == README_ORACLE
 
     def test_readme_stability_campaign(self, capsys, fxdir):
         # any change to the bits of the residual grids moves max_ratio

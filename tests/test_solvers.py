@@ -41,6 +41,7 @@ from feqlab.errors import (
     UsageError,
     WrongMorphismKind,
 )
+from feqlab.solvers import _cluster_heads
 
 
 def conjugation_by(sg, a):
@@ -305,6 +306,64 @@ class TestNewtonOracle:
             roots = newton_oracle(sg, "vanvleck", sigma, mu, starts=80, seed=5)
             pairs, extra, missing = match_solution_sets(roots, refs, tol)
             assert not extra and not missing
+
+
+def greedy_cluster_heads(rows, dedup_tol):
+    """The oracle's clustering as a scalar loop: each row joins the first
+    cluster with any member within dedup_tol, else opens a new one."""
+    heads, members = [], []
+    for vec in rows:
+        for group in members:
+            if any(float(np.max(np.abs(vec - m))) <= dedup_tol for m in group):
+                group.append(vec)
+                break
+        else:
+            heads.append(vec)
+            members.append([vec])
+    return heads
+
+
+class TestClusterHeads:
+    TOL = 1e-7
+
+    def check(self, rows):
+        rows = np.asarray(rows, dtype=complex)
+        got = _cluster_heads(rows, self.TOL)
+        want = greedy_cluster_heads(rows, self.TOL)
+        assert len(got) == len(want)
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+        return got
+
+    def test_chain_is_one_cluster(self):
+        # a ~ b and b ~ c, but a and c are 1.6 tol apart: single linkage joins all three
+        a, b, c = [0.0, 1.0], [0.8e-7, 1.0], [1.6e-7, 1.0]
+        heads = self.check([a, b, c])
+        assert len(heads) == 1 and np.array_equal(heads[0], np.array(a, dtype=complex))
+        # in the order a, c, b the chain closes only at b, which joins a's cluster
+        assert len(self.check([a, c, b])) == 2
+
+    def test_bound_is_inclusive(self):
+        assert len(self.check([[0.0], [self.TOL], [2 * self.TOL + 1e-9]])) == 2
+
+    def test_row_near_two_clusters(self):
+        # x is within tol of both heads and joins the first one opened; the
+        # last row is near x and the second head, in different clusters
+        first, second, x = [0.0, 0.0], [1.8e-7, 0.0], [0.9e-7, 0.0]
+        heads = self.check([first, second, x, [1.85e-7, 0.0]])
+        assert [h[0].real for h in heads] == [0.0, 1.8e-7]
+
+    def test_empty(self):
+        assert _cluster_heads(np.zeros((0, 3), dtype=complex), self.TOL) == []
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_clouds(self, seed):
+        rng = np.random.default_rng(seed)
+        n = 2 + seed % 3
+        centres = rng.standard_normal((4, n)) + 1j * rng.standard_normal((4, n))
+        picks = rng.integers(0, 4, 120)
+        scale = self.TOL * rng.uniform(0.2, 2.0)
+        rows = centres[picks] + scale * (rng.standard_normal((120, n)) + 1j * rng.standard_normal((120, n)))
+        self.check(rows)
 
 
 class TestMatching:
