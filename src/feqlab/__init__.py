@@ -5,6 +5,8 @@ measure-twisted arguments, cross-check closed forms against a numeric
 root-finding oracle, and fuzz the superstability dichotomy.
 """
 
+import types as _types
+
 from .characters import Character, character_to_scalar, compose_sigma, enumerate_characters, is_multiplicative
 from .equations import (
     BatteryItem,
@@ -15,10 +17,8 @@ from .equations import (
     residual_central_dalembert,
     residual_dalembert,
     residual_integral_dalembert,
-    residual_middle_commutation,
     residual_sine_addition,
     residual_spherical,
-    residual_spherical_right,
     residual_vanvleck,
     residual_wilson,
 )
@@ -43,17 +43,14 @@ from .measures import (
     integrate,
     is_sigma_invariant,
     measure_norm,
-    middle_transform,
     pushforward,
     right_transform,
     support_in_center,
 )
 from .semigroups import (
-    ElementOrbit,
     FiniteSemigroup,
     InvolutiveMorphism,
     MorphismKind,
-    build_standard,
     center,
     cyclic_group,
     direct_product,
@@ -62,7 +59,6 @@ from .semigroups import (
     index_period,
     left_zero,
     null_semigroup,
-    right_zero,
     s3_inversion,
     symmetric_group_3,
     validate_morphism,
@@ -78,8 +74,6 @@ from .solvers import (
     solve_dalembert,
     solve_spherical,
     solve_vanvleck,
-    solve_vanvleck_point,
-    symmetrize_spherical,
 )
 from .stability import (
     CampaignConfig,
@@ -90,11 +84,13 @@ from .stability import (
     approximate_battery,
     check_dichotomy,
     fuzz_campaign,
-    measured_delta,
     perturb,
     superstability_bound,
 )
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# The import block above is the public API. Importing it binds each
+# submodule's name here too; those are not exported.
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and not isinstance(value, _types.ModuleType))

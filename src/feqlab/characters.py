@@ -26,18 +26,11 @@ class Character:
 
     values: tuple[RootValue, ...]
 
-    def __call__(self, x: int) -> RootValue:
-        return self.values[x]
-
     def sort_key(self) -> tuple:
         return tuple(v.sort_key() for v in self.values)
 
     def to_json(self) -> dict:
         return {"values": [v.to_json() for v in self.values]}
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "Character":
-        return cls(tuple(RootValue.from_json(v) for v in obj["values"]))
 
 
 def character_to_scalar(chi: Character) -> np.ndarray:
@@ -83,7 +76,7 @@ def enumerate_characters(sg: FiniteSemigroup) -> list[Character]:
 
     domains: list[list[RootValue]] = []
     for x in sg.elements():
-        p = index_period(sg, x).period
+        _, p = index_period(sg, x)
         roots = sorted((RootValue(Fraction(j, p)) for j in range(p)),
                        key=RootValue.sort_key)
         domains.append([zero] + roots)
@@ -131,8 +124,7 @@ def enumerate_characters(sg: FiniteSemigroup) -> list[Character]:
             del trail[mark:]
 
     extend(0)
-    found.sort(key=lambda vals: tuple(v.sort_key() for v in vals))
-    return [Character(values=vals) for vals in found]
+    return sorted((Character(values=vals) for vals in found), key=Character.sort_key)
 
 
 @lru_cache(maxsize=4096)

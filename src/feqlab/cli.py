@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Exit codes are a stable CI contract: 0 success/pass, 1 verify-fail (or
-a campaign with violations), 2 structural input error, 3 parse error,
-4 hypothesis violation, 64 usage error. Reports are canonical JSON on
+a campaign with violations), 2 structural input error, 3 file or parse
+error, 4 hypothesis violation, 64 usage error. Reports are canonical JSON on
 stdout; --format table gives a loose human view never meant for
 parsing. An empty solution set is a success: absence is an answer.
 """
@@ -182,8 +182,7 @@ def cmd_stability(args) -> tuple[dict, int]:
         raise UsageError("--seed must be >= 0")
     radius = _finite_nonnegative("radius", args.radius)
     sg = load_semigroup(args.sg)
-    config = CampaignConfig(trials=args.trials, radius_min=0.0, radius_max=radius,
-                            seed=args.seed)
+    config = CampaignConfig(trials=args.trials, radius_max=radius, seed=args.seed)
     sigma, mu = _load_inputs(args, sg, EQUATIONS["vanvleck"])
     summary, _ = fuzz_campaign(sg, sigma, mu, config, _tolerances(args))
     return summary.to_json(), 0 if summary.violations == 0 else 1
@@ -218,7 +217,10 @@ def cmd_oracle(args) -> tuple[dict, int]:
 
 
 def cmd_fixtures(args) -> tuple[dict, int]:
-    names = write_fixtures(args.out)
+    try:
+        names = write_fixtures(args.out)
+    except OSError as exc:  # --out names a file, or a path below one
+        raise ParseError(f"cannot write {args.out}: {exc}") from exc
     return {"dir": args.out, "written": names}, 0
 
 

@@ -331,12 +331,6 @@ def residual_spherical(sg: FiniteSemigroup, psi: Sequence[complex],
     return residual(EQUATIONS["spherical"], sg, psi, mu=upsilon)
 
 
-def residual_spherical_right(sg: FiniteSemigroup, psi: Sequence[complex],
-                             upsilon: DiracMeasure) -> ResidualReport:
-    """Trailing-integral variant integral psi(x y t) = psi(x) psi(y)."""
-    return residual(SPHERICAL_RIGHT, sg, psi, mu=upsilon)
-
-
 def residual_sine_addition(sg: FiniteSemigroup, f: Sequence[complex],
                            g: Sequence[complex]) -> ResidualReport:
     """f(xy) = f(x) g(y) + f(y) g(x)."""
@@ -347,13 +341,6 @@ def residual_wilson(sg: FiniteSemigroup, f: Sequence[complex], g: Sequence[compl
                     sigma: InvolutiveMorphism) -> ResidualReport:
     """f(xy) + f(sigma(y)x) = 2 f(x) g(y)."""
     return residual(EQUATIONS["wilson_variant"], sg, f, g=g, sigma=sigma)
-
-
-def residual_middle_commutation(sg: FiniteSemigroup, f: Sequence[complex],
-                                upsilon: DiracMeasure) -> ResidualReport:
-    """integral f(x t y) = integral f(y t x); holds for solutions of the
-    middle-integral cosine variant even on noncommutative semigroups."""
-    return residual(MIDDLE_COMMUTATION, sg, f, mu=upsilon)
 
 
 def companion_cosine(sg: FiniteSemigroup, f: Sequence[complex], mu: DiracMeasure,

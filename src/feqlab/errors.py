@@ -62,7 +62,8 @@ class NonFiniteResidual(StructuralError):
 
 
 class ParseError(FeqlabError):
-    """JSON input violates the documented schema."""
+    """A file cannot be read or written, or JSON input violates the
+    documented schema."""
 
 
 class HypothesisError(FeqlabError):
@@ -81,24 +82,8 @@ class WrongMorphismKind(HypothesisError):
     """This equation requires the other morphism kind."""
 
 
-class NotAMonoid(HypothesisError):
-    """Semigroup has no identity element."""
-
-
-class NotCentral(HypothesisError):
-    """Base point must be central."""
-
-
 class DegenerateIntegral(HypothesisError):
     """mean of f under mu vanishes, so the companion function is undefined."""
-
-
-class NotSpherical(HypothesisError):
-    """Supplied function is not upsilon-spherical."""
-
-
-class EmptySolutionSet(HypothesisError):
-    """Campaign fixture has no base solutions but config requires them."""
 
 
 class UsageError(FeqlabError):

@@ -81,20 +81,6 @@ class RootValue:
             return RootValue(None)
         return RootValue((self.turns + other.turns) % 1)
 
-    def __pow__(self, k: int) -> "RootValue":
-        if k < 0:
-            raise BadParams("negative powers are not defined for zero values")
-        if self.is_zero:
-            if k == 0:
-                raise BadParams("0^0 is undefined")
-            return self
-        return RootValue((self.turns * k) % 1)
-
-    def conjugate(self) -> "RootValue":
-        if self.is_zero:
-            return self
-        return RootValue((-self.turns) % 1)
-
     def to_complex(self) -> complex:
         if self.is_zero:
             return 0j
@@ -112,12 +98,6 @@ class RootValue:
         if self.is_zero:
             return {"zero": True}
         return {"q": self.turns.numerator, "m": self.turns.denominator}
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "RootValue":
-        if obj.get("zero"):
-            return cls.zero()
-        return cls.root(int(obj["q"]), int(obj["m"]))
 
 
 @dataclass(frozen=True)
@@ -153,11 +133,6 @@ class DiracMeasure:
 
     def to_json(self) -> dict:
         return {"atoms": [{"point": p, "w": [w.real, w.imag]} for p, w in self.atoms]}
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "DiracMeasure":
-        atoms = tuple((int(a["point"]), complex(a["w"][0], a["w"][1])) for a in obj["atoms"])
-        return cls(atoms)
 
 
 def measure_norm(mu: DiracMeasure) -> float:
@@ -196,15 +171,6 @@ def right_transform(sg: FiniteSemigroup, f: Sequence[complex], mu: DiracMeasure)
         for x in sg.elements():
             out[x] += w * arr[t[x][p]]
     return out
-
-
-def middle_transform(sg: FiniteSemigroup, f: Sequence[complex], mu: DiracMeasure,
-                     x: int, y: int) -> complex:
-    """integral of f(x * t * y) dmu(t) at a fixed pair (x, y)."""
-    arr = check_function(sg, f)
-    _check_points(mu, sg.n)
-    t = sg.table
-    return complex(sum(w * arr[t[t[x][p]][y]] for p, w in mu.atoms))
 
 
 def pushforward(mu: DiracMeasure, m: InvolutiveMorphism | Sequence[int]) -> DiracMeasure:

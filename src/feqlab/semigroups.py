@@ -51,10 +51,6 @@ class FiniteSemigroup:
     def elements(self) -> range:
         return range(self.n)
 
-    def is_abelian(self) -> bool:
-        t = self.table
-        return all(t[x][y] == t[y][x] for x in self.elements() for y in self.elements())
-
 
 @dataclass(frozen=True)
 class InvolutiveMorphism:
@@ -67,21 +63,6 @@ class InvolutiveMorphism:
 
     map: tuple[int, ...]
     kind: MorphismKind
-
-    def __call__(self, x: int) -> int:
-        return self.map[x]
-
-
-@dataclass(frozen=True)
-class ElementOrbit:
-    """Eventual cycle data of the power sequence x, x^2, x^3, ...
-
-    x^(index + period) = x^index with both parameters minimal, >= 1.
-    """
-
-    element: int
-    index: int
-    period: int
 
 
 def _first_nonassociative_triple(table: Sequence[Sequence[int]]) -> tuple[int, int, int] | None:
@@ -169,8 +150,9 @@ def enumerate_involutive_morphisms(sg: FiniteSemigroup, kind: MorphismKind) -> l
             if all(perm[perm[x]] == x for x in range(n)) and _obeys_law(sg.table, perm, kind)]
 
 
-def index_period(sg: FiniteSemigroup, x: int) -> ElementOrbit:
-    """Minimal (k, p) with x^(k+p) = x^k; both >= 1 on a finite semigroup."""
+def index_period(sg: FiniteSemigroup, x: int) -> tuple[int, int]:
+    """Minimal (index k, period p) with x^(k+p) = x^k, the eventual cycle
+    of the powers x, x^2, x^3, ...; both >= 1 on a finite semigroup."""
     if not 0 <= x < sg.n:
         raise BadParams(f"element {x} outside 0..{sg.n - 1}")
     seen: dict[int, int] = {}
@@ -180,7 +162,7 @@ def index_period(sg: FiniteSemigroup, x: int) -> ElementOrbit:
         power = sg.mul(power, x)
         step += 1
     k = seen[power]
-    return ElementOrbit(element=x, index=k, period=step - k)
+    return k, step - k
 
 
 def cyclic_group(n: int) -> FiniteSemigroup:
@@ -205,14 +187,6 @@ def left_zero(n: int) -> FiniteSemigroup:
         raise BadParams("left zero semigroup needs n >= 1")
     table = tuple(tuple(x for _ in range(n)) for x in range(n))
     return FiniteSemigroup(table=table, name=f"leftzero{n}", identity=0 if n == 1 else None)
-
-
-def right_zero(n: int) -> FiniteSemigroup:
-    """x*y = y."""
-    if n < 1:
-        raise BadParams("right zero semigroup needs n >= 1")
-    table = tuple(tuple(y for y in range(n)) for _ in range(n))
-    return FiniteSemigroup(table=table, name=f"rightzero{n}", identity=0 if n == 1 else None)
 
 
 # One-line notations in lexicographic order; index 0 is the identity.
@@ -256,36 +230,6 @@ def direct_product(a: FiniteSemigroup, b: FiniteSemigroup) -> FiniteSemigroup:
     if a.name and b.name:
         name = f"{a.name}x{b.name}"
     return FiniteSemigroup(table=table, name=name, identity=ident)
-
-
-_FAMILIES = {
-    "cyclic": cyclic_group,
-    "null": null_semigroup,
-    "left_zero": left_zero,
-    "right_zero": right_zero,
-}
-
-
-def build_standard(family: str, n: int | None = None,
-                   factors: tuple[FiniteSemigroup, FiniteSemigroup] | None = None) -> FiniteSemigroup:
-    """Dispatch to a named standard family.
-
-    Sized families ("cyclic", "null", "left_zero", "right_zero") need n;
-    "sym3" takes no parameter; "product" needs factors.
-    """
-    if family in _FAMILIES:
-        if n is None:
-            raise BadParams(f"family '{family}' needs n")
-        return _FAMILIES[family](n)
-    if family == "sym3":
-        if n not in (None, 6):
-            raise BadParams("sym3 has fixed order 6")
-        return symmetric_group_3()
-    if family == "product":
-        if factors is None:
-            raise BadParams("family 'product' needs factors")
-        return direct_product(*factors)
-    raise BadParams(f"unknown family '{family}'")
 
 
 def enumerate_all_semigroups(n: int) -> Iterator[FiniteSemigroup]:

@@ -21,28 +21,22 @@ from .equations import (
     Equation,
     require_hypotheses,
     residual,
-    residual_integral_dalembert,
-    residual_spherical,
     term_groups,
 )
 from .errors import (
     DegenerateMeasureWarning,
     FeqlabError,
     NonFiniteResidual,
-    NotAMonoid,
-    NotCentral,
-    NotSpherical,
     UsageError,
 )
 from .measures import (
     DEFAULT_TOL,
     DiracMeasure,
     ToleranceConfig,
-    check_function,
     integrate,
     measure_norm,
 )
-from .semigroups import FiniteSemigroup, InvolutiveMorphism, center
+from .semigroups import FiniteSemigroup, InvolutiveMorphism
 
 # Gauss-Newton converges happily to points in the flat valley around the
 # zero function (residual is quadratic there), so the oracle drops roots
@@ -106,19 +100,6 @@ def solve_vanvleck(sg: FiniteSemigroup, sigma: InvolutiveMorphism, mu: DiracMeas
     return closed_form("vanvleck", sg, sigma, mu, tol)
 
 
-def solve_vanvleck_point(sg: FiniteSemigroup, sigma: InvolutiveMorphism, z0: int,
-                         tol: ToleranceConfig = DEFAULT_TOL) -> SolutionSet:
-    """Point-mass specialization on a monoid: mu = delta_z0 with z0 central.
-
-    Delegates to solve_vanvleck; solutions are chi(z0)(chi o sigma - chi)/2.
-    """
-    if sg.identity is None:
-        raise NotAMonoid("point-mass form needs an identity element")
-    if z0 not in center(sg):
-        raise NotCentral(f"base point {z0} is not central")
-    return solve_vanvleck(sg, sigma, DiracMeasure.point_mass(z0), tol)
-
-
 def solve_dalembert(sg: FiniteSemigroup, sigma: InvolutiveMorphism,
                     tol: ToleranceConfig = DEFAULT_TOL) -> SolutionSet:
     """All nonzero solutions of the measure-free cosine variant:
@@ -139,24 +120,6 @@ def solve_central_dalembert(sg: FiniteSemigroup, sigma: InvolutiveMorphism,
     """Nonzero solutions of the integral cosine variant with central
     sigma-invariant measure: (chi + chi o sigma)/2 * mean(chi)."""
     return closed_form("corollary33", sg, sigma, upsilon, tol)
-
-
-def symmetrize_spherical(sg: FiniteSemigroup, psi: Sequence[complex],
-                         sigma: InvolutiveMorphism, upsilon: DiracMeasure,
-                         tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
-    """Build f = (psi + psi o sigma)/2 from a spherical psi and verify it
-    solves the middle-integral cosine variant."""
-    require_hypotheses(EQUATIONS["integral_dalembert"].hypotheses, sg, sigma, upsilon, tol)
-    arr = check_function(sg, psi)
-    rep = residual_spherical(sg, arr, upsilon)
-    if rep.max_abs > tol.eq_tol:
-        raise NotSpherical(f"psi is not spherical (residual {rep.max_abs:.3e})")
-    f = (arr + arr[np.array(sigma.map)]) / 2.0
-    rep = residual_integral_dalembert(sg, f, sigma, upsilon, tol)
-    if rep.max_abs > tol.eq_tol:
-        raise FeqlabError(f"internal: symmetrized spherical failed verification "
-                          f"(residual {rep.max_abs:.3e})")
-    return f
 
 
 def closed_form_equation(equation: str) -> Equation:

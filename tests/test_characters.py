@@ -189,8 +189,3 @@ def test_character_to_scalar_exact(c4):
                if c.values[1] == RootValue.root(1, 4))
     vec = character_to_scalar(chi)
     assert vec.tolist() == [1 + 0j, 1j, -1 + 0j, -1j]
-
-
-def test_character_json_roundtrip(c4):
-    for chi in enumerate_characters(c4):
-        assert Character.from_json(chi.to_json()) == chi

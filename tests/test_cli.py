@@ -343,6 +343,20 @@ class TestFixturesCommand:
             assert (out / name).exists()
         assert "c4.sg.json" in payload["written"]
 
+    def test_out_is_a_file_exit_3(self, capsys, tmp_path):
+        target = tmp_path / "taken"
+        target.write_text("")
+        code, out, err = run(capsys, "fixtures", "--out", str(target))
+        assert code == 3 and out == ""
+        assert "cannot write" in err
+
+    def test_out_below_a_file_exit_3(self, capsys, tmp_path):
+        target = tmp_path / "taken"
+        target.write_text("")
+        code, out, err = run(capsys, "fixtures", "--out", str(target / "sub"))
+        assert code == 3 and out == ""
+        assert "cannot write" in err
+
 
 # The C4 fixture inputs of each tag: its measure flag (if any) and a
 # function file holding one of its exact solutions. alt is -chi_2, which
@@ -413,6 +427,15 @@ README_ORACLE = ('{"equation": "vanvleck", "oracle_roots": [[[-1.787890628881448
                  '"matched": 1, "oracle_only": [], "closed_only": []}\n')
 README_STABILITY = ('{"trials": 1000, "violations": 0, "exact": 0, "within_bound": 1000, '
                     '"max_ratio": 0.99631781186880175, "seed": 42}\n')
+README_BATTERY = ('{"equation": "vanvleck", "max_abs": 0, "argmax": [0, 0], "per_item": ['
+                  '{"name": "1_sigma_odd", "value": 0, "ok": true}, '
+                  '{"name": "2_nonzero_mean", "value": 1, "flag": true, "ok": true}, '
+                  '{"name": "3_cross_antisym", "value": 0, "ok": true}, '
+                  '{"name": "4_twisted_double_mean", "value": 0, "ok": true}, '
+                  '{"name": "5_double_mean", "value": 0, "ok": true}, '
+                  '{"name": "6_sigma_right_mean", "value": 0, "ok": true}, '
+                  '{"name": "7_sigma_twist_mean", "value": 0, "ok": true}, '
+                  '{"name": "8_vanishing_double_mean", "value": 0, "ok": true}]}\n')
 
 
 class TestPinnedOutput:
@@ -434,6 +457,16 @@ class TestPinnedOutput:
             "--mu", str(fxdir / "c4_delta1.mu.json"))
         assert code == 0
         assert out == README_ORACLE
+
+    def test_readme_verify_battery(self, capsys, fxdir):
+        code, out, _ = run(
+            capsys, "verify", "--eq", "vanvleck", "--battery",
+            "--sg", str(fxdir / "c4.sg.json"),
+            "--sigma", str(fxdir / "c4_negation.sigma.json"),
+            "--mu", str(fxdir / "c4_delta1.mu.json"),
+            "--f", str(fxdir / "c4_sine.fn.json"))
+        assert code == 0
+        assert out == README_BATTERY
 
     def test_readme_stability_campaign(self, capsys, fxdir):
         # any change to the bits of the residual grids moves max_ratio

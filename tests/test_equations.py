@@ -14,15 +14,14 @@ from feqlab import (
     residual_central_dalembert,
     residual_dalembert,
     residual_integral_dalembert,
-    residual_middle_commutation,
     residual_sine_addition,
     residual_spherical,
-    residual_spherical_right,
     residual_vanvleck,
     residual_wilson,
     enumerate_involutive_morphisms,
     symmetric_group_3,
 )
+from feqlab.equations import MIDDLE_COMMUTATION, SPHERICAL_RIGHT, residual
 from feqlab.errors import (
     DegenerateIntegral,
     NonCentralSupport,
@@ -164,7 +163,7 @@ class TestSpherical:
         rng = np.random.default_rng(13)
         psi = rng.normal(size=4) + 1j * rng.normal(size=4)
         mid = residual_spherical(c4, psi, upsilon)
-        right = residual_spherical_right(c4, psi, upsilon)
+        right = residual(SPHERICAL_RIGHT, c4, psi, mu=upsilon)
         assert mid.max_abs == pytest.approx(right.max_abs, rel=1e-12)
 
 
@@ -208,20 +207,20 @@ class TestMiddleCommutation:
     def test_abelian_always_zero(self, c4, upsilon):
         rng = np.random.default_rng(17)
         f = rng.normal(size=4) + 1j * rng.normal(size=4)
-        assert residual_middle_commutation(c4, f, upsilon).max_abs == 0.0
+        assert residual(MIDDLE_COMMUTATION, c4, f, mu=upsilon).max_abs == 0.0
 
     def test_class_function_on_s3(self, s3):
         # normalized character of the 2-dim representation is a class
         # function: f(xy) = f(yx)
         f = np.array([1, 0, 0, -0.5, -0.5, 0], dtype=complex)
         ups = DiracMeasure.point_mass(0)
-        assert residual_middle_commutation(s3, f, ups).max_abs == 0.0
+        assert residual(MIDDLE_COMMUTATION, s3, f, mu=ups).max_abs == 0.0
 
     def test_indicator_detects_noncommutativity(self, s3):
         f = np.zeros(6, dtype=complex)
         f[1] = 1.0
         ups = DiracMeasure.point_mass(0)
-        rep = residual_middle_commutation(s3, f, ups)
+        rep = residual(MIDDLE_COMMUTATION, s3, f, mu=ups)
         assert rep.max_abs >= 1.0
 
 
@@ -358,10 +357,10 @@ class TestRegistryGrids:
             "integral_dalembert": residual_integral_dalembert(s3, f, sigma, mu),
             "corollary33": residual_central_dalembert(s3, f, sigma, mu),
             "spherical": residual_spherical(s3, f, mu),
-            "spherical_right": residual_spherical_right(s3, f, mu),
+            "spherical_right": residual(SPHERICAL_RIGHT, s3, f, mu=mu),
             "sine_addition": residual_sine_addition(s3, f, g),
             "wilson_variant": residual_wilson(s3, f, g, sigma),
-            "middle_commutation": residual_middle_commutation(s3, f, mu),
+            "middle_commutation": residual(MIDDLE_COMMUTATION, s3, f, mu=mu),
         }
         for name, (top, arg) in _pointwise(s3, sigma, mu, f, g).items():
             assert reports[name].max_abs == top, name

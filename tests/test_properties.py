@@ -121,23 +121,6 @@ class TestRootValueLaws:
         prod = (ra * rb).to_complex()
         assert prod == pytest.approx(ra.to_complex() * rb.to_complex(), abs=1e-12)
 
-    @given(a=turns)
-    @settings(max_examples=80, deadline=None)
-    def test_conjugate_matches_complex(self, a):
-        r = RootValue(turns=a)
-        assert r.conjugate().to_complex() == pytest.approx(
-            np.conj(r.to_complex()), abs=1e-12)
-
-    @given(a=st.fractions(min_value=0, max_value=1, max_denominator=64), k=st.integers(1, 6))
-    @settings(max_examples=80, deadline=None)
-    def test_power_matches_repeated_product(self, a, k):
-        r = RootValue(turns=a)
-        by_power = r**k
-        by_product = RootValue.one()
-        for _ in range(k):
-            by_product = by_product * r
-        assert by_power == by_product
-
     def test_unit_magnitude(self):
         for q in range(12):
             assert abs(abs(RootValue(turns=Fraction(q, 12)).to_complex()) - 1) < 1e-12

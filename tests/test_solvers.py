@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import warnings
 
 import numpy as np
@@ -11,9 +12,10 @@ from feqlab import (
     MorphismKind,
     character_to_scalar,
     cyclic_group,
+    direct_product,
     enumerate_characters,
+    enumerate_involutive_morphisms,
     integrate,
-    left_zero,
     match_solution_sets,
     newton_oracle,
     null_semigroup,
@@ -26,18 +28,14 @@ from feqlab import (
     solve_dalembert,
     solve_spherical,
     solve_vanvleck,
-    solve_vanvleck_point,
     symmetric_group_3,
-    symmetrize_spherical,
 )
+from feqlab.equations import EQUATIONS, residual
 from feqlab.errors import (
     DegenerateMeasureWarning,
     NonCentralSupport,
     NonFiniteResidual,
-    NotAMonoid,
-    NotCentral,
     NotSigmaInvariant,
-    NotSpherical,
     UsageError,
     WrongMorphismKind,
 )
@@ -114,30 +112,60 @@ class TestSolveVanVleck:
             assert np.allclose(f_chi, f_schi, atol=1e-12)
 
 
+def abelian_characters(factors):
+    """Every character of C_n1 x C_n2 x ..., as a vector over the
+    row-major index direct_product gives: x -> exp(2 pi i sum k_j x_j / n_j),
+    one per k."""
+    coords = np.array(list(itertools.product(*map(range, factors))))
+    return [np.exp(2j * np.pi * sum(kj * coords[:, j] / n for j, (kj, n) in enumerate(zip(k, factors))))
+            for k in itertools.product(*map(range, factors))]
+
+
+def same_set(got, want, atol=1e-12):
+    """Equal as sets of vectors, each element within atol of one in the other."""
+    return (len(got) == len(want)
+            and all(any(np.allclose(g, w, atol=atol) for w in want) for g in got)
+            and all(any(np.allclose(g, w, atol=atol) for g in got) for w in want))
+
+
 class TestSolveVanVleckPoint:
-    def test_matches_general_solver(self, c4, sigma_neg, mu_delta1):
-        point = solve_vanvleck_point(c4, sigma_neg, 1)
-        general = solve_vanvleck(c4, sigma_neg, mu_delta1)
-        assert len(point.solutions) == len(general.solutions) == 1
-        assert np.array_equal(point.solutions[0].values, general.solutions[0].values)
+    """The point-mass corollary: on a monoid with z0 central and mu the unit
+    mass at z0, the nonzero solutions of the sine variant are
+    chi(z0)(chi o sigma - chi)/2 for the characters chi with
+    chi(sigma(z0)) = -chi(z0) != 0."""
+
+    @pytest.mark.parametrize("factors", [(4,), (8,), (2, 4)], ids=["C4", "C8", "C2xC4"])
+    def test_point_mass_corollary(self, factors):
+        sg = cyclic_group(factors[0])
+        for n in factors[1:]:
+            sg = direct_product(sg, cyclic_group(n))
+        chars = abelian_characters(factors)
+        nonempty = 0
+        for sigma in enumerate_involutive_morphisms(sg, MorphismKind.AUTOMORPHISM):
+            s = np.array(sigma.map)
+            for z0 in sg.elements():  # an abelian group is its own center
+                want = []
+                for chi in chars:
+                    f = chi[z0] * (chi[s] - chi) / 2
+                    if (abs(chi[s[z0]] + chi[z0]) <= 1e-12 and np.max(np.abs(f)) > 1e-12
+                            and not any(np.allclose(f, w, atol=1e-12) for w in want)):
+                        want.append(f)
+                got = solve_vanvleck(sg, sigma, DiracMeasure.point_mass(z0)).vectors()
+                assert same_set(got, want), (sigma.map, z0)
+                nonempty += bool(want)
+        assert nonempty > 0
 
     def test_fixed_point_z0_empty(self, c4, sigma_neg):
         # sigma(2) = 2 forces chi(2) = -chi(2) but chi(2) = chi(1)^2 != 0
-        assert solve_vanvleck_point(c4, sigma_neg, 2).solutions == ()
+        assert solve_vanvleck(c4, sigma_neg, DiracMeasure.point_mass(2)).solutions == ()
 
     def test_identity_sigma_empty(self, c4, sigma_id4):
-        assert solve_vanvleck_point(c4, sigma_id4, 1).solutions == ()
-
-    def test_requires_monoid(self):
-        sg = left_zero(2)
-        sigma = InvolutiveMorphism(map=(0, 1), kind=MorphismKind.AUTOMORPHISM)
-        with pytest.raises(NotAMonoid):
-            solve_vanvleck_point(sg, sigma, 0)
+        assert solve_vanvleck(c4, sigma_id4, DiracMeasure.point_mass(1)).solutions == ()
 
     def test_requires_central_point(self, s3):
         sigma = InvolutiveMorphism(map=(0, 1, 2, 3, 4, 5), kind=MorphismKind.AUTOMORPHISM)
-        with pytest.raises(NotCentral):
-            solve_vanvleck_point(s3, sigma, 1)
+        with pytest.raises(NonCentralSupport):
+            solve_vanvleck(s3, sigma, DiracMeasure.point_mass(1))  # a transposition
 
 
 class TestSolveDalembert:
@@ -233,14 +261,16 @@ class TestSolveCentralDalembert:
 
 class TestSymmetrizeSpherical:
     def test_spherical_solutions_symmetrize(self, c4, sigma_neg, upsilon):
+        # the symmetrization step of part (2): (psi + psi o sigma)/2 of a
+        # spherical psi solves the middle-integral cosine variant
         central = solve_central_dalembert(c4, sigma_neg, upsilon)
-        for sol in solve_spherical(c4, upsilon).solutions:
-            f = symmetrize_spherical(c4, sol.values, sigma_neg, upsilon)
-            assert any(np.allclose(f, ref.values, atol=1e-12) for ref in central.solutions)
-
-    def test_rejects_non_spherical(self, c4, sigma_neg, upsilon, sine):
-        with pytest.raises(NotSpherical):
-            symmetrize_spherical(c4, sine, sigma_neg, upsilon)
+        spherical = solve_spherical(c4, upsilon).vectors()
+        assert spherical
+        for psi in spherical:
+            f = (psi + psi[np.array(sigma_neg.map)]) / 2
+            rep = residual(EQUATIONS["integral_dalembert"], c4, f, sigma=sigma_neg, mu=upsilon)
+            assert rep.max_abs == 0.0
+            assert any(np.allclose(f, ref, atol=1e-12) for ref in central.vectors())
 
 
 class TestNewtonOracle:
