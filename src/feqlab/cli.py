@@ -37,7 +37,7 @@ from .stability import CampaignConfig, fuzz_campaign
 EQUATION_TAGS = tuple(EQUATIONS)
 
 ORACLE_MAX_ORDER = 4
-# newton_oracle holds starts x n^2 x n complex Jacobian entries: about 10 MB at n = 4
+# newton_oracle holds a few arrays of starts x n^2 complex entries: 2.6 MB each at n = 4
 ORACLE_MAX_STARTS = 10_000
 
 

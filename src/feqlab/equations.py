@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -268,13 +268,15 @@ def term_groups(eq: Equation, sg: FiniteSemigroup, sigma: InvolutiveMorphism | N
 # Overflow and NaN surface as a NonFiniteResidual from the sup, not as warnings.
 @np.errstate(over="ignore", invalid="ignore")
 def _defect(eq: Equation, sg: FiniteSemigroup, f: np.ndarray, g: np.ndarray | None,
-            sigma: InvolutiveMorphism | None, mu: DiracMeasure | None) -> np.ndarray:
+            sigma: InvolutiveMorphism | None, mu: DiracMeasure | None,
+            groups: list | None = None) -> np.ndarray:
     """The defect of eq at every pair, summed in the order a pointwise
     loop would: per atom the signed terms left to right, weighted, then
     each product subtracted. A real coefficient scales both parts
-    exactly, so it needs no _cmul."""
+    exactly, so it needs no _cmul. groups, when given, are the
+    term_groups of (eq, sg, sigma, mu) compiled beforehand."""
     grid = np.zeros((sg.n, sg.n), dtype=complex)
-    for w, terms in term_groups(eq, sg, sigma, mu):
+    for w, terms in term_groups(eq, sg, sigma, mu) if groups is None else groups:
         acc = sum(f[idx] if sign > 0 else -f[idx] for sign, idx in terms)
         grid += acc if w is None else _cmul(w, acc)
     at = {"fx": f[:, None], "fy": f[None, :]}
@@ -295,6 +297,21 @@ def residual(eq: Equation, sg: FiniteSemigroup, f: Sequence[complex], *,
     garr = None if g is None else check_function(sg, g)
     return _grid_report(eq.tag, _defect(eq, sg, arr, garr, sigma, mu),
                         out_of_hypothesis=not central)
+
+
+def residual_evaluator(eq: Equation, sg: FiniteSemigroup, sigma: InvolutiveMorphism | None,
+                       mu: DiracMeasure | None) -> Callable[[Sequence[complex]], ResidualReport]:
+    """residual(eq, sg, f, sigma=sigma, mu=mu) as a function of f alone,
+    for an equation without g. The hypotheses are checked and the terms
+    compiled once, for callers that evaluate many functions on the same
+    inputs."""
+    require_hypotheses(eq.hypotheses, sg, sigma, mu)
+    groups = term_groups(eq, sg, sigma, mu)
+
+    def evaluate(f: Sequence[complex]) -> ResidualReport:
+        return _grid_report(eq.tag, _defect(eq, sg, check_function(sg, f), None, sigma, mu, groups))
+
+    return evaluate
 
 
 def residual_vanvleck(sg: FiniteSemigroup, f: Sequence[complex], sigma: InvolutiveMorphism,

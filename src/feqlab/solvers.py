@@ -196,12 +196,82 @@ def _cluster_heads(V: np.ndarray, dedup_tol: float) -> list[np.ndarray]:
     earlier row within dedup_tol in sup norm, or opens a new cluster
     headed by itself (its best residual when V is sorted by residual).
     So a row is a head exactly when no earlier row is that close, and
-    which cluster a row joins never changes the heads. One distance row
-    per k, O(len(V) * n) memory. Subtract and abs act elementwise and max
-    is exact, so each distance equals the scalar np.max(np.abs(a - b)).
+    which cluster a row joins never changes the heads. Each head marks
+    the later rows within dedup_tol of it, which are then skipped; only
+    an unmarked row is compared with all earlier rows, so the cost is
+    about one distance row per head, not per row. Subtract and abs act
+    elementwise and max is exact, so each distance equals the scalar
+    np.max(np.abs(a - b)) in either order.
     """
-    return [V[k] for k in range(len(V))
-            if not np.any(np.max(np.abs(V[:k] - V[k]), axis=1) <= dedup_tol)]
+    marked = np.zeros(len(V), dtype=bool)
+    heads = []
+    for k in range(len(V)):
+        if marked[k] or np.any(np.max(np.abs(V[:k] - V[k]), axis=1) <= dedup_tol):
+            continue
+        heads.append(V[k])
+        marked[k + 1:] |= np.max(np.abs(V[k + 1:] - V[k]), axis=1) <= dedup_tol
+    return heads
+
+
+class _QuadraticDefect:
+    """The defect r(f) = L f - c f(x) f(y) over the rows x*n + y, the form
+    of every equation with a closed form, and its Gauss-Newton normal
+    equations in closed form.
+
+    The Jacobian is J = L - c M(f) with M[(x, y), k] = [x = k] f(y) +
+    [y = k] f(x), so with c real
+        J^H J = L^H L - c (L^H M + (L^H M)^H) + 2 c^2 (f f^H + |f|^2 I),
+        J^H r = L^H r - c (R + R^T) conj(f),   R = r as an n x n grid,
+    and L^H M = f @ P for an n x n^2 array P fixed by L. Nothing of size
+    n^2 x n is formed per start.
+    """
+
+    def __init__(self, L: np.ndarray, c: float):
+        nn, n = L.shape
+        rows = np.arange(nn)
+        self.L, self.c = L, c
+        self.L_bar = np.conj(L)
+        self.xs, self.ys = rows // n, rows % n
+        self.LhL = self.L_bar.T @ L
+        # S[k, m, i] = conj L[(k, m), i] + conj L[(m, k), i], so
+        # (L^H M)[i, k] = sum_m S[k, m, i] f(m) is f @ P with P[m, (i, k)] = S[k, m, i];
+        # c P is kept
+        S = self.L_bar.reshape(n, n, n)
+        S = S + S.transpose(1, 0, 2)
+        self.cP = c * S.transpose(1, 2, 0).reshape(n, nn)
+
+    def residuals(self, F: np.ndarray) -> np.ndarray:
+        return F @ self.L.T - self.c * F[:, self.xs] * F[:, self.ys]
+
+    def normal_equations(self, F: np.ndarray, r: np.ndarray,
+                         lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """J^H J + lam I and J^H r at each row of F, whose defect is r."""
+        starts, n = F.shape
+        cF = self.c * F
+        cF_bar = np.conj(cF)
+        # H + H^H = 2 c^2 f f^H - c (L^H M + (L^H M)^H)
+        outer = cF[:, :, None] * cF_bar[:, None, :]
+        H = outer - (F @ self.cP).reshape(starts, n, n)
+        A = H + np.conj(H.transpose(0, 2, 1)) + self.LhL
+        # A is a fresh array, so this strided reshape is a view of its diagonals
+        A.reshape(starts, n * n)[:, ::n + 1] += (2.0 * np.sum(np.abs(cF) ** 2, axis=1) + lam)[:, None]
+        R = r.reshape(starts, n, n)
+        g = r @ self.L_bar - np.einsum("sij,sj->si", R + R.transpose(0, 2, 1), cF_bar)
+        return A, g
+
+
+def _defect_operator(eq: Equation, sg: FiniteSemigroup, sigma: InvolutiveMorphism | None,
+                     mu: DiracMeasure | None) -> _QuadraticDefect:
+    """The defect of an equation with a closed form, its linear part L
+    (n^2 x n) gathered from term_groups."""
+    n = sg.n
+    rows = np.arange(n * n)
+    L = np.zeros((n * n, n), dtype=complex)
+    for w, terms in term_groups(eq, sg, sigma, mu):
+        weight = 1.0 if w is None else w
+        for sign, idx in terms:
+            L[rows, idx.ravel()] += weight if sign > 0 else -weight
+    return _QuadraticDefect(L, eq.products[0].coef)
 
 
 # Overflow at the starts raises NonFiniteResidual; an overflowing step is rejected.
@@ -225,22 +295,8 @@ def newton_oracle(sg: FiniteSemigroup, equation: str,
         raise UsageError("starts must be >= 1")
     if seed < 0:
         raise UsageError("seed must be >= 0")
-    eq = _require_inputs(equation, sigma, mu)
+    defect = _defect_operator(_require_inputs(equation, sigma, mu), sg, sigma, mu)
     n = sg.n
-    rows = np.arange(n * n)
-    # linear part L (n^2 x n) over row index x*n + y; equations with a
-    # closed form are quadratic in f alone: r(f) = L f - c f(x) f(y)
-    L = np.zeros((n * n, n), dtype=complex)
-    for w, terms in term_groups(eq, sg, sigma, mu):
-        weight = 1.0 if w is None else w
-        for sign, idx in terms:
-            L[rows, idx.ravel()] += weight if sign > 0 else -weight
-    c = eq.products[0].coef
-    xs = rows // n
-    ys = rows % n
-
-    def residuals(F: np.ndarray) -> np.ndarray:
-        return F @ L.T - c * F[:, xs] * F[:, ys]
 
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
     radius = (measure_norm(mu) if mu is not None else 1.0) + 1.0
@@ -249,31 +305,39 @@ def newton_oracle(sg: FiniteSemigroup, equation: str,
     F = radius * np.sqrt(u) * np.exp(2j * np.pi * theta)
 
     lam = np.full(starts, 1e-3)
-    cost = np.sum(np.abs(residuals(F)) ** 2, axis=1)
+    r = defect.residuals(F)
+    cost = np.sum(np.abs(r) ** 2, axis=1)
     if not np.all(np.isfinite(cost)):
         raise NonFiniteResidual(f"{equation} oracle defect is not finite at the starts (overflow)")
-    eye = np.eye(n)
     for _ in range(80):
-        r = residuals(F)
-        J = np.broadcast_to(L, (starts, n * n, n)).copy()
-        J[:, rows, xs] -= c * F[:, ys]
-        J[:, rows, ys] -= c * F[:, xs]
-        JH = np.conj(np.transpose(J, (0, 2, 1)))
-        A = JH @ J + lam[:, None, None] * eye
-        g = JH @ r[:, :, None]
-        step = np.linalg.solve(A, -g)[:, :, 0]
-        F_try = F + step
-        cost_try = np.sum(np.abs(residuals(F_try)) ** 2, axis=1)
+        A, g = defect.normal_equations(F, r, lam)
+        F_try = F + np.linalg.solve(A, -g[:, :, None])[:, :, 0]
+        r_try = defect.residuals(F_try)
+        cost_try = np.sum(np.abs(r_try) ** 2, axis=1)
         better = cost_try < cost
         F = np.where(better[:, None], F_try, F)
+        r = np.where(better[:, None], r_try, r)
         cost = np.where(better, cost_try, cost)
         lam = np.where(better, np.maximum(lam * 0.4, 1e-12), np.minimum(lam * 10.0, 1e14))
         if np.all((cost <= 1e-26) | (lam >= 1e13)):
             break
 
-    res_inf = np.max(np.abs(residuals(F)), axis=1)
-    order = sorted((i for i in range(starts) if res_inf[i] <= tol.oracle_tol),
-                   key=lambda i: (float(res_inf[i]), i))
+    return _reported_roots(F, np.max(np.abs(r), axis=1), tol)
+
+
+def _reported_roots(F: np.ndarray, res_inf: np.ndarray, tol: ToleranceConfig) -> list[np.ndarray]:
+    """The heads of the converged rows of F (res_inf <= oracle_tol), taken
+    in order of residual, that lie above ZERO_ROOT_CUTOFF, sorted
+    canonically.
+
+    A row within dedup_tol of a row above ZERO_ROOT_CUTOFF has sup >
+    ZERO_ROOT_CUTOFF - dedup_tol. So the rows below that, with a margin
+    for rounding, can neither be reported nor decide whether a row above
+    the cutoff is a head, and are dropped before clustering.
+    """
+    sup = np.max(np.abs(F), axis=1)
+    kept = np.flatnonzero((res_inf <= tol.oracle_tol) & (sup > ZERO_ROOT_CUTOFF - 2 * tol.dedup_tol))
+    order = sorted(kept, key=lambda i: (float(res_inf[i]), i))
     clusters = _cluster_heads(F[order], tol.dedup_tol)
     roots = [vec for vec in clusters if float(np.max(np.abs(vec))) > ZERO_ROOT_CUTOFF]
     roots.sort(key=lambda v: tuple((round(z.real, 8), round(z.imag, 8)) for z in v))

@@ -18,7 +18,6 @@ from feqlab import (
     is_multiplicative,
     left_zero,
     null_semigroup,
-    s3_inversion,
 )
 from feqlab.errors import LengthMismatch
 

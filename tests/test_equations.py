@@ -19,7 +19,6 @@ from feqlab import (
     residual_vanvleck,
     residual_wilson,
     enumerate_involutive_morphisms,
-    symmetric_group_3,
 )
 from feqlab.equations import MIDDLE_COMMUTATION, SPHERICAL_RIGHT, residual
 from feqlab.errors import (

@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import itertools
-import warnings
 
 import numpy as np
 import pytest
@@ -17,6 +16,7 @@ from feqlab import (
     enumerate_involutive_morphisms,
     integrate,
     match_solution_sets,
+    measure_norm,
     newton_oracle,
     null_semigroup,
     residual_central_dalembert,
@@ -28,9 +28,8 @@ from feqlab import (
     solve_dalembert,
     solve_spherical,
     solve_vanvleck,
-    symmetric_group_3,
 )
-from feqlab.equations import EQUATIONS, residual
+from feqlab.equations import EQUATIONS, _defect, residual, term_groups
 from feqlab.errors import (
     DegenerateMeasureWarning,
     NonCentralSupport,
@@ -39,7 +38,7 @@ from feqlab.errors import (
     UsageError,
     WrongMorphismKind,
 )
-from feqlab.solvers import _cluster_heads
+from feqlab.solvers import ZERO_ROOT_CUTOFF, _cluster_heads, _defect_operator, _reported_roots
 
 
 def conjugation_by(sg, a):
@@ -394,6 +393,173 @@ class TestClusterHeads:
         scale = self.TOL * rng.uniform(0.2, 2.0)
         rows = centres[picks] + scale * (rng.standard_normal((120, n)) + 1j * rng.standard_normal((120, n)))
         self.check(rows)
+
+    def test_3000_rows_match_one_distance_row_per_row(self):
+        # chains and near-ties around 40 centres, and 200 scattered singletons
+        rng = np.random.default_rng(2024)
+        centres = rng.standard_normal((40, 4)) + 1j * rng.standard_normal((40, 4))
+        noise = rng.standard_normal((2800, 4)) + 1j * rng.standard_normal((2800, 4))
+        rows = np.concatenate([centres[rng.integers(0, 40, 2800)] + 0.6 * self.TOL * noise,
+                               rng.standard_normal((200, 4)) + 1j * rng.standard_normal((200, 4))])
+        rows = rows[rng.permutation(len(rows))]
+        got = _cluster_heads(rows, self.TOL)
+        want = one_row_per_k_heads(rows, self.TOL)
+        assert 240 <= len(want) < len(rows)
+        assert len(got) == len(want)
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
+def one_row_per_k_heads(V, dedup_tol):
+    """The oracle's clustering with one distance row per row: the
+    quadratic reference _cluster_heads must agree with."""
+    return [V[k] for k in range(len(V))
+            if not np.any(np.max(np.abs(V[:k] - V[k]), axis=1) <= dedup_tol)]
+
+
+CLOSED_FORM_TAGS = [tag for tag, eq in EQUATIONS.items() if eq.closed_form is not None]
+
+
+def explicit_normal_equations(L, c, F, r, lam):
+    """J^H J + lam I and J^H r from the Jacobian of r(f) = L f - c f(x) f(y),
+    written out entry by entry."""
+    starts, n = F.shape
+    J = np.broadcast_to(L, (starts, n * n, n)).copy()
+    for s in range(starts):
+        for x in range(n):
+            for y in range(n):
+                J[s, x * n + y, x] -= c * F[s, y]
+                J[s, x * n + y, y] -= c * F[s, x]
+    JH = np.conj(np.transpose(J, (0, 2, 1)))
+    return JH @ J + lam[:, None, None] * np.eye(n), (JH @ r[:, :, None])[:, :, 0]
+
+
+class TestNormalEquations:
+    @pytest.mark.parametrize("tag", CLOSED_FORM_TAGS)
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_closed_form_equals_explicit_jacobian(self, tag, n):
+        eq = EQUATIONS[tag]
+        sg = cyclic_group(n)
+        sigma = InvolutiveMorphism(map=tuple((-x) % n for x in range(n)), kind=MorphismKind.AUTOMORPHISM)
+        mu = DiracMeasure.from_pairs([(n - 1, 0.7 - 0.4j), (0, -0.3 + 1.1j)])
+        defect = _defect_operator(eq, sg, sigma, mu)
+        rng = np.random.default_rng(n)
+        F = rng.standard_normal((7, n)) + 1j * rng.standard_normal((7, n))
+        r = defect.residuals(F)
+        for f, row in zip(F, r):
+            grid = _defect(eq, sg, f, None, sigma, mu)
+            assert np.max(np.abs(row.reshape(n, n) - grid)) <= 1e-12 * np.max(np.abs(grid))
+        lam = 10.0 ** rng.uniform(-12, 2, 7)
+        A, g = defect.normal_equations(F, r, lam)
+        A_ref, g_ref = explicit_normal_equations(defect.L, defect.c, F, r, lam)
+        assert np.max(np.abs(A - A_ref)) <= 1e-12 * np.max(np.abs(A_ref))
+        assert np.max(np.abs(g - g_ref)) <= 1e-12 * np.max(np.abs(g_ref))
+
+
+def jacobian_oracle(sg, eq, sigma, mu, starts, seed, tol):
+    """newton_oracle with an explicit (starts, n^2, n) Jacobian, the
+    residual recomputed at the top of each iteration and every converged
+    row clustered: the reference for the closed-form normal equations
+    and the cutoff filter."""
+    n = sg.n
+    rows = np.arange(n * n)
+    L = np.zeros((n * n, n), dtype=complex)
+    for w, terms in term_groups(eq, sg, sigma, mu):
+        weight = 1.0 if w is None else w
+        for sign, idx in terms:
+            L[rows, idx.ravel()] += weight if sign > 0 else -weight
+    c = eq.products[0].coef
+    xs, ys = rows // n, rows % n
+
+    def residuals(F):
+        return F @ L.T - c * F[:, xs] * F[:, ys]
+
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+    radius = (measure_norm(mu) if mu is not None else 1.0) + 1.0
+    u = rng.random((starts, n))
+    theta = rng.random((starts, n))
+    F = radius * np.sqrt(u) * np.exp(2j * np.pi * theta)
+    lam = np.full(starts, 1e-3)
+    cost = np.sum(np.abs(residuals(F)) ** 2, axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(80):
+            r = residuals(F)
+            J = np.broadcast_to(L, (starts, n * n, n)).copy()
+            J[:, rows, xs] -= c * F[:, ys]
+            J[:, rows, ys] -= c * F[:, xs]
+            JH = np.conj(np.transpose(J, (0, 2, 1)))
+            step = np.linalg.solve(JH @ J + lam[:, None, None] * np.eye(n), -(JH @ r[:, :, None]))[:, :, 0]
+            F_try = F + step
+            cost_try = np.sum(np.abs(residuals(F_try)) ** 2, axis=1)
+            better = cost_try < cost
+            F = np.where(better[:, None], F_try, F)
+            cost = np.where(better, cost_try, cost)
+            lam = np.where(better, np.maximum(lam * 0.4, 1e-12), np.minimum(lam * 10.0, 1e14))
+            if np.all((cost <= 1e-26) | (lam >= 1e13)):
+                break
+    return unfiltered_roots(F, np.max(np.abs(residuals(F)), axis=1), tol)
+
+
+def unfiltered_roots(F, res_inf, tol):
+    """Every converged row clustered one distance row per row, then the
+    cutoff applied and the roots sorted canonically."""
+    order = sorted((i for i in range(len(F)) if res_inf[i] <= tol.oracle_tol),
+                   key=lambda i: (float(res_inf[i]), i))
+    roots = [v for v in one_row_per_k_heads(F[order], tol.dedup_tol)
+             if float(np.max(np.abs(v))) > ZERO_ROOT_CUTOFF]
+    roots.sort(key=lambda v: tuple((round(z.real, 8), round(z.imag, 8)) for z in v))
+    return roots
+
+
+def oracle_witnesses(s3):
+    """(name, sg, automorphism, measure for the sine variant, sigma-invariant
+    measure for the cosine family) on C4, the Klein group and S3."""
+    c4 = cyclic_group(4)
+    klein = direct_product(cyclic_group(2), cyclic_group(2))
+    auto = MorphismKind.AUTOMORPHISM
+    return [
+        ("C4", c4, InvolutiveMorphism(map=(0, 3, 2, 1), kind=auto), DiracMeasure.point_mass(1),
+         DiracMeasure.from_pairs([(1, 0.5), (3, 0.5)])),
+        ("Klein", klein, InvolutiveMorphism(map=(0, 2, 1, 3), kind=auto), DiracMeasure.point_mass(1),
+         DiracMeasure.from_pairs([(1, 0.5), (2, 0.5)])),
+        ("S3", s3, conjugation_by(s3, 1), DiracMeasure.point_mass(0), DiracMeasure.point_mass(0, 0.75)),
+    ]
+
+
+class TestOracleAgainstJacobian:
+    @pytest.mark.parametrize("tag", CLOSED_FORM_TAGS)
+    def test_same_roots_as_explicit_jacobian(self, tag, s3, tol):
+        eq = EQUATIONS[tag]
+        found = 0
+        for name, sg, sigma, sine_mu, cosine_mu in oracle_witnesses(s3):
+            sigma = sigma if "sigma" in eq.needs else None
+            mu = (sine_mu if tag == "vanvleck" else cosine_mu) if "mu" in eq.needs else None
+            for seed in range(3):
+                got = newton_oracle(sg, tag, sigma, mu, starts=40, seed=seed)
+                want = jacobian_oracle(sg, eq, sigma, mu, 40, seed, tol)
+                assert len(got) == len(want), (name, seed)
+                for a, b in zip(got, want):
+                    assert np.max(np.abs(a - b)) <= 1e-12, (name, seed)
+                found += len(want)
+        assert found > 0
+
+
+class TestReportedRoots:
+    @pytest.mark.parametrize("below_first", [True, False])
+    def test_row_at_cutoff_near_a_row_below_it(self, tol, below_first):
+        eps = tol.dedup_tol
+        below = [ZERO_ROOT_CUTOFF - 0.4 * eps, 0.0]
+        above = [ZERO_ROOT_CUTOFF + 0.4 * eps, 0.0]
+        rng = np.random.default_rng(7)
+        valley = 1e-4 * (rng.standard_normal((50, 2)) + 1j * rng.standard_normal((50, 2)))
+        F = np.concatenate([np.array([below, above, [1.0, -1.0], [1.0 + 0.5 * eps, -1.0]], dtype=complex),
+                            valley, [[ZERO_ROOT_CUTOFF - 2 * eps, 0.0]], [[0.5, 0.5]]])
+        res_inf = np.concatenate([[1e-9, 2e-9] if below_first else [2e-9, 1e-9], [3e-10, 1e-10],
+                                  rng.uniform(0.0, 1e-8, 50), [0.0], [1.0]])
+        got = _reported_roots(F, res_inf, tol)
+        want = unfiltered_roots(F, res_inf, tol)
+        # the pair at 1 is one root; the row above the cutoff is one only when it comes first
+        assert len(got) == len(want) == (1 if below_first else 2)
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
 
 class TestMatching:

@@ -198,6 +198,23 @@ class TestCampaign:
         assert s1 == s2
         assert [t.sup_f for t in t1] == [t.sup_f for t in t2]
 
+    @pytest.mark.parametrize("mu", [DiracMeasure.point_mass(1), DiracMeasure.from_pairs([(1, 0.5 - 0.25j), (3, 2.0)])],
+                             ids=["delta1", "two_atoms"])
+    def test_records_equal_check_dichotomy_per_trial(self, c4, sigma_neg, mu):
+        # the campaign's hoisted hypotheses, terms and norm change no record
+        cfg = CampaignConfig(trials=120, radius_max=1.5, seed=11)
+        _, trials = fuzz_campaign(c4, sigma_neg, mu, cfg)
+        bases = solve_vanvleck(c4, sigma_neg, mu).vectors() + [np.zeros(4, dtype=complex)]
+        for k, got in enumerate(trials):
+            rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((cfg.seed, k))))
+            base = bases[int(rng.integers(len(bases)))]
+            radius = float(rng.uniform(0.0, cfg.radius_max))
+            want = check_dichotomy(c4, perturb(base, radius, (cfg.seed, k, 1)), sigma_neg, mu,
+                                   radius=radius, seed=k, base=base)
+            assert np.array_equal(got.base, want.base)
+            assert (got.radius, got.seed, got.measured_delta, got.sup_f, got.bound, got.verdict) == \
+                (want.radius, want.seed, want.measured_delta, want.sup_f, want.bound, want.verdict)
+
     def test_without_guard_uses_zero_base(self, c4, sigma_id4, mu_delta1):
         cfg = CampaignConfig(trials=10, seed=1)
         summary, trials = fuzz_campaign(c4, sigma_id4, mu_delta1, cfg)
