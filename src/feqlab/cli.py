@@ -2,9 +2,10 @@
 
 Exit codes are a stable CI contract: 0 success/pass, 1 verify-fail (or
 a campaign with violations), 2 structural input error, 3 file or parse
-error, 4 hypothesis violation, 64 usage error. Reports are canonical JSON on
-stdout; --format table gives a loose human view never meant for
-parsing. An empty solution set is a success: absence is an answer.
+error, 4 hypothesis violation, 64 usage error, 70 internal error (any
+other exception: a fault of feqlab, not of the input). Reports are
+canonical JSON on stdout; --format table gives a loose human view never
+meant for parsing. An empty solution set is a success: absence is an answer.
 """
 
 from __future__ import annotations
@@ -14,14 +15,13 @@ import math
 import sys
 from typing import Callable
 
-import numpy as np
-
 from .characters import characters_cached
 from .equations import EQUATIONS, battery_report, companion_cosine, residual
 from .errors import HypothesisError, ParseError, StructuralError, UsageError
 from .fixtures import write_fixtures
 from .jsonio import (
     canonical_json,
+    function_to_json,
     load_function,
     load_measure,
     load_morphism,
@@ -198,12 +198,12 @@ def cmd_oracle(args) -> tuple[dict, int]:
     eq = args.eq
     sigma, mu = _load_inputs(args, sg, closed_form_equation(eq))
     closed = closed_form(eq, sg, sigma, mu, tol)
-    roots = newton_oracle(sg, eq, sigma, mu, starts=args.starts, seed=args.seed, tol=tol)
+    roots = newton_oracle(sg, eq, sigma, mu, starts=args.starts, seed=args.seed)
     refs = closed.vectors()
-    pairs, oracle_only, closed_only = match_solution_sets(roots, refs, tol)
+    pairs, oracle_only, closed_only = match_solution_sets(roots, refs)
 
-    def vec_json(v: np.ndarray) -> list:
-        return [[z.real, z.imag] for z in v]
+    def vec_json(v) -> list:
+        return function_to_json(v)["values"]
 
     payload = {
         "equation": eq,
@@ -240,6 +240,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         payload, code = _COMMANDS[args.command](args)
+        text = render_table(payload) if args.format == "table" else canonical_json(payload)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 64
@@ -252,10 +253,13 @@ def main(argv: list[str] | None = None) -> int:
     except StructuralError as exc:
         print(f"structural error: {exc}", file=sys.stderr)
         return 2
-    if args.format == "table":
-        print(render_table(payload))
-    else:
-        print(canonical_json(payload))
+    except Exception as exc:  # any other FeqlabError or exception is a fault of feqlab
+        import traceback
+
+        traceback.print_exc()
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 70
+    print(text)
     return code
 
 

@@ -267,16 +267,13 @@ def term_groups(eq: Equation, sg: FiniteSemigroup, sigma: InvolutiveMorphism | N
 
 # Overflow and NaN surface as a NonFiniteResidual from the sup, not as warnings.
 @np.errstate(over="ignore", invalid="ignore")
-def _defect(eq: Equation, sg: FiniteSemigroup, f: np.ndarray, g: np.ndarray | None,
-            sigma: InvolutiveMorphism | None, mu: DiracMeasure | None,
-            groups: list | None = None) -> np.ndarray:
-    """The defect of eq at every pair, summed in the order a pointwise
-    loop would: per atom the signed terms left to right, weighted, then
-    each product subtracted. A real coefficient scales both parts
-    exactly, so it needs no _cmul. groups, when given, are the
-    term_groups of (eq, sg, sigma, mu) compiled beforehand."""
-    grid = np.zeros((sg.n, sg.n), dtype=complex)
-    for w, terms in term_groups(eq, sg, sigma, mu) if groups is None else groups:
+def _defect(eq: Equation, groups: list, f: np.ndarray, g: np.ndarray | None) -> np.ndarray:
+    """The defect of eq at every pair, its terms compiled by term_groups,
+    summed in the order a pointwise loop would: per atom the signed terms
+    left to right, weighted, then each product subtracted. A real
+    coefficient scales both parts exactly, so it needs no _cmul."""
+    grid = np.zeros((len(f), len(f)), dtype=complex)
+    for w, terms in groups:
         acc = sum(f[idx] if sign > 0 else -f[idx] for sign, idx in terms)
         grid += acc if w is None else _cmul(w, acc)
     at = {"fx": f[:, None], "fy": f[None, :]}
@@ -287,31 +284,31 @@ def _defect(eq: Equation, sg: FiniteSemigroup, f: np.ndarray, g: np.ndarray | No
     return grid
 
 
+def residual_evaluator(eq: Equation, sg: FiniteSemigroup, sigma: InvolutiveMorphism | None = None,
+                       mu: DiracMeasure | None = None, tol: ToleranceConfig = DEFAULT_TOL,
+                       force: bool = False) -> Callable[..., ResidualReport]:
+    """evaluate(f, g=None), the residual report of eq for any functions
+    on the same inputs. The hypotheses are checked and the terms compiled
+    once, here; force=True lets a non-central support through and marks
+    every report out-of-hypothesis."""
+    central = require_hypotheses(eq.hypotheses, sg, sigma, mu, tol, force)
+    groups = term_groups(eq, sg, sigma, mu)
+
+    def evaluate(f: Sequence[complex], g: Sequence[complex] | None = None) -> ResidualReport:
+        arr = check_function(sg, f)
+        garr = None if g is None else check_function(sg, g)
+        return _grid_report(eq.tag, _defect(eq, groups, arr, garr), out_of_hypothesis=not central)
+
+    return evaluate
+
+
 def residual(eq: Equation, sg: FiniteSemigroup, f: Sequence[complex], *,
              g: Sequence[complex] | None = None, sigma: InvolutiveMorphism | None = None,
              mu: DiracMeasure | None = None, tol: ToleranceConfig = DEFAULT_TOL,
              force: bool = False) -> ResidualReport:
-    """Residual report of any equation: hypotheses first, then the grid."""
-    central = require_hypotheses(eq.hypotheses, sg, sigma, mu, tol, force)
-    arr = check_function(sg, f)
-    garr = None if g is None else check_function(sg, g)
-    return _grid_report(eq.tag, _defect(eq, sg, arr, garr, sigma, mu),
-                        out_of_hypothesis=not central)
-
-
-def residual_evaluator(eq: Equation, sg: FiniteSemigroup, sigma: InvolutiveMorphism | None,
-                       mu: DiracMeasure | None) -> Callable[[Sequence[complex]], ResidualReport]:
-    """residual(eq, sg, f, sigma=sigma, mu=mu) as a function of f alone,
-    for an equation without g. The hypotheses are checked and the terms
-    compiled once, for callers that evaluate many functions on the same
-    inputs."""
-    require_hypotheses(eq.hypotheses, sg, sigma, mu)
-    groups = term_groups(eq, sg, sigma, mu)
-
-    def evaluate(f: Sequence[complex]) -> ResidualReport:
-        return _grid_report(eq.tag, _defect(eq, sg, check_function(sg, f), None, sigma, mu, groups))
-
-    return evaluate
+    """Residual report of any equation: hypotheses first, then the atom
+    points, then the functions and the grid."""
+    return residual_evaluator(eq, sg, sigma, mu, tol, force)(f, g)
 
 
 def residual_vanvleck(sg: FiniteSemigroup, f: Sequence[complex], sigma: InvolutiveMorphism,

@@ -1,9 +1,10 @@
 """Exception hierarchy shared across the package.
 
 The CLI maps these to process exit codes: StructuralError -> 2,
-ParseError -> 3, HypothesisError -> 4, UsageError -> 64. Verification
-failures (a residual above tolerance) are not exceptions; commands
-report them through exit code 1.
+ParseError -> 3, HypothesisError -> 4, UsageError -> 64. Any other
+exception, a bare FeqlabError included, is an internal error -> 70.
+Verification failures (a residual above tolerance) are not exceptions;
+commands report them through exit code 1.
 """
 
 from __future__ import annotations

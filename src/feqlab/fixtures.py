@@ -23,44 +23,25 @@ from .semigroups import (
 )
 
 
-def c4_negation() -> InvolutiveMorphism:
-    return InvolutiveMorphism(map=(0, 3, 2, 1), kind=MorphismKind.AUTOMORPHISM)
-
-
-def c4_identity() -> InvolutiveMorphism:
-    return InvolutiveMorphism(map=(0, 1, 2, 3), kind=MorphismKind.AUTOMORPHISM)
-
-
-def c4_delta1() -> DiracMeasure:
-    return DiracMeasure.point_mass(1)
-
-
-def c4_halfpair() -> DiracMeasure:
-    """Sigma-invariant (1/2)(delta_1 + delta_3) on C4."""
-    return DiracMeasure.from_pairs([(1, 0.5), (3, 0.5)])
-
-
-def s3_transposition_mass() -> DiracMeasure:
-    """Unit mass at a transposition: deliberately non-central."""
-    return DiracMeasure.point_mass(1)
-
-
 SINE_C4 = [[0.0, 0.0], [1.0, 0.0], [0.0, 0.0], [-1.0, 0.0]]
 COSINE_C4 = [[1.0, 0.0], [0.0, 0.0], [-1.0, 0.0], [0.0, 0.0]]
 
 
 def fixture_bundle() -> dict[str, dict]:
+    auto = MorphismKind.AUTOMORPHISM
     return {
         "c4.sg.json": semigroup_to_json(cyclic_group(4)),
         "s3.sg.json": semigroup_to_json(symmetric_group_3()),
         "null2.sg.json": semigroup_to_json(null_semigroup(2)),
         "leftzero2.sg.json": semigroup_to_json(left_zero(2)),
-        "c4_negation.sigma.json": morphism_to_json(c4_negation()),
-        "c4_identity.sigma.json": morphism_to_json(c4_identity()),
+        "c4_negation.sigma.json": morphism_to_json(InvolutiveMorphism((0, 3, 2, 1), auto)),
+        "c4_identity.sigma.json": morphism_to_json(InvolutiveMorphism((0, 1, 2, 3), auto)),
         "s3_inversion.sigma.json": morphism_to_json(s3_inversion()),
-        "c4_delta1.mu.json": c4_delta1().to_json(),
-        "c4_halfpair.mu.json": c4_halfpair().to_json(),
-        "s3_transposition.mu.json": s3_transposition_mass().to_json(),
+        "c4_delta1.mu.json": DiracMeasure.point_mass(1).to_json(),
+        # sigma-invariant under negation: (1/2)(delta_1 + delta_3)
+        "c4_halfpair.mu.json": DiracMeasure.from_pairs([(1, 0.5), (3, 0.5)]).to_json(),
+        # unit mass at a transposition: deliberately non-central
+        "s3_transposition.mu.json": DiracMeasure.point_mass(1).to_json(),
         "c4_sine.fn.json": {"values": SINE_C4},
         "c4_cosine.fn.json": {"values": COSINE_C4},
     }

@@ -28,6 +28,8 @@ def _load_obj(path: str | Path) -> Any:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: malformed JSON ({exc})") from exc
+    except RecursionError as exc:  # arrays or objects nested beyond the decoder's depth
+        raise ParseError(f"{path}: JSON nested too deeply") from exc
 
 
 def _is_int(v: Any) -> bool:

@@ -20,15 +20,13 @@ from .semigroups import FiniteSemigroup, InvolutiveMorphism, center
 
 @dataclass(frozen=True)
 class ToleranceConfig:
-    """Numeric gates: eq_tol accepts residuals, dedup_tol clusters
-    near-identical vectors, oracle_tol accepts numeric roots as matches."""
+    """The residual gate: eq_tol accepts residuals, means and invariance.
+    The oracle's tolerances are constants in solvers."""
 
     eq_tol: float = 1e-9
-    dedup_tol: float = 1e-7
-    oracle_tol: float = 1e-6
 
     def __post_init__(self):
-        if not all(0 <= t < math.inf for t in (self.eq_tol, self.dedup_tol, self.oracle_tol)):
+        if not 0 <= self.eq_tol < math.inf:
             raise BadParams("tolerances must be finite and nonnegative")
 
 

@@ -20,7 +20,7 @@ from .equations import (
     EQUATIONS,
     Equation,
     require_hypotheses,
-    residual,
+    residual_evaluator,
     term_groups,
 )
 from .errors import (
@@ -29,6 +29,7 @@ from .errors import (
     NonFiniteResidual,
     UsageError,
 )
+from .jsonio import function_to_json
 from .measures import (
     DEFAULT_TOL,
     DiracMeasure,
@@ -43,6 +44,12 @@ from .semigroups import FiniteSemigroup, InvolutiveMorphism
 # this small; genuine nonzero solutions on the supported fixtures have
 # sup|f| >= 1/2.
 ZERO_ROOT_CUTOFF = 1e-3
+# Vectors within DEDUP_TOL in sup norm are one solution, in the closed
+# forms and among the oracle's roots; the oracle accepts a root whose
+# defect is within ORACLE_TOL and matches it to a closed-form solution
+# within ORACLE_TOL.
+DEDUP_TOL = 1e-7
+ORACLE_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -60,10 +67,7 @@ class Solution:
     provenance: Provenance
 
     def to_json(self) -> dict:
-        return {
-            "values": [[v.real, v.imag] for v in self.values],
-            "provenance": self.provenance.to_json(),
-        }
+        return {**function_to_json(self.values), "provenance": self.provenance.to_json()}
 
 
 @dataclass(frozen=True)
@@ -81,12 +85,11 @@ class SolutionSet:
         }
 
 
-def _dedup_add(out: list[Solution], values: np.ndarray, prov: Provenance,
-               tol: ToleranceConfig) -> None:
-    if float(np.max(np.abs(values))) <= tol.dedup_tol:
+def _dedup_add(out: list[Solution], values: np.ndarray, prov: Provenance) -> None:
+    if float(np.max(np.abs(values))) <= DEDUP_TOL:
         return  # the zero function is never reported
     for existing in out:
-        if float(np.max(np.abs(existing.values - values))) <= tol.dedup_tol:
+        if float(np.max(np.abs(existing.values - values))) <= DEDUP_TOL:
             return
     out.append(Solution(values=values, provenance=prov))
 
@@ -174,14 +177,15 @@ def closed_form(equation: str, sg: FiniteSemigroup, sigma: InvolutiveMorphism | 
             f = (c + s) / 2.0
         else:
             f = c
-        _dedup_add(out, f if mu is None else f * mean, Provenance(chi, form.formula), tol)
+        _dedup_add(out, f if mu is None else f * mean, Provenance(chi, form.formula))
     laws = [eq for eq in EQUATIONS.values() if eq.closed_form is form] + list(form.checks)
+    evaluators = [residual_evaluator(law, sg, sigma, mu, tol) for law in laws] if out else []
     for sol in out:
-        for law in laws:
-            rep = residual(law, sg, sol.values, sigma=sigma, mu=mu, tol=tol)
+        for evaluate in evaluators:
+            rep = evaluate(sol.values)
             if rep.max_abs > tol.eq_tol:
                 raise FeqlabError(f"internal: closed form failed verification for "
-                                  f"{law.tag} (residual {rep.max_abs:.3e})")
+                                  f"{rep.equation} (residual {rep.max_abs:.3e})")
     return SolutionSet(form.label, tuple(out))
 
 
@@ -279,13 +283,12 @@ def _defect_operator(eq: Equation, sg: FiniteSemigroup, sigma: InvolutiveMorphis
 def newton_oracle(sg: FiniteSemigroup, equation: str,
                   sigma: InvolutiveMorphism | None = None,
                   mu: DiracMeasure | None = None,
-                  starts: int = 200, seed: int = 0,
-                  tol: ToleranceConfig = DEFAULT_TOL) -> list[np.ndarray]:
+                  starts: int = 200, seed: int = 0) -> list[np.ndarray]:
     """Multistart Levenberg-damped Gauss-Newton roots of the defect system.
 
     Independent of the character machinery. Starts are uniform in a
     complex polydisk; all starts iterate in one batched loop. Converged
-    roots (defect <= oracle_tol) are clustered at dedup_tol, each
+    roots (defect <= ORACLE_TOL) are clustered at DEDUP_TOL, each
     cluster is represented by its best member, near-zero roots are
     dropped (ZERO_ROOT_CUTOFF), and the result is sorted canonically.
     The system is holomorphic in f, so complex Gauss-Newton steps equal
@@ -298,11 +301,7 @@ def newton_oracle(sg: FiniteSemigroup, equation: str,
     defect = _defect_operator(_require_inputs(equation, sigma, mu), sg, sigma, mu)
     n = sg.n
 
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-    radius = (measure_norm(mu) if mu is not None else 1.0) + 1.0
-    u = rng.random((starts, n))
-    theta = rng.random((starts, n))
-    F = radius * np.sqrt(u) * np.exp(2j * np.pi * theta)
+    F = _polydisk(seed, (measure_norm(mu) if mu is not None else 1.0) + 1.0, (starts, n))
 
     lam = np.full(starts, 1e-3)
     r = defect.residuals(F)
@@ -322,31 +321,41 @@ def newton_oracle(sg: FiniteSemigroup, equation: str,
         if np.all((cost <= 1e-26) | (lam >= 1e13)):
             break
 
-    return _reported_roots(F, np.max(np.abs(r), axis=1), tol)
+    return _reported_roots(F, np.max(np.abs(r), axis=1))
 
 
-def _reported_roots(F: np.ndarray, res_inf: np.ndarray, tol: ToleranceConfig) -> list[np.ndarray]:
-    """The heads of the converged rows of F (res_inf <= oracle_tol), taken
+def _polydisk(seed, radius: float, shape: tuple[int, ...]) -> np.ndarray:
+    """Points of the complex polydisk of the given radius, each coordinate
+    uniform in its disk, from np.random.default_rng(seed): an int or a
+    tuple of ints."""
+    rng = np.random.default_rng(seed)
+    u = rng.random(shape)
+    theta = rng.random(shape)
+    return radius * np.sqrt(u) * np.exp(2j * np.pi * theta)
+
+
+def _reported_roots(F: np.ndarray, res_inf: np.ndarray) -> list[np.ndarray]:
+    """The heads of the converged rows of F (res_inf <= ORACLE_TOL), taken
     in order of residual, that lie above ZERO_ROOT_CUTOFF, sorted
     canonically.
 
-    A row within dedup_tol of a row above ZERO_ROOT_CUTOFF has sup >
-    ZERO_ROOT_CUTOFF - dedup_tol. So the rows below that, with a margin
+    A row within DEDUP_TOL of a row above ZERO_ROOT_CUTOFF has sup >
+    ZERO_ROOT_CUTOFF - DEDUP_TOL. So the rows below that, with a margin
     for rounding, can neither be reported nor decide whether a row above
     the cutoff is a head, and are dropped before clustering.
     """
     sup = np.max(np.abs(F), axis=1)
-    kept = np.flatnonzero((res_inf <= tol.oracle_tol) & (sup > ZERO_ROOT_CUTOFF - 2 * tol.dedup_tol))
+    kept = np.flatnonzero((res_inf <= ORACLE_TOL) & (sup > ZERO_ROOT_CUTOFF - 2 * DEDUP_TOL))
     order = sorted(kept, key=lambda i: (float(res_inf[i]), i))
-    clusters = _cluster_heads(F[order], tol.dedup_tol)
+    clusters = _cluster_heads(F[order], DEDUP_TOL)
     roots = [vec for vec in clusters if float(np.max(np.abs(vec))) > ZERO_ROOT_CUTOFF]
     roots.sort(key=lambda v: tuple((round(z.real, 8), round(z.imag, 8)) for z in v))
     return roots
 
 
-def match_solution_sets(oracle_roots: Sequence[np.ndarray], closed: Sequence[np.ndarray],
-                        tol: ToleranceConfig = DEFAULT_TOL) -> tuple[list[tuple[int, int]], list[int], list[int]]:
-    """Greedy sup-norm matching at oracle_tol. Returns (pairs, unmatched
+def match_solution_sets(oracle_roots: Sequence[np.ndarray],
+                        closed: Sequence[np.ndarray]) -> tuple[list[tuple[int, int]], list[int], list[int]]:
+    """Greedy sup-norm matching at ORACLE_TOL. Returns (pairs, unmatched
     oracle indices, unmatched closed-form indices)."""
     used: set[int] = set()
     pairs: list[tuple[int, int]] = []
@@ -359,7 +368,7 @@ def match_solution_sets(oracle_roots: Sequence[np.ndarray], closed: Sequence[np.
             d = float(np.max(np.abs(root - ref)))
             if d < best_dist:
                 best, best_dist = j, d
-        if best >= 0 and best_dist <= tol.oracle_tol:
+        if best >= 0 and best_dist <= ORACLE_TOL:
             used.add(best)
             pairs.append((i, best))
         else:

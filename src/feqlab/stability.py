@@ -34,7 +34,7 @@ from .measures import (
     measure_norm,
 )
 from .semigroups import FiniteSemigroup, InvolutiveMorphism
-from .solvers import solve_vanvleck
+from .solvers import _polydisk, solve_vanvleck
 
 
 class Verdict(str, Enum):
@@ -120,17 +120,14 @@ def superstability_bound(delta: float, mu_norm: float) -> float:
 def perturb(f: Sequence[complex], radius: float, seed) -> np.ndarray:
     """f plus an independent uniform-in-disk complex offset per value.
 
-    seed may be an int or a tuple of ints (entropy for the named PCG64
-    stream), so campaigns can split substreams per trial.
+    seed may be an int or a tuple of ints (the entropy of the PCG64
+    stream np.random.default_rng draws from), so campaigns can split
+    substreams per trial.
     """
     if radius < 0:
         raise BadParams("radius must be nonnegative")
     arr = np.asarray(f, dtype=complex)
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-    u = rng.random(arr.shape)
-    theta = rng.random(arr.shape)
-    eta = radius * np.sqrt(u) * np.exp(2j * np.pi * theta)
-    return arr + eta
+    return arr + _polydisk(seed, radius, arr.shape)
 
 
 def check_dichotomy(sg: FiniteSemigroup, f: Sequence[complex], sigma: InvolutiveMorphism,
@@ -223,8 +220,7 @@ def fuzz_campaign(sg: FiniteSemigroup, sigma: InvolutiveMorphism, mu: DiracMeasu
     max_ratio = 0.0
     records: list[StabilityTrial] = []
     for trial in range(config.trials):
-        rng = np.random.Generator(np.random.PCG64(
-            np.random.SeedSequence((config.seed, trial))))
+        rng = np.random.default_rng((config.seed, trial))
         base = bases[int(rng.integers(len(bases)))]
         radius = float(rng.uniform(0.0, config.radius_max))
         f = perturb(base, radius, (config.seed, trial, 1))

@@ -2,12 +2,20 @@
 
 from __future__ import annotations
 
+import contextlib
+import dataclasses
+import io
 import json
+import warnings
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from feqlab import cyclic_group, semigroup_to_json, write_fixtures
-from feqlab.cli import main
+from feqlab import cyclic_group, semigroup_to_json, symmetric_group_3, write_fixtures
+from feqlab.cli import EQUATION_TAGS, main
+from feqlab.equations import EQUATIONS
+from feqlab.errors import FeqlabError
 
 
 @pytest.fixture(scope="module")
@@ -550,3 +558,124 @@ class TestAtomRange:
                              "--sigma", str(fxdir / "c4_negation.sigma.json"),
                              "--mu", str(mu), "--f", str(fxdir / "c4_sine.fn.json"))
         assert code == 2 and out == "" and "outside" in err
+
+
+class TestDeepJson:
+    """The JSON decoder raises RecursionError past its depth; that is a
+    parse error, not a traceback."""
+
+    def test_deep_semigroup_exit_3(self, capsys, tmp_path):
+        deep = tmp_path / "deep.sg.json"
+        deep.write_text("[" * 100_000 + "]" * 100_000)
+        code, out, err = run(capsys, "validate", "--sg", str(deep))
+        assert code == 3 and out == ""
+        assert "parse error" in err and "nested too deeply" in err
+
+    def test_deep_measure_exit_3(self, capsys, fxdir, tmp_path):
+        deep = tmp_path / "deep.mu.json"
+        deep.write_text("[" * 50_000 + "]" * 50_000)
+        code, out, err = run(capsys, "solve", "--eq", "vanvleck",
+                             "--sg", str(fxdir / "c4.sg.json"),
+                             "--sigma", str(fxdir / "c4_negation.sigma.json"),
+                             "--mu", str(deep))
+        assert code == 3 and out == ""
+        assert "nested too deeply" in err
+
+
+class TestInternalError:
+    def solve(self, capsys, fxdir):
+        return run(capsys, "solve", "--eq", "vanvleck",
+                   "--sg", str(fxdir / "c4.sg.json"),
+                   "--sigma", str(fxdir / "c4_negation.sigma.json"),
+                   "--mu", str(fxdir / "c4_delta1.mu.json"))
+
+    @pytest.mark.parametrize("error", [FeqlabError("internal: closed form failed verification"),
+                                       RuntimeError("boom"), ZeroDivisionError("division by zero")],
+                             ids=["feqlab_error", "runtime_error", "zero_division"])
+    def test_escaped_exception_exit_70(self, capsys, fxdir, monkeypatch, error):
+        def fail(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr("feqlab.cli.closed_form", fail)
+        code, out, err = self.solve(capsys, fxdir)
+        assert code == 70 and out == ""
+        assert f"internal error: {error}" in err
+
+    def test_interrupt_is_not_mapped(self, capsys, fxdir, monkeypatch):
+        def interrupt(*args, **kwargs):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr("feqlab.cli.closed_form", interrupt)
+        with pytest.raises(KeyboardInterrupt):
+            self.solve(capsys, fxdir)
+
+    def test_failed_self_check_exit_70(self, capsys, fxdir, monkeypatch):
+        # the even form is no sine-variant solution, so the closed form's
+        # own verification must refuse it
+        eq = EQUATIONS["vanvleck"]
+        monkeypatch.setitem(EQUATIONS, "vanvleck",
+                            dataclasses.replace(eq, closed_form=eq.closed_form._replace(sigma_sign=1)))
+        code, out, err = self.solve(capsys, fxdir)
+        assert code == 70 and out == ""
+        assert "closed form failed verification for vanvleck" in err
+
+
+# Exit codes the README documents; stdout stays empty for all but 0 and 1.
+DOCUMENTED_CODES = {0, 1, 2, 3, 4, 64, 70}
+FILE_FLAGS = {"validate": ("sg",), "analyze": ("sg",), "solve": ("sg", "sigma", "mu"),
+              "stability": ("sg", "sigma", "mu"), "oracle": ("sg", "sigma", "mu"),
+              "verify": ("sg", "sigma", "mu", "f")}
+
+_small = st.integers(-1, 5)
+_number = st.one_of(_small, st.integers(), st.floats(), st.sampled_from([1e308, -1e308, 5e-324, 10 ** 400]))
+_pair = st.lists(_number, min_size=2, max_size=2)
+_any_json = st.recursive(
+    st.none() | st.booleans() | _number | st.text(max_size=4),
+    lambda kids: st.lists(kids, max_size=4) | st.dictionaries(st.text(max_size=4), kids, max_size=3),
+    max_leaves=12)
+_tables = st.integers(1, 4).flatmap(lambda n: st.fixed_dictionaries(
+    {"n": st.just(n), "table": st.lists(st.lists(st.integers(0, n - 1) | _small, min_size=n, max_size=n),
+                                         min_size=n, max_size=n)}))
+# each file is a valid document, one of its schema with random values, or any JSON
+_documents = {
+    "sg": st.sampled_from([semigroup_to_json(cyclic_group(4)), semigroup_to_json(symmetric_group_3())]) | _tables,
+    "sigma": st.sampled_from([{"map": [0, 3, 2, 1], "kind": "auto"}, {"map": [0, 1, 2, 3], "kind": "anti"}])
+    | st.fixed_dictionaries({"map": st.lists(_small, max_size=6), "kind": st.sampled_from(["auto", "anti", "x"])}),
+    "mu": st.fixed_dictionaries({"atoms": st.lists(st.fixed_dictionaries({"point": _small, "w": _pair}),
+                                                   max_size=3)}),
+    "f": st.fixed_dictionaries({"values": st.lists(_pair, max_size=6)}),
+}
+_texts = {flag: (docs | _any_json).map(json.dumps) for flag, docs in _documents.items()}
+_argvs = st.one_of(
+    st.just(["validate"]), st.just(["analyze"]),
+    st.tuples(st.sampled_from(["solve", "verify"]), st.sampled_from(EQUATION_TAGS)).map(lambda c: [c[0], "--eq", c[1]]),
+    st.sampled_from(EQUATION_TAGS).map(lambda eq: ["oracle", "--eq", eq, "--starts", "20"]),
+    st.just(["stability", "--trials", "5"]),
+    st.sampled_from(EQUATION_TAGS).map(lambda eq: ["verify", "--eq", eq, "--battery", "--force"]),
+)
+
+
+@pytest.fixture(scope="module")
+def fuzzdir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+class TestFuzz:
+    @given(argv=_argvs, sg=_texts["sg"], sigma=_texts["sigma"], mu=_texts["mu"], f=_texts["f"])
+    @example(argv=["validate"], sg="[" * 100_000, sigma="", mu="", f="")
+    @settings(max_examples=30, deadline=None, database=None)
+    def test_exit_code_is_documented(self, fuzzdir, argv, sg, sigma, mu, f):
+        texts = {"sg": sg, "sigma": sigma, "mu": mu, "f": f}
+        for flag in FILE_FLAGS[argv[0]]:
+            path = fuzzdir / f"{flag}.json"
+            path.write_text(texts[flag])
+            argv = argv + [f"--{flag}", str(path)]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            code = main(argv)
+        assert code in DOCUMENTED_CODES, err.getvalue()
+        if code in (0, 1):
+            json.loads(out.getvalue())
+        else:
+            assert out.getvalue() == ""

@@ -20,12 +20,14 @@ from feqlab import (
     residual_wilson,
     enumerate_involutive_morphisms,
 )
-from feqlab.equations import MIDDLE_COMMUTATION, SPHERICAL_RIGHT, residual
+from feqlab.equations import EQUATIONS, MIDDLE_COMMUTATION, SPHERICAL_RIGHT, residual, residual_evaluator
 from feqlab.errors import (
     DegenerateIntegral,
+    LengthMismatch,
     NonCentralSupport,
     NonFiniteResidual,
     NotSigmaInvariant,
+    PointOutOfRange,
     WrongMorphismKind,
 )
 
@@ -364,6 +366,36 @@ class TestRegistryGrids:
         for name, (top, arg) in _pointwise(s3, sigma, mu, f, g).items():
             assert reports[name].max_abs == top, name
             assert reports[name].argmax == arg, name
+
+
+class TestResidualEvaluator:
+    def test_equals_residual_per_call(self, s3):
+        sigma = enumerate_involutive_morphisms(s3, MorphismKind.AUTOMORPHISM)[1]
+        # sigma-invariant, not central
+        mu = DiracMeasure.from_pairs([(p, w) for q, w in ((1, 0.5 - 0.25j), (4, 2.0)) for p in (q, sigma.map[q])])
+        rng = np.random.default_rng(3)
+        for eq in EQUATIONS.values():
+            evaluate = residual_evaluator(eq, s3, sigma, mu, force=True)
+            for _ in range(3):
+                f = rng.normal(size=6) + 1j * rng.normal(size=6)
+                g = rng.normal(size=6) + 1j * rng.normal(size=6) if eq.uses_g else None
+                assert evaluate(f, g) == residual(eq, s3, f, g=g, sigma=sigma, mu=mu, force=True), eq.tag
+
+    def test_carries_out_of_hypothesis_mark(self, s3):
+        sigma = enumerate_involutive_morphisms(s3, MorphismKind.AUTOMORPHISM)[1]
+        evaluate = residual_evaluator(EQUATIONS["vanvleck"], s3, sigma, DiracMeasure.point_mass(1), force=True)
+        assert evaluate(np.zeros(6)).out_of_hypothesis
+        assert evaluate(np.ones(6)).out_of_hypothesis
+
+    @pytest.mark.parametrize("eq", [EQUATIONS["spherical"], SPHERICAL_RIGHT, MIDDLE_COMMUTATION,
+                                    EQUATIONS["vanvleck"], EQUATIONS["corollary33"]],
+                             ids=["spherical", "spherical_right", "middle_commutation", "vanvleck", "corollary33"])
+    def test_atom_points_before_function_length(self, c4, sigma_neg, eq):
+        # the atoms are checked when the terms are compiled, before any function
+        with pytest.raises(PointOutOfRange):
+            residual(eq, c4, [1, 2], sigma=sigma_neg, mu=DiracMeasure.point_mass(7))
+        with pytest.raises(LengthMismatch):
+            residual(eq, c4, [1, 2], sigma=sigma_neg, mu=DiracMeasure.point_mass(0))
 
 
 class TestNonFinite:

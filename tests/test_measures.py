@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import dataclasses
+import inspect
 import math
 from fractions import Fraction
 
@@ -21,6 +23,7 @@ from feqlab import (
 )
 from feqlab.equations import Equation, Term, term_groups
 from feqlab.errors import BadParams, LengthMismatch, PointOutOfRange
+from feqlab.solvers import DEDUP_TOL, ORACLE_TOL, match_solution_sets, newton_oracle
 
 
 class TestRootValue:
@@ -167,12 +170,17 @@ class TestSupport:
 class TestToleranceConfig:
     def test_defaults(self, tol):
         assert tol.eq_tol == 1e-9
-        assert tol.dedup_tol == 1e-7
-        assert tol.oracle_tol == 1e-6
+
+    def test_eq_tol_is_the_only_setting(self):
+        # the oracle's acceptance rules are constants beside ZERO_ROOT_CUTOFF
+        assert [field.name for field in dataclasses.fields(ToleranceConfig)] == ["eq_tol"]
+        assert DEDUP_TOL == 1e-7 and ORACLE_TOL == 1e-6
+        for fn in (newton_oracle, match_solution_sets):
+            assert "tol" not in inspect.signature(fn).parameters
 
     def test_rejects_negative(self):
         with pytest.raises(BadParams):
             ToleranceConfig(eq_tol=-1.0)
         for bad in (float("inf"), float("nan")):
             with pytest.raises(BadParams):
-                ToleranceConfig(dedup_tol=bad)
+                ToleranceConfig(eq_tol=bad)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import itertools
 
 import numpy as np
@@ -32,13 +33,22 @@ from feqlab import (
 from feqlab.equations import EQUATIONS, _defect, residual, term_groups
 from feqlab.errors import (
     DegenerateMeasureWarning,
+    FeqlabError,
     NonCentralSupport,
     NonFiniteResidual,
     NotSigmaInvariant,
     UsageError,
     WrongMorphismKind,
 )
-from feqlab.solvers import ZERO_ROOT_CUTOFF, _cluster_heads, _defect_operator, _reported_roots
+from feqlab.solvers import (
+    DEDUP_TOL,
+    ORACLE_TOL,
+    ZERO_ROOT_CUTOFF,
+    _cluster_heads,
+    _defect_operator,
+    _polydisk,
+    _reported_roots,
+)
 
 
 def conjugation_by(sg, a):
@@ -273,7 +283,7 @@ class TestSymmetrizeSpherical:
 
 
 class TestNewtonOracle:
-    def test_vanvleck_c4(self, c4, sigma_neg, mu_delta1, sine, tol):
+    def test_vanvleck_c4(self, c4, sigma_neg, mu_delta1, sine):
         roots = newton_oracle(c4, "vanvleck", sigma_neg, mu_delta1, starts=200, seed=0)
         assert len(roots) == 1
         assert np.max(np.abs(roots[0] - sine)) <= 1e-9
@@ -282,22 +292,22 @@ class TestNewtonOracle:
         roots = newton_oracle(c4, "vanvleck", sigma_id4, mu_delta1, starts=150, seed=1)
         assert roots == []
 
-    def test_dalembert_three_roots(self, c4, sigma_neg, tol):
+    def test_dalembert_three_roots(self, c4, sigma_neg):
         roots = newton_oracle(c4, "dalembert_variant", sigma_neg, None, starts=250, seed=2)
         refs = solve_dalembert(c4, sigma_neg).vectors()
-        pairs, extra, missing = match_solution_sets(roots, refs, tol)
+        pairs, extra, missing = match_solution_sets(roots, refs)
         assert len(pairs) == 3 and not extra and not missing
 
-    def test_spherical_roots(self, c4, upsilon, tol):
+    def test_spherical_roots(self, c4, upsilon):
         roots = newton_oracle(c4, "spherical", None, upsilon, starts=200, seed=3)
         refs = solve_spherical(c4, upsilon).vectors()
-        pairs, extra, missing = match_solution_sets(roots, refs, tol)
+        pairs, extra, missing = match_solution_sets(roots, refs)
         assert len(pairs) == 2 and not extra and not missing
 
-    def test_corollary_roots(self, c4, sigma_neg, upsilon, tol):
+    def test_corollary_roots(self, c4, sigma_neg, upsilon):
         roots = newton_oracle(c4, "corollary33", sigma_neg, upsilon, starts=200, seed=4)
         refs = solve_central_dalembert(c4, sigma_neg, upsilon).vectors()
-        pairs, extra, missing = match_solution_sets(roots, refs, tol)
+        pairs, extra, missing = match_solution_sets(roots, refs)
         assert len(pairs) == 2 and not extra and not missing
 
     def test_deterministic(self, c4, sigma_neg, mu_delta1):
@@ -317,7 +327,7 @@ class TestNewtonOracle:
         with pytest.raises(UsageError, match="seed"):
             newton_oracle(c4, "spherical", None, mu_delta1, seed=-1)
 
-    def test_small_census_spot_checks(self, tol):
+    def test_small_census_spot_checks(self):
         # order-2 and order-3 semigroups where the closed form is nonempty
         from feqlab import MorphismKind, enumerate_involutive_morphisms, center as center_of
 
@@ -333,7 +343,7 @@ class TestNewtonOracle:
         for sg, sigma, mu in cases:
             refs = solve_vanvleck(sg, sigma, mu).vectors()
             roots = newton_oracle(sg, "vanvleck", sigma, mu, starts=80, seed=5)
-            pairs, extra, missing = match_solution_sets(roots, refs, tol)
+            pairs, extra, missing = match_solution_sets(roots, refs)
             assert not extra and not missing
 
 
@@ -446,7 +456,7 @@ class TestNormalEquations:
         F = rng.standard_normal((7, n)) + 1j * rng.standard_normal((7, n))
         r = defect.residuals(F)
         for f, row in zip(F, r):
-            grid = _defect(eq, sg, f, None, sigma, mu)
+            grid = _defect(eq, term_groups(eq, sg, sigma, mu), f, None)
             assert np.max(np.abs(row.reshape(n, n) - grid)) <= 1e-12 * np.max(np.abs(grid))
         lam = 10.0 ** rng.uniform(-12, 2, 7)
         A, g = defect.normal_equations(F, r, lam)
@@ -455,7 +465,7 @@ class TestNormalEquations:
         assert np.max(np.abs(g - g_ref)) <= 1e-12 * np.max(np.abs(g_ref))
 
 
-def jacobian_oracle(sg, eq, sigma, mu, starts, seed, tol):
+def jacobian_oracle(sg, eq, sigma, mu, starts, seed):
     """newton_oracle with an explicit (starts, n^2, n) Jacobian, the
     residual recomputed at the top of each iteration and every converged
     row clustered: the reference for the closed-form normal equations
@@ -496,15 +506,15 @@ def jacobian_oracle(sg, eq, sigma, mu, starts, seed, tol):
             lam = np.where(better, np.maximum(lam * 0.4, 1e-12), np.minimum(lam * 10.0, 1e14))
             if np.all((cost <= 1e-26) | (lam >= 1e13)):
                 break
-    return unfiltered_roots(F, np.max(np.abs(residuals(F)), axis=1), tol)
+    return unfiltered_roots(F, np.max(np.abs(residuals(F)), axis=1))
 
 
-def unfiltered_roots(F, res_inf, tol):
+def unfiltered_roots(F, res_inf):
     """Every converged row clustered one distance row per row, then the
     cutoff applied and the roots sorted canonically."""
-    order = sorted((i for i in range(len(F)) if res_inf[i] <= tol.oracle_tol),
+    order = sorted((i for i in range(len(F)) if res_inf[i] <= ORACLE_TOL),
                    key=lambda i: (float(res_inf[i]), i))
-    roots = [v for v in one_row_per_k_heads(F[order], tol.dedup_tol)
+    roots = [v for v in one_row_per_k_heads(F[order], DEDUP_TOL)
              if float(np.max(np.abs(v))) > ZERO_ROOT_CUTOFF]
     roots.sort(key=lambda v: tuple((round(z.real, 8), round(z.imag, 8)) for z in v))
     return roots
@@ -527,7 +537,7 @@ def oracle_witnesses(s3):
 
 class TestOracleAgainstJacobian:
     @pytest.mark.parametrize("tag", CLOSED_FORM_TAGS)
-    def test_same_roots_as_explicit_jacobian(self, tag, s3, tol):
+    def test_same_roots_as_explicit_jacobian(self, tag, s3):
         eq = EQUATIONS[tag]
         found = 0
         for name, sg, sigma, sine_mu, cosine_mu in oracle_witnesses(s3):
@@ -535,7 +545,7 @@ class TestOracleAgainstJacobian:
             mu = (sine_mu if tag == "vanvleck" else cosine_mu) if "mu" in eq.needs else None
             for seed in range(3):
                 got = newton_oracle(sg, tag, sigma, mu, starts=40, seed=seed)
-                want = jacobian_oracle(sg, eq, sigma, mu, 40, seed, tol)
+                want = jacobian_oracle(sg, eq, sigma, mu, 40, seed)
                 assert len(got) == len(want), (name, seed)
                 for a, b in zip(got, want):
                     assert np.max(np.abs(a - b)) <= 1e-12, (name, seed)
@@ -545,8 +555,8 @@ class TestOracleAgainstJacobian:
 
 class TestReportedRoots:
     @pytest.mark.parametrize("below_first", [True, False])
-    def test_row_at_cutoff_near_a_row_below_it(self, tol, below_first):
-        eps = tol.dedup_tol
+    def test_row_at_cutoff_near_a_row_below_it(self, below_first):
+        eps = DEDUP_TOL
         below = [ZERO_ROOT_CUTOFF - 0.4 * eps, 0.0]
         above = [ZERO_ROOT_CUTOFF + 0.4 * eps, 0.0]
         rng = np.random.default_rng(7)
@@ -555,22 +565,55 @@ class TestReportedRoots:
                             valley, [[ZERO_ROOT_CUTOFF - 2 * eps, 0.0]], [[0.5, 0.5]]])
         res_inf = np.concatenate([[1e-9, 2e-9] if below_first else [2e-9, 1e-9], [3e-10, 1e-10],
                                   rng.uniform(0.0, 1e-8, 50), [0.0], [1.0]])
-        got = _reported_roots(F, res_inf, tol)
-        want = unfiltered_roots(F, res_inf, tol)
+        got = _reported_roots(F, res_inf)
+        want = unfiltered_roots(F, res_inf)
         # the pair at 1 is one root; the row above the cutoff is one only when it comes first
         assert len(got) == len(want) == (1 if below_first else 2)
         assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
 
+class TestOracleStarts:
+    @pytest.mark.parametrize("seed", [0, 42, (42, 7), (0, 999, 1)])
+    def test_stream_is_explicit_pcg64(self, seed):
+        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+        u = rng.random((50, 4))
+        theta = rng.random((50, 4))
+        want = 2.0 * np.sqrt(u) * np.exp(2j * np.pi * theta)
+        assert np.array_equal(_polydisk(seed, 2.0, (50, 4)), want)
+
+    def test_oracle_starts_from_polydisk(self, c4, sigma_neg, mu_delta1, monkeypatch):
+        seen = []
+
+        def record(seed, radius, shape):
+            seen.append((seed, radius, shape))
+            return _polydisk(seed, radius, shape)
+
+        monkeypatch.setattr("feqlab.solvers._polydisk", record)
+        newton_oracle(c4, "vanvleck", sigma_neg, mu_delta1, starts=30, seed=4)
+        newton_oracle(c4, "dalembert_variant", sigma_neg, None, starts=20, seed=5)
+        # radius 1 + ||mu||, and 2 without a measure
+        assert seen == [(4, 2.0, (30, 4)), (5, 2.0, (20, 4))]
+
+
+class TestSelfCheck:
+    def test_wrong_form_fails_verification(self, c4, sigma_neg, mu_delta1, monkeypatch):
+        # the even form is no sine-variant solution; closed_form must refuse it
+        eq = EQUATIONS["vanvleck"]
+        monkeypatch.setitem(EQUATIONS, "vanvleck",
+                            dataclasses.replace(eq, closed_form=eq.closed_form._replace(sigma_sign=1)))
+        with pytest.raises(FeqlabError, match="closed form failed verification for vanvleck"):
+            solve_vanvleck(c4, sigma_neg, mu_delta1)
+
+
 class TestMatching:
-    def test_match_solution_sets(self, tol):
+    def test_match_solution_sets(self):
         a = [np.array([0, 1, 0, -1], dtype=complex)]
         b = [np.array([0, 1, 0, -1], dtype=complex) + 1e-9]
-        pairs, ua, ub = match_solution_sets(a, b, tol)
+        pairs, ua, ub = match_solution_sets(a, b)
         assert pairs == [(0, 0)] and not ua and not ub
 
-    def test_unmatched_reported(self, tol):
+    def test_unmatched_reported(self):
         a = [np.zeros(4, dtype=complex) + 1.0]
         b = [np.zeros(4, dtype=complex) - 1.0]
-        pairs, ua, ub = match_solution_sets(a, b, tol)
+        pairs, ua, ub = match_solution_sets(a, b)
         assert not pairs and ua == [0] and ub == [0]

@@ -93,6 +93,14 @@ class TestPerturb:
         assert np.array_equal(perturb(base, 0.5, seed=(4, 2, 1)), perturb(base, 0.5, seed=(4, 2, 1)))
         assert not np.array_equal(perturb(base, 0.5, seed=11), perturb(base, 0.5, seed=12))
 
+    @pytest.mark.parametrize("seed", [0, 42, (42, 7), (42, 7, 1), (0, 999, 1)])
+    def test_stream_is_explicit_pcg64(self, sine, seed):
+        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+        u = rng.random(4)
+        theta = rng.random(4)
+        want = np.asarray(sine, dtype=complex) + 0.75 * np.sqrt(u) * np.exp(2j * np.pi * theta)
+        assert np.array_equal(perturb(sine, 0.75, seed), want)
+
     def test_rejects_negative_radius(self, sine):
         with pytest.raises(BadParams):
             perturb(np.asarray(sine, dtype=complex), -0.5, seed=0)
