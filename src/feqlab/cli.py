@@ -37,7 +37,8 @@ from .stability import CampaignConfig, fuzz_campaign
 EQUATION_TAGS = tuple(EQUATIONS)
 
 ORACLE_MAX_ORDER = 4
-# newton_oracle holds a few arrays of starts x n^2 complex entries: 2.6 MB each at n = 4
+# newton_oracle holds a few complex arrays of n^2 x starts entries and one
+# n x (n+1) x starts system per step: 2.6 MB and 3.2 MB at n = 4
 ORACLE_MAX_STARTS = 10_000
 
 
@@ -72,7 +73,7 @@ def build_parser() -> _Parser:
             p.add_argument("--seed", type=int, default=0)
         if "tol" in flags:
             p.add_argument("--tol", type=float, default=None,
-                           help="override eq_tol (dedup/oracle tolerances keep defaults)")
+                           help="override eq_tol, the equation tolerance (default 1e-9)")
         if "battery" in flags:
             p.add_argument("--battery", action="store_true",
                            help="attach the solution-identity battery to the report")

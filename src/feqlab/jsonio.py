@@ -21,9 +21,11 @@ from .semigroups import FiniteSemigroup, InvolutiveMorphism, MorphismKind, valid
 
 def _load_obj(path: str | Path) -> Any:
     try:
-        text = Path(path).read_text()
+        text = Path(path).read_text(encoding="utf-8")  # JSON is UTF-8 (RFC 8259), whatever the locale
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not valid UTF-8 ({exc})") from exc
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:

@@ -220,48 +220,77 @@ def _cluster_heads(V: np.ndarray, dedup_tol: float) -> list[np.ndarray]:
 class _QuadraticDefect:
     """The defect r(f) = L f - c f(x) f(y) over the rows x*n + y, the form
     of every equation with a closed form, and its Gauss-Newton normal
-    equations in closed form.
+    equations in closed form, for a batch of points f held as the columns
+    of an n x starts array F (starts on the last axis, so every step is
+    one array operation over all starts).
 
     The Jacobian is J = L - c M(f) with M[(x, y), k] = [x = k] f(y) +
     [y = k] f(x), so with c real
         J^H J = L^H L - c (L^H M + (L^H M)^H) + 2 c^2 (f f^H + |f|^2 I),
         J^H r = L^H r - c (R + R^T) conj(f),   R = r as an n x n grid,
-    and L^H M = f @ P for an n x n^2 array P fixed by L. Nothing of size
-    n^2 x n is formed per start.
+    and (L^H M)[i, k] = (P^T f)[(i, k)] for an n x n^2 array P fixed by L.
+    Nothing of size n^2 x n is formed per start. J^H J + lam I is
+    Hermitian positive definite, which is why _gauss_jordan can solve
+    the augmented systems without pivoting.
     """
 
     def __init__(self, L: np.ndarray, c: float):
         nn, n = L.shape
         rows = np.arange(nn)
         self.L, self.c = L, c
-        self.L_bar = np.conj(L)
+        L_bar = np.conj(L)
+        self.L_H = np.ascontiguousarray(L_bar.T)
         self.xs, self.ys = rows // n, rows % n
-        self.LhL = self.L_bar.T @ L
+        self.LhL = (self.L_H @ L)[:, :, None]
         # S[k, m, i] = conj L[(k, m), i] + conj L[(m, k), i], so
-        # (L^H M)[i, k] = sum_m S[k, m, i] f(m) is f @ P with P[m, (i, k)] = S[k, m, i];
-        # c P is kept
-        S = self.L_bar.reshape(n, n, n)
+        # (L^H M)[i, k] = sum_m S[k, m, i] f(m) is (P^T f)[(i, k)] with
+        # P[m, (i, k)] = S[k, m, i]; (c P)^T is kept
+        S = L_bar.reshape(n, n, n)
         S = S + S.transpose(1, 0, 2)
-        self.cP = c * S.transpose(1, 2, 0).reshape(n, nn)
+        self.cPT = np.ascontiguousarray(c * S.transpose(2, 0, 1).reshape(nn, n))
 
     def residuals(self, F: np.ndarray) -> np.ndarray:
-        return F @ self.L.T - self.c * F[:, self.xs] * F[:, self.ys]
+        return self.L @ F - self.c * F[self.xs] * F[self.ys]
 
-    def normal_equations(self, F: np.ndarray, r: np.ndarray,
-                         lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """J^H J + lam I and J^H r at each row of F, whose defect is r."""
-        starts, n = F.shape
+    def augmented(self, F: np.ndarray, r: np.ndarray, lam: np.ndarray) -> np.ndarray:
+        """[J^H J + lam I | -J^H r] as one n x (n+1) x starts array, at
+        each column of F, whose defect is r."""
+        n, starts = F.shape
         cF = self.c * F
         cF_bar = np.conj(cF)
+        M = np.empty((n, n + 1, starts), dtype=complex)
         # H + H^H = 2 c^2 f f^H - c (L^H M + (L^H M)^H)
-        outer = cF[:, :, None] * cF_bar[:, None, :]
-        H = outer - (F @ self.cP).reshape(starts, n, n)
-        A = H + np.conj(H.transpose(0, 2, 1)) + self.LhL
-        # A is a fresh array, so this strided reshape is a view of its diagonals
-        A.reshape(starts, n * n)[:, ::n + 1] += (2.0 * np.sum(np.abs(cF) ** 2, axis=1) + lam)[:, None]
-        R = r.reshape(starts, n, n)
-        g = r @ self.L_bar - np.einsum("sij,sj->si", R + R.transpose(0, 2, 1), cF_bar)
-        return A, g
+        H = cF[:, None] * cF_bar - (self.cPT @ F).reshape(n, n, starts)
+        A = M[:, :n]
+        np.add(H, np.conj(H.transpose(1, 0, 2)), out=A)
+        A += self.LhL
+        # M is a fresh array, so this strided reshape is a view of the diagonal of A
+        M.reshape(n * (n + 1), starts)[::n + 2] += 2.0 * np.sum(np.abs(cF) ** 2, axis=0) + lam
+        R = r.reshape(n, n, starts)
+        M[:, n] = np.sum((R + R.transpose(1, 0, 2)) * cF_bar, axis=1) - self.L_H @ r
+        return M
+
+
+def _gauss_jordan(M: np.ndarray) -> np.ndarray:
+    """The solutions x of A x = b for every augmented system [A | b] along
+    the last axis of the n x (n+1) x starts array M, which is overwritten.
+
+    Gauss-Jordan elimination without pivoting: n steps of a few array
+    operations over all starts. Every A here is J^H J + lam I, Hermitian
+    positive definite with lam >= 1e-12, so each pivot (a Schur complement
+    diagonal) is at least lam in exact arithmetic and no row exchange is
+    needed. Each start is computed elementwise on its own, so a zero or
+    non-finite pivot gives that start a non-finite solution and leaves
+    the others untouched; under np.errstate(divide, invalid and over
+    ignored) nothing warns.
+    """
+    n = M.shape[0]
+    for k in range(n):
+        # column k is never read again, so only the columns right of it are updated
+        row = M[k, k + 1:] / M[k, k]
+        M[:, k + 1:] -= M[:, k, None] * row
+        M[k, k + 1:] = row
+    return M[:, n]
 
 
 def _defect_operator(eq: Equation, sg: FiniteSemigroup, sigma: InvolutiveMorphism | None,
@@ -278,8 +307,9 @@ def _defect_operator(eq: Equation, sg: FiniteSemigroup, sigma: InvolutiveMorphis
     return _QuadraticDefect(L, eq.products[0].coef)
 
 
-# Overflow at the starts raises NonFiniteResidual; an overflowing step is rejected.
-@np.errstate(over="ignore", invalid="ignore")
+# Overflow at the starts raises NonFiniteResidual; an overflowing or
+# singular step is non-finite and rejected.
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def newton_oracle(sg: FiniteSemigroup, equation: str,
                   sigma: InvolutiveMorphism | None = None,
                   mu: DiracMeasure | None = None,
@@ -287,9 +317,12 @@ def newton_oracle(sg: FiniteSemigroup, equation: str,
     """Multistart Levenberg-damped Gauss-Newton roots of the defect system.
 
     Independent of the character machinery. Starts are uniform in a
-    complex polydisk; all starts iterate in one batched loop. Converged
-    roots (defect <= ORACLE_TOL) are clustered at DEDUP_TOL, each
-    cluster is represented by its best member, near-zero roots are
+    complex polydisk; all starts iterate in one batched loop, as the
+    columns of an n x starts array, and each step solves every start's
+    damped normal equations at once by Gauss-Jordan elimination without
+    pivoting (they are Hermitian positive definite, see _gauss_jordan).
+    Converged roots (defect <= ORACLE_TOL) are clustered at DEDUP_TOL,
+    each cluster is represented by its best member, near-zero roots are
     dropped (ZERO_ROOT_CUTOFF), and the result is sorted canonically.
     The system is holomorphic in f, so complex Gauss-Newton steps equal
     the real-parameterized ones.
@@ -301,27 +334,26 @@ def newton_oracle(sg: FiniteSemigroup, equation: str,
     defect = _defect_operator(_require_inputs(equation, sigma, mu), sg, sigma, mu)
     n = sg.n
 
-    F = _polydisk(seed, (measure_norm(mu) if mu is not None else 1.0) + 1.0, (starts, n))
+    F = _polydisk(seed, (measure_norm(mu) if mu is not None else 1.0) + 1.0, (starts, n)).T
 
     lam = np.full(starts, 1e-3)
     r = defect.residuals(F)
-    cost = np.sum(np.abs(r) ** 2, axis=1)
+    cost = np.sum(np.abs(r) ** 2, axis=0)
     if not np.all(np.isfinite(cost)):
         raise NonFiniteResidual(f"{equation} oracle defect is not finite at the starts (overflow)")
     for _ in range(80):
-        A, g = defect.normal_equations(F, r, lam)
-        F_try = F + np.linalg.solve(A, -g[:, :, None])[:, :, 0]
+        F_try = F + _gauss_jordan(defect.augmented(F, r, lam))
         r_try = defect.residuals(F_try)
-        cost_try = np.sum(np.abs(r_try) ** 2, axis=1)
+        cost_try = np.sum(np.abs(r_try) ** 2, axis=0)
         better = cost_try < cost
-        F = np.where(better[:, None], F_try, F)
-        r = np.where(better[:, None], r_try, r)
+        F = np.where(better, F_try, F)
+        r = np.where(better, r_try, r)
         cost = np.where(better, cost_try, cost)
         lam = np.where(better, np.maximum(lam * 0.4, 1e-12), np.minimum(lam * 10.0, 1e14))
         if np.all((cost <= 1e-26) | (lam >= 1e13)):
             break
 
-    return _reported_roots(F, np.max(np.abs(r), axis=1))
+    return _reported_roots(F.T, np.max(np.abs(r), axis=0))
 
 
 def _polydisk(seed, radius: float, shape: tuple[int, ...]) -> np.ndarray:

@@ -65,6 +65,14 @@ class TestValidate:
         code, _, err = run(capsys, "validate", "--sg", str(tmp_path / "nope.json"))
         assert code == 3 and "parse error" in err
 
+    def test_invalid_utf8_exit_3(self, capsys, tmp_path):
+        # input files are read as UTF-8 (RFC 8259), whatever the locale
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b"\xff\xfe{")
+        code, out, err = run(capsys, "validate", "--sg", str(bad))
+        assert code == 3 and out == ""
+        assert "parse error" in err and "not valid UTF-8" in err
+
 
 class TestAnalyze:
     def test_c4(self, capsys, fxdir):
@@ -429,8 +437,8 @@ class TestEquationMatrix:
 README_SOLVE = ('{"equation": "vanvleck", "solutions": [{"values": [[0, 0], [1, 0], [0, 0], [-1, 0]], '
                 '"provenance": {"chi": {"values": [{"q": 0, "m": 1}, {"q": 1, "m": 4}, {"q": 1, "m": 2}, '
                 '{"q": 3, "m": 4}]}, "formula": "(chi o sigma - chi)/2 * mean(chi)"}}]}\n')
-README_ORACLE = ('{"equation": "vanvleck", "oracle_roots": [[[-1.7878906288814485e-175, -3.8867187584379315e-176], '
-                 '[1, -8.7913876678953213e-176], [1.7878906288814485e-175, 3.8836340610105998e-176], '
+README_ORACLE = ('{"equation": "vanvleck", "oracle_roots": [[[-1.7891245078523812e-175, -3.8867187584379315e-176], '
+                 '[1, -8.7975570627499846e-176], [1.7878906288814485e-175, 3.8836340610105998e-176], '
                  '[-1, 8.7913876678953213e-176]]], "closed_form": [[[0, 0], [1, 0], [0, 0], [-1, 0]]], '
                  '"matched": 1, "oracle_only": [], "closed_only": []}\n')
 README_STABILITY = ('{"trials": 1000, "violations": 0, "exact": 0, "within_bound": 1000, '

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -46,6 +47,7 @@ from feqlab.solvers import (
     ZERO_ROOT_CUTOFF,
     _cluster_heads,
     _defect_operator,
+    _gauss_jordan,
     _polydisk,
     _reported_roots,
 )
@@ -454,15 +456,87 @@ class TestNormalEquations:
         defect = _defect_operator(eq, sg, sigma, mu)
         rng = np.random.default_rng(n)
         F = rng.standard_normal((7, n)) + 1j * rng.standard_normal((7, n))
-        r = defect.residuals(F)
+        # the oracle holds starts on the last axis
+        r = defect.residuals(F.T).T
         for f, row in zip(F, r):
             grid = _defect(eq, term_groups(eq, sg, sigma, mu), f, None)
             assert np.max(np.abs(row.reshape(n, n) - grid)) <= 1e-12 * np.max(np.abs(grid))
         lam = 10.0 ** rng.uniform(-12, 2, 7)
-        A, g = defect.normal_equations(F, r, lam)
+        M = defect.augmented(F.T, r.T, lam)
+        assert M.shape == (n, n + 1, 7)
+        A, g = M[:, :n].transpose(2, 0, 1), -M[:, n].T
         A_ref, g_ref = explicit_normal_equations(defect.L, defect.c, F, r, lam)
         assert np.max(np.abs(A - A_ref)) <= 1e-12 * np.max(np.abs(A_ref))
         assert np.max(np.abs(g - g_ref)) <= 1e-12 * np.max(np.abs(g_ref))
+
+
+# the floating-point state newton_oracle runs _gauss_jordan under
+ORACLE_ERRSTATE = dict(over="ignore", invalid="ignore", divide="ignore")
+
+
+def hpd_batch(rng, n, starts):
+    """starts systems J^H J + lam I, x = b, stacked on the last axis of an
+    n x (n+1) x starts array as the oracle builds them, with J of O(1)
+    entries and often fewer rows than columns (so lam is the smallest
+    eigenvalue) and lam from 1e-12 to 1e14; also A and b start-first."""
+    rows = rng.integers(1, n * n + 1)
+    J = rng.standard_normal((starts, rows, n)) + 1j * rng.standard_normal((starts, rows, n))
+    J *= 10.0 ** rng.uniform(-1, 1, (starts, 1, 1))
+    lam = 10.0 ** rng.uniform(-12, 14, starts)
+    lam[:2] = 1e-12, 1e14
+    A = np.conj(J.transpose(0, 2, 1)) @ J + lam[:, None, None] * np.eye(n)
+    b = rng.standard_normal((starts, n)) + 1j * rng.standard_normal((starts, n))
+    b *= 10.0 ** rng.uniform(-6, 6, (starts, 1))
+    M = np.ascontiguousarray(np.concatenate([A, b[:, :, None]], axis=2).transpose(1, 2, 0))
+    return M, A, b
+
+
+class TestGaussJordan:
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_backward_error_and_lapack(self, n, seed):
+        M, A, b = hpd_batch(np.random.default_rng((n, seed)), n, 50)
+        x = _gauss_jordan(M).T
+        norm_A = np.linalg.norm(A, 2, axis=(1, 2))
+        norm_x = np.linalg.norm(x, axis=1)
+        assert np.all(np.linalg.norm((A @ x[:, :, None])[:, :, 0] - b, axis=1) <= 1e-12 * norm_A * norm_x)
+        # forward error within the usual bound for a backward-stable solve
+        ref = np.linalg.solve(A, b[:, :, None])[:, :, 0]
+        assert np.all(np.linalg.norm(x - ref, axis=1)
+                      <= 1e-12 * np.linalg.cond(A) * np.linalg.norm(ref, axis=1))
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "zero_pivot"])
+    def test_non_finite_start_leaves_the_others_alone(self, bad):
+        n, starts, hit = 3, 8, 5
+        M, _, _ = hpd_batch(np.random.default_rng(11), n, starts)
+        alone = [_gauss_jordan(M[:, :, [s]].copy())[:, 0] for s in range(starts)]
+        if bad == "zero_pivot":
+            M[:, :n, hit] = 0.0
+        else:
+            M[1, :, hit] = float(bad)
+        with np.errstate(**ORACLE_ERRSTATE), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            x = _gauss_jordan(M)
+        assert not np.any(np.isfinite(x[:, hit]))
+        for s in range(starts):
+            if s != hit:
+                assert np.array_equal(x[:, s], alone[s])
+
+    def test_oracle_rejects_a_singular_step(self, c4, sigma_neg, mu_delta1, monkeypatch):
+        # one start's matrix is zeroed at every step: its step divides by a
+        # zero pivot, is rejected, and no warning or error escapes
+        want = newton_oracle(c4, "vanvleck", sigma_neg, mu_delta1, starts=60, seed=3)
+
+        def singular_start(M):
+            M[:, :-1, 7] = 0.0
+            return _gauss_jordan(M)
+
+        monkeypatch.setattr("feqlab.solvers._gauss_jordan", singular_start)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = newton_oracle(c4, "vanvleck", sigma_neg, mu_delta1, starts=60, seed=3)
+        assert len(got) == len(want) > 0
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
 
 def jacobian_oracle(sg, eq, sigma, mu, starts, seed):
