@@ -10,7 +10,9 @@ import types as _types
 from .characters import Character, character_to_scalar, compose_sigma, enumerate_characters, is_multiplicative
 from .equations import (
     BatteryItem,
+    InequalityItem,
     ResidualReport,
+    approximate_battery,
     battery_report,
     companion_cosine,
     identity_battery,
@@ -78,10 +80,8 @@ from .solvers import (
 from .stability import (
     CampaignConfig,
     CampaignSummary,
-    InequalityItem,
     StabilityTrial,
     Verdict,
-    approximate_battery,
     check_dichotomy,
     fuzz_campaign,
     perturb,

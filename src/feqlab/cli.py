@@ -76,7 +76,8 @@ def build_parser() -> _Parser:
                            help="override eq_tol, the equation tolerance (default 1e-9)")
         if "battery" in flags:
             p.add_argument("--battery", action="store_true",
-                           help="attach the solution-identity battery to the report")
+                           help="attach the solution-identity battery to the report "
+                                "(vanvleck only; ignored for any other --eq)")
         if "force" in flags:
             p.add_argument("--force", action="store_true",
                            help="evaluate despite a failed hypothesis; report is marked")

@@ -11,17 +11,21 @@ linear operator from the same arrays.
 Every report scans the full (x, y) grid, giving the sup-norm of the
 defect and the lexicographically first pair attaining it. A function
 "solves" an equation when max_abs <= eq_tol.
+
+The sine variant's two batteries, the identity battery and the
+approximate battery, read their terms from one pass, _sup_terms.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import (
+    BadParams,
     DegenerateIntegral,
     NonCentralSupport,
     NonFiniteResidual,
@@ -36,6 +40,7 @@ from .measures import (
     check_function,
     integrate,
     is_sigma_invariant,
+    measure_norm,
     right_transform,
     support_in_center,
 )
@@ -370,15 +375,18 @@ def companion_cosine(sg: FiniteSemigroup, f: Sequence[complex], mu: DiracMeasure
     return right_transform(sg, arr, mu) / mean
 
 
-class SupTerms(NamedTuple):
-    """Sups of the structural identities of sine-variant solutions."""
+class _SupTerms(NamedTuple):
+    """The terms of both sine-variant batteries, from one pass."""
 
-    odd: float          # |f(sigma x) + f(x)|
-    cross: float        # |f(sigma(y) x) + f(sigma(x) y)|
-    twisted: float      # |iint f(x sigma(a) b) - f(x) mean|
-    plain: float        # |iint f(x a b) + f(x) mean|
-    sigma_right: float  # |int f(sigma(x) t) - int f(x t)|
-    sigma_twist: float  # |int f(x sigma(t)) - f(sigma(x) sigma(t))|
+    odd: float           # sup |f(sigma x) + f(x)|
+    cross: float         # sup |f(sigma(y) x) + f(sigma(x) y)|
+    twisted: float       # sup |iint f(x sigma(a) b) - f(x) mean|
+    plain: float         # sup |iint f(x a b) + f(x) mean|
+    sigma_right: float   # sup |int f(sigma(x) t) - int f(x t)|
+    sigma_twist: float   # sup |int f(x sigma(t)) - f(sigma(x) sigma(t))|
+    pair_plain: complex  # iint f(a b), not yet checked finite
+    pair_twist: complex  # iint f(a sigma(b)), not yet checked finite
+    rt: np.ndarray       # x -> int f(x t), the right transform
 
 
 def _sup(values: np.ndarray) -> float:
@@ -390,9 +398,9 @@ def _sup(values: np.ndarray) -> float:
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def sup_terms(sg: FiniteSemigroup, arr: np.ndarray, sigma: InvolutiveMorphism,
-              mu: DiracMeasure, mean: complex) -> SupTerms:
-    """The sups shared by the identity battery (exactly zero on
+def _sup_terms(sg: FiniteSemigroup, arr: np.ndarray, sigma: InvolutiveMorphism,
+               mu: DiracMeasure, mean: complex) -> _SupTerms:
+    """The terms shared by the identity battery (exactly zero on
     solutions) and the approximate battery (bounded by multiples of
     delta). mean is the integral of arr under mu, points already checked."""
     table = sg.index_table
@@ -400,23 +408,30 @@ def sup_terms(sg: FiniteSemigroup, arr: np.ndarray, sigma: InvolutiveMorphism,
     x = np.arange(sg.n)
     twisted = np.zeros(sg.n, dtype=complex)
     plain = np.zeros(sg.n, dtype=complex)
+    pair_plain = pair_twist = 0j
     for a, wa in mu.atoms:
         for b, wb in mu.atoms:
             w = wa * wb
             twisted += _cmul(w, arr[table[table[x, s[a]], b]])
             plain += _cmul(w, arr[table[table[x, a], b]])
+            pair_plain += w * arr[table[a, b]]
+            pair_twist += w * arr[table[a, s[b]]]
     twist = np.zeros(sg.n, dtype=complex)
     for p, w in mu.atoms:
         twist += _cmul(w, arr[table[x, s[p]]] - arr[table[s, s[p]]])
     rt = right_transform(sg, arr, mu)
     f_mean = _cmul(arr, mean)
-    return SupTerms(
+    cross = arr[table[s[None, :], x[:, None]]]  # f(sigma(y) x) at [x, y]
+    return _SupTerms(
         odd=_sup(arr[s] + arr),
-        cross=_sup(arr[table[s[None, :], x[:, None]]] + arr[table[s[:, None], x[None, :]]]),
+        cross=_sup(cross + cross.T),
         twisted=_sup(twisted - f_mean),
         plain=_sup(plain + f_mean),
         sigma_right=_sup(rt[s] - rt),
         sigma_twist=_sup(twist),
+        pair_plain=pair_plain,
+        pair_twist=pair_twist,
+        rt=rt,
     )
 
 
@@ -431,14 +446,9 @@ def identity_battery(sg: FiniteSemigroup, f: Sequence[complex], sigma: Involutiv
     """
     require_hypotheses(EQUATIONS["vanvleck"].hypotheses, sg, sigma, mu, tol, force)
     arr = check_function(sg, f)
-    t = sg.table
-    smap = sigma.map
     mean = integrate(arr, mu)
-    sups = sup_terms(sg, arr, sigma, mu, mean)
-    pair_plain = float(abs(sum(wa * wb * arr[t[a][b]] for a, wa in mu.atoms for b, wb in mu.atoms)))
-    pair_twist = float(abs(
-        sum(wa * wb * arr[t[a][smap[b]]] for a, wa in mu.atoms for b, wb in mu.atoms)
-    ))
+    sups = _sup_terms(sg, arr, sigma, mu, mean)
+    pair = _sup(np.array([sups.pair_plain, sups.pair_twist]))
 
     eq = tol.eq_tol
     items = [
@@ -449,8 +459,7 @@ def identity_battery(sg: FiniteSemigroup, f: Sequence[complex], sigma: Involutiv
         BatteryItem("5_double_mean", sups.plain, False, sups.plain <= eq),
         BatteryItem("6_sigma_right_mean", sups.sigma_right, False, sups.sigma_right <= eq),
         BatteryItem("7_sigma_twist_mean", sups.sigma_twist, False, sups.sigma_twist <= eq),
-        BatteryItem("8_vanishing_double_mean", max(pair_plain, pair_twist), False,
-                    max(pair_plain, pair_twist) <= eq),
+        BatteryItem("8_vanishing_double_mean", pair, False, pair <= eq),
     ]
     return items
 
@@ -460,12 +469,55 @@ def battery_report(sg: FiniteSemigroup, f: Sequence[complex], sigma: InvolutiveM
                    force: bool = False) -> ResidualReport:
     """Sine-variant report with the identity battery attached; max_abs
     ranges over the equation grid (flag items carry no residual)."""
-    base = residual_vanvleck(sg, f, sigma, mu, tol, force=force)
-    items = identity_battery(sg, f, sigma, mu, tol, force=force)
-    return ResidualReport(
-        equation=base.equation,
-        max_abs=base.max_abs,
-        argmax=base.argmax,
-        per_item=tuple(items),
-        out_of_hypothesis=base.out_of_hypothesis,
-    )
+    return replace(residual_vanvleck(sg, f, sigma, mu, tol, force=force),
+                   per_item=tuple(identity_battery(sg, f, sigma, mu, tol, force=force)))
+
+
+@dataclass(frozen=True)
+class InequalityItem:
+    """One evaluated inequality: holds when lhs <= rhs (+ eq_tol), or for
+    flag items when lhs stays above eq_tol."""
+
+    name: str
+    lhs: float
+    rhs: float
+    flag: bool
+    holds: bool
+
+
+def approximate_battery(sg: FiniteSemigroup, f: Sequence[complex], sigma: InvolutiveMorphism,
+                        mu: DiracMeasure, delta: float,
+                        tol: ToleranceConfig = DEFAULT_TOL) -> list[InequalityItem]:
+    """Inequalities a delta-approximate solution would satisfy were it
+    unbounded; on finite semigroups they are evaluated, not asserted.
+    At delta = 0 they collapse to the exact identity battery.
+
+    Bounds divide by |mean of f|, so that mean must be nonzero; it is
+    tested before any term is computed.
+    """
+    if delta < 0:
+        raise BadParams("delta must be nonnegative")
+    arr = check_function(sg, f)
+    mean = integrate(arr, mu)
+    if abs(mean) <= tol.eq_tol:
+        raise DegenerateIntegral("mean of f under mu vanishes; bounds are undefined")
+    norm = measure_norm(mu)
+    amean = abs(mean)
+    eq = tol.eq_tol
+    sups = _sup_terms(sg, arr, sigma, mu, mean)
+    # the companion cosine, as companion_cosine computes it
+    g_defect = residual_dalembert(sg, sups.rt / mean, sigma).max_abs
+
+    def bounded(name: str, lhs: float, rhs: float) -> InequalityItem:
+        return InequalityItem(name, lhs, rhs, False, lhs <= rhs + eq)
+
+    return [
+        bounded("1_sigma_odd", sups.odd, 0.0),
+        bounded("2_cross_sum", sups.cross, 3.0 * delta * norm / amean),
+        bounded("3_twisted_double_mean", sups.twisted, delta * norm / 2.0),
+        bounded("4_double_mean", sups.plain, 3.0 * delta * norm / 2.0),
+        InequalityItem("5_nonzero_mean", amean, 0.0, True, amean > eq),
+        bounded("6_sigma_twist_mean", sups.sigma_twist, 0.0),
+        bounded("7_sigma_right_mean", sups.sigma_right, 6.0 * delta * norm * norm / amean),
+        bounded("8_companion_cosine_defect", g_defect, 3.0 * delta * norm * norm / (amean * amean)),
+    ]

@@ -10,29 +10,15 @@ the theory and is the harness's failure condition.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from enum import Enum
 from typing import Sequence
 
 import numpy as np
 
-from .equations import (
-    EQUATIONS,
-    companion_cosine,
-    residual_dalembert,
-    residual_evaluator,
-    residual_vanvleck,
-    sup_terms,
-)
-from .errors import BadParams, DegenerateIntegral
-from .measures import (
-    DEFAULT_TOL,
-    DiracMeasure,
-    ToleranceConfig,
-    check_function,
-    integrate,
-    measure_norm,
-)
+from .equations import EQUATIONS, residual_evaluator, residual_vanvleck
+from .errors import BadParams
+from .measures import DEFAULT_TOL, DiracMeasure, ToleranceConfig, check_function, measure_norm
 from .semigroups import FiniteSemigroup, InvolutiveMorphism
 from .solvers import _polydisk, solve_vanvleck
 
@@ -56,18 +42,6 @@ class StabilityTrial:
     @property
     def ratio(self) -> float:
         return self.sup_f / self.bound if self.bound > 0 else 0.0
-
-
-@dataclass(frozen=True)
-class InequalityItem:
-    """One evaluated inequality: holds when lhs <= rhs (+ eq_tol), or for
-    flag items when lhs stays above eq_tol."""
-
-    name: str
-    lhs: float
-    rhs: float
-    flag: bool
-    holds: bool
 
 
 @dataclass(frozen=True)
@@ -97,14 +71,7 @@ class CampaignSummary:
     seed: int
 
     def to_json(self) -> dict:
-        return {
-            "trials": self.trials,
-            "violations": self.violations,
-            "exact": self.exact,
-            "within_bound": self.within_bound,
-            "max_ratio": self.max_ratio,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
 
 def superstability_bound(delta: float, mu_norm: float) -> float:
@@ -162,43 +129,6 @@ def _classify(arr: np.ndarray, delta: float, mu_norm: float, tol: ToleranceConfi
         bound=bound,
         verdict=verdict,
     )
-
-
-def approximate_battery(sg: FiniteSemigroup, f: Sequence[complex], sigma: InvolutiveMorphism,
-                        mu: DiracMeasure, delta: float,
-                        tol: ToleranceConfig = DEFAULT_TOL) -> list[InequalityItem]:
-    """Inequalities a delta-approximate solution would satisfy were it
-    unbounded; on finite semigroups they are evaluated, not asserted.
-    At delta = 0 they collapse to the exact identity battery.
-
-    Bounds divide by |mean of f|, so that mean must be nonzero.
-    """
-    if delta < 0:
-        raise BadParams("delta must be nonnegative")
-    arr = check_function(sg, f)
-    mean = integrate(arr, mu)
-    if abs(mean) <= tol.eq_tol:
-        raise DegenerateIntegral("mean of f under mu vanishes; bounds are undefined")
-    norm = measure_norm(mu)
-    amean = abs(mean)
-    eq = tol.eq_tol
-    sups = sup_terms(sg, arr, sigma, mu, mean)
-    g = companion_cosine(sg, arr, mu, tol)
-    g_defect = residual_dalembert(sg, g, sigma).max_abs
-
-    def bounded(name: str, lhs: float, rhs: float) -> InequalityItem:
-        return InequalityItem(name, lhs, rhs, False, lhs <= rhs + eq)
-
-    return [
-        bounded("1_sigma_odd", sups.odd, 0.0),
-        bounded("2_cross_sum", sups.cross, 3.0 * delta * norm / amean),
-        bounded("3_twisted_double_mean", sups.twisted, delta * norm / 2.0),
-        bounded("4_double_mean", sups.plain, 3.0 * delta * norm / 2.0),
-        InequalityItem("5_nonzero_mean", amean, 0.0, True, amean > eq),
-        bounded("6_sigma_twist_mean", sups.sigma_twist, 0.0),
-        bounded("7_sigma_right_mean", sups.sigma_right, 6.0 * delta * norm * norm / amean),
-        bounded("8_companion_cosine_defect", g_defect, 3.0 * delta * norm * norm / (amean * amean)),
-    ]
 
 
 def fuzz_campaign(sg: FiniteSemigroup, sigma: InvolutiveMorphism, mu: DiracMeasure,

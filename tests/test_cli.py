@@ -207,6 +207,15 @@ class TestVerify:
         names = [item["name"] for item in payload["per_item"]]
         assert len(names) == 8 and names == sorted(names)
 
+    def test_battery_ignored_off_vanvleck(self, capsys, fxdir):
+        argv = ["verify", "--eq", "spherical",
+                "--sg", str(fxdir / "c4.sg.json"),
+                "--mu", str(fxdir / "c4_delta1.mu.json"),
+                "--f", str(fxdir / "c4_cosine.fn.json")]
+        plain = run(capsys, *argv)
+        assert "per_item" not in plain[1]
+        assert run(capsys, *argv, "--battery") == plain
+
     def test_wilson_pair(self, capsys, fxdir):
         code, payload = run_json(
             capsys, "verify", "--eq", "wilson_variant",
@@ -546,6 +555,22 @@ class TestNonFiniteInputs:
                              "--sg", str(fxdir / "c4.sg.json"),
                              "--sigma", str(fxdir / "c4_negation.sigma.json"),
                              "--mu", str(mu))
+        assert code == 2 and out == ""
+        assert "structural error" in err and "not finite" in err
+
+    def test_overflowing_battery_pair_exit_2(self, capsys, tmp_path):
+        # every term but item 8's double mean f(1 1) = 1e160 * 5e153 is finite
+        paths = {}
+        for flag, obj in (("sg", {"n": 3, "table": [[0, 0, 0], [0, 2, 0], [0, 0, 0]]}),
+                          ("sigma", {"map": [0, 1, 2], "kind": "auto"}),
+                          ("mu", {"atoms": [{"point": 1, "w": [1e80, 0]}]}),
+                          ("f", {"values": [[0, 0], [0, 0], [5e153, 0]]})):
+            paths[flag] = tmp_path / f"{flag}.json"
+            paths[flag].write_text(json.dumps(obj))
+        argv = ["verify", "--eq", "vanvleck"] + [a for flag, path in paths.items()
+                                                 for a in (f"--{flag}", str(path))]
+        assert run(capsys, *argv)[0] == 1
+        code, out, err = run(capsys, *argv, "--battery")
         assert code == 2 and out == ""
         assert "structural error" in err and "not finite" in err
 

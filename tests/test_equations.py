@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from feqlab import (
     DiracMeasure,
     InvolutiveMorphism,
     MorphismKind,
+    approximate_battery,
     battery_report,
     companion_cosine,
     identity_battery,
@@ -19,6 +22,7 @@ from feqlab import (
     residual_vanvleck,
     residual_wilson,
     enumerate_involutive_morphisms,
+    validate_semigroup,
 )
 from feqlab.equations import EQUATIONS, MIDDLE_COMMUTATION, SPHERICAL_RIGHT, residual, residual_evaluator
 from feqlab.errors import (
@@ -411,6 +415,16 @@ class TestNonFinite:
         with pytest.raises(NonFiniteResidual):
             identity_battery(c4, f, sigma_neg, DiracMeasure.point_mass(1))
 
+    def test_battery_pair_overflow_raises_without_warning(self):
+        # item 8's double mean f(1 1) = 1e160 * 5e153 overflows; no other term does
+        sg = validate_semigroup([[0, 0, 0], [0, 2, 0], [0, 0, 0]])
+        sigma = InvolutiveMorphism(map=(0, 1, 2), kind=MorphismKind.AUTOMORPHISM)
+        mu = DiracMeasure.point_mass(1, 1e80)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteResidual):
+                identity_battery(sg, [0, 0, 5e153], sigma, mu)
+
     @pytest.mark.parametrize("seed", range(3))
     def test_battery_bit_equal_to_pointwise(self, s3, seed):
         rng = np.random.default_rng(10 + seed)
@@ -441,6 +455,25 @@ class TestNonFinite:
             "7_sigma_twist_mean": sup(
                 sum(w * (f[t(x, s[p])] - f[t(s[x], s[p])]) for p, w in mu.atoms) for x in range(n)),
         }
+        def pair(twist):
+            return abs(sum(wa * wb * f[t(a, s[b] if twist else b)]
+                           for a, wa in mu.atoms for b, wb in mu.atoms))
+
+        want["2_nonzero_mean"] = abs(mean)
+        want["8_vanishing_double_mean"] = max(pair(False), pair(True))
         got = {it.name: it.value for it in identity_battery(s3, f, sigma, mu, force=True)}
-        for name, value in want.items():
-            assert got[name] == value, name
+        assert got == want
+
+        companion = [right(x) / mean for x in range(n)]
+        approx = {
+            "1_sigma_odd": want["1_sigma_odd"],
+            "2_cross_sum": want["3_cross_antisym"],
+            "3_twisted_double_mean": want["4_twisted_double_mean"],
+            "4_double_mean": want["5_double_mean"],
+            "5_nonzero_mean": want["2_nonzero_mean"],
+            "6_sigma_twist_mean": want["7_sigma_twist_mean"],
+            "7_sigma_right_mean": want["6_sigma_right_mean"],
+            "8_companion_cosine_defect": residual_dalembert(s3, companion, sigma).max_abs,
+        }
+        got = {it.name: it.lhs for it in approximate_battery(s3, f, sigma, mu, delta=1.0)}
+        assert got == approx

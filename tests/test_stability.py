@@ -164,6 +164,16 @@ class TestApproximateBattery:
             approximate_battery(c4, np.asarray(sine, dtype=complex), sigma_neg,
                                 upsilon, delta=0.0)
 
+    def test_mean_tested_before_any_term(self, c4, sigma_neg):
+        # the mean cancels to exactly 0 while the odd term overflows
+        mu = DiracMeasure.from_pairs([(1, 1.0), (3, -1.0)])
+        with pytest.raises(DegenerateIntegral):
+            approximate_battery(c4, [1e308] * 4, sigma_neg, mu, delta=0.0)
+
+    def test_delta_checked_before_length(self, c4, sigma_neg, mu_delta1):
+        with pytest.raises(BadParams):
+            approximate_battery(c4, [0.0] * 3, sigma_neg, mu_delta1, delta=-1)
+
     def test_delta_loosens_rhs(self, c4, sigma_neg, mu_delta1, sine):
         f = np.asarray(sine, dtype=complex)
         tight = approximate_battery(c4, f, sigma_neg, mu_delta1, delta=0.0)
