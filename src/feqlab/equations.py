@@ -74,7 +74,19 @@ class ClosedForm(NamedTuple):
     equation has a measure. A vanishing mean skips chi, and so does
     mean(chi o sigma) != -mean(chi) in the odd form. hypotheses may be
     stricter than the equation's. Every solution is verified against each
-    equation sharing the form, then against checks."""
+    equation sharing the form, then against checks.
+
+    The characters alone decide which solutions coincide. chi and chi o
+    sigma give the same function, and distinct characters are linearly
+    independent (Dedekind-Artin), so distinct pairs {chi, chi o sigma}
+    give distinct functions: a chi is skipped when chi o sigma is already
+    kept, and no two solutions are compared as vectors. None is zero: the
+    odd form is nonzero where chi and chi o sigma differ, and with chi o
+    sigma = chi it fails its mean test (the sum of the means is then
+    2 mean(chi), bit for bit); a nonzero chi takes the value 1 at an
+    idempotent e, where chi o sigma is 0 or 1, so chi and the even forms
+    are nonzero at e. Only a subnormal mean can round a product with it
+    to zero; such a product is not reported."""
 
     sigma_sign: int
     formula: str
@@ -367,12 +379,20 @@ def companion_cosine(sg: FiniteSemigroup, f: Sequence[complex], mu: DiracMeasure
     """Normalized right average x -> integral f(x t) dmu(t) / integral f dmu.
 
     For a nonzero solution of the sine variant this solves the cosine
-    variant and pairs with f in the sine-addition law."""
+    variant and pairs with f in the sine-addition law. A quotient that
+    overflows is left non-finite, without a warning; any residual of it
+    raises NonFiniteResidual."""
     arr = check_function(sg, f)
     mean = integrate(arr, mu)
     if abs(mean) <= tol.eq_tol:
         raise DegenerateIntegral("mean of f under mu vanishes")
-    return right_transform(sg, arr, mu) / mean
+    return _divide(right_transform(sg, arr, mu), mean)
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _divide(rt: np.ndarray, mean: complex) -> np.ndarray:
+    """rt / mean; an overflow stays non-finite, with no warning."""
+    return rt / mean
 
 
 class _SupTerms(NamedTuple):
@@ -506,7 +526,7 @@ def approximate_battery(sg: FiniteSemigroup, f: Sequence[complex], sigma: Involu
     eq = tol.eq_tol
     sups = _sup_terms(sg, arr, sigma, mu, mean)
     # the companion cosine, as companion_cosine computes it
-    g_defect = residual_dalembert(sg, sups.rt / mean, sigma).max_abs
+    g_defect = residual_dalembert(sg, _divide(sups.rt, mean), sigma).max_abs
 
     def bounded(name: str, lhs: float, rhs: float) -> InequalityItem:
         return InequalityItem(name, lhs, rhs, False, lhs <= rhs + eq)

@@ -44,10 +44,10 @@ from .semigroups import FiniteSemigroup, InvolutiveMorphism
 # this small; genuine nonzero solutions on the supported fixtures have
 # sup|f| >= 1/2.
 ZERO_ROOT_CUTOFF = 1e-3
-# Vectors within DEDUP_TOL in sup norm are one solution, in the closed
-# forms and among the oracle's roots; the oracle accepts a root whose
-# defect is within ORACLE_TOL and matches it to a closed-form solution
-# within ORACLE_TOL.
+# The oracle's roots within DEDUP_TOL in sup norm are one root (the closed
+# forms tell their solutions apart by character, at no tolerance); the
+# oracle accepts a root whose defect is within ORACLE_TOL and matches it
+# to a closed-form solution within ORACLE_TOL.
 DEDUP_TOL = 1e-7
 ORACLE_TOL = 1e-6
 
@@ -85,28 +85,19 @@ class SolutionSet:
         }
 
 
-def _dedup_add(out: list[Solution], values: np.ndarray, prov: Provenance) -> None:
-    if float(np.max(np.abs(values))) <= DEDUP_TOL:
-        return  # the zero function is never reported
-    for existing in out:
-        if float(np.max(np.abs(existing.values - values))) <= DEDUP_TOL:
-            return
-    out.append(Solution(values=values, provenance=prov))
-
-
 def solve_vanvleck(sg: FiniteSemigroup, sigma: InvolutiveMorphism, mu: DiracMeasure,
                    tol: ToleranceConfig = DEFAULT_TOL) -> SolutionSet:
     """All nonzero solutions of the sine variant: (chi o sigma - chi)/2 *
     mean(chi) for every character chi with mean(chi) != 0 and
     mean(chi o sigma) = -mean(chi); chi and chi o sigma produce the same
-    function, deduplicated canonically."""
+    function, reported once, from the first in canonical order."""
     return closed_form("vanvleck", sg, sigma, mu, tol)
 
 
 def solve_dalembert(sg: FiniteSemigroup, sigma: InvolutiveMorphism,
                     tol: ToleranceConfig = DEFAULT_TOL) -> SolutionSet:
     """All nonzero solutions of the measure-free cosine variant:
-    (chi + chi o sigma)/2 over all characters, deduplicated."""
+    (chi + chi o sigma)/2, once for each pair {chi, chi o sigma}."""
     return closed_form("dalembert_variant", sg, sigma, None, tol)
 
 
@@ -161,14 +152,17 @@ def closed_form(equation: str, sg: FiniteSemigroup, sigma: InvolutiveMorphism | 
         warnings.warn("zero-norm measure: equation degenerates, returning empty set",
                       DegenerateMeasureWarning, stacklevel=3)
         return SolutionSet(form.label, ())
+    kept: set[Character] = set()
     for chi in characters_cached(sg):
+        if form.sigma_sign and compose_sigma(chi, sigma) in kept:
+            continue  # chi o sigma gives the same function
         c = character_to_scalar(chi)
         if mu is not None:
             mean = integrate(c, mu)
             if abs(mean) <= tol.eq_tol:
                 continue
         if form.sigma_sign:
-            s = character_to_scalar(compose_sigma(chi, sigma))
+            s = c[list(sigma.map)]
         if form.sigma_sign < 0:
             if abs(integrate(s, mu) + mean) > tol.eq_tol:
                 continue
@@ -177,7 +171,10 @@ def closed_form(equation: str, sg: FiniteSemigroup, sigma: InvolutiveMorphism | 
             f = (c + s) / 2.0
         else:
             f = c
-        _dedup_add(out, f if mu is None else f * mean, Provenance(chi, form.formula))
+        f = f if mu is None else f * mean
+        if f.any():  # zero only where a subnormal mean rounds f * mean to zero
+            kept.add(chi)
+            out.append(Solution(f, Provenance(chi, form.formula)))
     laws = [eq for eq in EQUATIONS.values() if eq.closed_form is form] + list(form.checks)
     evaluators = [residual_evaluator(law, sg, sigma, mu, tol) for law in laws] if out else []
     for sol in out:

@@ -3,8 +3,10 @@
 The dichotomy: a function whose defect is everywhere at most delta is
 either bounded by (||mu|| + sqrt(||mu||^2 + 2 delta))/2 or an exact
 solution. Campaigns perturb exact solutions (or zero), measure the
-actual defect, and check the verdict; a VIOLATION verdict would falsify
-the theory and is the harness's failure condition.
+actual defect, and check the verdict. On a finite semigroup the bound
+holds for every f (the defect at (x0, x0), where |f(x0)| = sup|f|,
+gives 2 sup|f|^2 - 2 ||mu|| sup|f| <= delta), so a VIOLATION verdict
+means a fault of the harness: a wrong defect, norm or bound.
 """
 
 from __future__ import annotations
@@ -21,6 +23,10 @@ from .errors import BadParams
 from .measures import DEFAULT_TOL, DiracMeasure, ToleranceConfig, check_function, measure_norm
 from .semigroups import FiniteSemigroup, InvolutiveMorphism
 from .solvers import _polydisk, solve_vanvleck
+
+
+_EPS = 2.0 ** -52   # spacing of floats at 1: twice the unit roundoff
+_TINY = 2.0 ** -1074  # the smallest subnormal: the spacing of the underflow range
 
 
 class Verdict(str, Enum):
@@ -102,21 +108,57 @@ def check_dichotomy(sg: FiniteSemigroup, f: Sequence[complex], sigma: Involutive
                     radius: float = 0.0, seed: int = 0,
                     base: np.ndarray | None = None) -> StabilityTrial:
     """Classify f: exact solution, within the superstability bound, or
-    VIOLATION (which would falsify the dichotomy)."""
+    VIOLATION (a fault of the harness, since the bound always holds)."""
     arr = check_function(sg, f)
     delta = residual_vanvleck(sg, arr, sigma, mu).max_abs
-    return _classify(arr, delta, measure_norm(mu), tol, radius, seed, base)
+    return _classify(arr, delta, mu, tol, radius, seed, base)
 
 
-def _classify(arr: np.ndarray, delta: float, mu_norm: float, tol: ToleranceConfig,
+def _rounding_slack(sup_f: float, mu_norm: float, atoms: int) -> float:
+    """A bound on sup_f - bound that rounding alone can produce, where
+    sup_f = max|f|, mu_norm = ||mu|| (a measure with `atoms` atoms) and
+    bound = superstability_bound(delta, mu_norm) are the floats a trial
+    computes and delta is the sup of the float defect grid.
+
+    Let M, m and d be the exact sup, norm and defect sup of the same
+    float data, B(d, m) = (m + sqrt(m^2 + 2d))/2, k = atoms, u = 2^-53,
+    eps = 2u, and round constants up to absorb terms of order eps^2.
+    Exactly, M <= B(d, m). B rises in d and m, dB/dm <= 1, and
+    B(l^2 d, l m) = l B(d, m). As 2B - m >= max(B, m),
+    B(d + E, m) - B(d, m) <= E / (2 B(d + E, m) - m) <= E / max(M, m).
+      sup: hypot is within one ulp, so sup_f <= (1 + eps) M.
+      norm: k hypots and k - 1 sums, so m <= (1 + 2k eps) mu_norm.
+      defect: a cell sums k terms w (f(a) - f(b)), each within 3u of
+        |w| (|f(a)| + |f(b)|) per component, less 2 f(x) f(y), within 2u
+        of 2|f(x)||f(y)|, with k more roundings: it is off by at most
+        sqrt(2) (k + 3) u (2 m M + 2 M^2) <= E = 2 (k + 3) eps M (M + m).
+        With the hypot, d <= (1 + 2 eps) delta + E.
+      bound: a product, a sum, a sqrt and a sum, so B(delta, mu_norm)
+        <= (1 + 2 eps) bound.
+    With l = 1 + (2k + 1) eps, so that l^2 >= 1 + 2 eps and l >= 1 + 2k eps,
+        M <= B(d, m) <= l B(delta, mu_norm) + E / max(M, m)
+          <= (1 + (2k + 3) eps) bound + 2 (k + 3) eps (M + m).
+    So where sup_f > bound, sup_f - bound <= (4k + 10) eps (sup_f +
+    mu_norm), and the caller's sum bound + slack rounds by one eps more.
+    Underflow adds at most 2^-1075 per product, hypot and halving; through
+    the same steps that is under (4k + 8) 2^-1074 / max(sup_f, mu_norm),
+    negligible unless both are below about 2^-500. A trial reaches this
+    test only with delta > eq_tol >= 0, so f, and with it sup_f, is nonzero.
+    """
+    return ((4 * atoms + 11) * _EPS * (sup_f + mu_norm)
+            + (4 * atoms + 8) * _TINY / max(sup_f, mu_norm))
+
+
+def _classify(arr: np.ndarray, delta: float, mu: DiracMeasure, tol: ToleranceConfig,
               radius: float, seed: int, base: np.ndarray | None) -> StabilityTrial:
     """The trial record of f = arr, whose sine-variant defect has sup delta
     (the smallest delta f meets)."""
     sup_f = float(np.max(np.abs(arr)))
+    mu_norm = measure_norm(mu)
     bound = superstability_bound(delta, mu_norm)
     if delta <= tol.eq_tol:
         verdict = Verdict.EXACT_SOLUTION
-    elif sup_f <= bound + tol.eq_tol:
+    elif sup_f <= bound + _rounding_slack(sup_f, mu_norm, len(mu.atoms)):
         verdict = Verdict.WITHIN_BOUND
     else:
         verdict = Verdict.VIOLATION
@@ -142,9 +184,8 @@ def fuzz_campaign(sg: FiniteSemigroup, sigma: InvolutiveMorphism, mu: DiracMeasu
     for a fixed seed. Returns the summary plus every trial record.
     """
     bases = solve_vanvleck(sg, sigma, mu, tol).vectors() + [np.zeros(sg.n, dtype=complex)]
-    # fixed for the whole campaign: the hypotheses, the compiled terms and the norm
+    # fixed for the whole campaign: the hypotheses and the compiled terms
     vanvleck = residual_evaluator(EQUATIONS["vanvleck"], sg, sigma, mu)
-    mu_norm = measure_norm(mu)
 
     exact = within = violations = 0
     max_ratio = 0.0
@@ -154,7 +195,7 @@ def fuzz_campaign(sg: FiniteSemigroup, sigma: InvolutiveMorphism, mu: DiracMeasu
         base = bases[int(rng.integers(len(bases)))]
         radius = float(rng.uniform(0.0, config.radius_max))
         f = perturb(base, radius, (config.seed, trial, 1))
-        result = _classify(f, vanvleck(f).max_abs, mu_norm, tol, radius, trial, base)
+        result = _classify(f, vanvleck(f).max_abs, mu, tol, radius, trial, base)
         records.append(result)
         if result.verdict is Verdict.EXACT_SOLUTION:
             exact += 1

@@ -249,6 +249,18 @@ class TestStability:
         assert list(payload) == ["trials", "violations", "exact", "within_bound",
                                  "max_ratio", "seed"]
 
+    @pytest.mark.parametrize("radius", ["1e16", "1e17", "1e100"])
+    def test_huge_radius_no_false_violations(self, capsys, fxdir, radius):
+        # the bound holds for every f, so any violation here is rounding:
+        # an absolute slack reports 59 (1e16) and 194 (1e100)
+        code, payload = run_json(
+            capsys, "stability", "--trials", "1000", "--seed", "0", "--radius", radius,
+            "--sg", str(fxdir / "c4.sg.json"),
+            "--sigma", str(fxdir / "c4_negation.sigma.json"),
+            "--mu", str(fxdir / "c4_delta1.mu.json"))
+        assert code == 0
+        assert payload["violations"] == 0 and payload["within_bound"] == 1000
+
     def test_byte_identical_reruns(self, capsys, fxdir):
         argv = ("stability", "--trials", "40", "--seed", "11",
                 "--sg", str(fxdir / "c4.sg.json"),
@@ -533,6 +545,18 @@ class TestNonFiniteInputs:
         fn = tmp_path / "huge.fn.json"
         fn.write_text(json.dumps({"values": [[1e300, 0], [1, 0], [0, 0], [-1, 0]]}))
         code, out, err = self.verify(capsys, fxdir, fn)
+        assert code == 2 and out == ""
+        assert "structural error" in err and "not finite" in err
+
+    def test_overflowing_companion_exit_2(self, capsys, fxdir, tmp_path):
+        # the mean is 1e-6, so the companion g = 1e305 / 1e-6 overflows; under
+        # the suite's error::RuntimeWarning filter a warning would escape (exit 70)
+        fn = tmp_path / "huge.fn.json"
+        fn.write_text(json.dumps({"values": [[1e-6, 0], [1e-6, 0], [1e305, 0], [1e305, 0]]}))
+        code, out, err = run(capsys, "verify", "--eq", "sine_addition",
+                             "--sg", str(fxdir / "c4.sg.json"),
+                             "--mu", str(fxdir / "c4_delta1.mu.json"),
+                             "--f", str(fn))
         assert code == 2 and out == ""
         assert "structural error" in err and "not finite" in err
 

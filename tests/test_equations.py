@@ -425,6 +425,15 @@ class TestNonFinite:
             with pytest.raises(NonFiniteResidual):
                 identity_battery(sg, [0, 0, 5e153], sigma, mu)
 
+    def test_companion_overflow_raises_without_warning(self, c4, sigma_neg, mu_delta1):
+        # every battery term is finite, but the companion 1e305 / 1e-6 overflows
+        f = [1e-6, 1e-6, 1e305, 1e305]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert not np.all(np.isfinite(companion_cosine(c4, f, mu_delta1)))
+            with pytest.raises(NonFiniteResidual, match="dalembert_variant"):
+                approximate_battery(c4, f, sigma_neg, mu_delta1, delta=1.0)
+
     @pytest.mark.parametrize("seed", range(3))
     def test_battery_bit_equal_to_pointwise(self, s3, seed):
         rng = np.random.default_rng(10 + seed)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import itertools
 import warnings
 
@@ -8,12 +9,17 @@ import numpy as np
 import pytest
 
 from feqlab import (
+    DEFAULT_TOL,
     DiracMeasure,
     InvolutiveMorphism,
     MorphismKind,
+    ToleranceConfig,
+    canonical_json,
+    center,
     character_to_scalar,
     cyclic_group,
     direct_product,
+    enumerate_all_semigroups,
     enumerate_characters,
     enumerate_involutive_morphisms,
     integrate,
@@ -30,7 +36,10 @@ from feqlab import (
     solve_dalembert,
     solve_spherical,
     solve_vanvleck,
+    symmetric_group_3,
+    validate_semigroup,
 )
+from feqlab.characters import characters_cached
 from feqlab.equations import EQUATIONS, _defect, residual, term_groups
 from feqlab.errors import (
     DegenerateMeasureWarning,
@@ -50,6 +59,7 @@ from feqlab.solvers import (
     _gauss_jordan,
     _polydisk,
     _reported_roots,
+    closed_form,
 )
 
 
@@ -282,6 +292,122 @@ class TestSymmetrizeSpherical:
             rep = residual(EQUATIONS["integral_dalembert"], c4, f, sigma=sigma_neg, mu=upsilon)
             assert rep.max_abs == 0.0
             assert any(np.allclose(f, ref, atol=1e-12) for ref in central.vectors())
+
+
+def greedy_closed_form(tag, sg, sigma, mu):
+    """The closed form as built before characters decided which candidates
+    coincide: every candidate went through a greedy sup-norm dedup at
+    1e-7, which also dropped any vector with sup <= 1e-7. Returns the
+    (vector, character) pairs it kept."""
+    eq = EQUATIONS[tag]
+    form = eq.closed_form
+    if "mu" not in eq.needs:
+        mu = None
+    out = []
+    for chi in characters_cached(sg):
+        c = character_to_scalar(chi)
+        if mu is not None:
+            mean = integrate(c, mu)
+            if abs(mean) <= DEFAULT_TOL.eq_tol:
+                continue
+        if form.sigma_sign:
+            s = c[list(sigma.map)]  # the values of chi o sigma
+        if form.sigma_sign < 0:
+            if abs(integrate(s, mu) + mean) > DEFAULT_TOL.eq_tol:
+                continue
+            f = (s - c) / 2.0
+        elif form.sigma_sign > 0:
+            f = (c + s) / 2.0
+        else:
+            f = c
+        v = f if mu is None else f * mean
+        if np.max(np.abs(v)) <= 1e-7 or any(np.max(np.abs(w - v)) <= 1e-7 for w, _ in out):
+            continue
+        out.append((v, chi))
+    return out
+
+
+def pairing_corpus():
+    """(tag, sg, sigma, mu) over the order <= 3 census plus C4, Klein and
+    S3: every involutive morphism of both kinds and every unit central
+    point mass; the cosine forms take the mass sigma-symmetrized, and
+    only automorphisms where they require one. spherical takes every
+    measure the others take on that table, once."""
+    klein = direct_product(cyclic_group(2), cyclic_group(2))
+    sgs = [sg for n in (1, 2, 3) for sg in enumerate_all_semigroups(n)]
+    sgs += [cyclic_group(4), klein, symmetric_group_3()]
+    for sg in sgs:
+        masses = {}
+        for kind in MorphismKind:
+            for sigma in enumerate_involutive_morphisms(sg, kind):
+                yield "dalembert_variant", sg, sigma, None
+                for z in center(sg):
+                    point = DiracMeasure.point_mass(z)
+                    even = DiracMeasure.from_pairs([(z, 0.5), (sigma.map[z], 0.5)])
+                    yield "vanvleck", sg, sigma, point
+                    if kind is MorphismKind.AUTOMORPHISM:
+                        yield "integral_dalembert", sg, sigma, even
+                        yield "corollary33", sg, sigma, even
+                    masses.setdefault(point.atoms, point)
+                    masses.setdefault(even.atoms, even)
+        for mu in masses.values():
+            yield "spherical", sg, None, mu
+
+
+# sha256 of the canonical JSON lines of each tag's solution sets over
+# pairing_corpus(), as the greedy dedup built them; any change to the
+# bytes of a closed-form solution on this corpus shows here
+PAIRING_SHA256 = {
+    "vanvleck": "c95a9389f95e13d6d449eca6df16f92f8ad875cc93b5c3ba15b4542dbed406be",
+    "dalembert_variant": "102abaf672274cd37ea7ecc4bde5bfad227f4d98acc27c7e438f024d854f5d5e",
+    "integral_dalembert": "6563c561fe6c6f0fb887363ea483c832905659132c02596bf28dba685498e5e5",
+    "corollary33": "6563c561fe6c6f0fb887363ea483c832905659132c02596bf28dba685498e5e5",
+    "spherical": "c8e9ef9239caf6da6aa6132f0b400d73a55942dd5d7a12d9a07694cfdf05206a",
+}
+
+
+class TestCharacterPairing:
+    def test_small_sine_measure_keeps_its_solution(self, c4, sigma_neg):
+        # sup 1e-8 is below the oracle's DEDUP_TOL; no tolerance may drop it
+        mu = DiracMeasure.point_mass(1, 1e-8)
+        sols = solve_vanvleck(c4, sigma_neg, mu)
+        assert len(sols.solutions) == 1
+        assert np.array_equal(sols.solutions[0].values, np.array([0, 1e-8, 0, -1e-8]))
+        assert np.array_equal(character_to_scalar(sols.solutions[0].provenance.chi),
+                              np.array([1, 1j, -1, -1j]))
+        assert residual_vanvleck(c4, sols.solutions[0].values, sigma_neg, mu).max_abs == 0.0
+
+    def test_small_even_measure_keeps_its_solutions(self, c4, sigma_neg):
+        mu = DiracMeasure.from_pairs([(1, 0.5e-8), (3, 0.5e-8)])
+        central = solve_central_dalembert(c4, sigma_neg, mu).vectors()
+        spherical = solve_spherical(c4, mu).vectors()
+        assert central and spherical
+        assert all(residual_central_dalembert(c4, f, sigma_neg, mu).passed() for f in central)
+        assert all(residual_spherical(c4, f, mu).passed() for f in spherical)
+
+    def test_subnormal_mean_reports_no_zero_function(self):
+        # on the semilattice {0, a, b} with ab = 0, the indicator of a has
+        # (chi + chi o sigma)/2 = 1/2 at a and b and mean 5e-324, whose
+        # half rounds to zero; only the constant character's solution is left
+        sg = validate_semigroup([[0, 0, 0], [0, 1, 0], [0, 0, 2]])
+        swap = InvolutiveMorphism(map=(0, 2, 1), kind=MorphismKind.AUTOMORPHISM)
+        mu = DiracMeasure.from_pairs([(1, 5e-324), (2, 5e-324)])
+        sols = solve_central_dalembert(sg, swap, mu, ToleranceConfig(0.0))
+        assert [s.values.tolist() for s in sols.solutions] == [[1e-323] * 3]
+
+    def test_same_as_greedy_dedup_and_pinned_bytes(self):
+        lines = {tag: [] for tag in EQUATIONS if EQUATIONS[tag].closed_form}
+        for tag, sg, sigma, mu in pairing_corpus():
+            got = closed_form(tag, sg, sigma, mu)
+            want = greedy_closed_form(tag, sg, sigma, mu)
+            assert [(s.values.tobytes(), s.provenance.chi) for s in got.solutions] == \
+                [(v.tobytes(), chi) for v, chi in want]
+            assert all(s.provenance.formula == EQUATIONS[tag].closed_form.formula
+                       for s in got.solutions)
+            lines[tag].append(canonical_json(got.to_json()))
+        digests = {tag: hashlib.sha256("\n".join(out).encode()).hexdigest()
+                   for tag, out in lines.items()}
+        assert digests == PAIRING_SHA256
 
 
 class TestNewtonOracle:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from feqlab import (
+    DEFAULT_TOL,
     CampaignConfig,
     DiracMeasure,
     Verdict,
@@ -19,6 +20,7 @@ from feqlab import (
     superstability_bound,
 )
 from feqlab.errors import BadParams, DegenerateIntegral
+from feqlab.stability import _classify, _rounding_slack
 
 
 def brute_bound(delta: float, m: float) -> float:
@@ -126,6 +128,26 @@ class TestDichotomy:
             f = rng.normal(size=4) * 2 + 1j * rng.normal(size=4)
             trial = check_dichotomy(c4, f, sigma_neg, mu_delta1)
             assert trial.verdict is not Verdict.VIOLATION
+
+    def test_large_functions_never_violate(self, c4, sigma_neg, mu_delta1):
+        # the ulp of 1e16 is 2: the slack must scale with the values, as
+        # an absolute one calls 38 of these VIOLATIONs from rounding alone
+        rng = np.random.default_rng(0)
+        for _ in range(200):
+            f = (rng.normal(size=4) + 1j * rng.normal(size=4)) * 1e16
+            assert check_dichotomy(c4, f, sigma_neg, mu_delta1).verdict is not Verdict.VIOLATION
+
+    def test_bound_is_sharp_and_slack_is_tight(self, c4, sigma_neg, mu_delta1, sine):
+        # 2 sine has defect 4 (sin x sin y), so sup_f = bound = 2 exactly
+        f = 2.0 * np.asarray(sine, dtype=complex)
+        trial = check_dichotomy(c4, f, sigma_neg, mu_delta1)
+        assert (trial.measured_delta, trial.sup_f, trial.bound) == (4.0, 2.0, 2.0)
+        assert trial.verdict is Verdict.WITHIN_BOUND
+        # a defect understated by one part in 1e12 is caught: the slack is
+        # a few eps of sup_f + ||mu||, not an absolute tolerance
+        trial = _classify(f, 4.0 * (1 - 1e-12), mu_delta1, DEFAULT_TOL, 0.0, 0, None)
+        assert trial.verdict is Verdict.VIOLATION
+        assert _rounding_slack(2.0, 1.0, 1) < 1e-14
 
     def test_exact_solutions_within_norm(self, c4, sigma_neg):
         # every exact solution satisfies sup|f| <= ||mu|| (the delta -> 0 bound)
