@@ -33,6 +33,8 @@ from .errors import (
     WrongMorphismKind,
 )
 from .measures import (
+    _EPS,
+    _MIN_NORMAL,
     DEFAULT_TOL,
     DiracMeasure,
     ToleranceConfig,
@@ -71,10 +73,14 @@ class Product(NamedTuple):
 class ClosedForm(NamedTuple):
     """Solutions from each character chi: chi (sigma_sign 0), (chi + chi o
     sigma)/2 (1) or (chi o sigma - chi)/2 (-1), times mean(chi) when the
-    equation has a measure. A vanishing mean skips chi, and so does
-    mean(chi o sigma) != -mean(chi) in the odd form. hypotheses may be
-    stricter than the equation's. Every solution is verified against each
-    equation sharing the form, then against checks.
+    equation has a measure. A mean within eq_tol or within its rounding
+    (measures.character_mean_slack) of zero skips chi, and so does, in
+    the odd form, a sum mean(chi o sigma) + mean(chi) beyond eq_tol and
+    beyond twice that rounding.
+    hypotheses may be stricter than the equation's. Every solution is
+    verified against each equation sharing the form, then against checks:
+    its residual must be within eq_tol, or within closed_form_slack(mu)
+    where rounding alone can leave more.
 
     The characters alone decide which solutions coincide. chi and chi o
     sigma give the same function, and distinct characters are linearly
@@ -85,14 +91,45 @@ class ClosedForm(NamedTuple):
     sigma = chi it fails its mean test (the sum of the means is then
     2 mean(chi), bit for bit); a nonzero chi takes the value 1 at an
     idempotent e, where chi o sigma is 0 or 1, so chi and the even forms
-    are nonzero at e. Only a subnormal mean can round a product with it
-    to zero; such a product is not reported."""
+    are nonzero at e. In floats too: a kept mean exceeds 2^-1022, and
+    the odd form has an entry of modulus at least |mean| / n (the nonzero
+    values of chi form a group of m <= n roots of unity, so two distinct
+    values lie min(1, 2 sin(pi / n)) >= 2 / n apart or more), so no
+    product rounds to zero."""
 
     sigma_sign: int
     formula: str
     label: str
     hypotheses: tuple[str, ...] = ()
     checks: tuple[Equation, ...] = ()
+
+
+def closed_form_slack(mu: DiracMeasure | None) -> float:
+    """A bound on the residual that rounding alone leaves on a float
+    closed-form solution, for each equation sharing the form and each
+    of its checks.
+
+    Let u = 2^-53, k be the number of atoms and N = ||mu|| (k = 0 and
+    N = 1 without a measure, whose terms are summed unweighted). The
+    exact solution is f = g mean(chi) with |g| <= 1, so |f| <= N. By
+    measures.character_mean_slack the float chi is within 30u of chi and
+    the float mean within (32 + 1.5k) u N of the mean; g adds a sum, so
+    the float f is within e = (68 + 1.5k) u N of f. A defect has at most
+    two terms and products of weight at most 2, so it moves by at most
+    2 N e + 4 N e + 2 e^2 between f and the float f, and its float
+    evaluation (the term sums, k weighted sums, a product and a
+    difference per cell) adds under 6 (k + 8) u N^2. f is an exact
+    solution, except in the odd form where d = mean(chi o sigma) +
+    mean(chi) passed its float test without being zero: the exact defect
+    of f is then mean(chi) d chi o sigma(x) (chi(y) - chi o sigma(y))/2,
+    at most N |d|. The test lets the float |d| reach eq_tol or twice the
+    mean slack, (4k + 68) u N, and |d| exceeds it by (66 + 3k) u N at
+    most. Beyond the N eq_tol this lets through, rounding leaves under
+    (590 + 22k) u N^2 <= (300 + 11k) eps N^2; underflow adds a few
+    2^-1074 per cell, which 2^-1022 covers.
+    """
+    k, norm = (0, 1.0) if mu is None else (len(mu.atoms), measure_norm(mu))
+    return (300 + 11 * k) * _EPS * norm * norm + _MIN_NORMAL
 
 
 @dataclass(frozen=True)
@@ -374,6 +411,7 @@ def residual_wilson(sg: FiniteSemigroup, f: Sequence[complex], g: Sequence[compl
     return residual(EQUATIONS["wilson_variant"], sg, f, g=g, sigma=sigma)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def companion_cosine(sg: FiniteSemigroup, f: Sequence[complex], mu: DiracMeasure,
                      tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     """Normalized right average x -> integral f(x t) dmu(t) / integral f dmu.
@@ -386,13 +424,7 @@ def companion_cosine(sg: FiniteSemigroup, f: Sequence[complex], mu: DiracMeasure
     mean = integrate(arr, mu)
     if abs(mean) <= tol.eq_tol:
         raise DegenerateIntegral("mean of f under mu vanishes")
-    return _divide(right_transform(sg, arr, mu), mean)
-
-
-@np.errstate(over="ignore", invalid="ignore")
-def _divide(rt: np.ndarray, mean: complex) -> np.ndarray:
-    """rt / mean; an overflow stays non-finite, with no warning."""
-    return rt / mean
+    return right_transform(sg, arr, mu) / mean
 
 
 class _SupTerms(NamedTuple):
@@ -505,6 +537,7 @@ class InequalityItem:
     holds: bool
 
 
+@np.errstate(over="ignore", invalid="ignore")  # the companion's overflow raises from its residual
 def approximate_battery(sg: FiniteSemigroup, f: Sequence[complex], sigma: InvolutiveMorphism,
                         mu: DiracMeasure, delta: float,
                         tol: ToleranceConfig = DEFAULT_TOL) -> list[InequalityItem]:
@@ -526,7 +559,7 @@ def approximate_battery(sg: FiniteSemigroup, f: Sequence[complex], sigma: Involu
     eq = tol.eq_tol
     sups = _sup_terms(sg, arr, sigma, mu, mean)
     # the companion cosine, as companion_cosine computes it
-    g_defect = residual_dalembert(sg, _divide(sups.rt, mean), sigma).max_abs
+    g_defect = residual_dalembert(sg, sups.rt / mean, sigma).max_abs
 
     def bounded(name: str, lhs: float, rhs: float) -> InequalityItem:
         return InequalityItem(name, lhs, rhs, False, lhs <= rhs + eq)

@@ -32,6 +32,10 @@ class ToleranceConfig:
 
 DEFAULT_TOL = ToleranceConfig()
 
+_EPS = 2.0 ** -52  # spacing of floats at 1: twice the unit roundoff
+_MIN_NORMAL = 2.0 ** -1022  # the smallest normal float
+_TINY = 2.0 ** -1074  # the smallest subnormal: the spacing of the underflow range
+
 # Exact values at quarter turns, where cos/sin would leave ~1e-16 dust.
 _QUARTER_TURNS = {
     Fraction(0): complex(1, 0),
@@ -157,6 +161,27 @@ def integrate(f: Sequence[complex], mu: DiracMeasure) -> complex:
     nf = len(f)
     _check_points(mu, nf)
     return complex(sum(w * complex(f[p]) for p, w in mu.atoms))
+
+
+def character_mean_slack(mu: DiracMeasure) -> float:
+    """A bound on the rounding of integrate(c, mu) for c the values of a
+    character: a mean within it may be zero exactly. Twice it bounds the
+    rounding of a sum of two such means.
+
+    Let u = 2^-53 and k be the number of atoms. A value that is not a
+    quarter turn is (cos a, sin a) for a = 2 pi t rounded three times, so
+    a is off by under 3u 2 pi < 19u; cos and sin add an ulp, so each
+    component is off by under 21u and the value by under 30u. Each
+    product w c adds under 3u |w|, and the k - 1 complex sums under
+    sqrt(2) u each times the sum of |w| so far. So the float mean is
+    within (32 + 1.5k) u ||mu|| of the exact one, plus under 2k 2^-1074
+    from underflow; a sum of two is within (66 + 3k) u ||mu||, with its
+    own rounding. (k + 17) eps ||mu|| + 2^-1022 covers the first, twice it
+    the second, with the rounding of ||mu|| and of this bound. A mean
+    above 2^-1022 also keeps every closed-form product with it nonzero
+    (see equations.ClosedForm).
+    """
+    return (len(mu.atoms) + 17) * _EPS * measure_norm(mu) + _MIN_NORMAL
 
 
 def right_transform(sg: FiniteSemigroup, f: Sequence[complex], mu: DiracMeasure) -> np.ndarray:

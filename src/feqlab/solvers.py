@@ -19,6 +19,7 @@ from .characters import Character, character_to_scalar, characters_cached, compo
 from .equations import (
     EQUATIONS,
     Equation,
+    closed_form_slack,
     require_hypotheses,
     residual_evaluator,
     term_groups,
@@ -34,6 +35,7 @@ from .measures import (
     DEFAULT_TOL,
     DiracMeasure,
     ToleranceConfig,
+    character_mean_slack,
     integrate,
     measure_norm,
 )
@@ -152,6 +154,7 @@ def closed_form(equation: str, sg: FiniteSemigroup, sigma: InvolutiveMorphism | 
         warnings.warn("zero-norm measure: equation degenerates, returning empty set",
                       DegenerateMeasureWarning, stacklevel=3)
         return SolutionSet(form.label, ())
+    rounding = 0.0 if mu is None else character_mean_slack(mu)  # of one float mean
     kept: set[Character] = set()
     for chi in characters_cached(sg):
         if form.sigma_sign and compose_sigma(chi, sigma) in kept:
@@ -159,28 +162,27 @@ def closed_form(equation: str, sg: FiniteSemigroup, sigma: InvolutiveMorphism | 
         c = character_to_scalar(chi)
         if mu is not None:
             mean = integrate(c, mu)
-            if abs(mean) <= tol.eq_tol:
+            if abs(mean) <= max(tol.eq_tol, rounding):
                 continue
         if form.sigma_sign:
             s = c[list(sigma.map)]
         if form.sigma_sign < 0:
-            if abs(integrate(s, mu) + mean) > tol.eq_tol:
+            if abs(integrate(s, mu) + mean) > max(tol.eq_tol, 2 * rounding):
                 continue
             f = (s - c) / 2.0
         elif form.sigma_sign > 0:
             f = (c + s) / 2.0
         else:
             f = c
-        f = f if mu is None else f * mean
-        if f.any():  # zero only where a subnormal mean rounds f * mean to zero
-            kept.add(chi)
-            out.append(Solution(f, Provenance(chi, form.formula)))
+        kept.add(chi)
+        out.append(Solution(f if mu is None else f * mean, Provenance(chi, form.formula)))
     laws = [eq for eq in EQUATIONS.values() if eq.closed_form is form] + list(form.checks)
     evaluators = [residual_evaluator(law, sg, sigma, mu, tol) for law in laws] if out else []
+    gate = max(tol.eq_tol, closed_form_slack(mu))
     for sol in out:
         for evaluate in evaluators:
             rep = evaluate(sol.values)
-            if rep.max_abs > tol.eq_tol:
+            if rep.max_abs > gate:
                 raise FeqlabError(f"internal: closed form failed verification for "
                                   f"{rep.equation} (residual {rep.max_abs:.3e})")
     return SolutionSet(form.label, tuple(out))

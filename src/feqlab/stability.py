@@ -20,13 +20,17 @@ import numpy as np
 
 from .equations import EQUATIONS, residual_evaluator, residual_vanvleck
 from .errors import BadParams
-from .measures import DEFAULT_TOL, DiracMeasure, ToleranceConfig, check_function, measure_norm
+from .measures import (
+    _EPS,
+    _TINY,
+    DEFAULT_TOL,
+    DiracMeasure,
+    ToleranceConfig,
+    check_function,
+    measure_norm,
+)
 from .semigroups import FiniteSemigroup, InvolutiveMorphism
 from .solvers import _polydisk, solve_vanvleck
-
-
-_EPS = 2.0 ** -52   # spacing of floats at 1: twice the unit roundoff
-_TINY = 2.0 ** -1074  # the smallest subnormal: the spacing of the underflow range
 
 
 class Verdict(str, Enum):

@@ -112,6 +112,18 @@ class TestSolve:
         values = payload["solutions"][0]["values"]
         assert values == [[0.0, 0.0], [1.0, 0.0], [0.0, 0.0], [-1.0, 0.0]]
 
+    @pytest.mark.parametrize("weight, tol", [(1000, None), (1, "0")])
+    def test_rounding_passes_self_check(self, capsys, tmp_path, weight, tol):
+        # C3's characters are inexact in floats; their residuals are
+        # rounding, which ended in exit 70 at --tol 0 or weights from 1e3
+        (tmp_path / "c3.sg.json").write_text(json.dumps(
+            {"n": 3, "table": [[0, 1, 2], [1, 2, 0], [2, 0, 1]]}))
+        (tmp_path / "mu.json").write_text(json.dumps({"atoms": [{"point": 1, "w": [weight, 0]}]}))
+        argv = ["solve", "--eq", "spherical", "--sg", str(tmp_path / "c3.sg.json"),
+                "--mu", str(tmp_path / "mu.json")] + (["--tol", tol] if tol else [])
+        code, payload = run_json(capsys, *argv)
+        assert code == 0 and len(payload["solutions"]) == 3
+
     def test_empty_set_still_exit_0(self, capsys, fxdir):
         code, payload = run_json(
             capsys, "solve", "--eq", "vanvleck",

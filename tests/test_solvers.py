@@ -294,7 +294,7 @@ class TestSymmetrizeSpherical:
             assert any(np.allclose(f, ref, atol=1e-12) for ref in central.vectors())
 
 
-def greedy_closed_form(tag, sg, sigma, mu):
+def greedy_closed_form(tag, sg, sigma, mu, tol=DEFAULT_TOL):
     """The closed form as built before characters decided which candidates
     coincide: every candidate went through a greedy sup-norm dedup at
     1e-7, which also dropped any vector with sup <= 1e-7. Returns the
@@ -308,12 +308,12 @@ def greedy_closed_form(tag, sg, sigma, mu):
         c = character_to_scalar(chi)
         if mu is not None:
             mean = integrate(c, mu)
-            if abs(mean) <= DEFAULT_TOL.eq_tol:
+            if abs(mean) <= tol.eq_tol:
                 continue
         if form.sigma_sign:
             s = c[list(sigma.map)]  # the values of chi o sigma
         if form.sigma_sign < 0:
-            if abs(integrate(s, mu) + mean) > DEFAULT_TOL.eq_tol:
+            if abs(integrate(s, mu) + mean) > tol.eq_tol:
                 continue
             f = (s - c) / 2.0
         elif form.sigma_sign > 0:
@@ -388,12 +388,63 @@ class TestCharacterPairing:
     def test_subnormal_mean_reports_no_zero_function(self):
         # on the semilattice {0, a, b} with ab = 0, the indicator of a has
         # (chi + chi o sigma)/2 = 1/2 at a and b and mean 5e-324, whose
-        # half rounds to zero; only the constant character's solution is left
+        # half rounds to zero; a mean below 2^-1022 is not told from zero,
+        # so neither that character nor the constant one (mean 1e-323) is kept
         sg = validate_semigroup([[0, 0, 0], [0, 1, 0], [0, 0, 2]])
         swap = InvolutiveMorphism(map=(0, 2, 1), kind=MorphismKind.AUTOMORPHISM)
         mu = DiracMeasure.from_pairs([(1, 5e-324), (2, 5e-324)])
-        sols = solve_central_dalembert(sg, swap, mu, ToleranceConfig(0.0))
-        assert [s.values.tolist() for s in sols.solutions] == [[1e-323] * 3]
+        assert solve_central_dalembert(sg, swap, mu, ToleranceConfig(0.0)).solutions == ()
+        mu = DiracMeasure.from_pairs([(1, 2.0 ** -1021), (2, 2.0 ** -1021)])
+        sols = solve_central_dalembert(sg, swap, mu, ToleranceConfig(0.0)).vectors()
+        assert [f.tolist() for f in sols] == [[0, 2.0 ** -1022, 2.0 ** -1022], [2.0 ** -1020] * 3]
+
+    @pytest.mark.parametrize("eq_tol", [0.0, 1e-30])
+    def test_rounded_zero_mean_is_skipped(self, eq_tol):
+        # on C8 with sigma x -> 5x and mu = delta_1 + delta_5, the
+        # characters x -> w^(jx) with odd j have mean w^j + w^(5j) = 0,
+        # which rounds to about 1e-16; at any eq_tol they give no solution
+        c8 = cyclic_group(8)
+        sigma = InvolutiveMorphism(map=tuple(5 * x % 8 for x in range(8)),
+                                   kind=MorphismKind.AUTOMORPHISM)
+        mu = DiracMeasure.from_pairs([(1, 1.0), (5, 1.0)])
+        tol = ToleranceConfig(eq_tol)
+        for tag, count in (("vanvleck", 0), ("integral_dalembert", 4), ("corollary33", 4),
+                           ("spherical", 4)):
+            got = closed_form(tag, c8, sigma, mu, tol).solutions
+            want = greedy_closed_form(tag, c8, sigma, mu, tol)
+            assert [(s.values.tobytes(), s.provenance.chi) for s in got] == \
+                [(v.tobytes(), chi) for v, chi in want]
+            assert len(got) == count
+
+    @pytest.mark.parametrize("weight, eq_tol", [(1.0, 0.0), (1.0, 1e-30), (1e150, 1e-9)])
+    def test_rounded_zero_sum_is_zero(self, weight, eq_tol):
+        # on C8 with sigma x -> 5x and mu = delta_1, chi(x) = w^(jx) for
+        # j = 2, 6 has mean(chi o sigma) + mean(chi) = w^(5j) + w^j = 0,
+        # about 1e-16 ||mu|| in floats; the sine solution must not hinge
+        # on eq_tol being above that rounding
+        c8 = cyclic_group(8)
+        sigma = InvolutiveMorphism(map=tuple(5 * x % 8 for x in range(8)),
+                                   kind=MorphismKind.AUTOMORPHISM)
+        got = solve_vanvleck(c8, sigma, DiracMeasure.point_mass(1, weight),
+                             ToleranceConfig(eq_tol)).solutions
+        want = greedy_closed_form("vanvleck", c8, sigma, DiracMeasure.point_mass(1))
+        assert len(got) == len(want) == 2
+        for sol, (v, chi) in zip(got, want):
+            assert sol.provenance.chi == chi
+            assert np.max(np.abs(sol.values - weight * v)) <= 1e-15 * weight
+
+    def test_rounding_allowances_stay_small(self, c4, sigma_neg):
+        # a mean of 2^-40 with ||mu|| about 2 is no rounding: chi = 1 and
+        # chi = (-1)^x keep their solutions at eq_tol 0
+        mu = DiracMeasure.from_pairs([(0, 1.0), (2, -(1 - 2.0 ** -40))])
+        sups = sorted(float(np.max(np.abs(f)))
+                      for f in solve_spherical(c4, mu, ToleranceConfig(0.0)).vectors())
+        assert sups == [2.0 ** -40, 2.0 ** -40, 2 - 2.0 ** -40, 2 - 2.0 ** -40]
+        # nor is mean(chi o sigma) + mean(chi) = -2e-12: i^x gives no
+        # sine solution at eq_tol 0, while eq_tol 1e-9 lets it through
+        mu = DiracMeasure.from_pairs([(1, 1.0), (2, 1e-12)])
+        assert solve_vanvleck(c4, sigma_neg, mu, ToleranceConfig(0.0)).solutions == ()
+        assert len(solve_vanvleck(c4, sigma_neg, mu).solutions) == 1
 
     def test_same_as_greedy_dedup_and_pinned_bytes(self):
         lines = {tag: [] for tag in EQUATIONS if EQUATIONS[tag].closed_form}
@@ -803,6 +854,37 @@ class TestSelfCheck:
                             dataclasses.replace(eq, closed_form=eq.closed_form._replace(sigma_sign=1)))
         with pytest.raises(FeqlabError, match="closed form failed verification for vanvleck"):
             solve_vanvleck(c4, sigma_neg, mu_delta1)
+
+    @pytest.mark.parametrize("weight, eq_tol", [(1.0, 0.0), (1e-8, 0.0), (1e150, 1e-9)])
+    def test_wrong_form_fails_at_every_scale(self, c4, sigma_neg, monkeypatch, weight, eq_tol):
+        # the rounding allowance scales with ||mu||^2 and stays far below
+        # the residual of a wrong form
+        eq = EQUATIONS["vanvleck"]
+        monkeypatch.setitem(EQUATIONS, "vanvleck",
+                            dataclasses.replace(eq, closed_form=eq.closed_form._replace(sigma_sign=1)))
+        with pytest.raises(FeqlabError, match="closed form failed verification for vanvleck"):
+            solve_vanvleck(c4, sigma_neg, DiracMeasure.point_mass(1, weight), ToleranceConfig(eq_tol))
+
+    def test_rounding_alone_passes(self):
+        # C3's characters take values cos/sin leave inexact, so their
+        # residuals are rounding, which eq_tol alone refused at --tol 0
+        # and at weights from about 1e3
+        c3 = cyclic_group(3)
+        neg = InvolutiveMorphism(map=(0, 2, 1), kind=MorphismKind.AUTOMORPHISM)
+        for weight, tol in ((1e3, DEFAULT_TOL), (1.0, ToleranceConfig(0.0)), (1e150, DEFAULT_TOL)):
+            mu = DiracMeasure.point_mass(1, weight)
+            got = solve_spherical(c3, mu, tol).solutions
+            assert [(s.values.tobytes(), s.provenance.chi) for s in got] == \
+                [(v.tobytes(), chi) for v, chi in greedy_closed_form("spherical", c3, None, mu, tol)]
+            assert len(got) == 3
+        assert len(solve_dalembert(c3, neg, ToleranceConfig(0.0)).solutions) == 2
+        # where products underflow, the residual is 2^-1074, not zero
+        tiny = DiracMeasure.point_mass(1, 2.0 ** -537)
+        assert len(solve_spherical(c3, tiny, ToleranceConfig(0.0)).solutions) == 3
+        mu = DiracMeasure.from_pairs([(1, 0.5e-8), (2, 0.5e-8)])
+        central = solve_central_dalembert(c3, neg, mu, ToleranceConfig(0.0)).vectors()
+        assert len(central) == 2
+        assert all(residual_central_dalembert(c3, f, neg, mu).max_abs <= 1e-30 for f in central)
 
 
 class TestMatching:

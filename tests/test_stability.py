@@ -9,6 +9,7 @@ from feqlab import (
     DEFAULT_TOL,
     CampaignConfig,
     DiracMeasure,
+    ToleranceConfig,
     Verdict,
     approximate_battery,
     check_dichotomy,
@@ -148,6 +149,18 @@ class TestDichotomy:
         trial = _classify(f, 4.0 * (1 - 1e-12), mu_delta1, DEFAULT_TOL, 0.0, 0, None)
         assert trial.verdict is Verdict.VIOLATION
         assert _rounding_slack(2.0, 1.0, 1) < 1e-14
+
+    def test_underflowed_defect_never_violates(self, c4, sigma_neg):
+        # a constant c = 1.5 2^-538 has defect 2 c^2 = 1.125 2^-1074 exactly,
+        # so sup_f is on the bound; the float defect underflows to 2^-1074
+        # and the float bound falls about 6 % short, which only the
+        # underflow part of the slack covers
+        f = [1.5 * 2.0 ** -538] * 4
+        mu = DiracMeasure.point_mass(1, 2.0 ** -560)
+        trial = check_dichotomy(c4, f, sigma_neg, mu, ToleranceConfig(0.0))
+        assert trial.measured_delta == 2.0 ** -1074
+        assert trial.sup_f > trial.bound + 15 * 2.0 ** -52 * (trial.sup_f + 2.0 ** -560)
+        assert trial.verdict is Verdict.WITHIN_BOUND
 
     def test_exact_solutions_within_norm(self, c4, sigma_neg):
         # every exact solution satisfies sup|f| <= ||mu|| (the delta -> 0 bound)
