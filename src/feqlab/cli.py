@@ -173,7 +173,7 @@ def cmd_verify(args) -> tuple[dict, int]:
     else:
         # a lone candidate f meets its companion cosine as the second function
         g = companion_cosine(sg, f, mu, tol) if eq.uses_g else None
-        report = residual(eq, sg, f, g=g, sigma=sigma, mu=mu, tol=tol, force=args.force)
+        report = residual(eq, sg, f, g=g, sigma=sigma, mu=mu, force=args.force)
     return report.to_json(), 0 if report.passed(tol) else 1
 
 

@@ -39,6 +39,7 @@ from .measures import (
     DiracMeasure,
     ToleranceConfig,
     _check_points,
+    _cmul,
     check_function,
     integrate,
     is_sigma_invariant,
@@ -118,15 +119,15 @@ def closed_form_slack(mu: DiracMeasure | None) -> float:
     two terms and products of weight at most 2, so it moves by at most
     2 N e + 4 N e + 2 e^2 between f and the float f, and its float
     evaluation (the term sums, k weighted sums, a product and a
-    difference per cell) adds under 6 (k + 8) u N^2. f is an exact
-    solution, except in the odd form where d = mean(chi o sigma) +
-    mean(chi) passed its float test without being zero: the exact defect
-    of f is then mean(chi) d chi o sigma(x) (chi(y) - chi o sigma(y))/2,
-    at most N |d|. The test lets the float |d| reach eq_tol or twice the
-    mean slack, (4k + 68) u N, and |d| exceeds it by (66 + 3k) u N at
-    most. Beyond the N eq_tol this lets through, rounding leaves under
-    (590 + 22k) u N^2 <= (300 + 11k) eps N^2; underflow adds a few
-    2^-1074 per cell, which 2^-1022 covers.
+    difference per cell) adds under 6 (k + 8) u N^2. The hypotheses hold
+    exactly, so f is an exact solution, except in the odd form where
+    d = mean(chi o sigma) + mean(chi) passed its float test without being
+    zero: the exact defect of f is then mean(chi) d chi o sigma(x)
+    (chi(y) - chi o sigma(y))/2, at most N |d|. The test lets the float
+    |d| reach eq_tol or twice the mean slack, (4k + 68) u N, and |d|
+    exceeds it by (66 + 3k) u N at most. Beyond the N eq_tol this lets
+    through, rounding leaves under (590 + 22k) u N^2 <= (300 + 11k) eps
+    N^2; underflow adds a few 2^-1074 per cell, which 2^-1022 covers.
     """
     k, norm = (0, 1.0) if mu is None else (len(mu.atoms), measure_norm(mu))
     return (300 + 11 * k) * _EPS * norm * norm + _MIN_NORMAL
@@ -136,8 +137,8 @@ def closed_form_slack(mu: DiracMeasure | None) -> float:
 class Equation:
     """defect(x, y) = integral or sum of the terms - sum of the products.
 
-    hypotheses are checked in order: "automorphism" (sigma's kind),
-    "invariant" (the measure equals its pushforward under sigma) and
+    hypotheses are checked in order, each exactly: "automorphism" (sigma's
+    kind), "invariant" (the measure equals its pushforward under sigma) and
     "central" (the measure's support lies in the center; force may
     override it). needs lists the inputs beside the function, in load
     order. battery marks the equation the identity battery belongs to.
@@ -260,31 +261,21 @@ def _grid_report(equation: str, grid: np.ndarray, *, out_of_hypothesis: bool = F
 
 
 def require_hypotheses(hypotheses: Sequence[str], sg: FiniteSemigroup,
-                       sigma: InvolutiveMorphism | None, mu: DiracMeasure | None,
-                       tol: ToleranceConfig = DEFAULT_TOL, force: bool = False) -> bool:
-    """Check hypotheses in order (see Equation). Returns False when force
-    let a non-central support through, True otherwise."""
+                       sigma: InvolutiveMorphism | None, mu: DiracMeasure | None, *,
+                       force: bool = False) -> bool:
+    """Check hypotheses in order (see Equation), each exactly. Returns
+    False when force let a non-central support through, True otherwise."""
     central = True
     for hypothesis in hypotheses:
         if hypothesis == "automorphism" and sigma.kind is not MorphismKind.AUTOMORPHISM:
             raise WrongMorphismKind("this equation requires an automorphism")
-        if hypothesis == "invariant" and not is_sigma_invariant(mu, sigma, tol):
+        if hypothesis == "invariant" and not is_sigma_invariant(mu, sigma):
             raise NotSigmaInvariant("measure must equal its pushforward under sigma")
         if hypothesis == "central" and not support_in_center(mu, sg):
             if not force:
                 raise NonCentralSupport("mu must be supported in the center")
             central = False
     return central
-
-
-def _cmul(a, b) -> np.ndarray:
-    """a * b, rounded as the scalar complex product rounds it.
-
-    numpy's vectorized complex multiply may fuse multiply-adds and then
-    differs in the last bit from pointwise evaluation. A factor with a
-    zero part multiplies exactly under any fusing, so a is split into
-    its real and imaginary halves."""
-    return a.real * b + 1j * a.imag * b
 
 
 def term_groups(eq: Equation, sg: FiniteSemigroup, sigma: InvolutiveMorphism | None,
@@ -339,13 +330,13 @@ def _defect(eq: Equation, groups: list, f: np.ndarray, g: np.ndarray | None) -> 
 
 
 def residual_evaluator(eq: Equation, sg: FiniteSemigroup, sigma: InvolutiveMorphism | None = None,
-                       mu: DiracMeasure | None = None, tol: ToleranceConfig = DEFAULT_TOL,
+                       mu: DiracMeasure | None = None, *,
                        force: bool = False) -> Callable[..., ResidualReport]:
     """evaluate(f, g=None), the residual report of eq for any functions
     on the same inputs. The hypotheses are checked and the terms compiled
     once, here; force=True lets a non-central support through and marks
     every report out-of-hypothesis."""
-    central = require_hypotheses(eq.hypotheses, sg, sigma, mu, tol, force)
+    central = require_hypotheses(eq.hypotheses, sg, sigma, mu, force=force)
     groups = term_groups(eq, sg, sigma, mu)
 
     def evaluate(f: Sequence[complex], g: Sequence[complex] | None = None) -> ResidualReport:
@@ -358,19 +349,17 @@ def residual_evaluator(eq: Equation, sg: FiniteSemigroup, sigma: InvolutiveMorph
 
 def residual(eq: Equation, sg: FiniteSemigroup, f: Sequence[complex], *,
              g: Sequence[complex] | None = None, sigma: InvolutiveMorphism | None = None,
-             mu: DiracMeasure | None = None, tol: ToleranceConfig = DEFAULT_TOL,
-             force: bool = False) -> ResidualReport:
+             mu: DiracMeasure | None = None, force: bool = False) -> ResidualReport:
     """Residual report of any equation: hypotheses first, then the atom
     points, then the functions and the grid."""
-    return residual_evaluator(eq, sg, sigma, mu, tol, force)(f, g)
+    return residual_evaluator(eq, sg, sigma, mu, force=force)(f, g)
 
 
 def residual_vanvleck(sg: FiniteSemigroup, f: Sequence[complex], sigma: InvolutiveMorphism,
-                      mu: DiracMeasure, tol: ToleranceConfig = DEFAULT_TOL,
-                      force: bool = False) -> ResidualReport:
+                      mu: DiracMeasure, *, force: bool = False) -> ResidualReport:
     """Sine variant. Central support is a standing hypothesis; force=True
     evaluates anyway and marks the report out-of-hypothesis."""
-    return residual(EQUATIONS["vanvleck"], sg, f, sigma=sigma, mu=mu, tol=tol, force=force)
+    return residual(EQUATIONS["vanvleck"], sg, f, sigma=sigma, mu=mu, force=force)
 
 
 def residual_dalembert(sg: FiniteSemigroup, g: Sequence[complex],
@@ -380,18 +369,16 @@ def residual_dalembert(sg: FiniteSemigroup, g: Sequence[complex],
 
 
 def residual_integral_dalembert(sg: FiniteSemigroup, f: Sequence[complex],
-                                sigma: InvolutiveMorphism, upsilon: DiracMeasure,
-                                tol: ToleranceConfig = DEFAULT_TOL) -> ResidualReport:
+                                sigma: InvolutiveMorphism, upsilon: DiracMeasure) -> ResidualReport:
     """Middle-integral cosine variant, requiring an automorphism and a
     sigma-invariant measure."""
-    return residual(EQUATIONS["integral_dalembert"], sg, f, sigma=sigma, mu=upsilon, tol=tol)
+    return residual(EQUATIONS["integral_dalembert"], sg, f, sigma=sigma, mu=upsilon)
 
 
 def residual_central_dalembert(sg: FiniteSemigroup, f: Sequence[complex],
-                               sigma: InvolutiveMorphism, upsilon: DiracMeasure,
-                               tol: ToleranceConfig = DEFAULT_TOL) -> ResidualReport:
+                               sigma: InvolutiveMorphism, upsilon: DiracMeasure) -> ResidualReport:
     """Collapsed trailing-integral cosine variant (tag corollary33)."""
-    return residual(EQUATIONS["corollary33"], sg, f, sigma=sigma, mu=upsilon, tol=tol)
+    return residual(EQUATIONS["corollary33"], sg, f, sigma=sigma, mu=upsilon)
 
 
 def residual_spherical(sg: FiniteSemigroup, psi: Sequence[complex],
@@ -496,7 +483,7 @@ def identity_battery(sg: FiniteSemigroup, f: Sequence[complex], sigma: Involutiv
     zero and the mean flag must stay away from zero. On a non-solution
     the failing items localize which structural identity breaks.
     """
-    require_hypotheses(EQUATIONS["vanvleck"].hypotheses, sg, sigma, mu, tol, force)
+    require_hypotheses(EQUATIONS["vanvleck"].hypotheses, sg, sigma, mu, force=force)
     arr = check_function(sg, f)
     mean = integrate(arr, mu)
     sups = _sup_terms(sg, arr, sigma, mu, mean)
@@ -521,7 +508,7 @@ def battery_report(sg: FiniteSemigroup, f: Sequence[complex], sigma: InvolutiveM
                    force: bool = False) -> ResidualReport:
     """Sine-variant report with the identity battery attached; max_abs
     ranges over the equation grid (flag items carry no residual)."""
-    return replace(residual_vanvleck(sg, f, sigma, mu, tol, force=force),
+    return replace(residual_vanvleck(sg, f, sigma, mu, force=force),
                    per_item=tuple(identity_battery(sg, f, sigma, mu, tol, force=force)))
 
 

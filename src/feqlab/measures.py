@@ -20,8 +20,8 @@ from .semigroups import FiniteSemigroup, InvolutiveMorphism, center
 
 @dataclass(frozen=True)
 class ToleranceConfig:
-    """The residual gate: eq_tol accepts residuals, means and invariance.
-    The oracle's tolerances are constants in solvers."""
+    """The verdict gate: eq_tol judges residuals and means, never a
+    hypothesis. The oracle's tolerances are constants in solvers."""
 
     eq_tol: float = 1e-9
 
@@ -184,15 +184,23 @@ def character_mean_slack(mu: DiracMeasure) -> float:
     return (len(mu.atoms) + 17) * _EPS * measure_norm(mu) + _MIN_NORMAL
 
 
+def _cmul(a, b) -> np.ndarray:
+    """a * b, rounded as the scalar complex product rounds it.
+
+    numpy's vectorized complex multiply may fuse multiply-adds and then
+    differs in the last bit from pointwise evaluation. A factor with a
+    zero part multiplies exactly under any fusing, so a is split into
+    its real and imaginary halves."""
+    return a.real * b + 1j * a.imag * b
+
+
 def right_transform(sg: FiniteSemigroup, f: Sequence[complex], mu: DiracMeasure) -> np.ndarray:
-    """x -> integral of f(x * t) dmu(t), as a vector over S."""
+    """x -> integral of f(x * t) dmu(t) over S, one column gather per atom."""
     arr = check_function(sg, f)
     _check_points(mu, sg.n)
-    t = sg.table
     out = np.zeros(sg.n, dtype=complex)
     for p, w in mu.atoms:
-        for x in sg.elements():
-            out[x] += w * arr[t[x][p]]
+        out += _cmul(w, arr[sg.index_table[:, p]])
     return out
 
 
@@ -203,13 +211,11 @@ def pushforward(mu: DiracMeasure, m: InvolutiveMorphism | Sequence[int]) -> Dira
     return DiracMeasure(tuple((mapping[p], w) for p, w in mu.atoms))
 
 
-def is_sigma_invariant(mu: DiracMeasure, m: InvolutiveMorphism,
-                       tol: ToleranceConfig = DEFAULT_TOL) -> bool:
-    """True when mu equals its pushforward under m, atom weights within eq_tol."""
-    pushed = pushforward(mu, m)
-    a = dict(mu.atoms)
-    b = dict(pushed.atoms)
-    return all(abs(a.get(p, 0j) - b.get(p, 0j)) <= tol.eq_tol for p in set(a) | set(b))
+def is_sigma_invariant(mu: DiracMeasure, m: InvolutiveMorphism) -> bool:
+    """True when mu equals its pushforward under m weight for weight,
+    bit for bit; a point that is not an atom weighs 0."""
+    a, b = dict(mu.atoms), dict(pushforward(mu, m).atoms)
+    return all(a.get(p, 0j) == b.get(p, 0j) for p in a.keys() | b.keys())
 
 
 def support_in_center(mu: DiracMeasure, sg: FiniteSemigroup) -> bool:

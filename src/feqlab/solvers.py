@@ -147,7 +147,7 @@ def closed_form(equation: str, sg: FiniteSemigroup, sigma: InvolutiveMorphism | 
     form = eq.closed_form
     if "mu" not in eq.needs:
         mu = None  # an unneeded measure must not scale the solutions
-    require_hypotheses(form.hypotheses, sg, sigma, mu, tol)
+    require_hypotheses(form.hypotheses, sg, sigma, mu)
     out: list[Solution] = []
     if mu is not None and measure_norm(mu) == 0.0:
         # stacklevel 3 points past the solve_* wrapper at its caller
@@ -177,7 +177,7 @@ def closed_form(equation: str, sg: FiniteSemigroup, sigma: InvolutiveMorphism | 
         kept.add(chi)
         out.append(Solution(f if mu is None else f * mean, Provenance(chi, form.formula)))
     laws = [eq for eq in EQUATIONS.values() if eq.closed_form is form] + list(form.checks)
-    evaluators = [residual_evaluator(law, sg, sigma, mu, tol) for law in laws] if out else []
+    evaluators = [residual_evaluator(law, sg, sigma, mu) for law in laws] if out else []
     gate = max(tol.eq_tol, closed_form_slack(mu))
     for sol in out:
         for evaluate in evaluators:
@@ -324,16 +324,22 @@ def newton_oracle(sg: FiniteSemigroup, equation: str,
     each cluster is represented by its best member, near-zero roots are
     dropped (ZERO_ROOT_CUTOFF), and the result is sorted canonically.
     The system is holomorphic in f, so complex Gauss-Newton steps equal
-    the real-parameterized ones.
+    the real-parameterized ones. Every closed-form equation is homogeneous
+    (f/s with mu/s scales the defect by 1/s^2), so for 0 < ||mu|| < inf
+    it solves at mu/||mu|| and scales the roots back before sorting: the
+    oracle's constants act at unit norm, whatever the size of mu.
     """
     if starts < 1:
         raise UsageError("starts must be >= 1")
     if seed < 0:
         raise UsageError("seed must be >= 0")
-    defect = _defect_operator(_require_inputs(equation, sigma, mu), sg, sigma, mu)
-    n = sg.n
+    eq = _require_inputs(equation, sigma, mu)
+    norm = measure_norm(mu) if "mu" in eq.needs else 1.0  # an unneeded mu scales nothing
+    scale = norm if 0.0 < norm < np.inf else 1.0
+    mu = DiracMeasure(tuple((p, w / scale) for p, w in mu.atoms)) if "mu" in eq.needs else None
+    defect = _defect_operator(eq, sg, sigma, mu)
 
-    F = _polydisk(seed, (measure_norm(mu) if mu is not None else 1.0) + 1.0, (starts, n)).T
+    F = _polydisk(seed, norm / scale + 1.0, (starts, sg.n)).T  # radius 1 + ||mu / scale||
 
     lam = np.full(starts, 1e-3)
     r = defect.residuals(F)
@@ -352,7 +358,7 @@ def newton_oracle(sg: FiniteSemigroup, equation: str,
         if np.all((cost <= 1e-26) | (lam >= 1e13)):
             break
 
-    return _reported_roots(F.T, np.max(np.abs(r), axis=0))
+    return _reported_roots(F.T, np.max(np.abs(r), axis=0), scale)
 
 
 def _polydisk(seed, radius: float, shape: tuple[int, ...]) -> np.ndarray:
@@ -365,10 +371,10 @@ def _polydisk(seed, radius: float, shape: tuple[int, ...]) -> np.ndarray:
     return radius * np.sqrt(u) * np.exp(2j * np.pi * theta)
 
 
-def _reported_roots(F: np.ndarray, res_inf: np.ndarray) -> list[np.ndarray]:
+def _reported_roots(F: np.ndarray, res_inf: np.ndarray, scale: float = 1.0) -> list[np.ndarray]:
     """The heads of the converged rows of F (res_inf <= ORACLE_TOL), taken
-    in order of residual, that lie above ZERO_ROOT_CUTOFF, sorted
-    canonically.
+    in order of residual, that lie above ZERO_ROOT_CUTOFF, times scale,
+    sorted canonically.
 
     A row within DEDUP_TOL of a row above ZERO_ROOT_CUTOFF has sup >
     ZERO_ROOT_CUTOFF - DEDUP_TOL. So the rows below that, with a margin
@@ -379,7 +385,7 @@ def _reported_roots(F: np.ndarray, res_inf: np.ndarray) -> list[np.ndarray]:
     kept = np.flatnonzero((res_inf <= ORACLE_TOL) & (sup > ZERO_ROOT_CUTOFF - 2 * DEDUP_TOL))
     order = sorted(kept, key=lambda i: (float(res_inf[i]), i))
     clusters = _cluster_heads(F[order], DEDUP_TOL)
-    roots = [vec for vec in clusters if float(np.max(np.abs(vec))) > ZERO_ROOT_CUTOFF]
+    roots = [vec * scale for vec in clusters if float(np.max(np.abs(vec))) > ZERO_ROOT_CUTOFF]
     roots.sort(key=lambda v: tuple((round(z.real, 8), round(z.imag, 8)) for z in v))
     return roots
 

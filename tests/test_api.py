@@ -3,14 +3,17 @@ benchmark harness and the README library example import from it.
 
 The benchmark lives outside `tests/`, so a library name it imports can
 vanish with no other failing test. These checks read its sources with
-`ast` and never import or run them.
+`ast` and never import or run them. The README library example is also
+run, and each value it states in a trailing comment is checked.
 """
 
 from __future__ import annotations
 
 import ast
 import importlib
+import io
 import re
+import tokenize
 import types
 from pathlib import Path
 
@@ -65,3 +68,21 @@ def test_readme_example_imports_are_exported():
     assert names
     missing = [name for name in names if name not in feqlab.__all__]
     assert missing == []
+
+
+def test_readme_example_runs_as_documented():
+    # statement by statement; an expression line's "# value" comment is its repr
+    source = readme_library_example()
+    comments = {tok.start[0]: tok.string[1:].strip()
+                for tok in tokenize.generate_tokens(io.StringIO(source).readline)
+                if tok.type == tokenize.COMMENT}
+    namespace: dict = {}
+    checked = []
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.Expr) and node.end_lineno in comments:
+            value = eval(compile(ast.Expression(node.value), "README.md", "eval"), namespace)
+            assert repr(value) == comments[node.end_lineno], ast.unparse(node)
+            checked.append(ast.unparse(node))
+        else:
+            exec(compile(ast.Module([node], type_ignores=[]), "README.md", "exec"), namespace)
+    assert len(checked) == 3, checked

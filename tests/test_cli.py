@@ -333,6 +333,20 @@ class TestOracle:
             "--mu", str(fxdir / "c4_delta1.mu.json"))
         assert code == 64 and "sigma" in err
 
+    @pytest.mark.parametrize("weight", [1e-3, 1e100])
+    def test_scaled_measure_matches(self, capsys, fxdir, tmp_path, weight):
+        # absolute cutoffs found no root at 1e-3 (exit 1), and at 1e100 the
+        # defect overflowed at the starts (exit 2)
+        mu = tmp_path / "scaled.mu.json"
+        mu.write_text(json.dumps({"atoms": [{"point": 1, "w": [weight, 0]}]}))
+        code, payload = run_json(capsys, "oracle", "--eq", "vanvleck",
+                                 "--sg", str(fxdir / "c4.sg.json"),
+                                 "--sigma", str(fxdir / "c4_negation.sigma.json"),
+                                 "--mu", str(mu))
+        assert code == 0
+        assert payload["matched"] == 1
+        assert payload["closed_form"] == [[[0, 0], [weight, 0], [0, 0], [-weight, 0]]]
+
     def test_unneeded_sigma_is_not_loaded(self, capsys, fxdir, tmp_path):
         # spherical takes no sigma, so a non-permutation one is ignored as in solve
         bad = tmp_path / "const.sigma.json"
@@ -342,6 +356,59 @@ class TestOracle:
                              "--mu", str(fxdir / "c4_halfpair.mu.json"))
         assert code == 0, err
         assert json.loads(out)["matched"] >= 1
+
+
+class TestExactInvariance:
+    """sigma-invariance is decided bit for bit: a measure that is only
+    nearly invariant is a hypothesis violation (exit 4), where a tolerance
+    let it through to a closed form that failed its own check (exit 70) or
+    to a verdict on a non-solution."""
+
+    @pytest.fixture(scope="class")
+    def inputs(self, tmp_path_factory):
+        d = tmp_path_factory.mktemp("invariance")
+        for n, pair in ((3, (1, 2)), (8, (1, 7))):
+            (d / f"c{n}.sg.json").write_text(json.dumps(semigroup_to_json(cyclic_group(n))))
+            (d / f"c{n}.sigma.json").write_text(json.dumps({"map": [-x % n for x in range(n)],
+                                                            "kind": "auto"}))
+            for name, second in (("near", 1.0000000009), ("far", 1.0001), ("exact", 1.0)):
+                (d / f"c{n}_{name}.mu.json").write_text(json.dumps(
+                    {"atoms": [{"point": pair[0], "w": [1, 0]}, {"point": pair[1], "w": [second, 0]}]}))
+        return d
+
+    def argv(self, inputs, command, eq, n, mu):
+        return [command, "--eq", eq, "--sg", str(inputs / f"c{n}.sg.json"),
+                "--sigma", str(inputs / f"c{n}.sigma.json"), "--mu", str(inputs / f"c{n}_{mu}.mu.json")]
+
+    @pytest.mark.parametrize("command", ["solve", "oracle"])
+    @pytest.mark.parametrize("eq", ["corollary33", "integral_dalembert"])
+    def test_near_invariant_exit_4(self, capsys, inputs, command, eq):
+        code, out, err = run(capsys, *self.argv(inputs, command, eq, 3, "near"))
+        assert code == 4 and out == ""
+        assert "hypothesis violation" in err and "pushforward" in err
+        code, payload = run_json(capsys, *self.argv(inputs, command, eq, 3, "exact"))
+        assert code == 0
+        assert payload["solutions" if command == "solve" else "closed_form"]
+
+    def test_tol_never_loosens_invariance(self, capsys, inputs):
+        # weights 1 and 1.0001 gave vectors that are not solutions at --tol 1e-3
+        code, out, err = run(capsys, *self.argv(inputs, "solve", "corollary33", 3, "far"), "--tol", "1e-3")
+        assert code == 4 and out == "" and "pushforward" in err
+
+    def test_verify_gate(self, capsys, inputs, tmp_path):
+        code, payload = run_json(capsys, *self.argv(inputs, "solve", "integral_dalembert", 8, "exact"))
+        assert code == 0
+        solution = tmp_path / "solution.fn.json"
+        solution.write_text(json.dumps({"values": payload["solutions"][0]["values"]}))
+        other = tmp_path / "other.fn.json"
+        other.write_text(json.dumps({"values": [[1, 0]] * 8}))
+        for f, exact_code in ((solution, 0), (other, 1)):
+            code, out, err = run(capsys, *self.argv(inputs, "verify", "integral_dalembert", 8, "near"),
+                                 "--f", str(f))
+            assert code == 4 and out == "" and "pushforward" in err
+            code, out, err = run(capsys, *self.argv(inputs, "verify", "integral_dalembert", 8, "exact"),
+                                 "--f", str(f))
+            assert code == exact_code and json.loads(out)["equation"] == "integral_dalembert"
 
 
 class TestUsageAndFormats:
@@ -583,10 +650,12 @@ class TestNonFiniteInputs:
         assert "not finite" in err
 
     def test_overflowing_oracle_exit_2(self, capsys, fxdir, tmp_path):
-        # the closed form holds the sine solution, so the oracle must not
-        # report a mismatch when its own defect overflows
+        # the oracle solves at unit norm, so only a norm that overflows (two
+        # masses of 1e308) leaves its defect non-finite at the starts; it must
+        # exit 2, not report a mismatch
         mu = tmp_path / "heavy.mu.json"
-        mu.write_text(json.dumps({"atoms": [{"point": 1, "w": [1e100, 0]}]}))
+        mu.write_text(json.dumps({"atoms": [{"point": 1, "w": [1e308, 0]},
+                                            {"point": 3, "w": [1e308, 0]}]}))
         code, out, err = run(capsys, "oracle", "--eq", "vanvleck",
                              "--sg", str(fxdir / "c4.sg.json"),
                              "--sigma", str(fxdir / "c4_negation.sigma.json"),

@@ -9,19 +9,32 @@ import numpy as np
 import pytest
 
 from feqlab import (
+    DEFAULT_TOL,
     DiracMeasure,
     InvolutiveMorphism,
     MorphismKind,
     RootValue,
     ToleranceConfig,
+    cyclic_group,
+    direct_product,
     integrate,
     is_sigma_invariant,
     measure_norm,
     pushforward,
+    residual_central_dalembert,
+    residual_integral_dalembert,
+    residual_vanvleck,
     right_transform,
     support_in_center,
 )
-from feqlab.equations import Equation, Term, term_groups
+from feqlab.equations import (
+    Equation,
+    Term,
+    require_hypotheses,
+    residual,
+    residual_evaluator,
+    term_groups,
+)
 from feqlab.errors import BadParams, LengthMismatch, PointOutOfRange
 from feqlab.solvers import DEDUP_TOL, ORACLE_TOL, match_solution_sets, newton_oracle
 
@@ -111,6 +124,22 @@ class TestIntegration:
         got = right_transform(c4, sine, DiracMeasure.point_mass(2))
         assert np.array_equal(got, -sine)
 
+    def test_right_transform_bit_equal_to_pointwise(self, c4, s3):
+        # the column gathers round as the scalar loop sum_p w f(x*p) does
+        rng = np.random.default_rng(11)
+        for sg in (c4, s3, direct_product(c4, cyclic_group(16)), cyclic_group(128)):
+            for k in (1, 2, 4):
+                points = rng.choice(sg.n, size=k, replace=False)
+                scales = 10.0 ** rng.uniform(-5, 5, size=(2, k))
+                weights = scales[0] * rng.standard_normal(k) + 1j * scales[1] * rng.standard_normal(k)
+                mu = DiracMeasure.from_pairs(list(zip(points.tolist(), weights.tolist())))
+                f = rng.standard_normal(sg.n) + 1j * rng.standard_normal(sg.n)
+                want = np.zeros(sg.n, dtype=complex)
+                for p, w in mu.atoms:
+                    for x in sg.elements():
+                        want[x] += w * f[sg.mul(x, p)]
+                assert right_transform(sg, f, mu).tobytes() == want.tobytes()
+
     def test_right_transform_length_check(self, c4):
         with pytest.raises(LengthMismatch):
             right_transform(c4, [1, 2], DiracMeasure.point_mass(0))
@@ -147,11 +176,24 @@ class TestPushforward:
         mu = DiracMeasure.from_pairs([(0, 1.0), (1, 2.0)])
         assert pushforward(mu, m) == mu
 
-    def test_invariance(self, sigma_neg, upsilon, mu_delta1, tol):
-        assert is_sigma_invariant(upsilon, sigma_neg, tol)
-        assert not is_sigma_invariant(mu_delta1, sigma_neg, tol)
+    def test_invariance(self, sigma_neg, upsilon, mu_delta1):
+        assert is_sigma_invariant(upsilon, sigma_neg)
+        assert not is_sigma_invariant(mu_delta1, sigma_neg)
         ident = InvolutiveMorphism(map=(0, 1, 2, 3), kind=MorphismKind.AUTOMORPHISM)
-        assert is_sigma_invariant(mu_delta1, ident, tol)
+        assert is_sigma_invariant(mu_delta1, ident)
+
+    def test_invariance_is_exact(self, sigma_neg):
+        # weights are compared bit for bit: no tolerance passes a near-invariant measure
+        near = DiracMeasure.from_pairs([(1, 1.0), (3, 1.0 + 2.0 ** -52)])
+        assert not is_sigma_invariant(near, sigma_neg)
+        tiny = DiracMeasure.from_pairs([(1, 1e-300), (3, 0.0)])
+        assert not is_sigma_invariant(tiny, sigma_neg)
+
+    def test_zero_weight_atom_is_an_absent_point(self, sigma_neg):
+        # a zero-weight atom at 1 faces no atom at sigma(1) = 3
+        for atoms in ([(1, 0.0)], [(1, 0j), (3, 0.0)], [(1, 0.5), (3, 0.5), (2, 0.0)]):
+            assert is_sigma_invariant(DiracMeasure.from_pairs(atoms), sigma_neg), atoms
+        assert not is_sigma_invariant(DiracMeasure.from_pairs([(1, 0.5), (3, 0.0)]), sigma_neg)
 
     def test_pushforward_norm_preserved_for_permutation(self, sigma_neg):
         mu = DiracMeasure.from_pairs([(0, 1j), (1, -2.0), (2, 0.5)])
@@ -177,6 +219,17 @@ class TestToleranceConfig:
         assert DEDUP_TOL == 1e-7 and ORACLE_TOL == 1e-6
         for fn in (newton_oracle, match_solution_sets):
             assert "tol" not in inspect.signature(fn).parameters
+
+    def test_no_hypothesis_or_residual_takes_tol(self, c4, sigma_neg, mu_delta1, sine):
+        # eq_tol judges verdicts; a hypothesis check or a residual report never reads it
+        for fn in (is_sigma_invariant, require_hypotheses, residual_evaluator, residual,
+                   residual_vanvleck, residual_integral_dalembert, residual_central_dalembert):
+            assert "tol" not in inspect.signature(fn).parameters, fn.__name__
+        for fn in (require_hypotheses, residual_evaluator, residual_vanvleck):
+            assert inspect.signature(fn).parameters["force"].kind is inspect.Parameter.KEYWORD_ONLY
+        # a stale positional tol must not land in force
+        with pytest.raises(TypeError):
+            residual_vanvleck(c4, sine, sigma_neg, mu_delta1, DEFAULT_TOL)
 
     def test_rejects_negative(self):
         with pytest.raises(BadParams):

@@ -506,6 +506,32 @@ class TestNewtonOracle:
         with pytest.raises(UsageError, match="seed"):
             newton_oracle(c4, "spherical", None, mu_delta1, seed=-1)
 
+    @pytest.mark.parametrize("weight", [1e-8, 1e-3, 1e8])
+    def test_scale_free(self, c4, sigma_neg, weight):
+        # the defect is homogeneous in (f, mu), so the oracle solves at unit
+        # norm: its roots are weight times the unit-weight roots, bit for bit.
+        # Absolute cutoffs found no root at 1e-8 and 1e-3, and 3 of the 4
+        # spherical roots at 1e8.
+        for tag, sigma, atoms, count in (("vanvleck", sigma_neg, [(1, 1.0)], 1),
+                                         ("corollary33", sigma_neg, [(1, 0.5), (3, 0.5)], 2),
+                                         ("spherical", None, [(1, 1.0)], 4)):
+            unit = DiracMeasure.from_pairs(atoms)
+            mu = DiracMeasure.from_pairs([(p, weight * w) for p, w in atoms])
+            got = newton_oracle(c4, tag, sigma, mu, starts=200, seed=0)
+            want = newton_oracle(c4, tag, sigma, unit, starts=200, seed=0)
+            assert len(got) == len(want) == count, tag
+            assert sorted(v.tobytes() for v in got) == sorted((v * weight).tobytes() for v in want)
+            refs = closed_form(tag, c4, sigma, mu).vectors()
+            pairs, extra, missing = match_solution_sets([v / weight for v in got],
+                                                        [v / weight for v in refs])
+            assert len(pairs) == count and not extra and not missing, tag
+
+    def test_unneeded_measure_scales_nothing(self, c4, sigma_neg):
+        got = newton_oracle(c4, "dalembert_variant", sigma_neg, DiracMeasure.point_mass(1, 1e-3),
+                            starts=100, seed=2)
+        want = newton_oracle(c4, "dalembert_variant", sigma_neg, None, starts=100, seed=2)
+        assert [v.tobytes() for v in got] == [v.tobytes() for v in want] and len(want) == 3
+
     def test_small_census_spot_checks(self):
         # order-2 and order-3 semigroups where the closed form is nonempty
         from feqlab import MorphismKind, enumerate_involutive_morphisms, center as center_of
@@ -720,8 +746,12 @@ def jacobian_oracle(sg, eq, sigma, mu, starts, seed):
     """newton_oracle with an explicit (starts, n^2, n) Jacobian, the
     residual recomputed at the top of each iteration and every converged
     row clustered: the reference for the closed-form normal equations
-    and the cutoff filter."""
+    and the cutoff filter. Like the oracle it solves for mu / ||mu|| and
+    scales the roots back (every witness measure has a positive norm)."""
     n = sg.n
+    scale = measure_norm(mu) if mu is not None else 1.0
+    if mu is not None:
+        mu = DiracMeasure.from_pairs([(p, w / scale) for p, w in mu.atoms])
     rows = np.arange(n * n)
     L = np.zeros((n * n, n), dtype=complex)
     for w, terms in term_groups(eq, sg, sigma, mu):
@@ -757,15 +787,15 @@ def jacobian_oracle(sg, eq, sigma, mu, starts, seed):
             lam = np.where(better, np.maximum(lam * 0.4, 1e-12), np.minimum(lam * 10.0, 1e14))
             if np.all((cost <= 1e-26) | (lam >= 1e13)):
                 break
-    return unfiltered_roots(F, np.max(np.abs(residuals(F)), axis=1))
+    return unfiltered_roots(F, np.max(np.abs(residuals(F)), axis=1), scale)
 
 
-def unfiltered_roots(F, res_inf):
+def unfiltered_roots(F, res_inf, scale=1.0):
     """Every converged row clustered one distance row per row, then the
-    cutoff applied and the roots sorted canonically."""
+    cutoff applied and the roots scaled and sorted canonically."""
     order = sorted((i for i in range(len(F)) if res_inf[i] <= ORACLE_TOL),
                    key=lambda i: (float(res_inf[i]), i))
-    roots = [v for v in one_row_per_k_heads(F[order], DEDUP_TOL)
+    roots = [v * scale for v in one_row_per_k_heads(F[order], DEDUP_TOL)
              if float(np.max(np.abs(v))) > ZERO_ROOT_CUTOFF]
     roots.sort(key=lambda v: tuple((round(z.real, 8), round(z.imag, 8)) for z in v))
     return roots
