@@ -73,7 +73,7 @@ def build_parser() -> _Parser:
             p.add_argument("--seed", type=int, default=0)
         if "tol" in flags:
             p.add_argument("--tol", type=float, default=None,
-                           help="override eq_tol, the equation tolerance (default 1e-9)")
+                           help="override eq_tol, the tolerance verdicts read (default 1e-9)")
         if "battery" in flags:
             p.add_argument("--battery", action="store_true",
                            help="attach the solution-identity battery to the report "
@@ -86,13 +86,13 @@ def build_parser() -> _Parser:
 
     add("validate", "check a Cayley table", "sg")
     add("analyze", "center, involutive morphisms, characters", "sg")
-    add("solve", "closed-form solution set for an equation", "eq", "sg", "sigma", "mu", "tol")
+    add("solve", "closed-form solution set for an equation", "eq", "sg", "sigma", "mu")
     add("verify", "residual report for a candidate function",
         "eq", "sg", "sigma", "mu", "f", "tol", "battery", "force")
     add("stability", "seeded superstability fuzz campaign",
         "sg", "sigma", "mu", "trials", "radius", "seed", "tol")
     add("oracle", "numeric multistart roots vs closed form",
-        "eq", "sg", "sigma", "mu", "starts", "seed", "tol")
+        "eq", "sg", "sigma", "mu", "starts", "seed")
     fx = sub.add_parser("fixtures", help="write the bundled example inputs")
     fx.add_argument("--out", default="fixtures", help="output directory")
     fx.add_argument("--format", choices=("json", "table"), default="json")
@@ -106,10 +106,7 @@ def _finite_nonnegative(flag: str, value: float) -> float:
 
 
 def _tolerances(args) -> ToleranceConfig:
-    tol = getattr(args, "tol", None)
-    if tol is None:
-        return DEFAULT_TOL
-    return ToleranceConfig(eq_tol=_finite_nonnegative("tol", tol))
+    return DEFAULT_TOL if args.tol is None else ToleranceConfig(_finite_nonnegative("tol", args.tol))
 
 
 def _need(args, flag: str):
@@ -157,9 +154,8 @@ def cmd_analyze(args) -> tuple[dict, int]:
 def cmd_solve(args) -> tuple[dict, int]:
     sg = load_semigroup(args.sg)
     eq = closed_form_equation(args.eq)  # before any input is required or loaded
-    tol = _tolerances(args)
     sigma, mu = _load_inputs(args, sg, eq)
-    return closed_form(args.eq, sg, sigma, mu, tol).to_json(), 0
+    return closed_form(args.eq, sg, sigma, mu).to_json(), 0
 
 
 def cmd_verify(args) -> tuple[dict, int]:
@@ -172,7 +168,7 @@ def cmd_verify(args) -> tuple[dict, int]:
         report = battery_report(sg, f, sigma, mu, tol, force=args.force)
     else:
         # a lone candidate f meets its companion cosine as the second function
-        g = companion_cosine(sg, f, mu, tol) if eq.uses_g else None
+        g = companion_cosine(sg, f, mu) if eq.uses_g else None
         report = residual(eq, sg, f, g=g, sigma=sigma, mu=mu, force=args.force)
     return report.to_json(), 0 if report.passed(tol) else 1
 
@@ -196,13 +192,12 @@ def cmd_oracle(args) -> tuple[dict, int]:
         raise UsageError(f"oracle command caps at order {ORACLE_MAX_ORDER}, got {sg.n}")
     if not 1 <= args.starts <= ORACLE_MAX_STARTS:
         raise UsageError(f"--starts must be between 1 and {ORACLE_MAX_STARTS}, got {args.starts}")
-    tol = _tolerances(args)
     eq = args.eq
     sigma, mu = _load_inputs(args, sg, closed_form_equation(eq))
-    closed = closed_form(eq, sg, sigma, mu, tol)
+    closed = closed_form(eq, sg, sigma, mu)
     roots = newton_oracle(sg, eq, sigma, mu, starts=args.starts, seed=args.seed)
     refs = closed.vectors()
-    pairs, oracle_only, closed_only = match_solution_sets(roots, refs)
+    pairs, oracle_only, closed_only = match_solution_sets(roots, refs, mu)
 
     def vec_json(v) -> list:
         return function_to_json(v)["values"]

@@ -74,14 +74,12 @@ class Product(NamedTuple):
 class ClosedForm(NamedTuple):
     """Solutions from each character chi: chi (sigma_sign 0), (chi + chi o
     sigma)/2 (1) or (chi o sigma - chi)/2 (-1), times mean(chi) when the
-    equation has a measure. A mean within eq_tol or within its rounding
-    (measures.character_mean_slack) of zero skips chi, and so does, in
-    the odd form, a sum mean(chi o sigma) + mean(chi) beyond eq_tol and
-    beyond twice that rounding.
-    hypotheses may be stricter than the equation's. Every solution is
-    verified against each equation sharing the form, then against checks:
-    its residual must be within eq_tol, or within closed_form_slack(mu)
-    where rounding alone can leave more.
+    equation has a measure. No tolerance enters: chi is skipped when its
+    mean is within the rounding bound measures.character_mean_slack(mu)
+    of zero, or, in the odd form, when mean(chi o sigma) + mean(chi)
+    exceeds twice that bound. hypotheses may be stricter than the
+    equation's. Every solution is verified against each equation sharing
+    the form, then against checks, within closed_form_slack(mu).
 
     The characters alone decide which solutions coincide. chi and chi o
     sigma give the same function, and distinct characters are linearly
@@ -124,10 +122,11 @@ def closed_form_slack(mu: DiracMeasure | None) -> float:
     d = mean(chi o sigma) + mean(chi) passed its float test without being
     zero: the exact defect of f is then mean(chi) d chi o sigma(x)
     (chi(y) - chi o sigma(y))/2, at most N |d|. The test lets the float
-    |d| reach eq_tol or twice the mean slack, (4k + 68) u N, and |d|
-    exceeds it by (66 + 3k) u N at most. Beyond the N eq_tol this lets
-    through, rounding leaves under (590 + 22k) u N^2 <= (300 + 11k) eps
-    N^2; underflow adds a few 2^-1074 per cell, which 2^-1022 covers.
+    |d| reach twice the mean slack, (4k + 68) u N, and |d| exceeds it by
+    (66 + 3k) u N at most, so N |d| <= (134 + 7k) u N^2. With (408 + 9k)
+    u N^2 from f and (48 + 6k) u N^2 from the evaluation, rounding leaves
+    under (590 + 22k) u N^2 <= (300 + 11k) eps N^2; underflow adds a few
+    2^-1074 per cell, which 2^-1022 covers.
     """
     k, norm = (0, 1.0) if mu is None else (len(mu.atoms), measure_norm(mu))
     return (300 + 11 * k) * _EPS * norm * norm + _MIN_NORMAL
@@ -399,17 +398,16 @@ def residual_wilson(sg: FiniteSemigroup, f: Sequence[complex], g: Sequence[compl
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def companion_cosine(sg: FiniteSemigroup, f: Sequence[complex], mu: DiracMeasure,
-                     tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
+def companion_cosine(sg: FiniteSemigroup, f: Sequence[complex], mu: DiracMeasure) -> np.ndarray:
     """Normalized right average x -> integral f(x t) dmu(t) / integral f dmu.
 
     For a nonzero solution of the sine variant this solves the cosine
-    variant and pairs with f in the sine-addition law. A quotient that
-    overflows is left non-finite, without a warning; any residual of it
-    raises NonFiniteResidual."""
+    variant and pairs with f in the sine-addition law. Only a mean of 0
+    is degenerate; a quotient that overflows is left non-finite, without
+    a warning, and any residual of it raises NonFiniteResidual."""
     arr = check_function(sg, f)
     mean = integrate(arr, mu)
-    if abs(mean) <= tol.eq_tol:
+    if mean == 0:
         raise DegenerateIntegral("mean of f under mu vanishes")
     return right_transform(sg, arr, mu) / mean
 
@@ -532,14 +530,14 @@ def approximate_battery(sg: FiniteSemigroup, f: Sequence[complex], sigma: Involu
     unbounded; on finite semigroups they are evaluated, not asserted.
     At delta = 0 they collapse to the exact identity battery.
 
-    Bounds divide by |mean of f|, so that mean must be nonzero; it is
-    tested before any term is computed.
+    Bounds divide by |mean of f|, so that mean must be nonzero (exactly,
+    as for companion_cosine); it is tested before any term is computed.
     """
     if delta < 0:
         raise BadParams("delta must be nonnegative")
     arr = check_function(sg, f)
     mean = integrate(arr, mu)
-    if abs(mean) <= tol.eq_tol:
+    if mean == 0:
         raise DegenerateIntegral("mean of f under mu vanishes; bounds are undefined")
     norm = measure_norm(mu)
     amean = abs(mean)

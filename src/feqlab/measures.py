@@ -20,8 +20,8 @@ from .semigroups import FiniteSemigroup, InvolutiveMorphism, center
 
 @dataclass(frozen=True)
 class ToleranceConfig:
-    """The verdict gate: eq_tol judges residuals and means, never a
-    hypothesis. The oracle's tolerances are constants in solvers."""
+    """The verdict gate: eq_tol judges pass/fail verdicts only, never a
+    hypothesis or a solution set. The oracle's are constants in solvers."""
 
     eq_tol: float = 1e-9
 
@@ -107,8 +107,8 @@ class DiracMeasure:
     """Finite complex combination of point masses.
 
     Atoms are canonicalized on construction: duplicates merged by
-    summing weights, sorted by point. Points are validated against a
-    semigroup only at use.
+    summing weights (which must then be finite), sorted by point. Points
+    are validated against a semigroup only at use.
     """
 
     atoms: tuple[tuple[int, complex], ...]
@@ -119,10 +119,9 @@ class DiracMeasure:
             point = int(point)
             if point < 0:
                 raise BadParams(f"atom point {point} is negative")
-            w = complex(w)
-            if not (math.isfinite(w.real) and math.isfinite(w.imag)):
-                raise BadParams("atom weights must be finite")
-            merged[point] = merged.get(point, 0j) + w
+            merged[point] = merged.get(point, 0j) + complex(w)
+        if not all(math.isfinite(w.real) and math.isfinite(w.imag) for w in merged.values()):
+            raise BadParams("atom weights must be finite")
         object.__setattr__(self, "atoms", tuple(sorted(merged.items())))
 
     @classmethod

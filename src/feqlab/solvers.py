@@ -25,6 +25,7 @@ from .equations import (
     term_groups,
 )
 from .errors import (
+    BadParams,
     DegenerateMeasureWarning,
     FeqlabError,
     NonFiniteResidual,
@@ -32,9 +33,7 @@ from .errors import (
 )
 from .jsonio import function_to_json
 from .measures import (
-    DEFAULT_TOL,
     DiracMeasure,
-    ToleranceConfig,
     character_mean_slack,
     integrate,
     measure_norm,
@@ -87,35 +86,31 @@ class SolutionSet:
         }
 
 
-def solve_vanvleck(sg: FiniteSemigroup, sigma: InvolutiveMorphism, mu: DiracMeasure,
-                   tol: ToleranceConfig = DEFAULT_TOL) -> SolutionSet:
+def solve_vanvleck(sg: FiniteSemigroup, sigma: InvolutiveMorphism, mu: DiracMeasure) -> SolutionSet:
     """All nonzero solutions of the sine variant: (chi o sigma - chi)/2 *
     mean(chi) for every character chi with mean(chi) != 0 and
     mean(chi o sigma) = -mean(chi); chi and chi o sigma produce the same
     function, reported once, from the first in canonical order."""
-    return closed_form("vanvleck", sg, sigma, mu, tol)
+    return closed_form("vanvleck", sg, sigma, mu)
 
 
-def solve_dalembert(sg: FiniteSemigroup, sigma: InvolutiveMorphism,
-                    tol: ToleranceConfig = DEFAULT_TOL) -> SolutionSet:
+def solve_dalembert(sg: FiniteSemigroup, sigma: InvolutiveMorphism) -> SolutionSet:
     """All nonzero solutions of the measure-free cosine variant:
     (chi + chi o sigma)/2, once for each pair {chi, chi o sigma}."""
-    return closed_form("dalembert_variant", sg, sigma, None, tol)
+    return closed_form("dalembert_variant", sg, sigma, None)
 
 
-def solve_spherical(sg: FiniteSemigroup, upsilon: DiracMeasure,
-                    tol: ToleranceConfig = DEFAULT_TOL) -> SolutionSet:
+def solve_spherical(sg: FiniteSemigroup, upsilon: DiracMeasure) -> SolutionSet:
     """Nonzero solutions of the middle-integral multiplicativity law:
     chi * mean(chi) for characters with mean(chi) != 0."""
-    return closed_form("spherical", sg, None, upsilon, tol)
+    return closed_form("spherical", sg, None, upsilon)
 
 
 def solve_central_dalembert(sg: FiniteSemigroup, sigma: InvolutiveMorphism,
-                            upsilon: DiracMeasure,
-                            tol: ToleranceConfig = DEFAULT_TOL) -> SolutionSet:
+                            upsilon: DiracMeasure) -> SolutionSet:
     """Nonzero solutions of the integral cosine variant with central
     sigma-invariant measure: (chi + chi o sigma)/2 * mean(chi)."""
-    return closed_form("corollary33", sg, sigma, upsilon, tol)
+    return closed_form("corollary33", sg, sigma, upsilon)
 
 
 def closed_form_equation(equation: str) -> Equation:
@@ -139,17 +134,20 @@ def _require_inputs(equation: str, sigma: InvolutiveMorphism | None,
 
 
 def closed_form(equation: str, sg: FiniteSemigroup, sigma: InvolutiveMorphism | None,
-                mu: DiracMeasure | None, tol: ToleranceConfig = DEFAULT_TOL) -> SolutionSet:
+                mu: DiracMeasure | None) -> SolutionSet:
     """Solution set of a registered equation, built from the characters of
-    sg as its ClosedForm describes, given the inputs the equation needs.
-    Every solution is verified before it is returned."""
+    sg as its ClosedForm describes, given the inputs the equation needs (a
+    measure whose norm overflows is refused). Every solution is verified."""
     eq = _require_inputs(equation, sigma, mu)
     form = eq.closed_form
     if "mu" not in eq.needs:
         mu = None  # an unneeded measure must not scale the solutions
     require_hypotheses(form.hypotheses, sg, sigma, mu)
     out: list[Solution] = []
-    if mu is not None and measure_norm(mu) == 0.0:
+    norm = 1.0 if mu is None else measure_norm(mu)
+    if not np.isfinite(norm):
+        raise BadParams("measure norm is not finite (overflow)")
+    if norm == 0.0:
         # stacklevel 3 points past the solve_* wrapper at its caller
         warnings.warn("zero-norm measure: equation degenerates, returning empty set",
                       DegenerateMeasureWarning, stacklevel=3)
@@ -162,12 +160,12 @@ def closed_form(equation: str, sg: FiniteSemigroup, sigma: InvolutiveMorphism | 
         c = character_to_scalar(chi)
         if mu is not None:
             mean = integrate(c, mu)
-            if abs(mean) <= max(tol.eq_tol, rounding):
+            if abs(mean) <= rounding:
                 continue
         if form.sigma_sign:
             s = c[list(sigma.map)]
         if form.sigma_sign < 0:
-            if abs(integrate(s, mu) + mean) > max(tol.eq_tol, 2 * rounding):
+            if abs(integrate(s, mu) + mean) > 2 * rounding:
                 continue
             f = (s - c) / 2.0
         elif form.sigma_sign > 0:
@@ -178,7 +176,7 @@ def closed_form(equation: str, sg: FiniteSemigroup, sigma: InvolutiveMorphism | 
         out.append(Solution(f if mu is None else f * mean, Provenance(chi, form.formula)))
     laws = [eq for eq in EQUATIONS.values() if eq.closed_form is form] + list(form.checks)
     evaluators = [residual_evaluator(law, sg, sigma, mu) for law in laws] if out else []
-    gate = max(tol.eq_tol, closed_form_slack(mu))
+    gate = closed_form_slack(mu)
     for sol in out:
         for evaluate in evaluators:
             rep = evaluate(sol.values)
@@ -306,6 +304,12 @@ def _defect_operator(eq: Equation, sg: FiniteSemigroup, sigma: InvolutiveMorphis
     return _QuadraticDefect(L, eq.products[0].coef)
 
 
+def _unit_scale(mu: DiracMeasure | None) -> float:
+    """||mu|| when it is positive and finite, else 1 (also without mu)."""
+    norm = 1.0 if mu is None else measure_norm(mu)
+    return norm if 0.0 < norm < np.inf else 1.0
+
+
 # Overflow at the starts raises NonFiniteResidual; an overflowing or
 # singular step is non-finite and rejected.
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
@@ -325,8 +329,8 @@ def newton_oracle(sg: FiniteSemigroup, equation: str,
     dropped (ZERO_ROOT_CUTOFF), and the result is sorted canonically.
     The system is holomorphic in f, so complex Gauss-Newton steps equal
     the real-parameterized ones. Every closed-form equation is homogeneous
-    (f/s with mu/s scales the defect by 1/s^2), so for 0 < ||mu|| < inf
-    it solves at mu/||mu|| and scales the roots back before sorting: the
+    (f/s with mu/s scales the defect by 1/s^2), so it solves at
+    mu / _unit_scale(mu) and scales the roots back before sorting: the
     oracle's constants act at unit norm, whatever the size of mu.
     """
     if starts < 1:
@@ -334,9 +338,10 @@ def newton_oracle(sg: FiniteSemigroup, equation: str,
     if seed < 0:
         raise UsageError("seed must be >= 0")
     eq = _require_inputs(equation, sigma, mu)
-    norm = measure_norm(mu) if "mu" in eq.needs else 1.0  # an unneeded mu scales nothing
-    scale = norm if 0.0 < norm < np.inf else 1.0
-    mu = DiracMeasure(tuple((p, w / scale) for p, w in mu.atoms)) if "mu" in eq.needs else None
+    mu = mu if "mu" in eq.needs else None  # an unneeded mu scales nothing
+    norm = 1.0 if mu is None else measure_norm(mu)
+    scale = _unit_scale(mu)
+    mu = None if mu is None else DiracMeasure(tuple((p, w / scale) for p, w in mu.atoms))
     defect = _defect_operator(eq, sg, sigma, mu)
 
     F = _polydisk(seed, norm / scale + 1.0, (starts, sg.n)).T  # radius 1 + ||mu / scale||
@@ -390,10 +395,13 @@ def _reported_roots(F: np.ndarray, res_inf: np.ndarray, scale: float = 1.0) -> l
     return roots
 
 
-def match_solution_sets(oracle_roots: Sequence[np.ndarray],
-                        closed: Sequence[np.ndarray]) -> tuple[list[tuple[int, int]], list[int], list[int]]:
-    """Greedy sup-norm matching at ORACLE_TOL. Returns (pairs, unmatched
+def match_solution_sets(oracle_roots: Sequence[np.ndarray], closed: Sequence[np.ndarray],
+                        mu: DiracMeasure | None = None) -> tuple[list[tuple[int, int]], list[int], list[int]]:
+    """Greedy sup-norm matching at ORACLE_TOL, both sides divided by
+    _unit_scale(mu) as newton_oracle solves. Returns (pairs, unmatched
     oracle indices, unmatched closed-form indices)."""
+    scale = _unit_scale(mu)
+    oracle_roots, closed = ([v / scale for v in vs] for vs in (oracle_roots, closed))
     used: set[int] = set()
     pairs: list[tuple[int, int]] = []
     unmatched_a: list[int] = []

@@ -187,7 +187,7 @@ def fuzz_campaign(sg: FiniteSemigroup, sigma: InvolutiveMorphism, mu: DiracMeasu
     substream (seed, trial index, 1), and classify. Bit-reproducible
     for a fixed seed. Returns the summary plus every trial record.
     """
-    bases = solve_vanvleck(sg, sigma, mu, tol).vectors() + [np.zeros(sg.n, dtype=complex)]
+    bases = solve_vanvleck(sg, sigma, mu).vectors() + [np.zeros(sg.n, dtype=complex)]
     # fixed for the whole campaign: the hypotheses and the compiled terms
     vanvleck = residual_evaluator(EQUATIONS["vanvleck"], sg, sigma, mu)
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import dataclasses
 import io
@@ -13,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from feqlab import cyclic_group, semigroup_to_json, symmetric_group_3, write_fixtures
-from feqlab.cli import EQUATION_TAGS, main
+from feqlab.cli import EQUATION_TAGS, build_parser, main
 from feqlab.equations import EQUATIONS
 from feqlab.errors import FeqlabError
 
@@ -112,17 +113,31 @@ class TestSolve:
         values = payload["solutions"][0]["values"]
         assert values == [[0.0, 0.0], [1.0, 0.0], [0.0, 0.0], [-1.0, 0.0]]
 
-    @pytest.mark.parametrize("weight, tol", [(1000, None), (1, "0")])
-    def test_rounding_passes_self_check(self, capsys, tmp_path, weight, tol):
+    @pytest.mark.parametrize("weight", [1000, 1])
+    def test_rounding_passes_self_check(self, capsys, tmp_path, weight):
         # C3's characters are inexact in floats; their residuals are
         # rounding, which ended in exit 70 at --tol 0 or weights from 1e3
         (tmp_path / "c3.sg.json").write_text(json.dumps(
             {"n": 3, "table": [[0, 1, 2], [1, 2, 0], [2, 0, 1]]}))
         (tmp_path / "mu.json").write_text(json.dumps({"atoms": [{"point": 1, "w": [weight, 0]}]}))
-        argv = ["solve", "--eq", "spherical", "--sg", str(tmp_path / "c3.sg.json"),
-                "--mu", str(tmp_path / "mu.json")] + (["--tol", tol] if tol else [])
-        code, payload = run_json(capsys, *argv)
+        code, payload = run_json(capsys, "solve", "--eq", "spherical", "--sg", str(tmp_path / "c3.sg.json"),
+                                 "--mu", str(tmp_path / "mu.json"))
         assert code == 0 and len(payload["solutions"]) == 3
+
+    def test_solution_set_ignores_the_verdict_tolerance(self, capsys, fxdir, tmp_path):
+        # eq_tol once decided the means: at 1e-9 it reported the non-solution
+        # [0, 1+1e-12i, 0, -1-1e-12i] for delta_1 + 1e-12 delta_2 and dropped
+        # the exact solution [0, 1e-10, 0, -1e-10] of 1e-10 delta_1
+        inputs = ["--sg", str(fxdir / "c4.sg.json"), "--sigma", str(fxdir / "c4_negation.sigma.json")]
+        mu = tmp_path / "mu.json"
+        for atoms, want in (([(1, 1.0), (2, 1e-12)], []),
+                            ([(1, 1e-10)], [[[0, 0], [1e-10, 0], [0, 0], [-1e-10, 0]]])):
+            mu.write_text(json.dumps({"atoms": [{"point": p, "w": [w, 0]} for p, w in atoms]}))
+            code, payload = run_json(capsys, "solve", "--eq", "vanvleck", *inputs, "--mu", str(mu))
+            assert code == 0
+            assert [s["values"] for s in payload["solutions"]] == want
+            code, out, err = run(capsys, "solve", "--eq", "vanvleck", *inputs, "--mu", str(mu), "--tol", "0")
+            assert code == 64 and out == "" and "unrecognized arguments: --tol" in err
 
     def test_empty_set_still_exit_0(self, capsys, fxdir):
         code, payload = run_json(
@@ -237,6 +252,20 @@ class TestVerify:
             "--f", str(fxdir / "c4_sine.fn.json"))
         assert code == 0 and payload["max_abs"] <= 1e-12
 
+    @pytest.mark.parametrize("eq", ["sine_addition", "wilson_variant"])
+    def test_small_mean_has_a_companion(self, capsys, fxdir, tmp_path, eq):
+        # the mean 1e-10 of f = 1e-10 sine was taken for zero below eq_tol
+        # (exit 4); its companion is the cosine exactly, and both residuals are 0
+        fn = tmp_path / "small.fn.json"
+        fn.write_text(json.dumps({"values": [[0, 0], [1e-10, 0], [0, 0], [-1e-10, 0]]}))
+        code, payload = run_json(
+            capsys, "verify", "--eq", eq,
+            "--sg", str(fxdir / "c4.sg.json"),
+            "--sigma", str(fxdir / "c4_negation.sigma.json"),
+            "--mu", str(fxdir / "c4_delta1.mu.json"),
+            "--f", str(fn))
+        assert code == 0 and payload["max_abs"] == 0.0
+
     def test_tolerance_override(self, capsys, fxdir, tmp_path):
         fn = tmp_path / "const.fn.json"
         fn.write_text(json.dumps({"values": [[0.1, 0.0]] * 4}))
@@ -347,6 +376,18 @@ class TestOracle:
         assert payload["matched"] == 1
         assert payload["closed_form"] == [[[0, 0], [weight, 0], [0, 0], [-weight, 0]]]
 
+    @pytest.mark.parametrize("weight", [1e8, 1e10, 1e15])
+    def test_matched_at_unit_norm(self, capsys, tmp_path, weight):
+        # C3's characters are inexact, so the roots and the closed form
+        # differ by rounding of order eps * weight: compared at the absolute
+        # ORACLE_TOL, 1 of 3 matched at 1e10 and 1e15 (exit 1)
+        (tmp_path / "c3.sg.json").write_text(json.dumps(semigroup_to_json(cyclic_group(3))))
+        (tmp_path / "mu.json").write_text(json.dumps({"atoms": [{"point": 1, "w": [weight, 0]}]}))
+        code, payload = run_json(capsys, "oracle", "--eq", "spherical", "--sg", str(tmp_path / "c3.sg.json"),
+                                 "--mu", str(tmp_path / "mu.json"))
+        assert code == 0
+        assert payload["matched"] == 3 and len(payload["oracle_roots"]) == 3
+
     def test_unneeded_sigma_is_not_loaded(self, capsys, fxdir, tmp_path):
         # spherical takes no sigma, so a non-permutation one is ignored as in solve
         bad = tmp_path / "const.sigma.json"
@@ -390,9 +431,13 @@ class TestExactInvariance:
         assert code == 0
         assert payload["solutions" if command == "solve" else "closed_form"]
 
-    def test_tol_never_loosens_invariance(self, capsys, inputs):
-        # weights 1 and 1.0001 gave vectors that are not solutions at --tol 1e-3
-        code, out, err = run(capsys, *self.argv(inputs, "solve", "corollary33", 3, "far"), "--tol", "1e-3")
+    def test_tol_never_loosens_invariance(self, capsys, inputs, tmp_path):
+        # weights 1 and 1.0001 differ by far less than --tol 1e-3, and the
+        # zero function's residual is 0; only the hypothesis can fail here
+        f = tmp_path / "zero.fn.json"
+        f.write_text(json.dumps({"values": [[0, 0]] * 3}))
+        code, out, err = run(capsys, *self.argv(inputs, "verify", "corollary33", 3, "far"),
+                             "--f", str(f), "--tol", "1e-3")
         assert code == 4 and out == "" and "pushforward" in err
 
     def test_verify_gate(self, capsys, inputs, tmp_path):
@@ -431,22 +476,22 @@ class TestUsageAndFormats:
         assert "valid" in out and "{" not in out.splitlines()[0]
 
     def test_negative_tol(self, capsys, fxdir):
-        code, _, err = run(
-            capsys, "solve", "--eq", "vanvleck", "--tol", "-1",
-            "--sg", str(fxdir / "c4.sg.json"),
-            "--sigma", str(fxdir / "c4_negation.sigma.json"),
-            "--mu", str(fxdir / "c4_delta1.mu.json"))
-        assert code == 64
         # NaN fails every comparison, so it would fake a verdict either way
         inputs = ("--sg", str(fxdir / "c4.sg.json"),
                   "--sigma", str(fxdir / "c4_negation.sigma.json"),
                   "--mu", str(fxdir / "c4_delta1.mu.json"))
-        for argv in (("verify", "--eq", "vanvleck", "--tol", "nan",
-                      "--f", str(fxdir / "c4_sine.fn.json")),
-                     ("solve", "--eq", "vanvleck", "--tol", "inf"),
+        verify = ("verify", "--eq", "vanvleck", "--f", str(fxdir / "c4_sine.fn.json"))
+        for argv in (verify + ("--tol", "-1"), verify + ("--tol", "nan"), verify + ("--tol", "inf"),
                      ("stability", "--trials", "20", "--tol", "nan")):
             code, out, err = run(capsys, *argv, *inputs)
-            assert code == 64 and out == "" and "--tol" in err
+            assert code == 64 and out == "" and "--tol must be finite and nonnegative" in err
+
+    def test_only_verdicts_take_tol(self):
+        # eq_tol judges verify's and stability's verdicts; no solution set reads it
+        commands = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        takes = {name for name, sub in commands.choices.items()
+                 if any("--tol" in a.option_strings for a in sub._actions)}
+        assert takes == {"verify", "stability"}
 
 
 class TestFixturesCommand:
@@ -652,16 +697,30 @@ class TestNonFiniteInputs:
     def test_overflowing_oracle_exit_2(self, capsys, fxdir, tmp_path):
         # the oracle solves at unit norm, so only a norm that overflows (two
         # masses of 1e308) leaves its defect non-finite at the starts; it must
-        # exit 2, not report a mismatch
+        # exit 2, not report a mismatch. solve, whose mean tests read a
+        # rounding bound of ||mu|| = inf, printed an empty set with exit 0
         mu = tmp_path / "heavy.mu.json"
         mu.write_text(json.dumps({"atoms": [{"point": 1, "w": [1e308, 0]},
                                             {"point": 3, "w": [1e308, 0]}]}))
-        code, out, err = run(capsys, "oracle", "--eq", "vanvleck",
+        for eq in ("vanvleck", "spherical"):
+            argv = ["--eq", eq, "--sg", str(fxdir / "c4.sg.json"),
+                    "--sigma", str(fxdir / "c4_negation.sigma.json"), "--mu", str(mu)]
+            code, out, err = run(capsys, "oracle", *argv)
+            assert code == 2 and out == ""
+            assert "structural error" in err and "not finite" in err
+            assert run(capsys, "solve", *argv) == (code, out, err)
+
+    def test_merged_weights_overflow_exit_2(self, capsys, fxdir, tmp_path):
+        # each weight is finite, but merged at point 1 they sum to inf
+        mu = tmp_path / "twice.mu.json"
+        mu.write_text(json.dumps({"atoms": [{"point": 1, "w": [1e308, 0]},
+                                            {"point": 1, "w": [1e308, 0]}]}))
+        code, out, err = run(capsys, "solve", "--eq", "vanvleck",
                              "--sg", str(fxdir / "c4.sg.json"),
                              "--sigma", str(fxdir / "c4_negation.sigma.json"),
                              "--mu", str(mu))
         assert code == 2 and out == ""
-        assert "structural error" in err and "not finite" in err
+        assert "structural error" in err and "atom weights must be finite" in err
 
     def test_overflowing_battery_pair_exit_2(self, capsys, tmp_path):
         # every term but item 8's double mean f(1 1) = 1e160 * 5e153 is finite

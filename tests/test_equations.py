@@ -242,6 +242,11 @@ class TestCompanion:
         with pytest.raises(DegenerateIntegral):
             companion_cosine(c4, sine, upsilon)
 
+    def test_only_an_exact_zero_mean_is_degenerate(self, c4, sine, cosine, mu_delta1):
+        # the mean 1e-10 lies below the default eq_tol, once taken for zero
+        g = companion_cosine(c4, 1e-10 * np.asarray(sine), mu_delta1)
+        assert np.array_equal(g, cosine)
+
 
 class TestIdentityBattery:
     def test_sine_passes_everything(self, c4, sine, sigma_neg, mu_delta1):

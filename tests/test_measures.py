@@ -25,18 +25,23 @@ from feqlab import (
     residual_integral_dalembert,
     residual_vanvleck,
     right_transform,
+    solve_central_dalembert,
+    solve_dalembert,
+    solve_spherical,
+    solve_vanvleck,
     support_in_center,
 )
 from feqlab.equations import (
     Equation,
     Term,
+    companion_cosine,
     require_hypotheses,
     residual,
     residual_evaluator,
     term_groups,
 )
 from feqlab.errors import BadParams, LengthMismatch, PointOutOfRange
-from feqlab.solvers import DEDUP_TOL, ORACLE_TOL, match_solution_sets, newton_oracle
+from feqlab.solvers import DEDUP_TOL, ORACLE_TOL, closed_form, match_solution_sets, newton_oracle
 
 
 class TestRootValue:
@@ -93,6 +98,9 @@ class TestDiracMeasure:
             DiracMeasure.from_pairs([(-1, 1.0)])
         with pytest.raises(BadParams):
             DiracMeasure.from_pairs([(0, complex(float("nan"), 0))])
+        # finite weights whose merged sum overflows
+        with pytest.raises(BadParams, match="finite"):
+            DiracMeasure.from_pairs([(1, 1e308), (1, 1e308)])
 
 
 class TestIntegration:
@@ -221,15 +229,21 @@ class TestToleranceConfig:
             assert "tol" not in inspect.signature(fn).parameters
 
     def test_no_hypothesis_or_residual_takes_tol(self, c4, sigma_neg, mu_delta1, sine):
-        # eq_tol judges verdicts; a hypothesis check or a residual report never reads it
+        # eq_tol judges verdicts; a hypothesis check, a residual report, a
+        # solution set or a companion function never reads it
         for fn in (is_sigma_invariant, require_hypotheses, residual_evaluator, residual,
-                   residual_vanvleck, residual_integral_dalembert, residual_central_dalembert):
+                   residual_vanvleck, residual_integral_dalembert, residual_central_dalembert,
+                   closed_form, solve_vanvleck, solve_dalembert, solve_spherical,
+                   solve_central_dalembert, companion_cosine):
             assert "tol" not in inspect.signature(fn).parameters, fn.__name__
         for fn in (require_hypotheses, residual_evaluator, residual_vanvleck):
             assert inspect.signature(fn).parameters["force"].kind is inspect.Parameter.KEYWORD_ONLY
-        # a stale positional tol must not land in force
-        with pytest.raises(TypeError):
-            residual_vanvleck(c4, sine, sigma_neg, mu_delta1, DEFAULT_TOL)
+        # a stale positional tol must not land in force, nor pass unseen
+        for call in (lambda: residual_vanvleck(c4, sine, sigma_neg, mu_delta1, DEFAULT_TOL),
+                     lambda: solve_vanvleck(c4, sigma_neg, mu_delta1, DEFAULT_TOL),
+                     lambda: companion_cosine(c4, sine, mu_delta1, DEFAULT_TOL)):
+            with pytest.raises(TypeError):
+                call()
 
     def test_rejects_negative(self):
         with pytest.raises(BadParams):

@@ -368,14 +368,16 @@ PAIRING_SHA256 = {
 
 class TestCharacterPairing:
     def test_small_sine_measure_keeps_its_solution(self, c4, sigma_neg):
-        # sup 1e-8 is below the oracle's DEDUP_TOL; no tolerance may drop it
-        mu = DiracMeasure.point_mass(1, 1e-8)
-        sols = solve_vanvleck(c4, sigma_neg, mu)
-        assert len(sols.solutions) == 1
-        assert np.array_equal(sols.solutions[0].values, np.array([0, 1e-8, 0, -1e-8]))
-        assert np.array_equal(character_to_scalar(sols.solutions[0].provenance.chi),
-                              np.array([1, 1j, -1, -1j]))
-        assert residual_vanvleck(c4, sols.solutions[0].values, sigma_neg, mu).max_abs == 0.0
+        # sup 1e-8 is below the oracle's DEDUP_TOL, and the mean 1e-10 below
+        # the default eq_tol, which dropped it; no tolerance may drop either
+        for weight in (1e-8, 1e-10):
+            mu = DiracMeasure.point_mass(1, weight)
+            sols = solve_vanvleck(c4, sigma_neg, mu)
+            assert len(sols.solutions) == 1
+            assert np.array_equal(sols.solutions[0].values, np.array([0, weight, 0, -weight]))
+            assert np.array_equal(character_to_scalar(sols.solutions[0].provenance.chi),
+                                  np.array([1, 1j, -1, -1j]))
+            assert residual_vanvleck(c4, sols.solutions[0].values, sigma_neg, mu).max_abs == 0.0
 
     def test_small_even_measure_keeps_its_solutions(self, c4, sigma_neg):
         mu = DiracMeasure.from_pairs([(1, 0.5e-8), (3, 0.5e-8)])
@@ -393,40 +395,38 @@ class TestCharacterPairing:
         sg = validate_semigroup([[0, 0, 0], [0, 1, 0], [0, 0, 2]])
         swap = InvolutiveMorphism(map=(0, 2, 1), kind=MorphismKind.AUTOMORPHISM)
         mu = DiracMeasure.from_pairs([(1, 5e-324), (2, 5e-324)])
-        assert solve_central_dalembert(sg, swap, mu, ToleranceConfig(0.0)).solutions == ()
+        assert solve_central_dalembert(sg, swap, mu).solutions == ()
         mu = DiracMeasure.from_pairs([(1, 2.0 ** -1021), (2, 2.0 ** -1021)])
-        sols = solve_central_dalembert(sg, swap, mu, ToleranceConfig(0.0)).vectors()
+        sols = solve_central_dalembert(sg, swap, mu).vectors()
         assert [f.tolist() for f in sols] == [[0, 2.0 ** -1022, 2.0 ** -1022], [2.0 ** -1020] * 3]
 
-    @pytest.mark.parametrize("eq_tol", [0.0, 1e-30])
-    def test_rounded_zero_mean_is_skipped(self, eq_tol):
+    def test_rounded_zero_mean_is_skipped(self):
         # on C8 with sigma x -> 5x and mu = delta_1 + delta_5, the
         # characters x -> w^(jx) with odd j have mean w^j + w^(5j) = 0,
-        # which rounds to about 1e-16; at any eq_tol they give no solution
+        # which rounds to about 1e-16; the rounding bound alone skips them
+        # (the greedy reference at eq_tol 0 drops their tiny vectors)
         c8 = cyclic_group(8)
         sigma = InvolutiveMorphism(map=tuple(5 * x % 8 for x in range(8)),
                                    kind=MorphismKind.AUTOMORPHISM)
         mu = DiracMeasure.from_pairs([(1, 1.0), (5, 1.0)])
-        tol = ToleranceConfig(eq_tol)
         for tag, count in (("vanvleck", 0), ("integral_dalembert", 4), ("corollary33", 4),
                            ("spherical", 4)):
-            got = closed_form(tag, c8, sigma, mu, tol).solutions
-            want = greedy_closed_form(tag, c8, sigma, mu, tol)
+            got = closed_form(tag, c8, sigma, mu).solutions
+            want = greedy_closed_form(tag, c8, sigma, mu, ToleranceConfig(0.0))
             assert [(s.values.tobytes(), s.provenance.chi) for s in got] == \
                 [(v.tobytes(), chi) for v, chi in want]
             assert len(got) == count
 
-    @pytest.mark.parametrize("weight, eq_tol", [(1.0, 0.0), (1.0, 1e-30), (1e150, 1e-9)])
-    def test_rounded_zero_sum_is_zero(self, weight, eq_tol):
+    @pytest.mark.parametrize("weight", [1.0, 1e150])
+    def test_rounded_zero_sum_is_zero(self, weight):
         # on C8 with sigma x -> 5x and mu = delta_1, chi(x) = w^(jx) for
         # j = 2, 6 has mean(chi o sigma) + mean(chi) = w^(5j) + w^j = 0,
-        # about 1e-16 ||mu|| in floats; the sine solution must not hinge
-        # on eq_tol being above that rounding
+        # about 1e-16 ||mu|| in floats; twice the rounding bound of one
+        # mean keeps the sine solution, with no tolerance
         c8 = cyclic_group(8)
         sigma = InvolutiveMorphism(map=tuple(5 * x % 8 for x in range(8)),
                                    kind=MorphismKind.AUTOMORPHISM)
-        got = solve_vanvleck(c8, sigma, DiracMeasure.point_mass(1, weight),
-                             ToleranceConfig(eq_tol)).solutions
+        got = solve_vanvleck(c8, sigma, DiracMeasure.point_mass(1, weight)).solutions
         want = greedy_closed_form("vanvleck", c8, sigma, DiracMeasure.point_mass(1))
         assert len(got) == len(want) == 2
         for sol, (v, chi) in zip(got, want):
@@ -435,16 +435,17 @@ class TestCharacterPairing:
 
     def test_rounding_allowances_stay_small(self, c4, sigma_neg):
         # a mean of 2^-40 with ||mu|| about 2 is no rounding: chi = 1 and
-        # chi = (-1)^x keep their solutions at eq_tol 0
+        # chi = (-1)^x keep their solutions
         mu = DiracMeasure.from_pairs([(0, 1.0), (2, -(1 - 2.0 ** -40))])
-        sups = sorted(float(np.max(np.abs(f)))
-                      for f in solve_spherical(c4, mu, ToleranceConfig(0.0)).vectors())
+        sups = sorted(float(np.max(np.abs(f))) for f in solve_spherical(c4, mu).vectors())
         assert sups == [2.0 ** -40, 2.0 ** -40, 2 - 2.0 ** -40, 2 - 2.0 ** -40]
-        # nor is mean(chi o sigma) + mean(chi) = -2e-12: i^x gives no
-        # sine solution at eq_tol 0, while eq_tol 1e-9 lets it through
+        # nor is mean(chi o sigma) + mean(chi) = -2e-12: i^x gives no sine
+        # solution, where eq_tol 1e-9 let through [0, 1+1e-12i, 0, -1-1e-12i],
+        # whose residual is 2e-12
         mu = DiracMeasure.from_pairs([(1, 1.0), (2, 1e-12)])
-        assert solve_vanvleck(c4, sigma_neg, mu, ToleranceConfig(0.0)).solutions == ()
-        assert len(solve_vanvleck(c4, sigma_neg, mu).solutions) == 1
+        assert solve_vanvleck(c4, sigma_neg, mu).solutions == ()
+        leaked = np.array([0, 1 + 1e-12j, 0, -1 - 1e-12j])
+        assert residual_vanvleck(c4, leaked, sigma_neg, mu).max_abs >= 1e-12
 
     def test_same_as_greedy_dedup_and_pinned_bytes(self):
         lines = {tag: [] for tag in EQUATIONS if EQUATIONS[tag].closed_form}
@@ -522,8 +523,7 @@ class TestNewtonOracle:
             assert len(got) == len(want) == count, tag
             assert sorted(v.tobytes() for v in got) == sorted((v * weight).tobytes() for v in want)
             refs = closed_form(tag, c4, sigma, mu).vectors()
-            pairs, extra, missing = match_solution_sets([v / weight for v in got],
-                                                        [v / weight for v in refs])
+            pairs, extra, missing = match_solution_sets(got, refs, mu)
             assert len(pairs) == count and not extra and not missing, tag
 
     def test_unneeded_measure_scales_nothing(self, c4, sigma_neg):
@@ -885,34 +885,34 @@ class TestSelfCheck:
         with pytest.raises(FeqlabError, match="closed form failed verification for vanvleck"):
             solve_vanvleck(c4, sigma_neg, mu_delta1)
 
-    @pytest.mark.parametrize("weight, eq_tol", [(1.0, 0.0), (1e-8, 0.0), (1e150, 1e-9)])
-    def test_wrong_form_fails_at_every_scale(self, c4, sigma_neg, monkeypatch, weight, eq_tol):
+    @pytest.mark.parametrize("weight", [1.0, 1e-8, 1e150])
+    def test_wrong_form_fails_at_every_scale(self, c4, sigma_neg, monkeypatch, weight):
         # the rounding allowance scales with ||mu||^2 and stays far below
         # the residual of a wrong form
         eq = EQUATIONS["vanvleck"]
         monkeypatch.setitem(EQUATIONS, "vanvleck",
                             dataclasses.replace(eq, closed_form=eq.closed_form._replace(sigma_sign=1)))
         with pytest.raises(FeqlabError, match="closed form failed verification for vanvleck"):
-            solve_vanvleck(c4, sigma_neg, DiracMeasure.point_mass(1, weight), ToleranceConfig(eq_tol))
+            solve_vanvleck(c4, sigma_neg, DiracMeasure.point_mass(1, weight))
 
     def test_rounding_alone_passes(self):
         # C3's characters take values cos/sin leave inexact, so their
         # residuals are rounding, which eq_tol alone refused at --tol 0
-        # and at weights from about 1e3
+        # and at weights from about 1e3; the gate is the derived bound
         c3 = cyclic_group(3)
         neg = InvolutiveMorphism(map=(0, 2, 1), kind=MorphismKind.AUTOMORPHISM)
-        for weight, tol in ((1e3, DEFAULT_TOL), (1.0, ToleranceConfig(0.0)), (1e150, DEFAULT_TOL)):
+        for weight in (1e3, 1.0, 1e150):
             mu = DiracMeasure.point_mass(1, weight)
-            got = solve_spherical(c3, mu, tol).solutions
+            got = solve_spherical(c3, mu).solutions
             assert [(s.values.tobytes(), s.provenance.chi) for s in got] == \
-                [(v.tobytes(), chi) for v, chi in greedy_closed_form("spherical", c3, None, mu, tol)]
+                [(v.tobytes(), chi) for v, chi in greedy_closed_form("spherical", c3, None, mu)]
             assert len(got) == 3
-        assert len(solve_dalembert(c3, neg, ToleranceConfig(0.0)).solutions) == 2
+        assert len(solve_dalembert(c3, neg).solutions) == 2
         # where products underflow, the residual is 2^-1074, not zero
         tiny = DiracMeasure.point_mass(1, 2.0 ** -537)
-        assert len(solve_spherical(c3, tiny, ToleranceConfig(0.0)).solutions) == 3
+        assert len(solve_spherical(c3, tiny).solutions) == 3
         mu = DiracMeasure.from_pairs([(1, 0.5e-8), (2, 0.5e-8)])
-        central = solve_central_dalembert(c3, neg, mu, ToleranceConfig(0.0)).vectors()
+        central = solve_central_dalembert(c3, neg, mu).vectors()
         assert len(central) == 2
         assert all(residual_central_dalembert(c3, f, neg, mu).max_abs <= 1e-30 for f in central)
 

@@ -199,6 +199,13 @@ class TestApproximateBattery:
             approximate_battery(c4, np.asarray(sine, dtype=complex), sigma_neg,
                                 upsilon, delta=0.0)
 
+    def test_only_an_exact_zero_mean_is_degenerate(self, c4, sigma_neg, mu_delta1, sine):
+        # the mean 1e-10 lies below eq_tol, so its flag item fails, but the
+        # bounds are defined and the exact solution meets every other item
+        f = 1e-10 * np.asarray(sine, dtype=complex)
+        holds = {it.name: it.holds for it in approximate_battery(c4, f, sigma_neg, mu_delta1, delta=0.0)}
+        assert holds.pop("5_nonzero_mean") is False and all(holds.values())
+
     def test_mean_tested_before_any_term(self, c4, sigma_neg):
         # the mean cancels to exactly 0 while the odd term overflows
         mu = DiracMeasure.from_pairs([(1, 1.0), (3, -1.0)])
