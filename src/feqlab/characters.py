@@ -8,9 +8,10 @@ keeps the per-element candidate set finite and enumeration exact.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -18,6 +19,8 @@ import numpy as np
 from .errors import LengthMismatch
 from .measures import DEFAULT_TOL, RootValue, ToleranceConfig
 from .semigroups import FiniteSemigroup, InvolutiveMorphism, index_period
+
+_ZERO = -1  # the integer turn that stands for the value 0
 
 
 @dataclass(frozen=True)
@@ -29,13 +32,32 @@ class Character:
     def sort_key(self) -> tuple:
         return tuple(v.sort_key() for v in self.values)
 
+    @cached_property
+    def _vector(self) -> np.ndarray:
+        """character_to_scalar's memo: built once per Character, so it
+        lives exactly as long as the object does."""
+        vec = np.array([v.to_complex() for v in self.values], dtype=complex)
+        vec.setflags(write=False)
+        return vec
+
+    @cached_property
+    def int_turns(self) -> tuple[int, tuple[int, ...]]:
+        """(M, ks): M the lcm of the values' periods and ks the values as
+        integer turns over M, k for e^(2 pi i k/M) and -1 for zero. Equal
+        exactly when the values are, so it is a cheap exact hash key; the
+        key of chi o m is (M, (ks[m(0)], ks[m(1)], ...))."""
+        fracs = [v.turns for v in self.values]
+        m = math.lcm(*(q.denominator for q in fracs if q is not None))
+        return m, tuple(_ZERO if q is None else q.numerator * (m // q.denominator) for q in fracs)
+
     def to_json(self) -> dict:
         return {"values": [v.to_json() for v in self.values]}
 
 
 def character_to_scalar(chi: Character) -> np.ndarray:
-    """Complex vector of the character's values; quarter turns stay exact."""
-    return np.array([v.to_complex() for v in chi.values], dtype=complex)
+    """Complex vector of the character's values (read-only, memoized on
+    chi); quarter turns stay exact."""
+    return chi._vector
 
 
 def compose_sigma(chi: Character, m: InvolutiveMorphism) -> Character:
@@ -69,24 +91,25 @@ def enumerate_characters(sg: FiniteSemigroup) -> list[Character]:
     every assigned y. A forced value that clashes prunes the branch, and
     every assigned pair has its product checked, so a complete assignment
     is multiplicative. The all-zero function is excluded.
+
+    The search runs in integer turns over M, the lcm of the element
+    periods: k >= 0 stands for e^(2 pi i k/M) and -1 for zero, so a
+    product is (a + b) % M and a clash is an int inequality. Sorting the
+    int tuples is the canonical order (-1 before 0 as zero before one);
+    the RootValues are built at the end from one table of M roots.
     """
     n = sg.n
     t = sg.table
-    zero = RootValue.zero()
-
-    domains: list[list[RootValue]] = []
-    for x in sg.elements():
-        _, p = index_period(sg, x)
-        roots = sorted((RootValue(Fraction(j, p)) for j in range(p)),
-                       key=RootValue.sort_key)
-        domains.append([zero] + roots)
+    periods = [index_period(sg, x)[1] for x in sg.elements()]
+    m = math.lcm(*periods)
+    domains = [[_ZERO, *range(0, m, m // p)] for p in periods]
 
     order = sorted(sg.elements(), key=lambda x: (len(domains[x]), x))
-    values: list[RootValue | None] = [None] * n
+    values: list[int | None] = [None] * n
     trail: list[int] = []  # assigned elements in assignment order, for undo
-    found: list[tuple[RootValue, ...]] = []
+    found: list[tuple[int, ...]] = []
 
-    def assign(e: int, v: RootValue) -> bool:
+    def assign(e: int, v: int) -> bool:
         """Set chi(e) = v and everything it forces; False on a clash."""
         pending = [(e, v)]
         while pending:
@@ -97,18 +120,20 @@ def enumerate_characters(sg: FiniteSemigroup) -> list[Character]:
                 continue
             values[x] = vx
             trail.append(x)
-            if vx.is_zero:
+            row = t[x]
+            if vx == _ZERO:
                 for y in sg.elements():
-                    pending += ((t[x][y], zero), (t[y][x], zero))
+                    pending += ((row[y], _ZERO), (t[y][x], _ZERO))
             else:
-                for y in trail:
-                    vxy = vx * values[y]  # the value monoid is commutative
-                    pending += ((t[x][y], vxy), (t[y][x], vxy))
+                for y in trail:  # the value monoid is commutative
+                    vy = values[y]
+                    vxy = _ZERO if vy == _ZERO else (vx + vy) % m
+                    pending += ((row[y], vxy), (t[y][x], vxy))
         return True
 
     def extend(pos: int) -> None:
         if pos == n:
-            if any(not v.is_zero for v in values):
+            if any(v != _ZERO for v in values):
                 found.append(tuple(values))
             return
         e = order[pos]
@@ -124,7 +149,10 @@ def enumerate_characters(sg: FiniteSemigroup) -> list[Character]:
             del trail[mark:]
 
     extend(0)
-    return sorted((Character(values=vals) for vals in found), key=Character.sort_key)
+    found.sort()
+    # index -1 (zero) reads the last entry
+    table = [RootValue(Fraction(k, m)) for k in range(m)] + [RootValue.zero()]
+    return [Character(values=tuple(table[k] for k in vals)) for vals in found]
 
 
 @lru_cache(maxsize=4096)

@@ -546,6 +546,10 @@ def approximate_battery(sg: FiniteSemigroup, f: Sequence[complex], sigma: Involu
     # the companion cosine, as companion_cosine computes it
     g_defect = residual_dalembert(sg, sups.rt / mean, sigma).max_abs
 
+    square = amean * amean  # underflows to 0 below a mean of about 1e-162
+    companion_bound = (3.0 * delta * norm * norm / square if square
+                       else math.inf if delta > 0 else 0.0)
+
     def bounded(name: str, lhs: float, rhs: float) -> InequalityItem:
         return InequalityItem(name, lhs, rhs, False, lhs <= rhs + eq)
 
@@ -557,5 +561,5 @@ def approximate_battery(sg: FiniteSemigroup, f: Sequence[complex], sigma: Involu
         InequalityItem("5_nonzero_mean", amean, 0.0, True, amean > eq),
         bounded("6_sigma_twist_mean", sups.sigma_twist, 0.0),
         bounded("7_sigma_right_mean", sups.sigma_right, 6.0 * delta * norm * norm / amean),
-        bounded("8_companion_cosine_defect", g_defect, 3.0 * delta * norm * norm / (amean * amean)),
+        bounded("8_companion_cosine_defect", g_defect, companion_bound),
     ]

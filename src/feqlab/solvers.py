@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .characters import Character, character_to_scalar, characters_cached, compose_sigma
+from .characters import Character, character_to_scalar, characters_cached
 from .equations import (
     EQUATIONS,
     Equation,
@@ -28,6 +28,7 @@ from .errors import (
     BadParams,
     DegenerateMeasureWarning,
     FeqlabError,
+    LengthMismatch,
     NonFiniteResidual,
     UsageError,
 )
@@ -153,10 +154,14 @@ def closed_form(equation: str, sg: FiniteSemigroup, sigma: InvolutiveMorphism | 
                       DegenerateMeasureWarning, stacklevel=3)
         return SolutionSet(form.label, ())
     rounding = 0.0 if mu is None else character_mean_slack(mu)  # of one float mean
-    kept: set[Character] = set()
+    if form.sigma_sign and len(sigma.map) != sg.n:
+        raise LengthMismatch(len(sigma.map), sg.n)
+    kept: set[tuple[int, tuple[int, ...]]] = set()  # int_turns of the kept characters
     for chi in characters_cached(sg):
-        if form.sigma_sign and compose_sigma(chi, sigma) in kept:
-            continue  # chi o sigma gives the same function
+        if form.sigma_sign:
+            period, ks = chi.int_turns
+            if (period, tuple([ks[y] for y in sigma.map])) in kept:
+                continue  # chi o sigma gives the same function
         c = character_to_scalar(chi)
         if mu is not None:
             mean = integrate(c, mu)
@@ -172,7 +177,7 @@ def closed_form(equation: str, sg: FiniteSemigroup, sigma: InvolutiveMorphism | 
             f = (c + s) / 2.0
         else:
             f = c
-        kept.add(chi)
+        kept.add(chi.int_turns)
         out.append(Solution(f if mu is None else f * mean, Provenance(chi, form.formula)))
     laws = [eq for eq in EQUATIONS.values() if eq.closed_form is form] + list(form.checks)
     evaluators = [residual_evaluator(law, sg, sigma, mu) for law in laws] if out else []

@@ -92,7 +92,8 @@ def test_census_and_ideal_products_match_oracle(sg):
     assert set(got) == brute_characters(sg)
 
 
-@pytest.mark.parametrize("orders", [(16,), (4, 4), (2, 8)], ids=["C16", "C4xC4", "C2xC8"])
+@pytest.mark.parametrize("orders", [(16,), (4, 4), (2, 8), (32,), (64,), (4, 16)],
+                         ids=["C16", "C4xC4", "C2xC8", "C32", "C64", "C4xC16"])
 def test_abelian_groups_give_their_dual_in_canonical_order(orders):
     """The characters of C_a x C_b are (x, y) -> turns k x/a + l y/b, with
     pair (x, y) at index x b + y; the list is sorted by turns, element by
@@ -181,6 +182,9 @@ def test_compose_sigma(c4, sigma_neg, sigma_id4):
                           np.array([1, -1j, -1, 1j]))
     assert compose_sigma(chi, sigma_id4) == chi
     assert compose_sigma(composed, sigma_neg) == chi  # involution
+    # the integer key of chi o sigma is chi's, permuted by the map
+    assert chi.int_turns == (4, (0, 1, 2, 3))
+    assert composed.int_turns == (4, (0, 3, 2, 1))
 
 
 def test_character_to_scalar_exact(c4):
@@ -188,3 +192,14 @@ def test_character_to_scalar_exact(c4):
                if c.values[1] == RootValue.root(1, 4))
     vec = character_to_scalar(chi)
     assert vec.tolist() == [1 + 0j, 1j, -1 + 0j, -1j]
+    # memoized on the character, and shared, so no caller may write to it
+    assert character_to_scalar(chi) is vec
+    assert not vec.flags.writeable
+
+
+def test_int_turns_key_the_values_exactly():
+    # (0, 1) over 2 is not (0, 1) over 4: the period is part of the key
+    half = Character((RootValue.one(), RootValue.root(1, 2)))
+    quarter = Character((RootValue.one(), RootValue.root(1, 4)))
+    assert half.int_turns == (2, (0, 1)) and quarter.int_turns == (4, (0, 1))
+    assert Character((RootValue.zero(), RootValue.root(3, 6))).int_turns == (2, (-1, 1))

@@ -37,6 +37,7 @@ from feqlab import (
     solve_spherical,
     solve_vanvleck,
     symmetric_group_3,
+    validate_morphism,
     validate_semigroup,
 )
 from feqlab.characters import characters_cached
@@ -44,6 +45,7 @@ from feqlab.equations import EQUATIONS, _defect, residual, term_groups
 from feqlab.errors import (
     DegenerateMeasureWarning,
     FeqlabError,
+    LengthMismatch,
     NonCentralSupport,
     NonFiniteResidual,
     NotSigmaInvariant,
@@ -217,6 +219,11 @@ class TestSolveDalembert:
         got = sorted(tuple(np.round(s.values, 12)) for s in sols.solutions)
         expected = sorted(tuple(np.round(v, 12)) for v in (np.ones(6, dtype=complex), sign))
         assert got == expected
+
+    def test_sigma_of_wrong_length(self, c4):
+        short = InvolutiveMorphism(map=(0, 1, 2), kind=MorphismKind.AUTOMORPHISM)
+        with pytest.raises(LengthMismatch):
+            solve_dalembert(c4, short)
 
 
 class TestSolveSpherical:
@@ -460,6 +467,33 @@ class TestCharacterPairing:
         digests = {tag: hashlib.sha256("\n".join(out).encode()).hexdigest()
                    for tag, out in lines.items()}
         assert digests == PAIRING_SHA256
+
+
+class TestColdCache:
+    def test_fresh_characters_give_the_same_bytes(self):
+        # solve_ladder clears characters_cached before each group; the
+        # memos on the characters must go with it and change no bit
+        sg = direct_product(cyclic_group(4), cyclic_group(4))  # (x, y) at 4x + y
+        neg = validate_morphism(sg, [(-x % 4) * 4 + (-y % 4) for x in range(4) for y in range(4)],
+                                MorphismKind.AUTOMORPHISM)
+        w = 0.75 * np.exp(0.3j)
+        point = DiracMeasure.point_mass(1, w)
+        even = DiracMeasure.from_pairs([(1, w / 2), (neg.map[1], w / 2)])
+        cases = {"vanvleck": (neg, point), "dalembert_variant": (neg, None),
+                 "integral_dalembert": (neg, even), "corollary33": (neg, even),
+                 "spherical": (None, even)}
+        assert set(cases) == {tag for tag in EQUATIONS if EQUATIONS[tag].closed_form}
+        first = {tag: closed_form(tag, sg, *inputs) for tag, inputs in cases.items()}
+        characters_cached.cache_clear()
+        second = {tag: closed_form(tag, sg, *inputs) for tag, inputs in cases.items()}
+        for tag in cases:
+            old, new = first[tag].solutions, second[tag].solutions
+            assert old and len(old) == len(new)
+            assert [s.values.tobytes() for s in old] == [s.values.tobytes() for s in new]
+            for a, b in zip(old, new):
+                assert a.provenance == b.provenance
+                assert a.provenance.chi is not b.provenance.chi
+                assert character_to_scalar(a.provenance.chi) is not character_to_scalar(b.provenance.chi)
 
 
 class TestNewtonOracle:

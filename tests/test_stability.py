@@ -206,6 +206,15 @@ class TestApproximateBattery:
         holds = {it.name: it.holds for it in approximate_battery(c4, f, sigma_neg, mu_delta1, delta=0.0)}
         assert holds.pop("5_nonzero_mean") is False and all(holds.values())
 
+    @pytest.mark.parametrize("scale, delta, bound", [
+        (1e-200, 1.0, math.inf), (1e-200, 0.0, 0.0), (1e-150, 1.0, 3.0 / (1e-150 * 1e-150))])
+    def test_squared_mean_underflow(self, c4, sigma_neg, mu_delta1, sine, scale, delta, bound):
+        # item 8 divides by |mean|^2, which is 0 in floats at a mean of 1e-200
+        f = scale * np.asarray(sine, dtype=complex)
+        items = {it.name: it for it in approximate_battery(c4, f, sigma_neg, mu_delta1, delta=delta)}
+        assert items["8_companion_cosine_defect"].rhs == bound
+        assert items["8_companion_cosine_defect"].holds
+
     def test_mean_tested_before_any_term(self, c4, sigma_neg):
         # the mean cancels to exactly 0 while the odd term overflows
         mu = DiracMeasure.from_pairs([(1, 1.0), (3, -1.0)])
