@@ -5,8 +5,9 @@ terms of its defect as words in x, y, sigma(y) and an atom t of the
 measure, its quadratic part, the hypotheses it requires, the inputs it
 needs and its closed form in characters. One evaluator compiles the
 words to index arrays and computes any residual grid as a single
-gather-and-weight step; the Gauss-Newton oracle in `solvers` builds its
-linear operator from the same arrays.
+gather-and-weight step, for one function or a stack of them (the closed
+forms verify all their solutions in one pass per law); the Gauss-Newton
+oracle in `solvers` builds its linear operator from the same arrays.
 
 Every report scans the full (x, y) grid, giving the sup-norm of the
 defect and the lexicographically first pair attaining it. A function
@@ -244,12 +245,18 @@ class ResidualReport:
         return out
 
 
+def finite_top(equation: str, top: float) -> float:
+    """top, the sup of a residual grid of equation; NonFiniteResidual
+    when it is not finite."""
+    if not math.isfinite(top):
+        raise NonFiniteResidual(f"{equation} residual is not finite (overflow or non-finite input)")
+    return top
+
+
 def _grid_report(equation: str, grid: np.ndarray, *, out_of_hypothesis: bool = False) -> ResidualReport:
     mags = np.abs(grid)
     flat = int(np.argmax(mags))  # first occurrence in row-major order, or the first NaN
-    top = float(mags.flat[flat])
-    if not math.isfinite(top):
-        raise NonFiniteResidual(f"{equation} residual is not finite (overflow or non-finite input)")
+    top = finite_top(equation, float(mags.flat[flat]))
     n = mags.shape[1]
     return ResidualReport(
         equation=equation,
@@ -315,17 +322,31 @@ def _defect(eq: Equation, groups: list, f: np.ndarray, g: np.ndarray | None) -> 
     """The defect of eq at every pair, its terms compiled by term_groups,
     summed in the order a pointwise loop would: per atom the signed terms
     left to right, weighted, then each product subtracted. A real
-    coefficient scales both parts exactly, so it needs no _cmul."""
-    grid = np.zeros((len(f), len(f)), dtype=complex)
+    coefficient scales both parts exactly, so it needs no _cmul.
+
+    The functions lie on the last axis: a stack of shape (..., n) gives
+    grids of shape (..., n, n), each cell rounded as it is for one
+    function alone, since every step acts elementwise."""
+    n = f.shape[-1]
+    grid = np.zeros(f.shape[:-1] + (n, n), dtype=complex)
+    # take(axis=-1) gathers as f[..., idx] does; numpy's indexing has a fast
+    # path for one axis only, and is slower with the ellipsis
     for w, terms in groups:
-        acc = sum(f[idx] if sign > 0 else -f[idx] for sign, idx in terms)
+        acc = sum(f.take(idx, axis=-1) if sign > 0 else -f.take(idx, axis=-1) for sign, idx in terms)
         grid += acc if w is None else _cmul(w, acc)
-    at = {"fx": f[:, None], "fy": f[None, :]}
+    at = {"fx": f[..., :, None], "fy": f[..., None, :]}
     if g is not None:
-        at.update(gx=g[:, None], gy=g[None, :])
+        at.update(gx=g[..., :, None], gy=g[..., None, :])
     for p in eq.products:
         grid -= _cmul(p.coef * at[p.left], at[p.right])
     return grid
+
+
+def _row_sups(eq: Equation, groups: list, F: np.ndarray) -> np.ndarray:
+    """max |defect| of eq for each row of the (k, n) stack F, from one
+    gather: each equals the max_abs of its row's own report, or is not
+    finite where that report would raise NonFiniteResidual."""
+    return np.max(np.abs(_defect(eq, groups, F, None)), axis=(-2, -1))
 
 
 def residual_evaluator(eq: Equation, sg: FiniteSemigroup, sigma: InvolutiveMorphism | None = None,

@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -84,6 +85,12 @@ class RootValue:
         return RootValue((self.turns + other.turns) % 1)
 
     def to_complex(self) -> complex:
+        return self._complex
+
+    @cached_property
+    def _complex(self) -> complex:
+        """to_complex's memo: computed once per RootValue, so it lives
+        exactly as long as the object (and the characters sharing it) do."""
         if self.is_zero:
             return 0j
         exact = _QUARTER_TURNS.get(self.turns)

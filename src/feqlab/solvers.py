@@ -19,9 +19,10 @@ from .characters import Character, character_to_scalar, characters_cached
 from .equations import (
     EQUATIONS,
     Equation,
+    _row_sups,
     closed_form_slack,
+    finite_top,
     require_hypotheses,
-    residual_evaluator,
     term_groups,
 )
 from .errors import (
@@ -30,6 +31,7 @@ from .errors import (
     FeqlabError,
     LengthMismatch,
     NonFiniteResidual,
+    NotMorphism,
     UsageError,
 )
 from .jsonio import function_to_json
@@ -154,8 +156,12 @@ def closed_form(equation: str, sg: FiniteSemigroup, sigma: InvolutiveMorphism | 
                       DegenerateMeasureWarning, stacklevel=3)
         return SolutionSet(form.label, ())
     rounding = 0.0 if mu is None else character_mean_slack(mu)  # of one float mean
-    if form.sigma_sign and len(sigma.map) != sg.n:
-        raise LengthMismatch(len(sigma.map), sg.n)
+    if form.sigma_sign:
+        if len(sigma.map) != sg.n:
+            raise LengthMismatch(len(sigma.map), sg.n)
+        bad = next((x for x, y in enumerate(sigma.map) if not 0 <= y < sg.n), None)
+        if bad is not None:
+            raise NotMorphism(f"sigma[{bad}] = {sigma.map[bad]} is outside 0..{sg.n - 1}")
     kept: set[tuple[int, tuple[int, ...]]] = set()  # int_turns of the kept characters
     for chi in characters_cached(sg):
         if form.sigma_sign:
@@ -179,15 +185,27 @@ def closed_form(equation: str, sg: FiniteSemigroup, sigma: InvolutiveMorphism | 
             f = c
         kept.add(chi.int_turns)
         out.append(Solution(f if mu is None else f * mean, Provenance(chi, form.formula)))
-    laws = [eq for eq in EQUATIONS.values() if eq.closed_form is form] + list(form.checks)
-    evaluators = [residual_evaluator(law, sg, sigma, mu) for law in laws] if out else []
-    gate = closed_form_slack(mu)
-    for sol in out:
-        for evaluate in evaluators:
-            rep = evaluate(sol.values)
-            if rep.max_abs > gate:
-                raise FeqlabError(f"internal: closed form failed verification for "
-                                  f"{rep.equation} (residual {rep.max_abs:.3e})")
+    if out:
+        # Verified against each equation sharing the form, then form.checks:
+        # every law's hypotheses are checked and its terms compiled first,
+        # as residual_evaluator does, then its defect is gathered for all
+        # the solutions at once, one law's (k, n, n) grid at a time. The
+        # sups are walked solution by solution, law by law, so the first
+        # pair that is not finite or above the gate raises, as one report
+        # per pair would.
+        laws = [eq for eq in EQUATIONS.values() if eq.closed_form is form] + list(form.checks)
+        groups = []
+        for law in laws:
+            require_hypotheses(law.hypotheses, sg, sigma, mu)
+            groups.append(term_groups(law, sg, sigma, mu))
+        F = np.array([sol.values for sol in out])
+        sups = [_row_sups(law, grp, F).tolist() for law, grp in zip(laws, groups)]
+        gate = closed_form_slack(mu)
+        for row in zip(*sups):
+            for law, top in zip(laws, row):
+                if finite_top(law.tag, top) > gate:
+                    raise FeqlabError(f"internal: closed form failed verification for "
+                                      f"{law.tag} (residual {top:.3e})")
     return SolutionSet(form.label, tuple(out))
 
 

@@ -21,10 +21,22 @@ from feqlab import (
     residual_spherical,
     residual_vanvleck,
     residual_wilson,
+    cyclic_group,
+    direct_product,
     enumerate_involutive_morphisms,
+    s3_inversion,
+    symmetric_group_3,
     validate_semigroup,
 )
-from feqlab.equations import EQUATIONS, MIDDLE_COMMUTATION, SPHERICAL_RIGHT, residual, residual_evaluator
+from feqlab.equations import (
+    EQUATIONS,
+    MIDDLE_COMMUTATION,
+    SPHERICAL_RIGHT,
+    _defect,
+    residual,
+    residual_evaluator,
+    term_groups,
+)
 from feqlab.errors import (
     DegenerateIntegral,
     LengthMismatch,
@@ -375,6 +387,40 @@ class TestRegistryGrids:
         for name, (top, arg) in _pointwise(s3, sigma, mu, f, g).items():
             assert reports[name].max_abs == top, name
             assert reports[name].argmax == arg, name
+
+
+class TestStackedDefect:
+    """_defect on a (k, n) stack of functions against k single-function calls."""
+
+    @pytest.mark.parametrize("name", ["c4", "s3", "c4xc4"])
+    def test_stack_equals_the_rows_to_the_bit(self, name):
+        if name == "c4":
+            sg, sigma = cyclic_group(4), InvolutiveMorphism((0, 3, 2, 1), MorphismKind.AUTOMORPHISM)
+        elif name == "s3":
+            sg, sigma = symmetric_group_3(), s3_inversion()
+        else:
+            sg = direct_product(cyclic_group(4), cyclic_group(4))  # (x, y) at 4x + y
+            neg = tuple((-x % 4) * 4 + (-y % 4) for x in range(4) for y in range(4))
+            sigma = InvolutiveMorphism(neg, MorphismKind.AUTOMORPHISM)
+        rng = np.random.default_rng(len(name))
+        for atoms in (1, 2, 3):
+            points = rng.choice(sg.n, size=atoms, replace=False)
+            weights = rng.normal(size=atoms) + 1j * rng.normal(size=atoms)
+            mu = DiracMeasure.from_pairs(list(zip(points.tolist(), weights.tolist())))
+            F = rng.normal(size=(4, sg.n)) + 1j * rng.normal(size=(4, sg.n))
+            G = rng.normal(size=(4, sg.n)) + 1j * rng.normal(size=(4, sg.n))
+            F[2, 1] = G[2, 1] = 1e300  # this row's products overflow
+            for eq in EQUATIONS.values():
+                groups = term_groups(eq, sg, sigma, mu)
+                g = G if eq.uses_g else None
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    stacked = _defect(eq, groups, F, g)
+                    rows = [_defect(eq, groups, F[k], None if g is None else g[k]) for k in range(4)]
+                assert stacked.shape == (4, sg.n, sg.n)
+                assert stacked.tobytes() == np.stack(rows).tobytes(), (eq.tag, atoms)
+                finite = np.isfinite(stacked).all(axis=(1, 2))
+                assert finite.tolist() == [True, True, False, True], (eq.tag, atoms)
 
 
 class TestResidualEvaluator:

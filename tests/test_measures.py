@@ -69,6 +69,19 @@ class TestRootValue:
         assert RootValue.root(3, 4).to_complex() == -1j
         assert RootValue.zero().to_complex() == 0j
 
+    def test_complex_value_is_memoized_bit_for_bit(self):
+        for m in (1, 3, 4, 5, 8, 12):
+            for q in range(m):
+                v = RootValue.root(q, m)
+                got = v.to_complex()
+                assert v.to_complex() is got
+                angle = 2.0 * math.pi * float(Fraction(q, m))
+                want = complex(math.cos(angle), math.sin(angle))
+                if 4 * q % m == 0:  # quarter turns stay exact
+                    want = (complex(1, 0), complex(0, 1), complex(-1, 0), complex(0, -1))[4 * q // m]
+                assert np.complex128(got).tobytes() == np.complex128(want).tobytes()
+                assert RootValue.root(q, m).to_complex() == got  # a fresh value, its own memo
+
     def test_general_roots_match_trig(self):
         v = RootValue.root(1, 3).to_complex()
         assert v.real == pytest.approx(-0.5, abs=1e-15)

@@ -48,6 +48,7 @@ from feqlab.errors import (
     LengthMismatch,
     NonCentralSupport,
     NonFiniteResidual,
+    NotMorphism,
     NotSigmaInvariant,
     UsageError,
     WrongMorphismKind,
@@ -224,6 +225,16 @@ class TestSolveDalembert:
         short = InvolutiveMorphism(map=(0, 1, 2), kind=MorphismKind.AUTOMORPHISM)
         with pytest.raises(LengthMismatch):
             solve_dalembert(c4, short)
+
+    @pytest.mark.parametrize("entry", [5, -1])
+    def test_sigma_entry_out_of_range(self, c4, mu_delta1, entry):
+        # a library caller's unvalidated map is refused before any character reads it
+        bad = InvolutiveMorphism(map=(0, entry, 2, 1), kind=MorphismKind.AUTOMORPHISM)
+        message = rf"sigma\[1\] = {entry} is outside 0\.\.3"
+        with pytest.raises(NotMorphism, match=message):
+            solve_dalembert(c4, bad)
+        with pytest.raises(NotMorphism, match=message):
+            solve_vanvleck(c4, bad, mu_delta1)
 
 
 class TestSolveSpherical:
@@ -928,6 +939,30 @@ class TestSelfCheck:
                             dataclasses.replace(eq, closed_form=eq.closed_form._replace(sigma_sign=1)))
         with pytest.raises(FeqlabError, match="closed form failed verification for vanvleck"):
             solve_vanvleck(c4, sigma_neg, DiracMeasure.point_mass(1, weight))
+
+    @pytest.mark.parametrize("tag, point, law", [
+        ("vanvleck", 1, "vanvleck"),
+        ("integral_dalembert", 2, "integral_dalembert"),
+        ("corollary33", 2, "integral_dalembert"),
+        ("spherical", 1, "spherical"),
+    ])
+    def test_overflow_names_the_first_law(self, c4, sigma_neg, tag, point, law):
+        # solutions of size 1e160 square to inf; the first solution's first
+        # law raises, corollary33's being the middle form it shares
+        mu = DiracMeasure.point_mass(point, 1e160)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteResidual,
+                               match=rf"^{law} residual is not finite \(overflow or non-finite input\)$"):
+                closed_form(tag, c4, sigma_neg, mu)
+
+    def test_overflow_measure_unused_by_dalembert(self, c4, sigma_neg):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = closed_form("dalembert_variant", c4, sigma_neg, DiracMeasure.point_mass(1, 1e160))
+        assert [s.values.tobytes() for s in got.solutions] == \
+            [s.values.tobytes() for s in solve_dalembert(c4, sigma_neg).solutions]
+        assert len(got.solutions) == 3
 
     def test_rounding_alone_passes(self):
         # C3's characters take values cos/sin leave inexact, so their
