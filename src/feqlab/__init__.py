@@ -7,7 +7,7 @@ root-finding oracle, and fuzz the superstability dichotomy.
 
 import types as _types
 
-from .characters import Character, character_to_scalar, compose_sigma, enumerate_characters, is_multiplicative
+from .characters import Character, character_to_scalar, enumerate_characters
 from .equations import (
     BatteryItem,
     InequalityItem,

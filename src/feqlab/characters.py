@@ -3,83 +3,71 @@
 On a finite semigroup every element x has finite index k and period p
 (x^(k+p) = x^k, both minimal), so a multiplicative value v = chi(x)
 satisfies v^k (v^p - 1) = 0: v is zero or a p-th root of unity. That
-keeps the per-element candidate set finite and enumeration exact.
+keeps the per-element candidate set finite and enumeration exact. A
+Character holds its values as integer turns over a common period, the
+same ints the search runs in; floats and JSON are derived from them.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property, lru_cache
-from typing import Sequence
 
 import numpy as np
 
-from .errors import LengthMismatch
-from .measures import DEFAULT_TOL, RootValue, ToleranceConfig
-from .semigroups import FiniteSemigroup, InvolutiveMorphism, index_period
+from .errors import BadParams
+from .measures import root_of_unity
+from .semigroups import FiniteSemigroup, index_period
 
 _ZERO = -1  # the integer turn that stands for the value 0
 
 
 @dataclass(frozen=True)
 class Character:
-    """Nonzero multiplicative function S -> C, values exact RootValues."""
+    """Nonzero multiplicative function S -> C, its values as integer turns.
 
-    values: tuple[RootValue, ...]
+    turns[x] = k >= 0 stands for e^(2 pi i k/period) and -1 for zero.
+    Construction reduces to lowest terms (each k >= 0 mod period, then
+    period and the ks divided by their gcd), so equal values mean equal
+    Characters, and chi o m is Character(period, (turns[m(0)], ...)).
+    """
 
-    def sort_key(self) -> tuple:
-        return tuple(v.sort_key() for v in self.values)
+    period: int
+    turns: tuple[int, ...]
+
+    def __post_init__(self):
+        if self.period < 1:
+            raise BadParams("character period must be >= 1")
+        ks = [k if k == _ZERO else k % self.period for k in self.turns]
+        g = math.gcd(self.period, *(k for k in ks if k != _ZERO))
+        object.__setattr__(self, "period", self.period // g)
+        object.__setattr__(self, "turns", tuple(k if k == _ZERO else k // g for k in ks))
 
     @cached_property
     def _vector(self) -> np.ndarray:
         """character_to_scalar's memo: built once per Character, so it
         lives exactly as long as the object does."""
-        vec = np.array([v.to_complex() for v in self.values], dtype=complex)
+        roots = [root_of_unity(k, self.period) for k in range(self.period)] + [0j]
+        vec = np.array(roots, dtype=complex)[list(self.turns)]  # -1 reads the trailing 0j
         vec.setflags(write=False)
         return vec
 
-    @cached_property
-    def int_turns(self) -> tuple[int, tuple[int, ...]]:
-        """(M, ks): M the lcm of the values' periods and ks the values as
-        integer turns over M, k for e^(2 pi i k/M) and -1 for zero. Equal
-        exactly when the values are, so it is a cheap exact hash key; the
-        key of chi o m is (M, (ks[m(0)], ks[m(1)], ...))."""
-        fracs = [v.turns for v in self.values]
-        m = math.lcm(*(q.denominator for q in fracs if q is not None))
-        return m, tuple(_ZERO if q is None else q.numerator * (m // q.denominator) for q in fracs)
-
     def to_json(self) -> dict:
-        return {"values": [v.to_json() for v in self.values]}
+        values = []
+        for k in self.turns:
+            if k == _ZERO:
+                values.append({"zero": True})
+            else:
+                g = math.gcd(k, self.period)
+                values.append({"q": k // g, "m": self.period // g})
+        return {"values": values}
 
 
 def character_to_scalar(chi: Character) -> np.ndarray:
     """Complex vector of the character's values (read-only, memoized on
     chi); quarter turns stay exact."""
     return chi._vector
-
-
-def compose_sigma(chi: Character, m: InvolutiveMorphism) -> Character:
-    """chi o m; multiplicative again for either morphism kind since the
-    value semigroup is commutative."""
-    if len(m.map) != len(chi.values):
-        raise LengthMismatch(len(m.map), len(chi.values))
-    return Character(tuple(chi.values[m.map[x]] for x in range(len(m.map))))
-
-
-def is_multiplicative(sg: FiniteSemigroup, f: Sequence[complex],
-                      tol: ToleranceConfig = DEFAULT_TOL) -> bool:
-    """Check f(xy) = f(x)f(y) over all pairs, within eq_tol, for a plain
-    complex vector (use Character for the exact notion)."""
-    if len(f) != sg.n:
-        raise LengthMismatch(len(f), sg.n)
-    t = sg.table
-    return all(
-        abs(complex(f[t[x][y]]) - complex(f[x]) * complex(f[y])) <= tol.eq_tol
-        for x in sg.elements()
-        for y in sg.elements()
-    )
 
 
 def enumerate_characters(sg: FiniteSemigroup) -> list[Character]:
@@ -95,8 +83,8 @@ def enumerate_characters(sg: FiniteSemigroup) -> list[Character]:
     The search runs in integer turns over M, the lcm of the element
     periods: k >= 0 stands for e^(2 pi i k/M) and -1 for zero, so a
     product is (a + b) % M and a clash is an int inequality. Sorting the
-    int tuples is the canonical order (-1 before 0 as zero before one);
-    the RootValues are built at the end from one table of M roots.
+    int tuples is the canonical order (-1 before 0 as zero before one),
+    and each tuple becomes a Character over M, reduced to lowest terms.
     """
     n = sg.n
     t = sg.table
@@ -150,9 +138,7 @@ def enumerate_characters(sg: FiniteSemigroup) -> list[Character]:
 
     extend(0)
     found.sort()
-    # index -1 (zero) reads the last entry
-    table = [RootValue(Fraction(k, m)) for k in range(m)] + [RootValue.zero()]
-    return [Character(values=tuple(table[k] for k in vals)) for vals in found]
+    return [Character(m, vals) for vals in found]
 
 
 @lru_cache(maxsize=4096)

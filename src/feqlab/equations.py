@@ -28,8 +28,10 @@ import numpy as np
 from .errors import (
     BadParams,
     DegenerateIntegral,
+    LengthMismatch,
     NonCentralSupport,
     NonFiniteResidual,
+    NotMorphism,
     NotSigmaInvariant,
     WrongMorphismKind,
 )
@@ -266,11 +268,26 @@ def _grid_report(equation: str, grid: np.ndarray, *, out_of_hypothesis: bool = F
     )
 
 
+def check_sigma(sg: FiniteSemigroup, sigma: InvolutiveMorphism | None) -> None:
+    """A structural error unless sigma (when given) maps 0..n-1 into
+    0..n-1: one entry per element, each in range. Every path that reads
+    sigma.map runs this first; validate_morphism checks the laws too."""
+    if sigma is None:
+        return
+    if len(sigma.map) != sg.n:
+        raise LengthMismatch(len(sigma.map), sg.n)
+    if sigma.map and not 0 <= min(sigma.map) <= max(sigma.map) < sg.n:
+        bad = next(x for x, y in enumerate(sigma.map) if not 0 <= y < sg.n)
+        raise NotMorphism(f"sigma[{bad}] = {sigma.map[bad]} is outside 0..{sg.n - 1}")
+
+
 def require_hypotheses(hypotheses: Sequence[str], sg: FiniteSemigroup,
                        sigma: InvolutiveMorphism | None, mu: DiracMeasure | None, *,
                        force: bool = False) -> bool:
-    """Check hypotheses in order (see Equation), each exactly. Returns
-    False when force let a non-central support through, True otherwise."""
+    """Check sigma's shape, then the hypotheses in order (see Equation),
+    each exactly. Returns False when force let a non-central support
+    through, True otherwise."""
+    check_sigma(sg, sigma)
     central = True
     for hypothesis in hypotheses:
         if hypothesis == "automorphism" and sigma.kind is not MorphismKind.AUTOMORPHISM:
@@ -556,6 +573,7 @@ def approximate_battery(sg: FiniteSemigroup, f: Sequence[complex], sigma: Involu
     """
     if delta < 0:
         raise BadParams("delta must be nonnegative")
+    check_sigma(sg, sigma)
     arr = check_function(sg, f)
     mean = integrate(arr, mu)
     if mean == 0:

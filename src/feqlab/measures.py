@@ -37,13 +37,17 @@ _EPS = 2.0 ** -52  # spacing of floats at 1: twice the unit roundoff
 _MIN_NORMAL = 2.0 ** -1022  # the smallest normal float
 _TINY = 2.0 ** -1074  # the smallest subnormal: the spacing of the underflow range
 
-# Exact values at quarter turns, where cos/sin would leave ~1e-16 dust.
-_QUARTER_TURNS = {
-    Fraction(0): complex(1, 0),
-    Fraction(1, 4): complex(0, 1),
-    Fraction(1, 2): complex(-1, 0),
-    Fraction(3, 4): complex(0, -1),
-}
+_QUARTERS = (complex(1, 0), complex(0, 1), complex(-1, 0), complex(0, -1))
+
+
+def root_of_unity(k: int, m: int) -> complex:
+    """e^(2 pi i k/m) as a float, the one formula for every root value:
+    exact at the quarter turns, where cos/sin would leave ~1e-16 dust,
+    and otherwise cos and sin of 2 pi (k/m), k/m correctly rounded."""
+    if 4 * k % m == 0:
+        return _QUARTERS[4 * k // m % 4]
+    angle = 2.0 * math.pi * (k / m)
+    return complex(math.cos(angle), math.sin(angle))
 
 
 @dataclass(frozen=True)
@@ -90,14 +94,10 @@ class RootValue:
     @cached_property
     def _complex(self) -> complex:
         """to_complex's memo: computed once per RootValue, so it lives
-        exactly as long as the object (and the characters sharing it) do."""
+        exactly as long as the object does."""
         if self.is_zero:
             return 0j
-        exact = _QUARTER_TURNS.get(self.turns)
-        if exact is not None:
-            return exact
-        angle = 2.0 * math.pi * float(self.turns)
-        return complex(math.cos(angle), math.sin(angle))
+        return root_of_unity(self.turns.numerator, self.turns.denominator)
 
     def sort_key(self) -> tuple:
         # zero first, then roots by turns ascending

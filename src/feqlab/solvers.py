@@ -20,6 +20,7 @@ from .equations import (
     EQUATIONS,
     Equation,
     _row_sups,
+    check_sigma,
     closed_form_slack,
     finite_top,
     require_hypotheses,
@@ -29,9 +30,7 @@ from .errors import (
     BadParams,
     DegenerateMeasureWarning,
     FeqlabError,
-    LengthMismatch,
     NonFiniteResidual,
-    NotMorphism,
     UsageError,
 )
 from .jsonio import function_to_json
@@ -156,18 +155,10 @@ def closed_form(equation: str, sg: FiniteSemigroup, sigma: InvolutiveMorphism | 
                       DegenerateMeasureWarning, stacklevel=3)
         return SolutionSet(form.label, ())
     rounding = 0.0 if mu is None else character_mean_slack(mu)  # of one float mean
-    if form.sigma_sign:
-        if len(sigma.map) != sg.n:
-            raise LengthMismatch(len(sigma.map), sg.n)
-        bad = next((x for x, y in enumerate(sigma.map) if not 0 <= y < sg.n), None)
-        if bad is not None:
-            raise NotMorphism(f"sigma[{bad}] = {sigma.map[bad]} is outside 0..{sg.n - 1}")
-    kept: set[tuple[int, tuple[int, ...]]] = set()  # int_turns of the kept characters
+    kept: set[tuple[int, tuple[int, ...]]] = set()  # (period, turns) of the kept characters
     for chi in characters_cached(sg):
-        if form.sigma_sign:
-            period, ks = chi.int_turns
-            if (period, tuple([ks[y] for y in sigma.map])) in kept:
-                continue  # chi o sigma gives the same function
+        if form.sigma_sign and (chi.period, tuple([chi.turns[y] for y in sigma.map])) in kept:
+            continue  # chi o sigma gives the same function
         c = character_to_scalar(chi)
         if mu is not None:
             mean = integrate(c, mu)
@@ -183,7 +174,7 @@ def closed_form(equation: str, sg: FiniteSemigroup, sigma: InvolutiveMorphism | 
             f = (c + s) / 2.0
         else:
             f = c
-        kept.add(chi.int_turns)
+        kept.add((chi.period, chi.turns))
         out.append(Solution(f if mu is None else f * mean, Provenance(chi, form.formula)))
     if out:
         # Verified against each equation sharing the form, then form.checks:
@@ -316,7 +307,8 @@ def _gauss_jordan(M: np.ndarray) -> np.ndarray:
 def _defect_operator(eq: Equation, sg: FiniteSemigroup, sigma: InvolutiveMorphism | None,
                      mu: DiracMeasure | None) -> _QuadraticDefect:
     """The defect of an equation with a closed form, its linear part L
-    (n^2 x n) gathered from term_groups."""
+    (n^2 x n) gathered from term_groups, once sigma's shape is checked."""
+    check_sigma(sg, sigma)
     n = sg.n
     rows = np.arange(n * n)
     L = np.zeros((n * n, n), dtype=complex)

@@ -68,5 +68,19 @@ def cosine():
 
 
 @pytest.fixture(scope="session")
+def turns_multiplicative():
+    """check(sg, chi): chi(xy) = chi(x) chi(y) for every pair, read in
+    chi's integer turns: -1 (zero) when either factor is -1, else the
+    sum of the turns mod the period."""
+
+    def check(sg, chi) -> bool:
+        ks, m = chi.turns, chi.period
+        return all(ks[sg.mul(x, y)] == (-1 if -1 in (ks[x], ks[y]) else (ks[x] + ks[y]) % m)
+                   for x in sg.elements() for y in sg.elements())
+
+    return check
+
+
+@pytest.fixture(scope="session")
 def tol():
     return ToleranceConfig()

@@ -45,6 +45,33 @@ def readme_library_example() -> str:
     return next(b for b in blocks if "from feqlab import" in b)
 
 
+# The exported names, so that any addition or removal is a deliberate edit here.
+PUBLIC_NAMES = [
+    "BatteryItem", "COSINE_C4", "CampaignConfig", "CampaignSummary", "Character",
+    "DEFAULT_TOL", "DiracMeasure", "FiniteSemigroup", "InequalityItem",
+    "InvolutiveMorphism", "MorphismKind", "Provenance", "ResidualReport", "RootValue",
+    "SINE_C4", "Solution", "SolutionSet", "StabilityTrial", "ToleranceConfig",
+    "Verdict", "approximate_battery", "battery_report", "canonical_json", "center",
+    "character_to_scalar", "check_dichotomy", "check_function", "companion_cosine",
+    "cyclic_group", "direct_product", "enumerate_all_semigroups",
+    "enumerate_characters", "enumerate_involutive_morphisms", "fixture_bundle",
+    "function_to_json", "fuzz_campaign", "identity_battery", "index_period",
+    "integrate", "is_sigma_invariant", "left_zero", "load_function", "load_measure",
+    "load_morphism", "load_semigroup", "match_solution_sets", "measure_norm",
+    "morphism_to_json", "newton_oracle", "null_semigroup", "perturb", "pushforward",
+    "render_table", "residual_central_dalembert", "residual_dalembert",
+    "residual_integral_dalembert", "residual_sine_addition", "residual_spherical",
+    "residual_vanvleck", "residual_wilson", "right_transform", "s3_inversion",
+    "semigroup_to_json", "solve_central_dalembert", "solve_dalembert",
+    "solve_spherical", "solve_vanvleck", "superstability_bound", "support_in_center",
+    "symmetric_group_3", "validate_morphism", "validate_semigroup", "write_fixtures"
+]
+
+
+def test_all_is_pinned():
+    assert sorted(feqlab.__all__) == PUBLIC_NAMES
+
+
 def test_all_holds_no_modules():
     modules = [name for name in feqlab.__all__ if isinstance(getattr(feqlab, name), types.ModuleType)]
     assert modules == []

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -10,16 +11,14 @@ from feqlab import (
     Character,
     RootValue,
     character_to_scalar,
-    compose_sigma,
     cyclic_group,
     direct_product,
     enumerate_all_semigroups,
     enumerate_characters,
-    is_multiplicative,
     left_zero,
     null_semigroup,
 )
-from feqlab.errors import LengthMismatch
+from feqlab.errors import BadParams
 
 
 def brute_characters(sg):
@@ -60,7 +59,13 @@ def brute_characters(sg):
 
 
 def as_turns(chi: Character):
-    return tuple(v.turns for v in chi.values)
+    """The values as the oracle writes them: None or a Fraction in [0, 1)."""
+    return tuple(None if k == -1 else Fraction(k, chi.period) for k in chi.turns)
+
+
+def compose(chi: Character, sigma) -> Character:
+    """chi o sigma: chi's turns permuted by the map."""
+    return Character(chi.period, tuple(chi.turns[y] for y in sigma.map))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
@@ -140,7 +145,7 @@ def test_null_characters(null2):
 
 def test_left_zero_characters(leftzero2):
     chars = enumerate_characters(leftzero2)
-    assert [tuple(c.values) for c in chars] == [(RootValue.one(), RootValue.one())]
+    assert chars == [Character(1, (0, 0))]
 
 
 def test_zero_values_propagate():
@@ -162,34 +167,35 @@ def test_enumeration_is_deterministic(s3, c4):
         first = enumerate_characters(sg)
         second = enumerate_characters(sg)
         assert first == second
-        keys = [c.sort_key() for c in first]
+        # zero first, then roots by turns ascending, element by element
+        keys = [tuple(-1 if q is None else q for q in as_turns(c)) for c in first]
         assert keys == sorted(keys)
 
 
-def test_is_multiplicative(c4, tol):
-    assert is_multiplicative(c4, [1, 1j, -1, -1j], tol)
-    assert is_multiplicative(c4, [1, 1, 1, 1], tol)
-    assert not is_multiplicative(c4, [0, 1, 0, -1], tol)
-    with pytest.raises(LengthMismatch):
-        is_multiplicative(c4, [1, 1], tol)
+def test_is_multiplicative(c4, turns_multiplicative):
+    # exact, in integer turns; [0, 1, 0, -1] and [1, i, -1, i] are not characters
+    assert all(turns_multiplicative(c4, chi) for chi in enumerate_characters(c4))
+    assert turns_multiplicative(c4, Character(1, (0, 0, 0, 0)))
+    assert not turns_multiplicative(c4, Character(2, (-1, 0, -1, 1)))
+    assert not turns_multiplicative(c4, Character(4, (0, 1, 2, 1)))
 
 
 def test_compose_sigma(c4, sigma_neg, sigma_id4):
-    chi = next(c for c in enumerate_characters(c4)
-               if c.values[1] == RootValue.root(1, 4))
-    composed = compose_sigma(chi, sigma_neg)
+    chi = Character(4, (0, 1, 2, 3))
+    assert chi in enumerate_characters(c4)
+    composed = compose(chi, sigma_neg)
+    assert composed == Character(4, (0, 3, 2, 1)) and composed in enumerate_characters(c4)
     assert np.array_equal(character_to_scalar(composed),
                           np.array([1, -1j, -1, 1j]))
-    assert compose_sigma(chi, sigma_id4) == chi
-    assert compose_sigma(composed, sigma_neg) == chi  # involution
-    # the integer key of chi o sigma is chi's, permuted by the map
-    assert chi.int_turns == (4, (0, 1, 2, 3))
-    assert composed.int_turns == (4, (0, 3, 2, 1))
+    # the vector of chi o sigma is chi's vector permuted by the map
+    assert np.array_equal(character_to_scalar(composed),
+                          character_to_scalar(chi)[list(sigma_neg.map)])
+    assert compose(chi, sigma_id4) == chi
+    assert compose(composed, sigma_neg) == chi  # involution
 
 
 def test_character_to_scalar_exact(c4):
-    chi = next(c for c in enumerate_characters(c4)
-               if c.values[1] == RootValue.root(1, 4))
+    chi = next(c for c in enumerate_characters(c4) if c.turns == (0, 1, 2, 3))
     vec = character_to_scalar(chi)
     assert vec.tolist() == [1 + 0j, 1j, -1 + 0j, -1j]
     # memoized on the character, and shared, so no caller may write to it
@@ -197,9 +203,38 @@ def test_character_to_scalar_exact(c4):
     assert not vec.flags.writeable
 
 
-def test_int_turns_key_the_values_exactly():
-    # (0, 1) over 2 is not (0, 1) over 4: the period is part of the key
-    half = Character((RootValue.one(), RootValue.root(1, 2)))
-    quarter = Character((RootValue.one(), RootValue.root(1, 4)))
-    assert half.int_turns == (2, (0, 1)) and quarter.int_turns == (4, (0, 1))
-    assert Character((RootValue.zero(), RootValue.root(3, 6))).int_turns == (2, (-1, 1))
+def test_character_reduces_to_lowest_terms():
+    # (0, 1) over 2 is not (0, 1) over 4: the period is part of the value
+    assert Character(2, (0, 1)) != Character(4, (0, 1))
+    assert Character(6, (0, 3)) == Character(2, (0, 1))
+    assert hash(Character(6, (0, 3))) == hash(Character(2, (0, 1)))
+    assert Character(6, (-1, 3)) == Character(2, (-1, 1))
+    assert Character(4, (0, 5)) == Character(4, (0, 1))  # turns reduce mod the period
+    assert Character(6, (-1, 3)).to_json() == {"values": [{"zero": True}, {"q": 1, "m": 2}]}
+    assert Character(12, (0, 3, 8)).to_json() == {"values": [{"q": 0, "m": 1}, {"q": 1, "m": 4},
+                                                             {"q": 2, "m": 3}]}
+    with pytest.raises(BadParams):
+        Character(0, (0,))
+
+
+def reference_root(k: int, m: int) -> complex:
+    """e^(2 pi i k/m) by the formula the values have always had: the four
+    quarter turns exact, otherwise cos and sin of 2 pi float(k/m)."""
+    q = Fraction(k, m) % 1
+    quarters = {Fraction(0): complex(1, 0), Fraction(1, 4): complex(0, 1),
+                Fraction(1, 2): complex(-1, 0), Fraction(3, 4): complex(0, -1)}
+    if q in quarters:
+        return quarters[q]
+    angle = 2.0 * math.pi * float(q)
+    return complex(math.cos(angle), math.sin(angle))
+
+
+def test_values_match_the_reference_formula_bit_for_bit():
+    # every 0 <= k < m <= 64, then zero; RootValue shares the one formula
+    for m in range(1, 65):
+        want = np.array([reference_root(k, m) for k in range(m)] + [0j])
+        chi = Character(m, (*range(m), -1))
+        assert chi.period == m
+        assert character_to_scalar(chi).tobytes() == want.tobytes(), m
+        roots = [RootValue.root(k, m).to_complex() for k in range(m)] + [RootValue.zero().to_complex()]
+        assert np.array(roots).tobytes() == want.tobytes(), m

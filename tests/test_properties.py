@@ -14,17 +14,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from feqlab import (
+    Character,
     DiracMeasure,
     MorphismKind,
     RootValue,
     character_to_scalar,
-    compose_sigma,
     cyclic_group,
     enumerate_all_semigroups,
     enumerate_characters,
     enumerate_involutive_morphisms,
     integrate,
-    is_multiplicative,
     measure_norm,
     perturb,
     pushforward,
@@ -90,10 +89,11 @@ class TestMorphismLaws:
 
 class TestCharacterLaws:
     @pytest.mark.parametrize("sg", CENSUS3, ids=lambda s: s.name)
-    def test_characters_are_multiplicative_roots(self, sg):
+    def test_characters_are_multiplicative_roots(self, sg, turns_multiplicative):
         for chi in enumerate_characters(sg):
+            assert all(-1 <= k < chi.period for k in chi.turns)
+            assert turns_multiplicative(sg, chi)
             vec = character_to_scalar(chi)
-            assert is_multiplicative(sg, vec)
             mags = np.abs(vec)
             assert np.all((mags < 1e-12) | (np.abs(mags - 1.0) < 1e-12))
             assert np.max(mags) > 0.5  # all-zero is excluded
@@ -105,9 +105,10 @@ class TestCharacterLaws:
         for kind in MorphismKind:
             for sigma in enumerate_involutive_morphisms(sg, kind):
                 for chi in chars:
-                    moved = compose_sigma(chi, sigma)
+                    # chi o sigma: chi's turns permuted by the map
+                    moved = Character(chi.period, tuple(chi.turns[y] for y in sigma.map))
                     assert moved in chars
-                    assert compose_sigma(moved, sigma) == chi
+                    assert Character(moved.period, tuple(moved.turns[y] for y in sigma.map)) == chi
 
 
 class TestRootValueLaws:

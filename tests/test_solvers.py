@@ -41,7 +41,15 @@ from feqlab import (
     validate_semigroup,
 )
 from feqlab.characters import characters_cached
-from feqlab.equations import EQUATIONS, _defect, residual, term_groups
+from feqlab.equations import (
+    EQUATIONS,
+    _defect,
+    approximate_battery,
+    identity_battery,
+    residual,
+    residual_evaluator,
+    term_groups,
+)
 from feqlab.errors import (
     DegenerateMeasureWarning,
     FeqlabError,
@@ -122,12 +130,10 @@ class TestSolveVanVleck:
 
     def test_formula_invariant_under_sigma_composition(self, c4, sigma_neg, mu_delta1):
         # building the solution from chi o sigma gives the identical vector
-        from feqlab import compose_sigma
-
         for chi in enumerate_characters(c4):
             cvec = character_to_scalar(chi)
             mean = integrate(cvec, mu_delta1)
-            svec = character_to_scalar(compose_sigma(chi, sigma_neg))
+            svec = cvec[list(sigma_neg.map)]
             if abs(mean) <= 1e-9 or abs(integrate(svec, mu_delta1) + mean) > 1e-9:
                 continue
             f_chi = (svec - cvec) / 2.0 * mean
@@ -235,6 +241,38 @@ class TestSolveDalembert:
             solve_dalembert(c4, bad)
         with pytest.raises(NotMorphism, match=message):
             solve_vanvleck(c4, bad, mu_delta1)
+
+
+_POINT1, _POINT2 = DiracMeasure.point_mass(1), DiracMeasure.point_mass(2)
+_SINE = np.array([0, 1, 0, -1], dtype=complex)
+SIGMA_ENTRIES = {
+    "solve_central_dalembert@1": lambda c4, s: solve_central_dalembert(c4, s, _POINT1),
+    "solve_central_dalembert@2": lambda c4, s: solve_central_dalembert(c4, s, _POINT2),
+    "solve_vanvleck": lambda c4, s: solve_vanvleck(c4, s, _POINT1),
+    "solve_dalembert": solve_dalembert,
+    "closed_form": lambda c4, s: closed_form("integral_dalembert", c4, s, _POINT2),
+    "residual_vanvleck": lambda c4, s: residual_vanvleck(c4, _SINE, s, _POINT1),
+    "residual_integral_dalembert@2": lambda c4, s: residual_integral_dalembert(c4, _SINE, s, _POINT2),
+    "residual_wilson": lambda c4, s: residual(EQUATIONS["wilson_variant"], c4, _SINE, g=_SINE, sigma=s),
+    "residual_evaluator": lambda c4, s: residual_evaluator(EQUATIONS["dalembert_variant"], c4, s),
+    "identity_battery": lambda c4, s: identity_battery(c4, _SINE, s, _POINT1),
+    "approximate_battery": lambda c4, s: approximate_battery(c4, _SINE, s, _POINT1, 0.1),
+    "newton_oracle": lambda c4, s: newton_oracle(c4, "vanvleck", s, _POINT1, starts=4),
+    "newton_oracle@2": lambda c4, s: newton_oracle(c4, "corollary33", s, _POINT2, starts=4),
+}
+
+
+@pytest.mark.parametrize("entry", SIGMA_ENTRIES.values(), ids=SIGMA_ENTRIES.keys())
+@pytest.mark.parametrize("sigma_map, error, message", [
+    ((0, 5, 2, 1), NotMorphism, r"sigma\[1\] = 5 is outside 0\.\.3"),
+    ((0, 3, 2), LengthMismatch, "has 3 values, semigroup has 4 elements"),
+], ids=["out_of_range", "short"])
+def test_malformed_sigma_is_refused_first(c4, entry, sigma_map, error, message):
+    # every library path that reads sigma.map checks its shape before the
+    # hypotheses, so the error never depends on the measure
+    sigma = InvolutiveMorphism(map=sigma_map, kind=MorphismKind.AUTOMORPHISM)
+    with pytest.raises(error, match=message):
+        entry(c4, sigma)
 
 
 class TestSolveSpherical:
