@@ -275,7 +275,7 @@ def check_sigma(sg: FiniteSemigroup, sigma: InvolutiveMorphism | None) -> None:
     if sigma is None:
         return
     if len(sigma.map) != sg.n:
-        raise LengthMismatch(len(sigma.map), sg.n)
+        raise LengthMismatch(len(sigma.map), sg.n, "sigma", "entries")
     if sigma.map and not 0 <= min(sigma.map) <= max(sigma.map) < sg.n:
         bad = next(x for x, y in enumerate(sigma.map) if not 0 <= y < sg.n)
         raise NotMorphism(f"sigma[{bad}] = {sigma.map[bad]} is outside 0..{sg.n - 1}")

@@ -45,8 +45,8 @@ class PointOutOfRange(StructuralError):
 
 
 class LengthMismatch(StructuralError):
-    def __init__(self, got: int, expected: int):
-        super().__init__(f"function has {got} values, semigroup has {expected} elements")
+    def __init__(self, got: int, expected: int, noun: str = "function", unit: str = "values"):
+        super().__init__(f"{noun} has {got} {unit}, semigroup has {expected} elements")
         self.got, self.expected = got, expected
 
 

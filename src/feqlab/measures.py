@@ -99,10 +99,6 @@ class RootValue:
             return 0j
         return root_of_unity(self.turns.numerator, self.turns.denominator)
 
-    def sort_key(self) -> tuple:
-        # zero first, then roots by turns ascending
-        return (0, Fraction(0)) if self.is_zero else (1, self.turns)
-
     def to_json(self) -> dict:
         if self.is_zero:
             return {"zero": True}

@@ -51,10 +51,15 @@ class TestValidate:
         assert "structural error" in err
 
     def test_nonassociative_exit_2(self, capsys, tmp_path):
+        # the message names the row-major first failing triple; neither
+        # table fails at (0, 0, 0); the second is C4 with table[3][2] = 3
         bad = tmp_path / "bad.sg.json"
-        bad.write_text(json.dumps({"n": 2, "table": [[0, 1], [0, 0]]}))
-        code, _, err = run(capsys, "validate", "--sg", str(bad))
-        assert code == 2 and "associat" in err
+        for table, triple in (([[0, 1], [0, 0]], "(1, 0, 1)"),
+                              ([[0, 1, 2, 3], [1, 2, 3, 0], [2, 3, 0, 1], [3, 0, 3, 2]], "(1, 2, 2)")):
+            bad.write_text(json.dumps({"n": len(table), "table": table}))
+            code, out, err = run(capsys, "validate", "--sg", str(bad))
+            assert (code, out) == (2, "")
+            assert err == f"structural error: associativity fails at triple {triple}\n"
 
     def test_parse_error_exit_3(self, capsys, tmp_path):
         bad = tmp_path / "broken.json"

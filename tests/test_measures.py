@@ -162,7 +162,7 @@ class TestIntegration:
                 assert right_transform(sg, f, mu).tobytes() == want.tobytes()
 
     def test_right_transform_length_check(self, c4):
-        with pytest.raises(LengthMismatch):
+        with pytest.raises(LengthMismatch, match="^function has 2 values, semigroup has 4 elements$"):
             right_transform(c4, [1, 2], DiracMeasure.point_mass(0))
 
     def test_middle_transform(self, c4, sine, mu_delta1):

@@ -29,7 +29,9 @@ from feqlab import (
     pushforward,
     residual_vanvleck,
     superstability_bound,
+    validate_semigroup,
 )
+from feqlab.errors import NotAssociative
 
 CENSUS3 = list(enumerate_all_semigroups(3))
 
@@ -44,6 +46,43 @@ def measures_on(n: int):
 
 def functions_on(n: int):
     return st.lists(complex_values, min_size=n, max_size=n)
+
+
+def first_bad_triple(table):
+    """Reference row-major scan: the lexicographically first (x, y, z)
+    with (xy)z != x(yz), or None for an associative table."""
+    n = len(table)
+    return next(((x, y, z) for x in range(n) for y in range(n) for z in range(n)
+                 if table[table[x][y]][z] != table[x][table[y][z]]), None)
+
+
+@st.composite
+def cayley_tables(draw):
+    """A random table of order <= 6, or a cyclic group up to C32 with 0-3
+    cells overwritten (0 keeps it a group, so associative tables come up)."""
+    if draw(st.booleans()):
+        n = draw(st.integers(min_value=1, max_value=6))
+        cell = st.integers(min_value=0, max_value=n - 1)
+        return draw(st.lists(st.lists(cell, min_size=n, max_size=n), min_size=n, max_size=n))
+    n = draw(st.integers(min_value=1, max_value=32))
+    cell = st.integers(min_value=0, max_value=n - 1)
+    table = [[(x + y) % n for y in range(n)] for x in range(n)]
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        table[draw(cell)][draw(cell)] = draw(cell)
+    return table
+
+
+class TestAssociativity:
+    @given(table=cayley_tables())
+    @settings(max_examples=200, deadline=None)
+    def test_first_bad_triple_is_row_major_first(self, table):
+        expected = first_bad_triple(table)
+        if expected is None:
+            assert validate_semigroup(table).table == tuple(map(tuple, table))
+        else:
+            with pytest.raises(NotAssociative) as err:
+                validate_semigroup(table)
+            assert err.value.triple == expected
 
 
 class TestIntegrationLaws:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import tracemalloc
 
 import pytest
 
@@ -180,22 +181,44 @@ def test_census_counts():
     assert sum(1 for _ in enumerate_all_semigroups(3)) == 113
 
 
-def test_census_n2_matches_brute_force():
-    # oracle: independent associativity filter over all 16 tables
-    expected = set()
-    for flat in itertools.product(range(2), repeat=4):
-        t = ((flat[0], flat[1]), (flat[2], flat[3]))
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_census_matches_brute_force(n):
+    # oracle: independent associativity filter over all n^(n^2) tables, in
+    # itertools.product order, with the first two-sided identity
+    expected = []
+    for flat in itertools.product(range(n), repeat=n * n):
+        t = tuple(flat[i * n:(i + 1) * n] for i in range(n))
         if all(t[t[x][y]][z] == t[x][t[y][z]]
-               for x in range(2) for y in range(2) for z in range(2)):
-            expected.add(t)
-    got = {sg.table for sg in enumerate_all_semigroups(2)}
+               for x in range(n) for y in range(n) for z in range(n)):
+            identity = next((e for e in range(n)
+                             if all(t[e][x] == x and t[x][e] == x for x in range(n))), None)
+            expected.append((t, identity))
+    got = [(sg.table, sg.identity) for sg in enumerate_all_semigroups(n)]
     assert got == expected
+    assert all(type(v) is int for t, _ in got for row in t for v in row)
 
 
 def test_census_tables_are_valid():
     for sg in enumerate_all_semigroups(3):
         assert len(sg.table) == 3
         validate_semigroup(sg.table)
+
+
+def test_associativity_memory_stays_in_slabs():
+    # the census is filtered one first-row chunk at a time and a table one
+    # n x n slab at a time: the whole order-3 census at once (~10 MiB) or an
+    # n^3 cube for C128 (>= 16 MiB) breaks these bounds; tracemalloc sees
+    # numpy's buffers
+    c128 = [list(row) for row in cyclic_group(128).table]
+    for run, bound in ((lambda: list(enumerate_all_semigroups(3)), 2 << 20),
+                       (lambda: validate_semigroup(c128), 4 << 20)):
+        tracemalloc.start()
+        try:
+            run()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < bound
 
 
 def test_census_caps():

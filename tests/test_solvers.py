@@ -265,7 +265,7 @@ SIGMA_ENTRIES = {
 @pytest.mark.parametrize("entry", SIGMA_ENTRIES.values(), ids=SIGMA_ENTRIES.keys())
 @pytest.mark.parametrize("sigma_map, error, message", [
     ((0, 5, 2, 1), NotMorphism, r"sigma\[1\] = 5 is outside 0\.\.3"),
-    ((0, 3, 2), LengthMismatch, "has 3 values, semigroup has 4 elements"),
+    ((0, 3, 2), LengthMismatch, "^sigma has 3 entries, semigroup has 4 elements$"),
 ], ids=["out_of_range", "short"])
 def test_malformed_sigma_is_refused_first(c4, entry, sigma_map, error, message):
     # every library path that reads sigma.map checks its shape before the
