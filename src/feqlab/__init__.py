@@ -39,7 +39,6 @@ from .jsonio import (
 from .measures import (
     DEFAULT_TOL,
     DiracMeasure,
-    RootValue,
     ToleranceConfig,
     check_function,
     integrate,

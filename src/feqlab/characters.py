@@ -17,10 +17,20 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .errors import BadParams
-from .measures import root_of_unity
 from .semigroups import FiniteSemigroup, index_period
 
 _ZERO = -1  # the integer turn that stands for the value 0
+_QUARTERS = (complex(1, 0), complex(0, 1), complex(-1, 0), complex(0, -1))
+
+
+def root_of_unity(k: int, m: int) -> complex:
+    """e^(2 pi i k/m) as a float, the one formula for every root value:
+    exact at the quarter turns, where cos/sin would leave ~1e-16 dust,
+    and otherwise cos and sin of 2 pi (k/m), k/m correctly rounded."""
+    if 4 * k % m == 0:
+        return _QUARTERS[4 * k // m % 4]
+    angle = 2.0 * math.pi * (k / m)
+    return complex(math.cos(angle), math.sin(angle))
 
 
 @dataclass(frozen=True)

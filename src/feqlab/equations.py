@@ -81,8 +81,10 @@ class ClosedForm(NamedTuple):
     mean is within the rounding bound measures.character_mean_slack(mu)
     of zero, or, in the odd form, when mean(chi o sigma) + mean(chi)
     exceeds twice that bound. hypotheses may be stricter than the
-    equation's. Every solution is verified against each equation sharing
-    the form, then against checks, within closed_form_slack(mu).
+    equation's, and include those of every equation sharing the form and
+    of every check, so closed_form checks them once. Every solution is
+    verified against each equation sharing the form, then against
+    checks, within closed_form_slack(mu).
 
     The characters alone decide which solutions coincide. chi and chi o
     sigma give the same function, and distinct characters are linearly
@@ -163,11 +165,9 @@ class Equation:
 _SQUARE2 = (Product(2.0, "fx", "fy"),)
 _COSINE_HYPOTHESES = ("automorphism", "invariant")
 
-# Two laws outside the CLI. integral psi(x y t) = psi(x) psi(y) reports
-# as "spherical"; integral f(x t y) = integral f(y t x) holds for
-# solutions of the middle-integral cosine variant.
+# A law outside the CLI: integral psi(x y t) = psi(x) psi(y), reported
+# as "spherical".
 SPHERICAL_RIGHT = Equation("spherical", (Term(1, "xyt"),), (Product(1.0, "fx", "fy"),))
-MIDDLE_COMMUTATION = Equation("middle_commutation", (Term(1, "xty"), Term(-1, "ytx")), ())
 
 # Both integral cosine variants: with central support the middle and
 # trailing forms agree, and the solutions are reported as corollary33.

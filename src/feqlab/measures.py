@@ -1,4 +1,5 @@
-"""Complex scalars with exact root-of-unity support, and Dirac measures.
+"""Dirac measures, the rounding bounds of their means, and the verdict
+tolerance.
 
 A measure here is a finite complex combination of point masses on
 semigroup elements. Equation work only ever integrates functions given
@@ -9,8 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
-from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -36,73 +35,6 @@ DEFAULT_TOL = ToleranceConfig()
 _EPS = 2.0 ** -52  # spacing of floats at 1: twice the unit roundoff
 _MIN_NORMAL = 2.0 ** -1022  # the smallest normal float
 _TINY = 2.0 ** -1074  # the smallest subnormal: the spacing of the underflow range
-
-_QUARTERS = (complex(1, 0), complex(0, 1), complex(-1, 0), complex(0, -1))
-
-
-def root_of_unity(k: int, m: int) -> complex:
-    """e^(2 pi i k/m) as a float, the one formula for every root value:
-    exact at the quarter turns, where cos/sin would leave ~1e-16 dust,
-    and otherwise cos and sin of 2 pi (k/m), k/m correctly rounded."""
-    if 4 * k % m == 0:
-        return _QUARTERS[4 * k // m % 4]
-    angle = 2.0 * math.pi * (k / m)
-    return complex(math.cos(angle), math.sin(angle))
-
-
-@dataclass(frozen=True)
-class RootValue:
-    """Zero or the exact root of unity e^(2 pi i turns).
-
-    turns is None for zero, otherwise a Fraction reduced into [0, 1), so
-    every value has one representation; turns == 0 is the scalar 1.
-    """
-
-    turns: Fraction | None
-
-    def __post_init__(self):
-        if self.turns is not None and not 0 <= self.turns < 1:
-            object.__setattr__(self, "turns", self.turns % 1)
-
-    @classmethod
-    def zero(cls) -> "RootValue":
-        return cls(None)
-
-    @classmethod
-    def one(cls) -> "RootValue":
-        return cls(Fraction(0))
-
-    @classmethod
-    def root(cls, q: int, m: int) -> "RootValue":
-        """e^(2 pi i q/m); Fraction reduces q/m to lowest terms."""
-        if m < 1:
-            raise BadParams("root denominator must be >= 1")
-        return cls(Fraction(q, m) % 1)
-
-    @property
-    def is_zero(self) -> bool:
-        return self.turns is None
-
-    def __mul__(self, other: "RootValue") -> "RootValue":
-        if self.is_zero or other.is_zero:
-            return RootValue(None)
-        return RootValue((self.turns + other.turns) % 1)
-
-    def to_complex(self) -> complex:
-        return self._complex
-
-    @cached_property
-    def _complex(self) -> complex:
-        """to_complex's memo: computed once per RootValue, so it lives
-        exactly as long as the object does."""
-        if self.is_zero:
-            return 0j
-        return root_of_unity(self.turns.numerator, self.turns.denominator)
-
-    def to_json(self) -> dict:
-        if self.is_zero:
-            return {"zero": True}
-        return {"q": self.turns.numerator, "m": self.turns.denominator}
 
 
 @dataclass(frozen=True)

@@ -91,7 +91,8 @@ def validate_semigroup(table: Sequence[Sequence[int]], name: str | None = None) 
     Raises EntryOutOfRange on a bad cell and NotAssociative with the
     first failing triple in row-major scan order. Associativity is
     checked in n x n slabs, one x at a time, stopping at the first slab
-    with a bad cell, so memory stays O(n^2).
+    with a bad cell, so memory stays O(n^2); the checked array becomes
+    the semigroup's index_table.
     """
     n = len(table)
     if n < 1:
@@ -105,12 +106,15 @@ def validate_semigroup(table: Sequence[Sequence[int]], name: str | None = None) 
                 raise EntryOutOfRange(x, y, v, n)
         rows.append(tuple(row))
     t = tuple(rows)
-    stack = np.array(t, dtype=np.intp)[None]
+    index_table = np.array(t, dtype=np.intp)
+    stack = index_table[None]
     for x in range(n):
         bad = _bad_slab(stack, x)[0]
         if bad.any():
             raise NotAssociative(x, *divmod(int(bad.argmax()), n))
-    return FiniteSemigroup(table=t, name=name, identity=_find_identity(t))
+    sg = FiniteSemigroup(table=t, name=name, identity=_find_identity(t))
+    sg.__dict__["index_table"] = index_table  # the cached_property's memo, filled here
+    return sg
 
 
 def center(sg: FiniteSemigroup) -> list[int]:

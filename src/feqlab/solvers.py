@@ -177,18 +177,15 @@ def closed_form(equation: str, sg: FiniteSemigroup, sigma: InvolutiveMorphism | 
         kept.add((chi.period, chi.turns))
         out.append(Solution(f if mu is None else f * mean, Provenance(chi, form.formula)))
     if out:
-        # Verified against each equation sharing the form, then form.checks:
-        # every law's hypotheses are checked and its terms compiled first,
-        # as residual_evaluator does, then its defect is gathered for all
+        # Verified against each equation sharing the form, then form.checks,
+        # whose hypotheses are among the form's, checked above. Every law's
+        # terms are compiled first, then its defect is gathered for all
         # the solutions at once, one law's (k, n, n) grid at a time. The
         # sups are walked solution by solution, law by law, so the first
         # pair that is not finite or above the gate raises, as one report
         # per pair would.
         laws = [eq for eq in EQUATIONS.values() if eq.closed_form is form] + list(form.checks)
-        groups = []
-        for law in laws:
-            require_hypotheses(law.hypotheses, sg, sigma, mu)
-            groups.append(term_groups(law, sg, sigma, mu))
+        groups = [term_groups(law, sg, sigma, mu) for law in laws]
         F = np.array([sol.values for sol in out])
         sups = [_row_sups(law, grp, F).tolist() for law, grp in zip(laws, groups)]
         gate = closed_form_slack(mu)

@@ -4,7 +4,8 @@ benchmark harness and the README library example import from it.
 The benchmark lives outside `tests/`, so a library name it imports can
 vanish with no other failing test. These checks read its sources with
 `ast` and never import or run them. The README library example is also
-run, and each value it states in a trailing comment is checked.
+run, and each value it states in a trailing comment is checked. A fresh
+interpreter checks what the CLI's cold start imports.
 """
 
 from __future__ import annotations
@@ -12,7 +13,10 @@ from __future__ import annotations
 import ast
 import importlib
 import io
+import os
 import re
+import subprocess
+import sys
 import tokenize
 import types
 from pathlib import Path
@@ -49,7 +53,7 @@ def readme_library_example() -> str:
 PUBLIC_NAMES = [
     "BatteryItem", "COSINE_C4", "CampaignConfig", "CampaignSummary", "Character",
     "DEFAULT_TOL", "DiracMeasure", "FiniteSemigroup", "InequalityItem",
-    "InvolutiveMorphism", "MorphismKind", "Provenance", "ResidualReport", "RootValue",
+    "InvolutiveMorphism", "MorphismKind", "Provenance", "ResidualReport",
     "SINE_C4", "Solution", "SolutionSet", "StabilityTrial", "ToleranceConfig",
     "Verdict", "approximate_battery", "battery_report", "canonical_json", "center",
     "character_to_scalar", "check_dichotomy", "check_function", "companion_cosine",
@@ -75,6 +79,18 @@ def test_all_is_pinned():
 def test_all_holds_no_modules():
     modules = [name for name in feqlab.__all__ if isinstance(getattr(feqlab, name), types.ModuleType)]
     assert modules == []
+
+
+def test_cli_cold_start_loads_no_exact_arithmetic():
+    # fractions and decimal cost milliseconds and sympy about 0.4 s of every
+    # CLI call; exact work must import them where it runs
+    code = ("import sys, feqlab.cli; print(sorted(m for m in ('fractions', 'decimal', "
+            "'sympy', 'scipy') if m in sys.modules))")
+    path = os.pathsep.join(filter(None, [str(Path(feqlab.__file__).parents[1]),
+                                         os.environ.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+                         capture_output=True, text=True, check=True).stdout
+    assert out == "[]\n"
 
 
 def test_perfbench_is_present():

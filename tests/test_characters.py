@@ -9,7 +9,6 @@ import pytest
 
 from feqlab import (
     Character,
-    RootValue,
     character_to_scalar,
     cyclic_group,
     direct_product,
@@ -230,11 +229,9 @@ def reference_root(k: int, m: int) -> complex:
 
 
 def test_values_match_the_reference_formula_bit_for_bit():
-    # every 0 <= k < m <= 64, then zero; RootValue shares the one formula
+    # every 0 <= k < m <= 64, then zero
     for m in range(1, 65):
         want = np.array([reference_root(k, m) for k in range(m)] + [0j])
         chi = Character(m, (*range(m), -1))
         assert chi.period == m
         assert character_to_scalar(chi).tobytes() == want.tobytes(), m
-        roots = [RootValue.root(k, m).to_complex() for k in range(m)] + [RootValue.zero().to_complex()]
-        assert np.array(roots).tobytes() == want.tobytes(), m

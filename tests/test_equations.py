@@ -30,8 +30,9 @@ from feqlab import (
 )
 from feqlab.equations import (
     EQUATIONS,
-    MIDDLE_COMMUTATION,
     SPHERICAL_RIGHT,
+    Equation,
+    Term,
     _defect,
     residual,
     residual_evaluator,
@@ -46,6 +47,11 @@ from feqlab.errors import (
     PointOutOfRange,
     WrongMorphismKind,
 )
+
+# integral f(x t y) dmu = integral f(y t x) dmu: the engine's signed
+# middle-t case with no products, which holds on abelian semigroups and
+# for class functions
+MIDDLE_COMMUTATION = Equation("middle_commutation", (Term(1, "xty"), Term(-1, "ytx")), ())
 
 
 def brute_sup(grid):

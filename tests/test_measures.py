@@ -2,8 +2,6 @@ from __future__ import annotations
 
 import dataclasses
 import inspect
-import math
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,7 +11,6 @@ from feqlab import (
     DiracMeasure,
     InvolutiveMorphism,
     MorphismKind,
-    RootValue,
     ToleranceConfig,
     cyclic_group,
     direct_product,
@@ -42,57 +39,6 @@ from feqlab.equations import (
 )
 from feqlab.errors import BadParams, LengthMismatch, PointOutOfRange
 from feqlab.solvers import DEDUP_TOL, ORACLE_TOL, closed_form, match_solution_sets, newton_oracle
-
-
-class TestRootValue:
-    def test_canonical_reduction(self):
-        assert RootValue.root(2, 4) == RootValue.root(1, 2)
-        assert RootValue.root(0, 7) == RootValue.one()
-        assert RootValue.root(5, 4) == RootValue.root(1, 4)
-        assert RootValue.root(-1, 4) == RootValue.root(3, 4)
-
-    def test_zero_absorbs(self):
-        z = RootValue.zero()
-        assert (z * RootValue.root(1, 3)).is_zero
-        assert (RootValue.root(1, 3) * z).is_zero
-
-    def test_products_add_turns(self):
-        a = RootValue.root(1, 4)
-        b = RootValue.root(1, 2)
-        assert a * b == RootValue.root(3, 4)
-        assert a * a * a * a == RootValue.one()
-
-    def test_quarter_turns_exact(self):
-        assert RootValue.one().to_complex() == 1 + 0j
-        assert RootValue.root(1, 4).to_complex() == 1j
-        assert RootValue.root(1, 2).to_complex() == -1 + 0j
-        assert RootValue.root(3, 4).to_complex() == -1j
-        assert RootValue.zero().to_complex() == 0j
-
-    def test_complex_value_is_memoized_bit_for_bit(self):
-        for m in (1, 3, 4, 5, 8, 12):
-            for q in range(m):
-                v = RootValue.root(q, m)
-                got = v.to_complex()
-                assert v.to_complex() is got
-                angle = 2.0 * math.pi * float(Fraction(q, m))
-                want = complex(math.cos(angle), math.sin(angle))
-                if 4 * q % m == 0:  # quarter turns stay exact
-                    want = (complex(1, 0), complex(0, 1), complex(-1, 0), complex(0, -1))[4 * q // m]
-                assert np.complex128(got).tobytes() == np.complex128(want).tobytes()
-                assert RootValue.root(q, m).to_complex() == got  # a fresh value, its own memo
-
-    def test_general_roots_match_trig(self):
-        v = RootValue.root(1, 3).to_complex()
-        assert v.real == pytest.approx(-0.5, abs=1e-15)
-        assert v.imag == pytest.approx(math.sqrt(3) / 2, abs=1e-15)
-
-    def test_bad_params(self):
-        with pytest.raises(BadParams):
-            RootValue.root(1, 0)
-
-    def test_out_of_range_turns_normalized(self):
-        assert RootValue(Fraction(5, 4)) == RootValue(Fraction(1, 4))
 
 
 class TestDiracMeasure:

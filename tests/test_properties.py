@@ -6,8 +6,6 @@ runs over quadratic or cubic loops in the semigroup order.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,7 +15,6 @@ from feqlab import (
     Character,
     DiracMeasure,
     MorphismKind,
-    RootValue,
     character_to_scalar,
     cyclic_group,
     enumerate_all_semigroups,
@@ -148,22 +145,6 @@ class TestCharacterLaws:
                     moved = Character(chi.period, tuple(chi.turns[y] for y in sigma.map))
                     assert moved in chars
                     assert Character(moved.period, tuple(moved.turns[y] for y in sigma.map)) == chi
-
-
-class TestRootValueLaws:
-    turns = st.one_of(st.none(), st.fractions(min_value=-3, max_value=3, max_denominator=64))
-
-    @given(a=turns, b=turns)
-    @settings(max_examples=120, deadline=None)
-    def test_multiplication_matches_complex(self, a, b):
-        ra = RootValue(turns=a)
-        rb = RootValue(turns=b)
-        prod = (ra * rb).to_complex()
-        assert prod == pytest.approx(ra.to_complex() * rb.to_complex(), abs=1e-12)
-
-    def test_unit_magnitude(self):
-        for q in range(12):
-            assert abs(abs(RootValue(turns=Fraction(q, 12)).to_complex()) - 1) < 1e-12
 
 
 class TestResidualInvariance:

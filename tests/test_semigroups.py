@@ -3,6 +3,7 @@ from __future__ import annotations
 import itertools
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from feqlab import (
@@ -51,6 +52,9 @@ def brute_involutions(sg, kind):
 
 def test_validate_c4():
     sg = validate_semigroup([[(x + y) % 4 for y in range(4)] for x in range(4)])
+    assert "index_table" in sg.__dict__  # the associativity check's array, not rebuilt
+    assert sg.index_table.dtype == np.intp
+    assert sg.index_table.tolist() == [list(row) for row in sg.table]
     assert sg.n == 4
     assert sg.identity == 0
     assert center(sg) == [0, 1, 2, 3]  # abelian

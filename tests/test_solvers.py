@@ -960,6 +960,17 @@ class TestOracleStarts:
 
 
 class TestSelfCheck:
+    def test_laws_need_no_hypothesis_beyond_the_form(self):
+        # closed_form checks the form's hypotheses once and none of the laws
+        # it verifies against; a law needing more would skip it silently
+        for tag, eq in EQUATIONS.items():
+            form = eq.closed_form
+            if form is None:
+                continue
+            laws = [law for law in EQUATIONS.values() if law.closed_form is form] + list(form.checks)
+            for law in laws:
+                assert set(law.hypotheses) <= set(form.hypotheses), (tag, law.tag)
+
     def test_wrong_form_fails_verification(self, c4, sigma_neg, mu_delta1, monkeypatch):
         # the even form is no sine-variant solution; closed_form must refuse it
         eq = EQUATIONS["vanvleck"]
