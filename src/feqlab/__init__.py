@@ -81,7 +81,6 @@ from .stability import (
     CampaignSummary,
     StabilityTrial,
     Verdict,
-    check_dichotomy,
     fuzz_campaign,
     perturb,
     superstability_bound,

@@ -153,7 +153,8 @@ def is_sigma_invariant(mu: DiracMeasure, m: InvolutiveMorphism) -> bool:
 
 
 def support_in_center(mu: DiracMeasure, sg: FiniteSemigroup) -> bool:
-    """True when every atom point commutes with all of S."""
+    """True when every atom point commutes with all of S; an atom of
+    weight 0 is an absent point, as in is_sigma_invariant."""
     _check_points(mu, sg.n)
     zs = set(center(sg))
-    return all(p in zs for p, _ in mu.atoms)
+    return all(p in zs for p, w in mu.atoms if w != 0)

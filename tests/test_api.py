@@ -56,7 +56,7 @@ PUBLIC_NAMES = [
     "InvolutiveMorphism", "MorphismKind", "Provenance", "ResidualReport",
     "SINE_C4", "Solution", "SolutionSet", "StabilityTrial", "ToleranceConfig",
     "Verdict", "approximate_battery", "battery_report", "canonical_json", "center",
-    "character_to_scalar", "check_dichotomy", "check_function", "companion_cosine",
+    "character_to_scalar", "check_function", "companion_cosine",
     "cyclic_group", "direct_product", "enumerate_all_semigroups",
     "enumerate_characters", "enumerate_involutive_morphisms", "fixture_bundle",
     "function_to_json", "fuzz_campaign", "identity_battery", "index_period",

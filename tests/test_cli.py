@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from feqlab import cyclic_group, semigroup_to_json, symmetric_group_3, write_fixtures
 from feqlab.cli import EQUATION_TAGS, build_parser, main
 from feqlab.equations import EQUATIONS
-from feqlab.errors import FeqlabError
+from feqlab.errors import DegenerateMeasureWarning, FeqlabError
 
 
 @pytest.fixture(scope="module")
@@ -161,6 +161,21 @@ class TestSolve:
             "--mu", str(fxdir / "s3_transposition.mu.json"))
         assert code == 4
         assert "hypothesis violation" in err and "center" in err
+
+    @pytest.mark.parametrize("sg, sigma", [("s3", "s3_inversion"), ("c4", "c4_negation")])
+    @pytest.mark.parametrize("weights", [[[0.0, 0.0]], [[1.0, 0.0], [-1.0, 0.0]]],
+                             ids=["zero", "merged_to_zero"])
+    def test_zero_weight_atom_is_no_support(self, capsys, fxdir, tmp_path, sg, sigma, weights):
+        # an atom of weight 0 at the non-central point 1 of S3 is no
+        # support, so S3 gives the zero-norm answer that C4 gives
+        mu = tmp_path / "zero.mu.json"
+        mu.write_text(json.dumps({"atoms": [{"point": 1, "w": w} for w in weights]}))
+        with pytest.warns(DegenerateMeasureWarning):
+            code, out, _ = run(capsys, "solve", "--eq", "vanvleck",
+                               "--sg", str(fxdir / f"{sg}.sg.json"),
+                               "--sigma", str(fxdir / f"{sigma}.sigma.json"), "--mu", str(mu))
+        assert code == 0
+        assert json.loads(out) == {"equation": "vanvleck", "solutions": []}
 
     def test_corollary_two_solutions(self, capsys, fxdir):
         code, payload = run_json(

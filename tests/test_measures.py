@@ -175,6 +175,15 @@ class TestSupport:
         assert not support_in_center(DiracMeasure.point_mass(1), s3)
         assert support_in_center(DiracMeasure.point_mass(0), s3)
 
+    def test_zero_weight_atom_is_an_absent_point(self, s3):
+        # 1 is not central in S3, but an atom there of weight 0 is no support;
+        # every atom is still range-checked
+        for atoms in ([(1, 0.0)], [(1, 1.0), (1, -1.0)], [(0, 2.0), (1, -0.0j)]):
+            assert support_in_center(DiracMeasure.from_pairs(atoms), s3), atoms
+        assert not support_in_center(DiracMeasure.from_pairs([(0, 1.0), (1, 1e-300)]), s3)
+        with pytest.raises(PointOutOfRange):
+            support_in_center(DiracMeasure.point_mass(9, 0.0), s3)
+
 
 class TestToleranceConfig:
     def test_defaults(self, tol):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
@@ -9,19 +10,33 @@ from feqlab import (
     DEFAULT_TOL,
     CampaignConfig,
     DiracMeasure,
+    StabilityTrial,
     ToleranceConfig,
     Verdict,
     approximate_battery,
-    check_dichotomy,
     fuzz_campaign,
     measure_norm,
     perturb,
     residual_vanvleck,
     solve_vanvleck,
     superstability_bound,
+    write_fixtures,
 )
+from feqlab import stability
+from feqlab.cli import main
+from feqlab.equations import EQUATIONS, residual_evaluator
 from feqlab.errors import BadParams, DegenerateIntegral
-from feqlab.stability import _classify, _rounding_slack
+from feqlab.stability import _rounding_slack, _verdict
+
+
+def classify(sg, f, sigma, mu, tol=DEFAULT_TOL) -> StabilityTrial:
+    """The record of an unperturbed f (radius 0, trial 0), classified by
+    the campaign's verdict function."""
+    arr = np.asarray(f, dtype=complex)
+    delta = residual_vanvleck(sg, arr, sigma, mu).max_abs
+    sup_f = float(np.max(np.abs(arr)))
+    bound, verdict = _verdict(sup_f, delta, measure_norm(mu), len(mu.atoms), tol)
+    return StabilityTrial(arr, 0.0, 0, delta, sup_f, bound, verdict)
 
 
 def brute_bound(delta: float, m: float) -> float:
@@ -68,9 +83,11 @@ class TestMeasuredDelta:
         assert residual_vanvleck(c4, f, sigma_neg, mu_delta1).max_abs == pytest.approx(0.02)
 
     def test_matches_residual_report(self, c4, sigma_neg, mu_delta1, rng_values):
+        # the campaign's compiled evaluator measures what residual_vanvleck reports
         f = rng_values
         rep = residual_vanvleck(c4, f, sigma_neg, mu_delta1)
-        assert check_dichotomy(c4, f, sigma_neg, mu_delta1).measured_delta == rep.max_abs
+        vanvleck = residual_evaluator(EQUATIONS["vanvleck"], c4, sigma_neg, mu_delta1)
+        assert vanvleck(f).max_abs == rep.max_abs
 
 
 @pytest.fixture
@@ -111,13 +128,13 @@ class TestPerturb:
 
 class TestDichotomy:
     def test_exact_branch(self, c4, sigma_neg, mu_delta1, sine):
-        trial = check_dichotomy(c4, np.asarray(sine, dtype=complex), sigma_neg, mu_delta1)
+        trial = classify(c4, sine, sigma_neg, mu_delta1)
         assert trial.verdict is Verdict.EXACT_SOLUTION
         assert trial.sup_f == pytest.approx(1.0)
 
     def test_within_bound_branch(self, c4, sigma_neg, mu_delta1):
         f = np.asarray([0.1, 0.1, 0.1, 0.1], dtype=complex)
-        trial = check_dichotomy(c4, f, sigma_neg, mu_delta1)
+        trial = classify(c4, f, sigma_neg, mu_delta1)
         assert trial.verdict is Verdict.WITHIN_BOUND
         assert trial.measured_delta == pytest.approx(0.02)
         assert trial.bound == pytest.approx(superstability_bound(0.02, 1.0))
@@ -127,7 +144,7 @@ class TestDichotomy:
         rng = np.random.default_rng(0)
         for _ in range(50):
             f = rng.normal(size=4) * 2 + 1j * rng.normal(size=4)
-            trial = check_dichotomy(c4, f, sigma_neg, mu_delta1)
+            trial = classify(c4, f, sigma_neg, mu_delta1)
             assert trial.verdict is not Verdict.VIOLATION
 
     def test_large_functions_never_violate(self, c4, sigma_neg, mu_delta1):
@@ -136,18 +153,17 @@ class TestDichotomy:
         rng = np.random.default_rng(0)
         for _ in range(200):
             f = (rng.normal(size=4) + 1j * rng.normal(size=4)) * 1e16
-            assert check_dichotomy(c4, f, sigma_neg, mu_delta1).verdict is not Verdict.VIOLATION
+            assert classify(c4, f, sigma_neg, mu_delta1).verdict is not Verdict.VIOLATION
 
     def test_bound_is_sharp_and_slack_is_tight(self, c4, sigma_neg, mu_delta1, sine):
         # 2 sine has defect 4 (sin x sin y), so sup_f = bound = 2 exactly
         f = 2.0 * np.asarray(sine, dtype=complex)
-        trial = check_dichotomy(c4, f, sigma_neg, mu_delta1)
+        trial = classify(c4, f, sigma_neg, mu_delta1)
         assert (trial.measured_delta, trial.sup_f, trial.bound) == (4.0, 2.0, 2.0)
         assert trial.verdict is Verdict.WITHIN_BOUND
         # a defect understated by one part in 1e12 is caught: the slack is
         # a few eps of sup_f + ||mu||, not an absolute tolerance
-        trial = _classify(f, 4.0 * (1 - 1e-12), mu_delta1, DEFAULT_TOL, 0.0, 0, None)
-        assert trial.verdict is Verdict.VIOLATION
+        assert _verdict(2.0, 4.0 * (1 - 1e-12), 1.0, 1, DEFAULT_TOL)[1] is Verdict.VIOLATION
         assert _rounding_slack(2.0, 1.0, 1) < 1e-14
 
     def test_underflowed_defect_never_violates(self, c4, sigma_neg):
@@ -157,7 +173,7 @@ class TestDichotomy:
         # underflow part of the slack covers
         f = [1.5 * 2.0 ** -538] * 4
         mu = DiracMeasure.point_mass(1, 2.0 ** -560)
-        trial = check_dichotomy(c4, f, sigma_neg, mu, ToleranceConfig(0.0))
+        trial = classify(c4, f, sigma_neg, mu, ToleranceConfig(0.0))
         assert trial.measured_delta == 2.0 ** -1074
         assert trial.sup_f > trial.bound + 15 * 2.0 ** -52 * (trial.sup_f + 2.0 ** -560)
         assert trial.verdict is Verdict.WITHIN_BOUND
@@ -269,20 +285,53 @@ class TestCampaign:
 
     @pytest.mark.parametrize("mu", [DiracMeasure.point_mass(1), DiracMeasure.from_pairs([(1, 0.5 - 0.25j), (3, 2.0)])],
                              ids=["delta1", "two_atoms"])
-    def test_records_equal_check_dichotomy_per_trial(self, c4, sigma_neg, mu):
-        # the campaign's hoisted hypotheses, terms and norm change no record
+    def test_records_equal_reference_per_trial(self, c4, sigma_neg, mu):
+        # the campaign's hoisted hypotheses, terms and norm change no record;
+        # the reference verdict is written out here, not read from _verdict
         cfg = CampaignConfig(trials=120, radius_max=1.5, seed=11)
-        _, trials = fuzz_campaign(c4, sigma_neg, mu, cfg)
+        summary, trials = fuzz_campaign(c4, sigma_neg, mu, cfg)
         bases = solve_vanvleck(c4, sigma_neg, mu).vectors() + [np.zeros(4, dtype=complex)]
+        m = measure_norm(mu)
         for k, got in enumerate(trials):
             rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((cfg.seed, k))))
             base = bases[int(rng.integers(len(bases)))]
             radius = float(rng.uniform(0.0, cfg.radius_max))
-            want = check_dichotomy(c4, perturb(base, radius, (cfg.seed, k, 1)), sigma_neg, mu,
-                                   radius=radius, seed=k, base=base)
-            assert np.array_equal(got.base, want.base)
-            assert (got.radius, got.seed, got.measured_delta, got.sup_f, got.bound, got.verdict) == \
-                (want.radius, want.seed, want.measured_delta, want.sup_f, want.bound, want.verdict)
+            f = perturb(base, radius, (cfg.seed, k, 1))
+            delta = residual_vanvleck(c4, f, sigma_neg, mu).max_abs
+            sup_f = float(np.max(np.abs(f)))
+            bound = superstability_bound(delta, m)
+            if delta <= DEFAULT_TOL.eq_tol:
+                verdict = Verdict.EXACT_SOLUTION
+            elif sup_f <= bound + _rounding_slack(sup_f, m, len(mu.atoms)):
+                verdict = Verdict.WITHIN_BOUND
+            else:
+                verdict = Verdict.VIOLATION
+            assert np.array_equal(got.base, base)
+            assert (got.radius, got.trial, got.measured_delta, got.sup_f, got.bound, got.verdict) == \
+                (radius, k, delta, sup_f, bound, verdict)
+        assert summary.exact == sum(t.verdict is Verdict.EXACT_SOLUTION for t in trials)
+        assert summary.max_ratio == max(t.ratio for t in trials)
+
+    def test_violations_are_counted_and_exit_1(self, c4, sigma_neg, mu_delta1, monkeypatch,
+                                               capsys, tmp_path):
+        # no rounding can make a VIOLATION, so a negative slack forces one
+        # on every trial that is not exact; radii below 1e-9 leave some exact
+        monkeypatch.setattr(stability, "_rounding_slack", lambda *args: -math.inf)
+        write_fixtures(tmp_path)
+        sg, sigma, mu = (str(tmp_path / name) for name in
+                         ("c4.sg.json", "c4_negation.sigma.json", "c4_delta1.mu.json"))
+        argv = ["stability", "--trials", "300", "--seed", "5", "--radius", "1e-9",
+                "--sg", sg, "--sigma", sigma, "--mu", mu]
+        code = main(argv)
+        out = capsys.readouterr().out
+        # the same campaign as the bundled fixtures describe
+        summary, trials = fuzz_campaign(c4, sigma_neg, mu_delta1,
+                                        CampaignConfig(trials=300, radius_max=1e-9, seed=5))
+        assert summary.violations == sum(t.verdict is not Verdict.EXACT_SOLUTION for t in trials) > 0
+        assert summary.exact > 0
+        assert summary.exact + summary.within_bound + summary.violations == summary.trials == 300
+        assert summary.max_ratio == max(t.ratio for t in trials)
+        assert code == 1 and json.loads(out) == summary.to_json()
 
     def test_without_guard_uses_zero_base(self, c4, sigma_id4, mu_delta1):
         cfg = CampaignConfig(trials=10, seed=1)
