@@ -4,10 +4,11 @@ EQUATIONS holds every equation the CLI knows. An entry gives the linear
 terms of its defect as words in x, y, sigma(y) and an atom t of the
 measure, its quadratic part, the hypotheses it requires, the inputs it
 needs and its closed form in characters. One evaluator compiles the
-words to index arrays and computes any residual grid as a single
-gather-and-weight step, for one function or a stack of them (the closed
-forms verify all their solutions in one pass per law); the Gauss-Newton
-oracle in `solvers` builds its linear operator from the same arrays.
+words once per call, where they do not depend on the atom, and gathers
+each averaged term through the atom's column, one n x n gather per term
+and atom, for one function or a stack of them (the closed forms verify
+all their solutions in one pass per law); the Gauss-Newton oracle in
+`solvers` builds its linear operator from the same compiled terms.
 
 Every report scans the full (x, y) grid, giving the sup-norm of the
 defect and the lexicographically first pair attaining it. A function
@@ -56,14 +57,12 @@ from .semigroups import FiniteSemigroup, InvolutiveMorphism, MorphismKind
 class Term(NamedTuple):
     """sign * f(word). The word's letters are multiplied left to right:
     x, y, s = sigma(y), and t, an atom of the measure. A word holding t
-    is averaged against the measure."""
+    is averaged against the measure. Every word is a b, a b t or a t b:
+    one letter on each axis of the (x, y) grid, x on one and y or s on
+    the other, with b = x or y (compile_terms refuses any other word)."""
 
     sign: int
     word: str
-
-    @property
-    def averaged(self) -> bool:
-        return "t" in self.word
 
 
 class Product(NamedTuple):
@@ -301,56 +300,118 @@ def require_hypotheses(hypotheses: Sequence[str], sg: FiniteSemigroup,
     return central
 
 
-def term_groups(eq: Equation, sg: FiniteSemigroup, sigma: InvolutiveMorphism | None,
-                mu: DiracMeasure | None) -> list[tuple[complex | None, list[tuple[int, np.ndarray]]]]:
-    """The terms of eq compiled to index arrays idx[x, y], grouped by
-    weight: one group per atom of mu (in atom order) for the averaged
-    terms, then one group with weight None for the plain ones."""
+class CompiledTerms(NamedTuple):
+    """The terms of an equation compiled for one call by compile_terms:
+    every index array that does not depend on the atom, and the atoms
+    as their columns."""
+
+    table: np.ndarray                                   # the index table: table[a, b] = a b
+    atoms: tuple[tuple[np.ndarray, complex], ...]       # (table[:, z], weight) per atom, in atom order
+    averaged: tuple[tuple[int, np.ndarray, bool | None], ...]  # (sign, head, swap), see compile_terms
+    plain: tuple[tuple[int, np.ndarray], ...]           # (sign, idx[x, y])
+
+
+def compile_terms(eq: Equation, sg: FiniteSemigroup, sigma: InvolutiveMorphism | None,
+                  mu: DiracMeasure | None) -> CompiledTerms:
+    """The terms of eq compiled once for all the atoms of mu.
+
+    A word a b (see Term) is the row gather table[a, b]: its rows are the
+    values of a, transposed when a lies on the y axis. An averaged term
+    is a weighted sum of right translates: f(a b t) at the atom z is
+    (f o R_z)(a b), and f o R_z = f[table[:, z]] has n values, so a b t
+    compiles to the index array of a b alone (swap None), gathered
+    through each atom's column. a t b compiles to the values of a and
+    swap: at z it is the same row gather of G = f[table], by the rows
+    table[a, z]."""
     table = sg.index_table
-    letters = {"x": np.arange(sg.n)[:, None], "y": np.arange(sg.n)[None, :]}
+    letters = {"x": np.arange(sg.n), "y": np.arange(sg.n)}
     if sigma is not None:
-        letters["s"] = np.asarray(sigma.map)[None, :]
-
-    def fold(word: str, idx: np.ndarray | None = None) -> np.ndarray:
-        # every word holds x and one of y, s, so the result spans the grid
-        for letter in word:
-            idx = letters[letter] if idx is None else table[idx, letters[letter]]
-        return idx
-
-    averaged = [term for term in eq.terms if term.averaged]
-    plain = [term for term in eq.terms if not term.averaged]
-    groups: list[tuple[complex | None, list[tuple[int, np.ndarray]]]] = []
+        letters["s"] = np.asarray(sigma.map)
+    averaged, plain = [], []
+    for term in eq.terms:
+        at, ab = term.word.find("t"), term.word.replace("t", "", 1)
+        if not (len(ab) == 2 and at in (-1, 1, 2) and ab[0] in "xys" and ab[1] in "xy"
+                and (ab[0] == "x") != (ab[1] == "x")):
+            raise ValueError(f"cannot compile the word '{term.word}'")
+        rows, swap = letters[ab[0]], ab[0] != "x"
+        if at == 1:
+            averaged.append((term.sign, rows, swap))
+            continue
+        idx = np.ascontiguousarray(_rows(table, rows, swap))  # take copies a strided index per call
+        if at == 2:
+            averaged.append((term.sign, idx, None))
+        else:
+            plain.append((term.sign, idx))
+    atoms: tuple = ()
     if averaged:
         _check_points(mu, sg.n)
-        split = []  # the part of a word before t is the same for every atom
-        for term in averaged:
-            head, _, tail = term.word.partition("t")
-            split.append((term.sign, fold(head), tail))
-        groups += [(w, [(sign, fold(tail, table[head, p])) for sign, head, tail in split])
-                   for p, w in mu.atoms]
-    if plain:
-        groups.append((None, [(term.sign, fold(term.word)) for term in plain]))
-    return groups
+        atoms = tuple((table[:, p], w) for p, w in mu.atoms)
+    return CompiledTerms(table, atoms, tuple(averaged), tuple(plain))
+
+
+def _rows(grid: np.ndarray, rows: np.ndarray, swap: bool) -> np.ndarray:
+    """grid[..., rows[i], j] at [i, j], or at [j, i] with swap."""
+    out = grid.take(rows, axis=-2)
+    return out.swapaxes(-1, -2) if swap else out
+
+
+def _gather_terms(terms: CompiledTerms, f: np.ndarray):
+    """f at every compiled term, grouped as a pointwise loop sums them:
+    per atom, in atom order, its weight and the (sign, values) of the
+    averaged terms; then None and those of the plain terms. The values
+    are gathered one at a time as a group is read, each a fresh array
+    of shape (..., n, n) for f of shape (..., n); with f = np.arange(n)
+    they are the terms' index arrays idx[x, y].
+
+    take(axis=-1) gathers as f[..., idx] does; numpy's indexing has a
+    fast path for one axis only, and is slower with the ellipsis."""
+    G = None
+    if any(swap is not None for _, _, swap in terms.averaged):
+        G = f.take(terms.table, axis=-1)  # G[..., a, b] = f(a b)
+
+    def averaged(col: np.ndarray, h: np.ndarray):
+        for sign, head, swap in terms.averaged:
+            yield sign, h.take(head, axis=-1) if swap is None else _rows(G, col.take(head), swap)
+
+    for col, w in terms.atoms:
+        yield w, averaged(col, f.take(col, axis=-1))  # f o R_z
+    if terms.plain:
+        yield None, ((sign, f.take(idx, axis=-1)) for sign, idx in terms.plain)
+
+
+def _group_sum(w: complex | None, values) -> np.ndarray:
+    """The signed values of one group summed left to right in the first
+    of them, then weighted in place; the others are freed as they are
+    added, so at most two are alive."""
+    sign, acc = next(values)
+    if sign < 0:
+        np.negative(acc, out=acc)
+    for sign, v in values:
+        (np.add if sign > 0 else np.subtract)(acc, v, out=acc)
+    return acc if w is None else _cmul(w, acc, out=acc)
 
 
 # Overflow and NaN surface as a NonFiniteResidual from the sup, not as warnings.
 @np.errstate(over="ignore", invalid="ignore")
-def _defect(eq: Equation, groups: list, f: np.ndarray, g: np.ndarray | None) -> np.ndarray:
-    """The defect of eq at every pair, its terms compiled by term_groups,
-    summed in the order a pointwise loop would: per atom the signed terms
-    left to right, weighted, then each product subtracted. A real
-    coefficient scales both parts exactly, so it needs no _cmul.
+def _defect(eq: Equation, terms: CompiledTerms, f: np.ndarray, g: np.ndarray | None) -> np.ndarray:
+    """The defect of eq at every pair, its terms compiled by
+    compile_terms, summed in the order a pointwise loop would: per atom
+    the signed terms left to right, weighted, then each product
+    subtracted. The sums and the weighting run in place in the fresh
+    gathered arrays (see _group_sum), so only the sign of a zero can
+    differ from the loop's.
 
     The functions lie on the last axis: a stack of shape (..., n) gives
     grids of shape (..., n, n), each cell rounded as it is for one
     function alone, since every step acts elementwise."""
-    n = f.shape[-1]
-    grid = np.zeros(f.shape[:-1] + (n, n), dtype=complex)
-    # take(axis=-1) gathers as f[..., idx] does; numpy's indexing has a fast
-    # path for one axis only, and is slower with the ellipsis
-    for w, terms in groups:
-        acc = sum(f.take(idx, axis=-1) if sign > 0 else -f.take(idx, axis=-1) for sign, idx in terms)
-        grid += acc if w is None else _cmul(w, acc)
+    grid = None
+    for w, values in _gather_terms(terms, f):
+        if grid is None:
+            grid = _group_sum(w, values)
+        else:
+            grid += _group_sum(w, values)
+    if grid is None:  # a measure without atoms averages every term to 0
+        grid = np.zeros(f.shape + f.shape[-1:], dtype=complex)
     at = {"fx": f[..., :, None], "fy": f[..., None, :]}
     if g is not None:
         at.update(gx=g[..., :, None], gy=g[..., None, :])
@@ -359,11 +420,11 @@ def _defect(eq: Equation, groups: list, f: np.ndarray, g: np.ndarray | None) -> 
     return grid
 
 
-def _row_sups(eq: Equation, groups: list, F: np.ndarray) -> np.ndarray:
+def _row_sups(eq: Equation, terms: CompiledTerms, F: np.ndarray) -> np.ndarray:
     """max |defect| of eq for each row of the (k, n) stack F, from one
     gather: each equals the max_abs of its row's own report, or is not
     finite where that report would raise NonFiniteResidual."""
-    return np.max(np.abs(_defect(eq, groups, F, None)), axis=(-2, -1))
+    return np.max(np.abs(_defect(eq, terms, F, None)), axis=(-2, -1))
 
 
 def residual_evaluator(eq: Equation, sg: FiniteSemigroup, sigma: InvolutiveMorphism | None = None,
@@ -374,12 +435,12 @@ def residual_evaluator(eq: Equation, sg: FiniteSemigroup, sigma: InvolutiveMorph
     once, here; force=True lets a non-central support through and marks
     every report out-of-hypothesis."""
     central = require_hypotheses(eq.hypotheses, sg, sigma, mu, force=force)
-    groups = term_groups(eq, sg, sigma, mu)
+    terms = compile_terms(eq, sg, sigma, mu)
 
     def evaluate(f: Sequence[complex], g: Sequence[complex] | None = None) -> ResidualReport:
         arr = check_function(sg, f)
         garr = None if g is None else check_function(sg, g)
-        return _grid_report(eq.tag, _defect(eq, groups, arr, garr), out_of_hypothesis=not central)
+        return _grid_report(eq.tag, _defect(eq, terms, arr, garr), out_of_hypothesis=not central)
 
     return evaluate
 

@@ -118,14 +118,23 @@ def character_mean_slack(mu: DiracMeasure) -> float:
     return (len(mu.atoms) + 17) * _EPS * measure_norm(mu) + _MIN_NORMAL
 
 
-def _cmul(a, b) -> np.ndarray:
+def _cmul(a, b, out: np.ndarray | None = None) -> np.ndarray:
     """a * b, rounded as the scalar complex product rounds it.
 
     numpy's vectorized complex multiply may fuse multiply-adds and then
     differs in the last bit from pointwise evaluation. A factor with a
     zero part multiplies exactly under any fusing, so a is split into
-    its real and imaginary halves."""
-    return a.real * b + 1j * a.imag * b
+    its real and imaginary halves. A scalar a whose imaginary part is
+    exactly 0 scales b in one pass: equal to the split product in every
+    finite cell, where only the sign of a zero can differ, and not
+    finite where it is not. out, when given, receives the product and
+    may be b itself."""
+    if not isinstance(a, np.ndarray) and a.imag == 0:
+        return np.multiply(b, a.real, out=out)
+    imag = 1j * a.imag * b  # before out, which may be b, is written
+    out = np.multiply(b, a.real, out=out)
+    out += imag
+    return out
 
 
 def right_transform(sg: FiniteSemigroup, f: Sequence[complex], mu: DiracMeasure) -> np.ndarray:

@@ -19,12 +19,13 @@ from .characters import Character, character_to_scalar, characters_cached
 from .equations import (
     EQUATIONS,
     Equation,
+    _gather_terms,
     _row_sups,
     check_sigma,
     closed_form_slack,
+    compile_terms,
     finite_top,
     require_hypotheses,
-    term_groups,
 )
 from .errors import (
     BadParams,
@@ -36,6 +37,7 @@ from .errors import (
 from .jsonio import function_to_json
 from .measures import (
     DiracMeasure,
+    _check_points,
     character_mean_slack,
     integrate,
     measure_norm,
@@ -145,6 +147,8 @@ def closed_form(equation: str, sg: FiniteSemigroup, sigma: InvolutiveMorphism | 
     if "mu" not in eq.needs:
         mu = None  # an unneeded measure must not scale the solutions
     require_hypotheses(form.hypotheses, sg, sigma, mu)
+    if mu is not None:
+        _check_points(mu, sg.n)  # before the zero-norm return, as every other path does
     out: list[Solution] = []
     norm = 1.0 if mu is None else measure_norm(mu)
     if not np.isfinite(norm):
@@ -185,9 +189,9 @@ def closed_form(equation: str, sg: FiniteSemigroup, sigma: InvolutiveMorphism | 
         # pair that is not finite or above the gate raises, as one report
         # per pair would.
         laws = [eq for eq in EQUATIONS.values() if eq.closed_form is form] + list(form.checks)
-        groups = [term_groups(law, sg, sigma, mu) for law in laws]
+        compiled = [compile_terms(law, sg, sigma, mu) for law in laws]
         F = np.array([sol.values for sol in out])
-        sups = [_row_sups(law, grp, F).tolist() for law, grp in zip(laws, groups)]
+        sups = [_row_sups(law, terms, F).tolist() for law, terms in zip(laws, compiled)]
         gate = closed_form_slack(mu)
         for row in zip(*sups):
             for law, top in zip(laws, row):
@@ -303,13 +307,16 @@ def _gauss_jordan(M: np.ndarray) -> np.ndarray:
 
 def _defect_operator(eq: Equation, sg: FiniteSemigroup, sigma: InvolutiveMorphism | None,
                      mu: DiracMeasure | None) -> _QuadraticDefect:
-    """The defect of an equation with a closed form, its linear part L
-    (n^2 x n) gathered from term_groups, once sigma's shape is checked."""
+    """The defect of an equation with a closed form, once sigma's shape is
+    checked. Its linear part L (n^2 x n) reads the description the
+    residual grids gather f through: gathered at f = np.arange(n), each
+    term gives its index array, and each atom's weights are added into
+    L cell by cell, term by term, in atom order."""
     check_sigma(sg, sigma)
     n = sg.n
     rows = np.arange(n * n)
     L = np.zeros((n * n, n), dtype=complex)
-    for w, terms in term_groups(eq, sg, sigma, mu):
+    for w, terms in _gather_terms(compile_terms(eq, sg, sigma, mu), np.arange(n)):
         weight = 1.0 if w is None else w
         for sign, idx in terms:
             L[rows, idx.ravel()] += weight if sign > 0 else -weight

@@ -776,6 +776,23 @@ class TestAtomRange:
                              "--mu", str(mu), "--f", str(fxdir / "c4_sine.fn.json"))
         assert code == 2 and out == "" and "outside" in err
 
+    @pytest.mark.parametrize("argv", [
+        ("solve", "--eq", "spherical"),
+        ("solve", "--eq", "vanvleck", "--sigma", "c4_negation.sigma.json"),
+        ("verify", "--eq", "spherical", "--f", "c4_sine.fn.json"),
+        ("oracle", "--eq", "spherical"),
+    ], ids=["solve_spherical", "solve_vanvleck", "verify", "oracle"])
+    def test_zero_norm_atom_out_of_range_exit_2(self, capsys, fxdir, tmp_path, argv):
+        # the atom points are range-checked before the zero-norm answer
+        mu = tmp_path / "far.mu.json"
+        mu.write_text(json.dumps({"atoms": [{"point": 9, "w": [0, 0]}]}))
+        argv = [str(fxdir / a) if a.endswith(".json") else a for a in argv]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, *argv, "--sg", str(fxdir / "c4.sg.json"), "--mu", str(mu))
+        assert code == 2 and out == ""
+        assert "atom point 9 is outside 0..3" in err
+
 
 class TestDeepJson:
     """The JSON decoder raises RecursionError past its depth; that is a

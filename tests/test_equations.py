@@ -11,9 +11,11 @@ from feqlab import (
     MorphismKind,
     approximate_battery,
     battery_report,
+    center,
     companion_cosine,
     identity_battery,
     integrate,
+    left_zero,
     residual_central_dalembert,
     residual_dalembert,
     residual_integral_dalembert,
@@ -34,9 +36,9 @@ from feqlab.equations import (
     Equation,
     Term,
     _defect,
+    compile_terms,
     residual,
     residual_evaluator,
-    term_groups,
 )
 from feqlab.errors import (
     DegenerateIntegral,
@@ -379,20 +381,61 @@ class TestRegistryGrids:
                                      + [(sigma.map[p], complex(w) / 2) for p, w in zip(points, weights)])
         f = rng.normal(size=6) + 1j * rng.normal(size=6)
         g = rng.normal(size=6) + 1j * rng.normal(size=6)
-        reports = {
-            "vanvleck": residual_vanvleck(s3, f, sigma, mu, force=True),
-            "dalembert_variant": residual_dalembert(s3, f, sigma),
-            "integral_dalembert": residual_integral_dalembert(s3, f, sigma, mu),
-            "corollary33": residual_central_dalembert(s3, f, sigma, mu),
-            "spherical": residual_spherical(s3, f, mu),
-            "spherical_right": residual(SPHERICAL_RIGHT, s3, f, mu=mu),
-            "sine_addition": residual_sine_addition(s3, f, g),
-            "wilson_variant": residual_wilson(s3, f, g, sigma),
-            "middle_commutation": residual(MIDDLE_COMMUTATION, s3, f, mu=mu),
-        }
-        for name, (top, arg) in _pointwise(s3, sigma, mu, f, g).items():
-            assert reports[name].max_abs == top, name
-            assert reports[name].argmax == arg, name
+        assert_registry_is_pointwise(s3, sigma, mu, f, g)
+
+    @pytest.mark.parametrize("case", ["S3-real", "S3-mixed", "LZ3", "C4xLZ2", "C16"])
+    def test_more_tables_and_weights(self, s3, case):
+        # real weights (negative ones, and one with imaginary part -0.0)
+        # take the one-pass scaling, complex ones the split product; C4xLZ2
+        # has an empty center, so vanvleck runs with force=True
+        rng = np.random.default_rng(len(case))
+        auto = MorphismKind.AUTOMORPHISM
+        if case.startswith("S3"):
+            sg, sigma = s3, enumerate_involutive_morphisms(s3, auto)[1]
+        elif case == "LZ3":
+            sg, sigma = left_zero(3), InvolutiveMorphism((2, 1, 0), auto)
+        elif case == "C4xLZ2":
+            sg = direct_product(cyclic_group(4), left_zero(2))  # (a, b) at 2a + b
+            sigma = InvolutiveMorphism(tuple(2 * (-a % 4) + 1 - b for a in range(4) for b in range(2)), auto)
+            assert center(sg) == []
+        else:
+            sg = cyclic_group(16)
+            sigma = InvolutiveMorphism(tuple(-x % 16 for x in range(16)), auto)
+        points = rng.choice(sg.n, size=3, replace=False).tolist()
+        weights = [-rng.uniform(0.5, 2.0), complex(rng.normal(), -0.0), rng.normal()]
+        if case != "S3-real":
+            weights[2] = complex(rng.normal(), rng.normal())
+        mu = DiracMeasure.from_pairs([(p, w / 2) for p, w in zip(points, weights)]
+                                     + [(sigma.map[p], w / 2) for p, w in zip(points, weights)])
+        f = rng.normal(size=sg.n) + 1j * rng.normal(size=sg.n)
+        g = rng.normal(size=sg.n) + 1j * rng.normal(size=sg.n)
+        assert_registry_is_pointwise(sg, sigma, mu, f, g)
+
+    def test_measure_without_atoms(self, c4, sigma_neg):
+        # every averaged term is 0, so each grid is its products alone
+        rng = np.random.default_rng(5)
+        f, g = (rng.normal(size=4) + 1j * rng.normal(size=4) for _ in range(2))
+        assert_registry_is_pointwise(c4, sigma_neg, DiracMeasure(()), f, g)
+
+
+def assert_registry_is_pointwise(sg, sigma, mu, f, g):
+    """Every registry report, through the public residual functions,
+    against _pointwise: the same sup and argmax, to the bit. vanvleck
+    runs with force=True, so mu need not be central."""
+    reports = {
+        "vanvleck": residual_vanvleck(sg, f, sigma, mu, force=True),
+        "dalembert_variant": residual_dalembert(sg, f, sigma),
+        "integral_dalembert": residual_integral_dalembert(sg, f, sigma, mu),
+        "corollary33": residual_central_dalembert(sg, f, sigma, mu),
+        "spherical": residual_spherical(sg, f, mu),
+        "spherical_right": residual(SPHERICAL_RIGHT, sg, f, mu=mu),
+        "sine_addition": residual_sine_addition(sg, f, g),
+        "wilson_variant": residual_wilson(sg, f, g, sigma),
+        "middle_commutation": residual(MIDDLE_COMMUTATION, sg, f, mu=mu),
+    }
+    for name, (top, arg) in _pointwise(sg, sigma, mu, f, g).items():
+        assert reports[name].max_abs == top, name
+        assert reports[name].argmax == arg, name
 
 
 class TestStackedDefect:
@@ -417,12 +460,12 @@ class TestStackedDefect:
             G = rng.normal(size=(4, sg.n)) + 1j * rng.normal(size=(4, sg.n))
             F[2, 1] = G[2, 1] = 1e300  # this row's products overflow
             for eq in EQUATIONS.values():
-                groups = term_groups(eq, sg, sigma, mu)
+                terms = compile_terms(eq, sg, sigma, mu)
                 g = G if eq.uses_g else None
                 with warnings.catch_warnings():
                     warnings.simplefilter("error")
-                    stacked = _defect(eq, groups, F, g)
-                    rows = [_defect(eq, groups, F[k], None if g is None else g[k]) for k in range(4)]
+                    stacked = _defect(eq, terms, F, g)
+                    rows = [_defect(eq, terms, F[k], None if g is None else g[k]) for k in range(4)]
                 assert stacked.shape == (4, sg.n, sg.n)
                 assert stacked.tobytes() == np.stack(rows).tobytes(), (eq.tag, atoms)
                 finite = np.isfinite(stacked).all(axis=(1, 2))
@@ -457,6 +500,11 @@ class TestResidualEvaluator:
             residual(eq, c4, [1, 2], sigma=sigma_neg, mu=DiracMeasure.point_mass(7))
         with pytest.raises(LengthMismatch):
             residual(eq, c4, [1, 2], sigma=sigma_neg, mu=DiracMeasure.point_mass(0))
+
+    @pytest.mark.parametrize("word", ["xs", "xx", "sy", "txy", "xtty", "xyx"])
+    def test_words_outside_the_grammar_are_refused(self, c4, sigma_neg, word):
+        with pytest.raises(ValueError, match=f"^cannot compile the word '{word}'$"):
+            compile_terms(Equation("bad", (Term(1, word),), ()), c4, sigma_neg, DiracMeasure.point_mass(1))
 
 
 class TestNonFinite:

@@ -31,11 +31,12 @@ from feqlab import (
 from feqlab.equations import (
     Equation,
     Term,
+    _defect,
     companion_cosine,
+    compile_terms,
     require_hypotheses,
     residual,
     residual_evaluator,
-    term_groups,
 )
 from feqlab.errors import BadParams, LengthMismatch, PointOutOfRange
 from feqlab.solvers import DEDUP_TOL, ORACLE_TOL, closed_form, match_solution_sets, newton_oracle
@@ -126,10 +127,10 @@ class TestIntegration:
 
 
 def middle_transform(sg, f, mu):
-    """integral of f(x * t * y) dmu(t) at every pair (x, y), from the index
-    arrays the equation registry compiles for the word "xty"."""
-    groups = term_groups(Equation("middle", (Term(1, "xty"),), ()), sg, None, mu)
-    return sum(w * f[idx] for w, [(_, idx)] in groups)
+    """integral of f(x * t * y) dmu(t) at every pair (x, y): the grid of a
+    law whose one term is the word "xty", as the registry compiles it."""
+    eq = Equation("middle", (Term(1, "xty"),), ())
+    return _defect(eq, compile_terms(eq, sg, None, mu), np.asarray(f, dtype=complex), None)
 
 
 class TestPushforward:

@@ -23,6 +23,7 @@ from feqlab import (
     enumerate_characters,
     enumerate_involutive_morphisms,
     integrate,
+    left_zero,
     match_solution_sets,
     measure_norm,
     newton_oracle,
@@ -45,10 +46,10 @@ from feqlab.equations import (
     EQUATIONS,
     _defect,
     approximate_battery,
+    compile_terms,
     identity_battery,
     residual,
     residual_evaluator,
-    term_groups,
 )
 from feqlab.errors import (
     DegenerateMeasureWarning,
@@ -731,6 +732,66 @@ def explicit_normal_equations(L, c, F, r, lam):
     return JH @ J + lam[:, None, None] * np.eye(n), (JH @ r[:, :, None])[:, :, 0]
 
 
+def word_at(sg, word, letters):
+    """The product of word's letters, left to right, with sg.mul."""
+    value = letters[word[0]]
+    for letter in word[1:]:
+        value = sg.mul(value, letters[letter])
+    return value
+
+
+def words_operator(eq, sg, sigma, mu):
+    """The linear part L (n^2 x n) of eq's defect, built cell by cell from
+    its words with sg.mul: per cell, each atom in order adds its signed
+    weight at the element each averaged word evaluates to, then each
+    plain word adds its sign. The order in which the oracle's operator
+    must add them, so the two agree bit for bit."""
+    n = sg.n
+    L = np.zeros((n * n, n), dtype=complex)
+    averaged = [term for term in eq.terms if "t" in term.word]
+    plain = [term for term in eq.terms if "t" not in term.word]
+    for x in range(n):
+        for y in range(n):
+            letters = {"x": x, "y": y, "s": None if sigma is None else sigma.map[y]}
+            for p, w in mu.atoms if averaged else ():
+                for term in averaged:
+                    L[x * n + y, word_at(sg, term.word, {**letters, "t": p})] += w if term.sign > 0 else -w
+            for term in plain:
+                L[x * n + y, word_at(sg, term.word, letters)] += 1.0 if term.sign > 0 else -1.0
+    return L
+
+
+def operator_cases(s3):
+    """(name, sg, involutive sigma, atoms) on C4, the Klein group, S3 and
+    the left-zero semigroup LZ3; the oracle's operator checks no
+    hypothesis, so the atoms need not be central or invariant."""
+    auto = MorphismKind.AUTOMORPHISM
+    return [
+        ("C4", cyclic_group(4), InvolutiveMorphism((0, 3, 2, 1), auto), (1, 2, 3)),
+        ("Klein", direct_product(cyclic_group(2), cyclic_group(2)), InvolutiveMorphism((0, 2, 1, 3), auto),
+         (0, 1, 2)),
+        ("S3", s3, conjugation_by(s3, 1), (0, 1, 4)),
+        ("LZ3", left_zero(3), InvolutiveMorphism((1, 0, 2), auto), (0, 2, 1)),
+    ]
+
+
+class TestDefectOperator:
+    """The oracle's L against one built from the words, to the bit."""
+
+    @pytest.mark.parametrize("weights", ["real", "complex"])
+    @pytest.mark.parametrize("tag", CLOSED_FORM_TAGS)
+    def test_equals_words_cell_by_cell(self, tag, weights, s3):
+        eq = EQUATIONS[tag]
+        rng = np.random.default_rng(len(tag))
+        for name, sg, sigma, points in operator_cases(s3):
+            w = rng.normal(size=3) * 10.0 ** rng.integers(-3, 4, 3)
+            if weights == "complex":
+                w = w + 1j * rng.normal(size=3)
+            mu = DiracMeasure.from_pairs(list(zip(points, w.tolist())))
+            L = _defect_operator(eq, sg, sigma, mu).L
+            assert L.tobytes() == words_operator(eq, sg, sigma, mu).tobytes(), name
+
+
 class TestNormalEquations:
     @pytest.mark.parametrize("tag", CLOSED_FORM_TAGS)
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -745,7 +806,7 @@ class TestNormalEquations:
         # the oracle holds starts on the last axis
         r = defect.residuals(F.T).T
         for f, row in zip(F, r):
-            grid = _defect(eq, term_groups(eq, sg, sigma, mu), f, None)
+            grid = _defect(eq, compile_terms(eq, sg, sigma, mu), f, None)
             assert np.max(np.abs(row.reshape(n, n) - grid)) <= 1e-12 * np.max(np.abs(grid))
         lam = 10.0 ** rng.uniform(-12, 2, 7)
         M = defect.augmented(F.T, r.T, lam)
@@ -836,11 +897,7 @@ def jacobian_oracle(sg, eq, sigma, mu, starts, seed):
     if mu is not None:
         mu = DiracMeasure.from_pairs([(p, w / scale) for p, w in mu.atoms])
     rows = np.arange(n * n)
-    L = np.zeros((n * n, n), dtype=complex)
-    for w, terms in term_groups(eq, sg, sigma, mu):
-        weight = 1.0 if w is None else w
-        for sign, idx in terms:
-            L[rows, idx.ravel()] += weight if sign > 0 else -weight
+    L = words_operator(eq, sg, sigma, mu)
     c = eq.products[0].coef
     xs, ys = rows // n, rows % n
 
