@@ -118,10 +118,10 @@ def _need(args, flag: str):
 
 
 def _load_inputs(args, sg, eq) -> tuple:
-    """(sigma, mu) as the equation needs them, loaded in that order; None
-    for an input it does not need."""
-    sigma = load_morphism(_need(args, "sigma"), sg) if "sigma" in eq.needs else None
-    mu = load_measure(_need(args, "mu")) if "mu" in eq.needs else None
+    """(sigma, mu) as eq's words read them, and mu where verify builds the
+    companion g, loaded in that order; None for an input eq does not need."""
+    sigma = load_morphism(_need(args, "sigma"), sg) if "sigma" in eq.reads else None
+    mu = load_measure(_need(args, "mu")) if "mu" in eq.reads or eq.uses_g else None
     return sigma, mu
 
 

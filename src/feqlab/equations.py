@@ -2,8 +2,9 @@
 
 EQUATIONS holds every equation the CLI knows. An entry gives the linear
 terms of its defect as words in x, y, sigma(y) and an atom t of the
-measure, its quadratic part, the hypotheses it requires, the inputs it
-needs and its closed form in characters. One evaluator compiles the
+measure, its quadratic part, the hypotheses it requires and its closed
+form in characters; the inputs it reads follow from the words, and one
+gate, bind_inputs, checks them for every path. One evaluator compiles the
 words once per call, where they do not depend on the atom, and gathers
 each averaged term through the atom's column, one n x n gather per term
 and atom, for one function or a stack of them (the closed forms verify
@@ -22,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -34,6 +36,7 @@ from .errors import (
     NonFiniteResidual,
     NotMorphism,
     NotSigmaInvariant,
+    UsageError,
     WrongMorphismKind,
 )
 from .measures import (
@@ -140,22 +143,28 @@ def closed_form_slack(mu: DiracMeasure | None) -> float:
 class Equation:
     """defect(x, y) = integral or sum of the terms - sum of the products.
 
-    hypotheses are checked in order, each exactly: "automorphism" (sigma's
-    kind), "invariant" (the measure equals its pushforward under sigma) and
-    "central" (the measure's support lies in the center; force may
-    override it). needs lists the inputs beside the function, in load
-    order. battery marks the equation the identity battery belongs to.
+    hypotheses are checked in order, each exactly, by bind_inputs:
+    "automorphism" (sigma's kind), "invariant" (the measure equals its
+    pushforward under sigma) and "central" (the measure's support lies in
+    the center; force may override it). Each reads only inputs in reads.
+    battery marks the equation the identity battery belongs to.
     """
 
     tag: str
     terms: tuple[Term, ...]
     products: tuple[Product, ...]
     hypotheses: tuple[str, ...] = ()
-    needs: tuple[str, ...] = ()
     closed_form: ClosedForm | None = None
     battery: bool = False
 
-    @property
+    @cached_property
+    def reads(self) -> tuple[str, ...]:
+        """The inputs beside the functions that the words read, in load
+        order: sigma for a letter s, mu for a letter t."""
+        words = "".join(term.word for term in self.terms)
+        return tuple(name for name, letter in (("sigma", "s"), ("mu", "t")) if letter in words)
+
+    @cached_property
     def uses_g(self) -> bool:
         """The equation pairs f with a second function g."""
         return any("g" in p.left + p.right for p in self.products)
@@ -176,28 +185,26 @@ _CENTRAL_COSINE = ClosedForm(1, "(chi + chi o sigma)/2 * mean(chi)", "corollary3
 EQUATIONS: dict[str, Equation] = {eq.tag: eq for eq in (
     # integral f(sigma(y) x t) dmu - integral f(x y t) dmu = 2 f(x) f(y)
     Equation("vanvleck", (Term(1, "sxt"), Term(-1, "xyt")), _SQUARE2, ("central",),
-             ("sigma", "mu"),
              ClosedForm(-1, "(chi o sigma - chi)/2 * mean(chi)", "vanvleck", ("central",)),
              battery=True),
     # g(xy) + g(sigma(y) x) = 2 g(x) g(y)
     Equation("dalembert_variant", (Term(1, "xy"), Term(1, "sx")), _SQUARE2, (),
-             ("sigma",), ClosedForm(1, "(chi + chi o sigma)/2", "dalembert_variant")),
+             ClosedForm(1, "(chi + chi o sigma)/2", "dalembert_variant")),
     # integral f(x t y) + integral f(sigma(y) t x) = 2 f(x) f(y)
     Equation("integral_dalembert", (Term(1, "xty"), Term(1, "stx")), _SQUARE2,
-             _COSINE_HYPOTHESES, ("sigma", "mu"), _CENTRAL_COSINE),
+             _COSINE_HYPOTHESES, _CENTRAL_COSINE),
     # integral f(x y t) + integral f(sigma(y) x t) = 2 f(x) f(y): the trailing
     # form, equivalent to the middle one when the support is central
     Equation("corollary33", (Term(1, "xyt"), Term(1, "sxt")), _SQUARE2,
-             _COSINE_HYPOTHESES, ("sigma", "mu"), _CENTRAL_COSINE),
+             _COSINE_HYPOTHESES, _CENTRAL_COSINE),
     # integral psi(x t y) = psi(x) psi(y)
     Equation("spherical", (Term(1, "xty"),), (Product(1.0, "fx", "fy"),), (),
-             ("mu",), ClosedForm(0, "chi * mean(chi)", "spherical", checks=(SPHERICAL_RIGHT,))),
+             ClosedForm(0, "chi * mean(chi)", "spherical", checks=(SPHERICAL_RIGHT,))),
     # f(xy) = f(x) g(y) + f(y) g(x)
     Equation("sine_addition", (Term(1, "xy"),),
-             (Product(1.0, "fx", "gy"), Product(1.0, "fy", "gx")), (), ("mu",)),
+             (Product(1.0, "fx", "gy"), Product(1.0, "fy", "gx"))),
     # f(xy) + f(sigma(y) x) = 2 f(x) g(y)
-    Equation("wilson_variant", (Term(1, "xy"), Term(1, "sx")), (Product(2.0, "fx", "gy"),),
-             (), ("sigma", "mu")),
+    Equation("wilson_variant", (Term(1, "xy"), Term(1, "sx")), (Product(2.0, "fx", "gy"),)),
 )}
 
 
@@ -267,28 +274,29 @@ def _grid_report(equation: str, grid: np.ndarray, *, out_of_hypothesis: bool = F
     )
 
 
-def check_sigma(sg: FiniteSemigroup, sigma: InvolutiveMorphism | None) -> None:
-    """A structural error unless sigma (when given) maps 0..n-1 into
-    0..n-1: one entry per element, each in range. Every path that reads
-    sigma.map runs this first; validate_morphism checks the laws too."""
-    if sigma is None:
-        return
-    if len(sigma.map) != sg.n:
+def bind_inputs(eq: Equation, sg: FiniteSemigroup, sigma: InvolutiveMorphism | None,
+                mu: DiracMeasure | None, *, hypotheses: Sequence[str] | None = None,
+                force: bool = False) -> tuple[DiracMeasure | None, bool]:
+    """The one check of eq's inputs, on every path that evaluates eq or
+    its closed form, in this order: a sigma or mu that eq's words read
+    must be given (UsageError), and a mu they do not read is dropped;
+    sigma, when given, must map 0..n-1 into 0..n-1 (validate_morphism
+    checks the laws too); the hypotheses hold in order, eq's own or a
+    closed form's stricter ones (see Equation); mu's atoms lie in 0..n-1.
+    Returns (mu, central), central False when force let a non-central
+    support through."""
+    for name, value in (("sigma", sigma), ("mu", mu)):
+        if name in eq.reads and value is None:
+            raise UsageError(f"equation '{eq.tag}' needs {name}")
+    if "mu" not in eq.reads:
+        mu = None  # an unread measure must not scale or check anything
+    if sigma is not None and len(sigma.map) != sg.n:
         raise LengthMismatch(len(sigma.map), sg.n, "sigma", "entries")
-    if sigma.map and not 0 <= min(sigma.map) <= max(sigma.map) < sg.n:
+    if sigma is not None and not 0 <= min(sigma.map) <= max(sigma.map) < sg.n:
         bad = next(x for x, y in enumerate(sigma.map) if not 0 <= y < sg.n)
         raise NotMorphism(f"sigma[{bad}] = {sigma.map[bad]} is outside 0..{sg.n - 1}")
-
-
-def require_hypotheses(hypotheses: Sequence[str], sg: FiniteSemigroup,
-                       sigma: InvolutiveMorphism | None, mu: DiracMeasure | None, *,
-                       force: bool = False) -> bool:
-    """Check sigma's shape, then the hypotheses in order (see Equation),
-    each exactly. Returns False when force let a non-central support
-    through, True otherwise."""
-    check_sigma(sg, sigma)
     central = True
-    for hypothesis in hypotheses:
+    for hypothesis in eq.hypotheses if hypotheses is None else hypotheses:
         if hypothesis == "automorphism" and sigma.kind is not MorphismKind.AUTOMORPHISM:
             raise WrongMorphismKind("this equation requires an automorphism")
         if hypothesis == "invariant" and not is_sigma_invariant(mu, sigma):
@@ -297,7 +305,9 @@ def require_hypotheses(hypotheses: Sequence[str], sg: FiniteSemigroup,
             if not force:
                 raise NonCentralSupport("mu must be supported in the center")
             central = False
-    return central
+    if mu is not None:
+        _check_points(mu, sg.n)
+    return mu, central
 
 
 class CompiledTerms(NamedTuple):
@@ -313,7 +323,8 @@ class CompiledTerms(NamedTuple):
 
 def compile_terms(eq: Equation, sg: FiniteSemigroup, sigma: InvolutiveMorphism | None,
                   mu: DiracMeasure | None) -> CompiledTerms:
-    """The terms of eq compiled once for all the atoms of mu.
+    """The terms of eq compiled once for all the atoms of mu, the inputs
+    already checked by bind_inputs.
 
     A word a b (see Term) is the row gather table[a, b]: its rows are the
     values of a, transposed when a lies on the y axis. An averaged term
@@ -342,10 +353,7 @@ def compile_terms(eq: Equation, sg: FiniteSemigroup, sigma: InvolutiveMorphism |
             averaged.append((term.sign, idx, None))
         else:
             plain.append((term.sign, idx))
-    atoms: tuple = ()
-    if averaged:
-        _check_points(mu, sg.n)
-        atoms = tuple((table[:, p], w) for p, w in mu.atoms)
+    atoms = tuple((table[:, p], w) for p, w in mu.atoms) if averaged else ()
     return CompiledTerms(table, atoms, tuple(averaged), tuple(plain))
 
 
@@ -431,13 +439,16 @@ def residual_evaluator(eq: Equation, sg: FiniteSemigroup, sigma: InvolutiveMorph
                        mu: DiracMeasure | None = None, *,
                        force: bool = False) -> Callable[..., ResidualReport]:
     """evaluate(f, g=None), the residual report of eq for any functions
-    on the same inputs. The hypotheses are checked and the terms compiled
-    once, here; force=True lets a non-central support through and marks
-    every report out-of-hypothesis."""
-    central = require_hypotheses(eq.hypotheses, sg, sigma, mu, force=force)
+    on the same inputs. The inputs are checked by bind_inputs and the
+    terms compiled once, here; force=True lets a non-central support
+    through and marks every report out-of-hypothesis. evaluate refuses
+    a missing g that eq's products read, as bind_inputs refuses inputs."""
+    mu, central = bind_inputs(eq, sg, sigma, mu, force=force)
     terms = compile_terms(eq, sg, sigma, mu)
 
     def evaluate(f: Sequence[complex], g: Sequence[complex] | None = None) -> ResidualReport:
+        if g is None and eq.uses_g:
+            raise UsageError(f"equation '{eq.tag}' needs g")
         arr = check_function(sg, f)
         garr = None if g is None else check_function(sg, g)
         return _grid_report(eq.tag, _defect(eq, terms, arr, garr), out_of_hypothesis=not central)
@@ -448,8 +459,8 @@ def residual_evaluator(eq: Equation, sg: FiniteSemigroup, sigma: InvolutiveMorph
 def residual(eq: Equation, sg: FiniteSemigroup, f: Sequence[complex], *,
              g: Sequence[complex] | None = None, sigma: InvolutiveMorphism | None = None,
              mu: DiracMeasure | None = None, force: bool = False) -> ResidualReport:
-    """Residual report of any equation: hypotheses first, then the atom
-    points, then the functions and the grid."""
+    """Residual report of any equation: its inputs first (bind_inputs),
+    then the functions and the grid."""
     return residual_evaluator(eq, sg, sigma, mu, force=force)(f, g)
 
 
@@ -504,6 +515,8 @@ def companion_cosine(sg: FiniteSemigroup, f: Sequence[complex], mu: DiracMeasure
     variant and pairs with f in the sine-addition law. Only a mean of 0
     is degenerate; a quotient that overflows is left non-finite, without
     a warning, and any residual of it raises NonFiniteResidual."""
+    if mu is None:
+        raise UsageError("the companion cosine needs mu")
     arr = check_function(sg, f)
     mean = integrate(arr, mu)
     if mean == 0:
@@ -580,7 +593,7 @@ def identity_battery(sg: FiniteSemigroup, f: Sequence[complex], sigma: Involutiv
     zero and the mean flag must stay away from zero. On a non-solution
     the failing items localize which structural identity breaks.
     """
-    require_hypotheses(EQUATIONS["vanvleck"].hypotheses, sg, sigma, mu, force=force)
+    bind_inputs(EQUATIONS["vanvleck"], sg, sigma, mu, force=force)
     arr = check_function(sg, f)
     mean = integrate(arr, mu)
     sups = _sup_terms(sg, arr, sigma, mu, mean)
@@ -631,10 +644,11 @@ def approximate_battery(sg: FiniteSemigroup, f: Sequence[complex], sigma: Involu
 
     Bounds divide by |mean of f|, so that mean must be nonzero (exactly,
     as for companion_cosine); it is tested before any term is computed.
+    The sine variant's hypotheses are not required.
     """
     if delta < 0:
         raise BadParams("delta must be nonnegative")
-    check_sigma(sg, sigma)
+    bind_inputs(EQUATIONS["vanvleck"], sg, sigma, mu, hypotheses=())
     arr = check_function(sg, f)
     mean = integrate(arr, mu)
     if mean == 0:

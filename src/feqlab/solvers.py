@@ -21,11 +21,10 @@ from .equations import (
     Equation,
     _gather_terms,
     _row_sups,
-    check_sigma,
+    bind_inputs,
     closed_form_slack,
     compile_terms,
     finite_top,
-    require_hypotheses,
 )
 from .errors import (
     BadParams,
@@ -37,7 +36,6 @@ from .errors import (
 from .jsonio import function_to_json
 from .measures import (
     DiracMeasure,
-    _check_points,
     character_mean_slack,
     integrate,
     measure_norm,
@@ -126,29 +124,15 @@ def closed_form_equation(equation: str) -> Equation:
     return eq
 
 
-def _require_inputs(equation: str, sigma: InvolutiveMorphism | None,
-                    mu: DiracMeasure | None):
-    """The registry entry of an equation with a closed form, once the
-    inputs it needs are present."""
-    eq = closed_form_equation(equation)
-    for name, value in (("sigma", sigma), ("mu", mu)):
-        if name in eq.needs and value is None:
-            raise UsageError(f"equation '{equation}' needs {name}")
-    return eq
-
-
 def closed_form(equation: str, sg: FiniteSemigroup, sigma: InvolutiveMorphism | None,
                 mu: DiracMeasure | None) -> SolutionSet:
     """Solution set of a registered equation, built from the characters of
-    sg as its ClosedForm describes, given the inputs the equation needs (a
-    measure whose norm overflows is refused). Every solution is verified."""
-    eq = _require_inputs(equation, sigma, mu)
+    sg as its ClosedForm describes, once bind_inputs has checked the inputs
+    against the form's hypotheses (a measure whose norm overflows is then
+    refused). Every solution is verified."""
+    eq = closed_form_equation(equation)
     form = eq.closed_form
-    if "mu" not in eq.needs:
-        mu = None  # an unneeded measure must not scale the solutions
-    require_hypotheses(form.hypotheses, sg, sigma, mu)
-    if mu is not None:
-        _check_points(mu, sg.n)  # before the zero-norm return, as every other path does
+    mu, _ = bind_inputs(eq, sg, sigma, mu, hypotheses=form.hypotheses)
     out: list[Solution] = []
     norm = 1.0 if mu is None else measure_norm(mu)
     if not np.isfinite(norm):
@@ -307,12 +291,11 @@ def _gauss_jordan(M: np.ndarray) -> np.ndarray:
 
 def _defect_operator(eq: Equation, sg: FiniteSemigroup, sigma: InvolutiveMorphism | None,
                      mu: DiracMeasure | None) -> _QuadraticDefect:
-    """The defect of an equation with a closed form, once sigma's shape is
-    checked. Its linear part L (n^2 x n) reads the description the
+    """The defect of an equation with a closed form, on inputs bind_inputs
+    has checked. Its linear part L (n^2 x n) reads the description the
     residual grids gather f through: gathered at f = np.arange(n), each
     term gives its index array, and each atom's weights are added into
     L cell by cell, term by term, in atom order."""
-    check_sigma(sg, sigma)
     n = sg.n
     rows = np.arange(n * n)
     L = np.zeros((n * n, n), dtype=complex)
@@ -356,8 +339,8 @@ def newton_oracle(sg: FiniteSemigroup, equation: str,
         raise UsageError("starts must be >= 1")
     if seed < 0:
         raise UsageError("seed must be >= 0")
-    eq = _require_inputs(equation, sigma, mu)
-    mu = mu if "mu" in eq.needs else None  # an unneeded mu scales nothing
+    eq = closed_form_equation(equation)
+    mu, _ = bind_inputs(eq, sg, sigma, mu, hypotheses=())  # the oracle assumes no hypothesis
     norm = 1.0 if mu is None else measure_norm(mu)
     scale = _unit_scale(mu)
     mu = None if mu is None else DiracMeasure(tuple((p, w / scale) for p, w in mu.atoms))

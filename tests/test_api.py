@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import ast
 import importlib
+import importlib.util
 import io
 import os
 import re
@@ -19,6 +20,7 @@ import subprocess
 import sys
 import tokenize
 import types
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -129,3 +131,21 @@ def test_readme_example_runs_as_documented():
         else:
             exec(compile(ast.Module([node], type_ignores=[]), "README.md", "exec"), namespace)
     assert len(checked) == 3, checked
+
+
+def test_cli_digest_matrix_and_its_calls():
+    spec = importlib.util.spec_from_file_location("cli_digest", ROOT / "tools" / "cli_digest.py")
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    argvs = tool.calls()
+    assert len(argvs) == 4816
+    assert Counter(argv[0] for argv in argvs) == {"solve": 784, "oracle": 784, "verify": 3136, "stability": 112}
+    # every command on the C4 desk case, and one call that exits 64 for a missing --mu
+    desk = ["--sg", "c4.sg.json", "--sigma", "c4_negation.sigma.json", "--mu", "c4_delta1.mu.json"]
+    picked = [argv for argv in argvs if argv[0] == "stability" and argv[1:7] == desk]
+    picked += [argv for argv in argvs if argv[1:3] == ["--eq", "vanvleck"]
+               and (argv[3:9] == desk or argv[3:7] == desk[:4] and "--mu" not in argv)]
+    assert len(picked) == 13
+    count, sha, exits = tool.digest(picked)
+    assert (count, exits) == (13, {0: 5, 1: 2, 64: 6})
+    assert tool.digest(picked)[1] == sha and len(sha) == 64

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import argparse
 import warnings
 
 import numpy as np
@@ -30,6 +31,7 @@ from feqlab import (
     symmetric_group_3,
     validate_semigroup,
 )
+from feqlab import cli
 from feqlab.equations import (
     EQUATIONS,
     SPHERICAL_RIGHT,
@@ -47,8 +49,10 @@ from feqlab.errors import (
     NonFiniteResidual,
     NotSigmaInvariant,
     PointOutOfRange,
+    UsageError,
     WrongMorphismKind,
 )
+from feqlab.solvers import closed_form
 
 # integral f(x t y) dmu = integral f(y t x) dmu: the engine's signed
 # middle-t case with no products, which holds on abelian semigroups and
@@ -495,7 +499,7 @@ class TestResidualEvaluator:
                                     EQUATIONS["vanvleck"], EQUATIONS["corollary33"]],
                              ids=["spherical", "spherical_right", "middle_commutation", "vanvleck", "corollary33"])
     def test_atom_points_before_function_length(self, c4, sigma_neg, eq):
-        # the atoms are checked when the terms are compiled, before any function
+        # the atoms are checked with the inputs, before any function
         with pytest.raises(PointOutOfRange):
             residual(eq, c4, [1, 2], sigma=sigma_neg, mu=DiracMeasure.point_mass(7))
         with pytest.raises(LengthMismatch):
@@ -505,6 +509,85 @@ class TestResidualEvaluator:
     def test_words_outside_the_grammar_are_refused(self, c4, sigma_neg, word):
         with pytest.raises(ValueError, match=f"^cannot compile the word '{word}'$"):
             compile_terms(Equation("bad", (Term(1, word),), ()), c4, sigma_neg, DiracMeasure.point_mass(1))
+
+
+# The inputs each CLI tag loads, in load order, pinned apart from the words
+# and the companion g that decide them.
+CLI_INPUTS = {
+    "vanvleck": ("sigma", "mu"),
+    "dalembert_variant": ("sigma",),
+    "integral_dalembert": ("sigma", "mu"),
+    "corollary33": ("sigma", "mu"),
+    "spherical": ("mu",),
+    "sine_addition": ("mu",),
+    "wilson_variant": ("sigma", "mu"),
+}
+# the inputs each hypothesis reads (see Equation)
+HYPOTHESIS_READS = {"automorphism": {"sigma"}, "invariant": {"sigma", "mu"}, "central": {"mu"}}
+
+_C4 = cyclic_group(4)
+_NEG = InvolutiveMorphism((0, 3, 2, 1), MorphismKind.AUTOMORPHISM)
+_SINE = [0, 1, 0, -1]
+# (missing input, call): library calls that leave out an input they read
+MISSING_INPUT_CALLS = {
+    "residual-dalembert_variant": ("sigma", lambda: residual(EQUATIONS["dalembert_variant"], _C4, _SINE)),
+    "residual-vanvleck": ("mu", lambda: residual(EQUATIONS["vanvleck"], _C4, _SINE, sigma=_NEG)),
+    "residual_evaluator-spherical": ("mu", lambda: residual_evaluator(EQUATIONS["spherical"], _C4)),
+    "identity_battery": ("mu", lambda: identity_battery(_C4, _SINE, _NEG, None)),
+    "battery_report": ("mu", lambda: battery_report(_C4, _SINE, _NEG, None)),
+    "approximate_battery": ("mu", lambda: approximate_battery(_C4, _SINE, _NEG, None, 0.0)),
+    "residual-sine_addition": ("g", lambda: residual(EQUATIONS["sine_addition"], _C4, _SINE)),
+    "residual-wilson_variant": ("g", lambda: residual(EQUATIONS["wilson_variant"], _C4, _SINE, sigma=_NEG)),
+    "companion_cosine": ("mu", lambda: companion_cosine(_C4, _SINE, None)),
+}
+
+
+class TestInputGate:
+    @pytest.mark.parametrize("case", MISSING_INPUT_CALLS)
+    def test_missing_input_is_a_usage_error(self, case):
+        name, call = MISSING_INPUT_CALLS[case]
+        with pytest.raises(UsageError, match=rf" needs {name}$"):
+            call()
+
+    def test_words_and_companion_give_the_cli_inputs(self, monkeypatch):
+        assert set(EQUATIONS) == set(CLI_INPUTS)
+        for tag, eq in EQUATIONS.items():
+            assert eq.reads + ("mu",) * (eq.uses_g and "mu" not in eq.reads) == CLI_INPUTS[tag], tag
+            loaded = []
+            monkeypatch.setattr(cli, "load_morphism", lambda path, sg: loaded.append(path))
+            monkeypatch.setattr(cli, "load_measure", lambda path: loaded.append(path))
+            assert cli._load_inputs(argparse.Namespace(eq=tag, sigma="sigma", mu="mu"), _C4, eq) == (None, None)
+            assert tuple(loaded) == CLI_INPUTS[tag], tag
+
+    def test_spherical_right_reads_mu(self):
+        assert SPHERICAL_RIGHT.reads == ("mu",)
+        assert SPHERICAL_RIGHT.reads is SPHERICAL_RIGHT.reads  # cached per entry
+
+    @pytest.mark.parametrize("tag", EQUATIONS)
+    def test_hypotheses_and_checks_read_only_what_the_words_read(self, tag):
+        eq = EQUATIONS[tag]
+        form = eq.closed_form
+        for hypothesis in eq.hypotheses + (form.hypotheses if form else ()):
+            assert HYPOTHESIS_READS[hypothesis] <= set(eq.reads), hypothesis
+        if form:
+            # closed_form compiles every law sharing the form and its checks on eq's inputs
+            laws = [law for law in EQUATIONS.values() if law.closed_form is form] + list(form.checks)
+            assert all(law.reads == eq.reads for law in laws)
+            for law in form.checks:
+                assert set(law.hypotheses) <= set(form.hypotheses)
+
+    def test_unread_measure_is_dropped_unchecked(self, c4, cosine, sigma_neg):
+        far = DiracMeasure.point_mass(9, 1e300)
+        rep = residual(EQUATIONS["dalembert_variant"], c4, cosine, sigma=sigma_neg, mu=far)
+        assert rep == residual_dalembert(c4, cosine, sigma_neg)
+        got, want = (closed_form("dalembert_variant", c4, sigma_neg, mu) for mu in (far, None))
+        assert got.to_json() == want.to_json()
+
+    def test_approximate_battery_checks_atoms_before_length(self, c4, sigma_neg):
+        with pytest.raises(PointOutOfRange):
+            approximate_battery(c4, [1, 2], sigma_neg, DiracMeasure.point_mass(7), 0.0)
+        with pytest.raises(LengthMismatch):
+            approximate_battery(c4, [1, 2], sigma_neg, DiracMeasure.point_mass(0), 0.0)
 
 
 class TestNonFinite:

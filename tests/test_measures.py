@@ -32,9 +32,9 @@ from feqlab.equations import (
     Equation,
     Term,
     _defect,
+    bind_inputs,
     companion_cosine,
     compile_terms,
-    require_hypotheses,
     residual,
     residual_evaluator,
 )
@@ -200,12 +200,12 @@ class TestToleranceConfig:
     def test_no_hypothesis_or_residual_takes_tol(self, c4, sigma_neg, mu_delta1, sine):
         # eq_tol judges verdicts; a hypothesis check, a residual report, a
         # solution set or a companion function never reads it
-        for fn in (is_sigma_invariant, require_hypotheses, residual_evaluator, residual,
+        for fn in (is_sigma_invariant, bind_inputs, residual_evaluator, residual,
                    residual_vanvleck, residual_integral_dalembert, residual_central_dalembert,
                    closed_form, solve_vanvleck, solve_dalembert, solve_spherical,
                    solve_central_dalembert, companion_cosine):
             assert "tol" not in inspect.signature(fn).parameters, fn.__name__
-        for fn in (require_hypotheses, residual_evaluator, residual_vanvleck):
+        for fn in (bind_inputs, residual_evaluator, residual_vanvleck):
             assert inspect.signature(fn).parameters["force"].kind is inspect.Parameter.KEYWORD_ONLY
         # a stale positional tol must not land in force, nor pass unseen
         for call in (lambda: residual_vanvleck(c4, sine, sigma_neg, mu_delta1, DEFAULT_TOL),

@@ -358,7 +358,7 @@ def greedy_closed_form(tag, sg, sigma, mu, tol=DEFAULT_TOL):
     (vector, character) pairs it kept."""
     eq = EQUATIONS[tag]
     form = eq.closed_form
-    if "mu" not in eq.needs:
+    if "mu" not in eq.reads:
         mu = None
     out = []
     for chi in characters_cached(sg):
@@ -962,8 +962,8 @@ class TestOracleAgainstJacobian:
         eq = EQUATIONS[tag]
         found = 0
         for name, sg, sigma, sine_mu, cosine_mu in oracle_witnesses(s3):
-            sigma = sigma if "sigma" in eq.needs else None
-            mu = (sine_mu if tag == "vanvleck" else cosine_mu) if "mu" in eq.needs else None
+            sigma = sigma if "sigma" in eq.reads else None
+            mu = (sine_mu if tag == "vanvleck" else cosine_mu) if "mu" in eq.reads else None
             for seed in range(3):
                 got = newton_oracle(sg, tag, sigma, mu, starts=40, seed=seed)
                 want = jacobian_oracle(sg, eq, sigma, mu, 40, seed)

@@ -1,0 +1,113 @@
+"""One sha256 over a fixed matrix of feqlab CLI calls, to show that a
+change keeps every CLI answer byte for byte.
+
+Run `python3 tools/cli_digest.py` in each of two checkouts (it imports
+feqlab from the checkout's own src/) and compare the printed lines: the
+call count, the sha256 and the exit codes are equal when every call
+gives the same exit code, stdout and stderr.
+
+The fixtures are the bundle of `feqlab fixtures` plus three measures: a
+complex pair, 0 delta_9 (out of range on every bundled table) and one
+without atoms. The calls run in process, from the fixture directory, so
+argv holds only file names. They are `solve`, `oracle --starts 30` and
+`verify` (both function fixtures, with and without `--battery`) for
+every tag x table x (no sigma or each sigma) x (no mu or each mu), and
+`stability --trials 50 --seed 3` for every table, sigma and mu.
+
+Warnings are caught per call, all of them, and hashed as "Category:
+message" lines after stderr, so neither a moved source line nor the
+order of the calls changes the digest. For exit 70 only the last line of
+stderr is kept: the traceback above it names source lines.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import itertools
+import json
+import os
+import sys
+import tempfile
+import warnings
+from collections import Counter
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from feqlab.cli import EQUATION_TAGS, main  # noqa: E402
+from feqlab.fixtures import write_fixtures  # noqa: E402
+
+TABLES = ("c4.sg.json", "s3.sg.json", "null2.sg.json", "leftzero2.sg.json")
+SIGMAS = ("c4_negation.sigma.json", "c4_identity.sigma.json", "s3_inversion.sigma.json")
+EXTRA_MEASURES = {
+    "complex_pair.mu.json": {"atoms": [{"point": 1, "w": [0.5, -0.25]}, {"point": 3, "w": [0.5, 0.25]}]},
+    "zero_at_9.mu.json": {"atoms": [{"point": 9, "w": [0.0, 0.0]}]},
+    "no_atoms.mu.json": {"atoms": []},
+}
+MEASURES = ("c4_delta1.mu.json", "c4_halfpair.mu.json", "s3_transposition.mu.json", *EXTRA_MEASURES)
+FUNCTIONS = ("c4_sine.fn.json", "c4_cosine.fn.json")
+
+
+def write_inputs(outdir: str | Path) -> None:
+    """The bundle and the extra measures, written to outdir."""
+    write_fixtures(outdir)
+    for name, obj in EXTRA_MEASURES.items():
+        (Path(outdir) / name).write_text(json.dumps(obj) + "\n")
+
+
+def calls() -> list[list[str]]:
+    """The argv of every call, in order."""
+    def optional(flag: str, name: str | None) -> list[str]:
+        return [] if name is None else [flag, name]
+
+    out = []
+    for tag, table, sigma, mu in itertools.product(EQUATION_TAGS, TABLES, (None, *SIGMAS), (None, *MEASURES)):
+        inputs = ["--eq", tag, "--sg", table, *optional("--sigma", sigma), *optional("--mu", mu)]
+        out += [["solve", *inputs], ["oracle", *inputs, "--starts", "30"]]
+        for fn in FUNCTIONS:
+            out += [["verify", *inputs, "--f", fn], ["verify", *inputs, "--f", fn, "--battery"]]
+    for table, sigma, mu in itertools.product(TABLES, (None, *SIGMAS), (None, *MEASURES)):
+        out.append(["stability", "--sg", table, *optional("--sigma", sigma), *optional("--mu", mu),
+                    "--trials", "50", "--seed", "3"])
+    return out
+
+
+def run(argv: list[str]) -> tuple[int, str, str]:
+    """(exit code, stdout, stderr) of one in-process call, stderr as the
+    module docstring says."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(argv)
+    stderr = err.getvalue()
+    if code == 70:
+        stderr = stderr.rstrip("\n").rsplit("\n", 1)[-1] + "\n"
+    stderr += "".join(f"{w.category.__name__}: {w.message}\n" for w in caught)
+    return code, out.getvalue(), stderr
+
+
+def digest(argvs: list[list[str]]) -> tuple[int, str, Counter]:
+    """(call count, sha256 hex, exit code counts) of the calls, run in a
+    fresh fixture directory."""
+    sha, exits = hashlib.sha256(), Counter()
+    home = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        write_inputs(tmp)
+        os.chdir(tmp)
+        try:
+            for argv in argvs:
+                code, stdout, stderr = run(argv)
+                exits[code] += 1
+                sha.update(json.dumps([argv, code, stdout, stderr]).encode() + b"\n")
+        finally:
+            os.chdir(home)
+    return len(argvs), sha.hexdigest(), exits
+
+
+if __name__ == "__main__":
+    count, hexdigest, exits = digest(calls())
+    print(f"{count} calls sha256 {hexdigest} exits "
+          + " ".join(f"{code}x{n}" for code, n in sorted(exits.items())))
