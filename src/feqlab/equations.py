@@ -279,17 +279,20 @@ def bind_inputs(eq: Equation, sg: FiniteSemigroup, sigma: InvolutiveMorphism | N
                 force: bool = False) -> tuple[DiracMeasure | None, bool]:
     """The one check of eq's inputs, on every path that evaluates eq or
     its closed form, in this order: a sigma or mu that eq's words read
-    must be given (UsageError), and a mu they do not read is dropped;
-    sigma, when given, must map 0..n-1 into 0..n-1 (validate_morphism
-    checks the laws too); the hypotheses hold in order, eq's own or a
-    closed form's stricter ones (see Equation); mu's atoms lie in 0..n-1.
-    Returns (mu, central), central False when force let a non-central
-    support through."""
+    must be given (UsageError), and one they do not read is dropped
+    unchecked; sigma, when read, must map 0..n-1 into 0..n-1
+    (validate_morphism checks the laws too); the hypotheses hold in
+    order, eq's own or a closed form's stricter ones (see Equation); mu's
+    atoms lie in 0..n-1. Returns (mu, central), central False when force
+    let a non-central support through."""
     for name, value in (("sigma", sigma), ("mu", mu)):
         if name in eq.reads and value is None:
             raise UsageError(f"equation '{eq.tag}' needs {name}")
+    # an unread input must not scale or check anything
+    if "sigma" not in eq.reads:
+        sigma = None
     if "mu" not in eq.reads:
-        mu = None  # an unread measure must not scale or check anything
+        mu = None
     if sigma is not None and len(sigma.map) != sg.n:
         raise LengthMismatch(len(sigma.map), sg.n, "sigma", "entries")
     if sigma is not None and not 0 <= min(sigma.map) <= max(sigma.map) < sg.n:

@@ -228,6 +228,14 @@ class _QuadraticDefect:
     Nothing of size n^2 x n is formed per start. J^H J + lam I is
     Hermitian positive definite, which is why _gauss_jordan can solve
     the augmented systems without pivoting.
+
+    Both methods write to out and work in scratch when these are given,
+    so newton_oracle allocates its arrays once per call. Every cell is
+    rounded as in a fresh array: each elementwise operation runs along
+    the contiguous starts axis, each product of matrices is the same
+    BLAS call, and no complex product is written over one of its factors
+    (numpy rounds a one-element product written in place apart from a
+    fresh one).
     """
 
     def __init__(self, L: np.ndarray, c: float):
@@ -245,25 +253,54 @@ class _QuadraticDefect:
         S = S + S.transpose(1, 0, 2)
         self.cPT = np.ascontiguousarray(c * S.transpose(2, 0, 1).reshape(nn, n))
 
-    def residuals(self, F: np.ndarray) -> np.ndarray:
-        return self.L @ F - self.c * F[self.xs] * F[self.ys]
+    def residuals(self, F: np.ndarray, out: np.ndarray | None = None,
+                  scratch: np.ndarray | None = None) -> np.ndarray:
+        """L f - c f(x) f(y), multiplied left to right, at each column of
+        F; written to out, an n^2 x starts array, with scratch, a 2 x n^2
+        x starts one, as working space."""
+        if scratch is None:
+            scratch = np.empty((2, len(self.xs), F.shape[1]), dtype=complex)
+        cfx, fy = scratch
+        # F[xs] and F[ys]: every index is in range, and mode "clip" writes
+        # straight to out, which mode "raise" would buffer
+        out = F.take(self.xs, 0, out, "clip")
+        np.multiply(self.c, out, out=cfx)
+        np.multiply(cfx, F.take(self.ys, 0, fy, "clip"), out=out)
+        return np.subtract(np.matmul(self.L, F, out=cfx), out, out=out)
 
-    def augmented(self, F: np.ndarray, r: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    def augmented(self, F: np.ndarray, r: np.ndarray, lam: np.ndarray,
+                  out: np.ndarray | None = None, scratch: np.ndarray | None = None) -> np.ndarray:
         """[J^H J + lam I | -J^H r] as one n x (n+1) x starts array, at
-        each column of F, whose defect is r."""
+        each column of F, whose defect is r; written to out, a
+        C-contiguous array of that shape, with scratch, a 2 x n^2 x
+        starts one, as working space."""
         n, starts = F.shape
+        M = np.empty((n, n + 1, starts), dtype=complex) if out is None else out
+        if scratch is None:
+            scratch = np.empty((2, n * n, starts), dtype=complex)
+        H, P = scratch.reshape(2, n, n, starts)
         cF = self.c * F
         cF_bar = np.conj(cF)
-        M = np.empty((n, n + 1, starts), dtype=complex)
-        # H + H^H = 2 c^2 f f^H - c (L^H M + (L^H M)^H)
-        H = cF[:, None] * cF_bar - (self.cPT @ F).reshape(n, n, starts)
-        A = M[:, :n]
-        np.add(H, np.conj(H.transpose(1, 0, 2)), out=A)
-        A += self.LhL
-        # M is a fresh array, so this strided reshape is a view of the diagonal of A
-        M.reshape(n * (n + 1), starts)[::n + 2] += 2.0 * np.sum(np.abs(cF) ** 2, axis=0) + lam
+        # A = L^H L + (H + H^H) with H + H^H = 2 c^2 f f^H - c (L^H M +
+        # (L^H M)^H), formed in the contiguous scratch and copied once
+        np.matmul(self.cPT, F, out=H.reshape(n * n, starts))
+        np.multiply(cF[:, None], cF_bar, out=P)
+        np.subtract(P, H, out=H)
+        np.conjugate(H.transpose(1, 0, 2), out=P)
+        np.add(H, P, out=P)
+        P += self.LhL
+        M[:, :n] = P
+        sq = np.abs(cF)
+        np.square(sq, out=sq)
+        diag = np.add.reduce(sq, axis=0)
+        diag *= 2.0
+        diag += lam
+        # M is C-contiguous, so this strided reshape is a view of the diagonal of A
+        M.reshape(n * (n + 1), starts)[::n + 2] += diag
         R = r.reshape(n, n, starts)
-        M[:, n] = np.sum((R + R.transpose(1, 0, 2)) * cF_bar, axis=1) - self.L_H @ r
+        np.add(R, R.transpose(1, 0, 2), out=H)
+        b = np.add.reduce(np.multiply(H, cF_bar, out=P), axis=1, out=M[:, n])
+        b -= self.L_H @ r
         return M
 
 
@@ -323,9 +360,15 @@ def newton_oracle(sg: FiniteSemigroup, equation: str,
 
     Independent of the character machinery. Starts are uniform in a
     complex polydisk; all starts iterate in one batched loop, as the
-    columns of an n x starts array, and each step solves every start's
-    damped normal equations at once by Gauss-Jordan elimination without
+    columns of one (n + n^2) x starts state array holding each start's
+    point over its defect, and each step solves every start's damped
+    normal equations at once by Gauss-Jordan elimination without
     pivoting (they are Hermitian positive definite, see _gauss_jordan).
+    A step writes to arrays allocated once per call, and an improving
+    trial is copied into the state with one masked copy. The state is
+    C-ordered on purpose: numpy's vectorized complex multiply rounds
+    strided operands apart from contiguous ones (see measures._cmul),
+    so the layout fixes the bits of every root.
     Converged roots (defect <= ORACLE_TOL) are clustered at DEDUP_TOL,
     each cluster is represented by its best member, near-zero roots are
     dropped (ZERO_ROOT_CUTOFF), and the result is sorted canonically.
@@ -346,23 +389,40 @@ def newton_oracle(sg: FiniteSemigroup, equation: str,
     mu = None if mu is None else DiracMeasure(tuple((p, w / scale) for p, w in mu.atoms))
     defect = _defect_operator(eq, sg, sigma, mu)
 
-    F = _polydisk(seed, norm / scale + 1.0, (starts, sg.n)).T  # radius 1 + ||mu / scale||
+    n = sg.n
+    # the state X and a trial X_try, each the points F over their defects r
+    X = np.empty((n + n * n, starts), dtype=complex)
+    F, r = X[:n], X[n:]
+    F[...] = _polydisk(seed, norm / scale + 1.0, (starts, n)).T  # radius 1 + ||mu / scale||
+    X_try = np.empty_like(X)
+    F_try, r_try = X_try[:n], X_try[n:]
+    M = np.empty((n, n + 1, starts), dtype=complex)
+    scratch = np.empty((2, n * n, starts), dtype=complex)
+    sq = np.empty((n * n, starts))
+
+    def cost_of(r: np.ndarray) -> np.ndarray:  # sum of |r|^2 over each column
+        np.abs(r, out=sq)
+        np.square(sq, out=sq)
+        return np.add.reduce(sq, axis=0)
 
     lam = np.full(starts, 1e-3)
-    r = defect.residuals(F)
-    cost = np.sum(np.abs(r) ** 2, axis=0)
+    defect.residuals(F, out=r, scratch=scratch)
+    cost = cost_of(r)
     if not np.all(np.isfinite(cost)):
         raise NonFiniteResidual(f"{equation} oracle defect is not finite at the starts (overflow)")
     for _ in range(80):
-        F_try = F + _gauss_jordan(defect.augmented(F, r, lam))
-        r_try = defect.residuals(F_try)
-        cost_try = np.sum(np.abs(r_try) ** 2, axis=0)
+        np.add(F, _gauss_jordan(defect.augmented(F, r, lam, out=M, scratch=scratch)), out=F_try)
+        defect.residuals(F_try, out=r_try, scratch=scratch)
+        cost_try = cost_of(r_try)
         better = cost_try < cost
-        F = np.where(better, F_try, F)
-        r = np.where(better, r_try, r)
-        cost = np.where(better, cost_try, cost)
-        lam = np.where(better, np.maximum(lam * 0.4, 1e-12), np.minimum(lam * 10.0, 1e14))
-        if np.all((cost <= 1e-26) | (lam >= 1e13)):
+        np.copyto(X, X_try, where=better)
+        np.copyto(cost, cost_try, where=better)
+        # lam stays in [1e-12, 1e14], so a shrunk lam meets only the floor
+        # and a grown one only the cap
+        lam *= np.where(better, 0.4, 10.0)
+        np.maximum(lam, 1e-12, out=lam)
+        np.minimum(lam, 1e14, out=lam)
+        if ((cost <= 1e-26) | (lam >= 1e13)).all():
             break
 
     return _reported_roots(F.T, np.max(np.abs(r), axis=0), scale)

@@ -149,3 +149,22 @@ def test_cli_digest_matrix_and_its_calls():
     count, sha, exits = tool.digest(picked)
     assert (count, exits) == (13, {0: 5, 1: 2, 64: 6})
     assert tool.digest(picked)[1] == sha and len(sha) == 64
+
+
+def test_oracle_digest_matrix_and_its_calls():
+    import feqlab.solvers as solvers
+
+    spec = importlib.util.spec_from_file_location("oracle_digest", ROOT / "tools" / "oracle_digest.py")
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    matrix = tool.calls()
+    assert len(matrix) == 539
+    assert sum(label.startswith("census ") for label, _, _ in matrix) == 494
+    reported_roots = solvers._reported_roots
+    picked = [call for call in matrix if call[0].startswith("C4 vanvleck ")] + matrix[:2]
+    count, sha = tool.digest(picked)
+    assert count == 5 and tool.digest(picked)[1] == sha and len(sha) == 64
+    assert solvers._reported_roots is reported_roots
+    # one more start moves the digest
+    label, args, kwargs = picked[0]
+    assert tool.digest([(label, args, {**kwargs, "starts": 201})])[1] != tool.digest(picked[:1])[1]

@@ -583,6 +583,20 @@ class TestInputGate:
         got, want = (closed_form("dalembert_variant", c4, sigma_neg, mu) for mu in (far, None))
         assert got.to_json() == want.to_json()
 
+    # a sigma of the wrong length, and one with an entry outside 0..n-1
+    UNREAD_SIGMAS = {"short": (0, 2, 1), "out_of_range": (0, 3, 9, 1)}
+
+    @pytest.mark.parametrize("bad", UNREAD_SIGMAS)
+    def test_unread_sigma_is_dropped_unchecked(self, c4, sine, cosine, bad):
+        far = InvolutiveMorphism(self.UNREAD_SIGMAS[bad], MorphismKind.AUTOMORPHISM)
+        delta1 = DiracMeasure.point_mass(1)
+        rep = residual(EQUATIONS["spherical"], c4, cosine, sigma=far, mu=delta1)
+        assert rep == residual(EQUATIONS["spherical"], c4, cosine, mu=delta1)
+        got, want = (closed_form("spherical", c4, sigma, delta1) for sigma in (far, None))
+        assert got.to_json() == want.to_json()
+        rep = residual(EQUATIONS["sine_addition"], c4, sine, g=cosine, sigma=far)
+        assert rep == residual_sine_addition(c4, sine, cosine)
+
     def test_approximate_battery_checks_atoms_before_length(self, c4, sigma_neg):
         with pytest.raises(PointOutOfRange):
             approximate_battery(c4, [1, 2], sigma_neg, DiracMeasure.point_mass(7), 0.0)

@@ -46,6 +46,7 @@ from feqlab.equations import (
     EQUATIONS,
     _defect,
     approximate_battery,
+    bind_inputs,
     compile_terms,
     identity_battery,
     residual,
@@ -71,7 +72,9 @@ from feqlab.solvers import (
     _gauss_jordan,
     _polydisk,
     _reported_roots,
+    _unit_scale,
     closed_form,
+    closed_form_equation,
 )
 
 
@@ -873,8 +876,10 @@ class TestGaussJordan:
         # one start's matrix is zeroed at every step: its step divides by a
         # zero pivot, is rejected, and no warning or error escapes
         want = newton_oracle(c4, "vanvleck", sigma_neg, mu_delta1, starts=60, seed=3)
+        calls = []
 
         def singular_start(M):
+            calls.append(M.shape)
             M[:, :-1, 7] = 0.0
             return _gauss_jordan(M)
 
@@ -882,6 +887,8 @@ class TestGaussJordan:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             got = newton_oracle(c4, "vanvleck", sigma_neg, mu_delta1, starts=60, seed=3)
+        # the oracle solved its steps through the patched elimination
+        assert calls and set(calls) == {(4, 5, 60)}
         assert len(got) == len(want) > 0
         assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
@@ -972,6 +979,111 @@ class TestOracleAgainstJacobian:
                     assert np.max(np.abs(a - b)) <= 1e-12, (name, seed)
                 found += len(want)
         assert found > 0
+
+
+def fresh_residuals(defect, F):
+    """The defect at each column of F, in fresh arrays."""
+    return defect.L @ F - defect.c * F[defect.xs] * F[defect.ys]
+
+
+def fresh_augmented(defect, F, r, lam):
+    """[J^H J + lam I | -J^H r] built in fresh arrays, as the oracle's loop
+    built it before it worked in place."""
+    n, starts = F.shape
+    cF = defect.c * F
+    cF_bar = np.conj(cF)
+    M = np.empty((n, n + 1, starts), dtype=complex)
+    H = cF[:, None] * cF_bar - (defect.cPT @ F).reshape(n, n, starts)
+    A = M[:, :n]
+    np.add(H, np.conj(H.transpose(1, 0, 2)), out=A)
+    A += defect.LhL
+    M.reshape(n * (n + 1), starts)[::n + 2] += 2.0 * np.sum(np.abs(cF) ** 2, axis=0) + lam
+    R = r.reshape(n, n, starts)
+    M[:, n] = np.sum((R + R.transpose(1, 0, 2)) * cF_bar, axis=1) - defect.L_H @ r
+    return M
+
+
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
+def fresh_oracle_state(sg, tag, sigma, mu, starts, seed):
+    """The final (F, res_inf) that newton_oracle hands to _reported_roots,
+    from its loop as it stood with starts on the last axis and fresh
+    arrays at every step (three np.where per step), started from a
+    C-ordered copy of the polydisk points: the bit reference for the
+    loop that works in place."""
+    eq = closed_form_equation(tag)
+    mu, _ = bind_inputs(eq, sg, sigma, mu, hypotheses=())
+    norm = 1.0 if mu is None else measure_norm(mu)
+    scale = _unit_scale(mu)
+    mu = None if mu is None else DiracMeasure(tuple((p, w / scale) for p, w in mu.atoms))
+    defect = _defect_operator(eq, sg, sigma, mu)
+    F = np.ascontiguousarray(_polydisk(seed, norm / scale + 1.0, (starts, sg.n)).T)
+    lam = np.full(starts, 1e-3)
+    r = fresh_residuals(defect, F)
+    cost = np.sum(np.abs(r) ** 2, axis=0)
+    for _ in range(80):
+        F_try = F + _gauss_jordan(fresh_augmented(defect, F, r, lam))
+        r_try = fresh_residuals(defect, F_try)
+        cost_try = np.sum(np.abs(r_try) ** 2, axis=0)
+        better = cost_try < cost
+        F = np.where(better, F_try, F)
+        r = np.where(better, r_try, r)
+        cost = np.where(better, cost_try, cost)
+        lam = np.where(better, np.maximum(lam * 0.4, 1e-12), np.minimum(lam * 10.0, 1e14))
+        if np.all((cost <= 1e-26) | (lam >= 1e13)):
+            break
+    return F.T, np.max(np.abs(r), axis=0)
+
+
+def bit_reference_cases(s3):
+    """(name, sg, sigma, measure, starts, seeds) for every closed-form tag:
+    the C4 fixtures at 200 starts; the Klein group and S3 (oracle_witnesses);
+    one order-3 census table, swept as the census is, with every
+    involutive morphism and a unit mass at each central point; C2xC4,
+    of order 8; and the trivial group at one start, whose arrays hold a
+    single element."""
+    auto = MorphismKind.AUTOMORPHISM
+    cases = [("C4", cyclic_group(4), InvolutiveMorphism((0, 3, 2, 1), auto), DiracMeasure.point_mass(1),
+              DiracMeasure.from_pairs([(1, 0.5), (3, 0.5)]), 200, (0, 1))]
+    cases += [(name, sg, sigma, sine_mu, cosine_mu, 60, (0, 1))
+              for name, sg, sigma, sine_mu, cosine_mu in oracle_witnesses(s3)[1:]]
+    census = next(sg for sg in enumerate_all_semigroups(3) if sg.table == ((0, 1, 1), (1, 1, 1), (1, 1, 2)))
+    cases += [(f"census-{kind.value}{sigma.map}-{z}", census, sigma, DiracMeasure.point_mass(z),
+               DiracMeasure.point_mass(z), 120, (0,))
+              for kind in MorphismKind for sigma in enumerate_involutive_morphisms(census, kind)
+              for z in center(census)]
+    c2xc4 = direct_product(cyclic_group(2), cyclic_group(4))
+    negation = InvolutiveMorphism((0, 3, 2, 1, 4, 7, 6, 5), auto)  # x -> -x
+    cases.append(("C2xC4", c2xc4, negation, DiracMeasure.point_mass(5), DiracMeasure.point_mass(0, 0.75),
+                  30, (0,)))
+    trivial = cyclic_group(1)
+    cases.append(("C1", trivial, InvolutiveMorphism((0,), auto), DiracMeasure.point_mass(0, 0.3 - 0.8j),
+                  DiracMeasure.point_mass(0, 1.7), 1, range(8)))
+    return cases
+
+
+class TestOracleBits:
+    """The loop that works in place against its fresh-array reference,
+    bit for bit, at the state newton_oracle hands to _reported_roots."""
+
+    @pytest.mark.parametrize("tag", CLOSED_FORM_TAGS)
+    def test_final_state_equals_fresh_loop(self, tag, s3, monkeypatch):
+        eq = EQUATIONS[tag]
+        seen = []
+
+        def record(F, res_inf, scale=1.0):
+            seen.append((F.copy(), res_inf.copy()))
+            return _reported_roots(F, res_inf, scale)
+
+        monkeypatch.setattr("feqlab.solvers._reported_roots", record)
+        for name, sg, sigma, sine_mu, cosine_mu, starts, seeds in bit_reference_cases(s3):
+            sigma = sigma if "sigma" in eq.reads else None
+            mu = (sine_mu if tag == "vanvleck" else cosine_mu) if "mu" in eq.reads else None
+            for seed in seeds:
+                seen.clear()
+                newton_oracle(sg, tag, sigma, mu, starts=starts, seed=seed)
+                F, res_inf = seen[0]
+                F_ref, res_ref = fresh_oracle_state(sg, tag, sigma, mu, starts, seed)
+                assert np.array_equal(F, F_ref) and np.array_equal(res_inf, res_ref), (name, seed)
 
 
 class TestReportedRoots:
