@@ -37,9 +37,7 @@ from .stability import CampaignConfig, fuzz_campaign
 EQUATION_TAGS = tuple(EQUATIONS)
 
 ORACLE_MAX_ORDER = 4
-# newton_oracle allocates its arrays once per call: two (n + n^2) x starts
-# states, an n x (n+1) x starts system and 2 x n^2 x starts complex and
-# n^2 x starts real scratch, 16 MB at n = 4 and the cap
+# a call's arrays (see solvers._QuadraticDefect) take 16 MB at n = 4 and the cap
 ORACLE_MAX_STARTS = 10_000
 
 

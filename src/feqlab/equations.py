@@ -649,7 +649,7 @@ def approximate_battery(sg: FiniteSemigroup, f: Sequence[complex], sigma: Involu
     as for companion_cosine); it is tested before any term is computed.
     The sine variant's hypotheses are not required.
     """
-    if delta < 0:
+    if not delta >= 0:
         raise BadParams("delta must be nonnegative")
     bind_inputs(EQUATIONS["vanvleck"], sg, sigma, mu, hypotheses=())
     arr = check_function(sg, f)

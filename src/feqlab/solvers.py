@@ -229,16 +229,18 @@ class _QuadraticDefect:
     Hermitian positive definite, which is why _gauss_jordan can solve
     the augmented systems without pivoting.
 
-    Both methods write to out and work in scratch when these are given,
-    so newton_oracle allocates its arrays once per call. Every cell is
-    rounded as in a fresh array: each elementwise operation runs along
-    the contiguous starts axis, each product of matrices is the same
-    BLAS call, and no complex product is written over one of its factors
-    (numpy rounds a one-element product written in place apart from a
-    fresh one).
+    One oracle call's workspace is allocated here, once, for its starts:
+    the system M (n x (n+1) x starts), a 2 x n^2 x starts complex scratch
+    and an n^2 x starts real one, which every method writes to; with
+    newton_oracle's two (n + n^2) x starts states they are all a call
+    holds. Every cell is rounded as in a fresh array: each elementwise
+    operation runs along the contiguous starts axis, each product of
+    matrices is the same BLAS call, and no complex product is written
+    over one of its factors (numpy rounds a one-element product written
+    in place apart from a fresh one).
     """
 
-    def __init__(self, L: np.ndarray, c: float):
+    def __init__(self, L: np.ndarray, c: float, starts: int):
         nn, n = L.shape
         rows = np.arange(nn)
         self.L, self.c = L, c
@@ -252,15 +254,14 @@ class _QuadraticDefect:
         S = L_bar.reshape(n, n, n)
         S = S + S.transpose(1, 0, 2)
         self.cPT = np.ascontiguousarray(c * S.transpose(2, 0, 1).reshape(nn, n))
+        self.M = np.empty((n, n + 1, starts), dtype=complex)
+        self.scratch = np.empty((2, nn, starts), dtype=complex)
+        self.sq = np.empty((nn, starts))
 
-    def residuals(self, F: np.ndarray, out: np.ndarray | None = None,
-                  scratch: np.ndarray | None = None) -> np.ndarray:
+    def residuals(self, F: np.ndarray, out: np.ndarray) -> np.ndarray:
         """L f - c f(x) f(y), multiplied left to right, at each column of
-        F; written to out, an n^2 x starts array, with scratch, a 2 x n^2
-        x starts one, as working space."""
-        if scratch is None:
-            scratch = np.empty((2, len(self.xs), F.shape[1]), dtype=complex)
-        cfx, fy = scratch
+        F; written to out, an n^2 x starts array."""
+        cfx, fy = self.scratch
         # F[xs] and F[ys]: every index is in range, and mode "clip" writes
         # straight to out, which mode "raise" would buffer
         out = F.take(self.xs, 0, out, "clip")
@@ -268,17 +269,12 @@ class _QuadraticDefect:
         np.multiply(cfx, F.take(self.ys, 0, fy, "clip"), out=out)
         return np.subtract(np.matmul(self.L, F, out=cfx), out, out=out)
 
-    def augmented(self, F: np.ndarray, r: np.ndarray, lam: np.ndarray,
-                  out: np.ndarray | None = None, scratch: np.ndarray | None = None) -> np.ndarray:
-        """[J^H J + lam I | -J^H r] as one n x (n+1) x starts array, at
-        each column of F, whose defect is r; written to out, a
-        C-contiguous array of that shape, with scratch, a 2 x n^2 x
-        starts one, as working space."""
+    def augmented(self, F: np.ndarray, r: np.ndarray, lam: np.ndarray) -> np.ndarray:
+        """[J^H J + lam I | -J^H r] at each column of F, whose defect is r,
+        written to M."""
         n, starts = F.shape
-        M = np.empty((n, n + 1, starts), dtype=complex) if out is None else out
-        if scratch is None:
-            scratch = np.empty((2, n * n, starts), dtype=complex)
-        H, P = scratch.reshape(2, n, n, starts)
+        M = self.M
+        H, P = self.scratch.reshape(2, n, n, starts)
         cF = self.c * F
         cF_bar = np.conj(cF)
         # A = L^H L + (H + H^H) with H + H^H = 2 c^2 f f^H - c (L^H M +
@@ -302,6 +298,12 @@ class _QuadraticDefect:
         b = np.add.reduce(np.multiply(H, cF_bar, out=P), axis=1, out=M[:, n])
         b -= self.L_H @ r
         return M
+
+    def cost(self, r: np.ndarray) -> np.ndarray:
+        """The sum of |r|^2 over each column of r, an n^2 x starts array."""
+        np.abs(r, out=self.sq)
+        np.square(self.sq, out=self.sq)
+        return np.add.reduce(self.sq, axis=0)
 
 
 def _gauss_jordan(M: np.ndarray) -> np.ndarray:
@@ -327,12 +329,12 @@ def _gauss_jordan(M: np.ndarray) -> np.ndarray:
 
 
 def _defect_operator(eq: Equation, sg: FiniteSemigroup, sigma: InvolutiveMorphism | None,
-                     mu: DiracMeasure | None) -> _QuadraticDefect:
-    """The defect of an equation with a closed form, on inputs bind_inputs
-    has checked. Its linear part L (n^2 x n) reads the description the
-    residual grids gather f through: gathered at f = np.arange(n), each
-    term gives its index array, and each atom's weights are added into
-    L cell by cell, term by term, in atom order."""
+                     mu: DiracMeasure | None, starts: int) -> _QuadraticDefect:
+    """The defect of an equation with a closed form, for a call at starts
+    starts, on inputs bind_inputs has checked. Its linear part L (n^2 x n)
+    reads the description the residual grids gather f through: gathered
+    at f = np.arange(n), each term gives its index array, and each atom's
+    weights are added into L cell by cell, term by term, in atom order."""
     n = sg.n
     rows = np.arange(n * n)
     L = np.zeros((n * n, n), dtype=complex)
@@ -340,7 +342,7 @@ def _defect_operator(eq: Equation, sg: FiniteSemigroup, sigma: InvolutiveMorphis
         weight = 1.0 if w is None else w
         for sign, idx in terms:
             L[rows, idx.ravel()] += weight if sign > 0 else -weight
-    return _QuadraticDefect(L, eq.products[0].coef)
+    return _QuadraticDefect(L, eq.products[0].coef, starts)
 
 
 def _unit_scale(mu: DiracMeasure | None) -> float:
@@ -364,11 +366,11 @@ def newton_oracle(sg: FiniteSemigroup, equation: str,
     point over its defect, and each step solves every start's damped
     normal equations at once by Gauss-Jordan elimination without
     pivoting (they are Hermitian positive definite, see _gauss_jordan).
-    A step writes to arrays allocated once per call, and an improving
-    trial is copied into the state with one masked copy. The state is
-    C-ordered on purpose: numpy's vectorized complex multiply rounds
-    strided operands apart from contiguous ones (see measures._cmul),
-    so the layout fixes the bits of every root.
+    A step writes to the workspace its _QuadraticDefect allocates once
+    per call, and an improving trial is copied into the state with one
+    masked copy. The state is C-ordered on purpose: numpy's vectorized
+    complex multiply rounds strided operands apart from contiguous ones
+    (see measures._cmul), so the layout fixes the bits of every root.
     Converged roots (defect <= ORACLE_TOL) are clustered at DEDUP_TOL,
     each cluster is represented by its best member, near-zero roots are
     dropped (ZERO_ROOT_CUTOFF), and the result is sorted canonically.
@@ -387,7 +389,7 @@ def newton_oracle(sg: FiniteSemigroup, equation: str,
     norm = 1.0 if mu is None else measure_norm(mu)
     scale = _unit_scale(mu)
     mu = None if mu is None else DiracMeasure(tuple((p, w / scale) for p, w in mu.atoms))
-    defect = _defect_operator(eq, sg, sigma, mu)
+    defect = _defect_operator(eq, sg, sigma, mu, starts)
 
     n = sg.n
     # the state X and a trial X_try, each the points F over their defects r
@@ -396,24 +398,15 @@ def newton_oracle(sg: FiniteSemigroup, equation: str,
     F[...] = _polydisk(seed, norm / scale + 1.0, (starts, n)).T  # radius 1 + ||mu / scale||
     X_try = np.empty_like(X)
     F_try, r_try = X_try[:n], X_try[n:]
-    M = np.empty((n, n + 1, starts), dtype=complex)
-    scratch = np.empty((2, n * n, starts), dtype=complex)
-    sq = np.empty((n * n, starts))
-
-    def cost_of(r: np.ndarray) -> np.ndarray:  # sum of |r|^2 over each column
-        np.abs(r, out=sq)
-        np.square(sq, out=sq)
-        return np.add.reduce(sq, axis=0)
-
     lam = np.full(starts, 1e-3)
-    defect.residuals(F, out=r, scratch=scratch)
-    cost = cost_of(r)
+    defect.residuals(F, r)
+    cost = defect.cost(r)
     if not np.all(np.isfinite(cost)):
         raise NonFiniteResidual(f"{equation} oracle defect is not finite at the starts (overflow)")
     for _ in range(80):
-        np.add(F, _gauss_jordan(defect.augmented(F, r, lam, out=M, scratch=scratch)), out=F_try)
-        defect.residuals(F_try, out=r_try, scratch=scratch)
-        cost_try = cost_of(r_try)
+        np.add(F, _gauss_jordan(defect.augmented(F, r, lam)), out=F_try)
+        defect.residuals(F_try, r_try)
+        cost_try = defect.cost(r_try)
         better = cost_try < cost
         np.copyto(X, X_try, where=better)
         np.copyto(cost, cost_try, where=better)
@@ -438,7 +431,7 @@ def _polydisk(seed, radius: float, shape: tuple[int, ...]) -> np.ndarray:
     return radius * np.sqrt(u) * np.exp(2j * np.pi * theta)
 
 
-def _reported_roots(F: np.ndarray, res_inf: np.ndarray, scale: float = 1.0) -> list[np.ndarray]:
+def _reported_roots(F: np.ndarray, res_inf: np.ndarray, scale: float) -> list[np.ndarray]:
     """The heads of the converged rows of F (res_inf <= ORACLE_TOL), taken
     in order of residual, that lie above ZERO_ROOT_CUTOFF, times scale,
     sorted canonically.

@@ -92,7 +92,7 @@ class CampaignSummary:
 def superstability_bound(delta: float, mu_norm: float) -> float:
     """(||mu|| + sqrt(||mu||^2 + 2 delta))/2, the cap on bounded
     approximate solutions; exact (no sqrt rounding) when delta == 0."""
-    if delta < 0 or mu_norm < 0:
+    if not (delta >= 0 and mu_norm >= 0):
         raise BadParams("delta and mu_norm must be nonnegative")
     if delta == 0:
         return mu_norm
@@ -106,7 +106,7 @@ def perturb(f: Sequence[complex], radius: float, seed) -> np.ndarray:
     stream np.random.default_rng draws from), so campaigns can split
     substreams per trial.
     """
-    if radius < 0:
+    if not radius >= 0:
         raise BadParams("radius must be nonnegative")
     arr = np.asarray(f, dtype=complex)
     return arr + _polydisk(seed, radius, arr.shape)

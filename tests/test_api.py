@@ -158,7 +158,7 @@ def test_oracle_digest_matrix_and_its_calls():
     tool = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tool)
     matrix = tool.calls()
-    assert len(matrix) == 539
+    assert len(matrix) == 544
     assert sum(label.startswith("census ") for label, _, _ in matrix) == 494
     reported_roots = solvers._reported_roots
     picked = [call for call in matrix if call[0].startswith("C4 vanvleck ")] + matrix[:2]

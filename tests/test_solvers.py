@@ -67,6 +67,7 @@ from feqlab.solvers import (
     DEDUP_TOL,
     ORACLE_TOL,
     ZERO_ROOT_CUTOFF,
+    _QuadraticDefect,
     _cluster_heads,
     _defect_operator,
     _gauss_jordan,
@@ -791,7 +792,7 @@ class TestDefectOperator:
             if weights == "complex":
                 w = w + 1j * rng.normal(size=3)
             mu = DiracMeasure.from_pairs(list(zip(points, w.tolist())))
-            L = _defect_operator(eq, sg, sigma, mu).L
+            L = _defect_operator(eq, sg, sigma, mu, 1).L
             assert L.tobytes() == words_operator(eq, sg, sigma, mu).tobytes(), name
 
 
@@ -803,11 +804,11 @@ class TestNormalEquations:
         sg = cyclic_group(n)
         sigma = InvolutiveMorphism(map=tuple((-x) % n for x in range(n)), kind=MorphismKind.AUTOMORPHISM)
         mu = DiracMeasure.from_pairs([(n - 1, 0.7 - 0.4j), (0, -0.3 + 1.1j)])
-        defect = _defect_operator(eq, sg, sigma, mu)
+        defect = _defect_operator(eq, sg, sigma, mu, 7)
         rng = np.random.default_rng(n)
         F = rng.standard_normal((7, n)) + 1j * rng.standard_normal((7, n))
         # the oracle holds starts on the last axis
-        r = defect.residuals(F.T).T
+        r = defect.residuals(F.T, np.empty((n * n, 7), dtype=complex)).T
         for f, row in zip(F, r):
             grid = _defect(eq, compile_terms(eq, sg, sigma, mu), f, None)
             assert np.max(np.abs(row.reshape(n, n) - grid)) <= 1e-12 * np.max(np.abs(grid))
@@ -1015,7 +1016,7 @@ def fresh_oracle_state(sg, tag, sigma, mu, starts, seed):
     norm = 1.0 if mu is None else measure_norm(mu)
     scale = _unit_scale(mu)
     mu = None if mu is None else DiracMeasure(tuple((p, w / scale) for p, w in mu.atoms))
-    defect = _defect_operator(eq, sg, sigma, mu)
+    defect = _defect_operator(eq, sg, sigma, mu, starts)
     F = np.ascontiguousarray(_polydisk(seed, norm / scale + 1.0, (starts, sg.n)).T)
     lam = np.full(starts, 1e-3)
     r = fresh_residuals(defect, F)
@@ -1086,6 +1087,30 @@ class TestOracleBits:
                 assert np.array_equal(F, F_ref) and np.array_equal(res_inf, res_ref), (name, seed)
 
 
+class TestOracleWorkspace:
+    def test_steps_write_to_arrays_allocated_once(self, c4, sigma_neg, mu_delta1, monkeypatch):
+        """Every system a call builds is its defect's own M, and every
+        defect is written to the out it was given."""
+        augmented, residuals = _QuadraticDefect.augmented, _QuadraticDefect.residuals
+        systems, defects = [], []
+
+        def record_augmented(self, F, r, lam):
+            systems.append((self, augmented(self, F, r, lam)))
+            return systems[-1][1]
+
+        def record_residuals(self, F, out):
+            defects.append((self, out, residuals(self, F, out)))
+            return defects[-1][2]
+
+        monkeypatch.setattr(_QuadraticDefect, "augmented", record_augmented)
+        monkeypatch.setattr(_QuadraticDefect, "residuals", record_residuals)
+        newton_oracle(c4, "vanvleck", sigma_neg, mu_delta1, starts=50, seed=0)
+        defect = systems[0][0]
+        assert len(systems) > 1 and len(defects) == len(systems) + 1
+        assert all(owner is defect and M is defect.M for owner, M in systems)
+        assert all(owner is defect and got is out for owner, out, got in defects)
+
+
 class TestReportedRoots:
     @pytest.mark.parametrize("below_first", [True, False])
     def test_row_at_cutoff_near_a_row_below_it(self, below_first):
@@ -1098,7 +1123,7 @@ class TestReportedRoots:
                             valley, [[ZERO_ROOT_CUTOFF - 2 * eps, 0.0]], [[0.5, 0.5]]])
         res_inf = np.concatenate([[1e-9, 2e-9] if below_first else [2e-9, 1e-9], [3e-10, 1e-10],
                                   rng.uniform(0.0, 1e-8, 50), [0.0], [1.0]])
-        got = _reported_roots(F, res_inf)
+        got = _reported_roots(F, res_inf, 1.0)
         want = unfiltered_roots(F, res_inf)
         # the pair at 1 is one root; the row above the cutoff is one only when it comes first
         assert len(got) == len(want) == (1 if below_first else 2)

@@ -70,6 +70,9 @@ class TestBound:
             superstability_bound(-0.1, 1.0)
         with pytest.raises(BadParams):
             superstability_bound(0.1, -1.0)
+        for nan in ((float("nan"), 1.0), (0.1, float("nan"))):
+            with pytest.raises(BadParams):
+                superstability_bound(*nan)
 
 
 class TestMeasuredDelta:
@@ -122,8 +125,9 @@ class TestPerturb:
         assert np.array_equal(perturb(sine, 0.75, seed), want)
 
     def test_rejects_negative_radius(self, sine):
-        with pytest.raises(BadParams):
-            perturb(np.asarray(sine, dtype=complex), -0.5, seed=0)
+        for bad in (-0.5, float("nan")):
+            with pytest.raises(BadParams):
+                perturb(np.asarray(sine, dtype=complex), bad, seed=0)
 
 
 class TestDichotomy:
@@ -238,8 +242,9 @@ class TestApproximateBattery:
             approximate_battery(c4, [1e308] * 4, sigma_neg, mu, delta=0.0)
 
     def test_delta_checked_before_length(self, c4, sigma_neg, mu_delta1):
-        with pytest.raises(BadParams):
-            approximate_battery(c4, [0.0] * 3, sigma_neg, mu_delta1, delta=-1)
+        for bad in (-1, float("nan")):
+            with pytest.raises(BadParams):
+                approximate_battery(c4, [0.0] * 3, sigma_neg, mu_delta1, delta=bad)
 
     def test_delta_loosens_rhs(self, c4, sigma_neg, mu_delta1, sine):
         f = np.asarray(sine, dtype=complex)

@@ -18,7 +18,9 @@ The calls are:
 - C4, the Klein group and S3 with every closed-form tag, seeds 0 to 2,
   200 starts: an involutive automorphism (on S3 the inversion, an
   anti-automorphism), a unit mass for vanvleck and a sigma-invariant
-  measure for the others, each input passed only when the tag reads it.
+  measure for the others, each input passed only when the tag reads it;
+- the C4 calls again at seed 0 and 10000 starts, the cap of
+  `feqlab oracle --starts`, where the per-call workspace is largest.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ from feqlab import (  # noqa: E402
 )
 from feqlab.equations import EQUATIONS  # noqa: E402
 
-CENSUS_STARTS, WITNESS_STARTS = 120, 200
+CENSUS_STARTS, WITNESS_STARTS, CAP_STARTS = 120, 200, 10_000
 TAGS = tuple(tag for tag, eq in EQUATIONS.items() if eq.closed_form is not None)
 
 
@@ -69,14 +71,16 @@ def calls() -> list[tuple[str, tuple, dict]]:
          DiracMeasure.point_mass(1), DiracMeasure.from_pairs([(1, 0.5), (2, 0.5)])),
         ("S3", symmetric_group_3(), s3_inversion(), DiracMeasure.point_mass(0), DiracMeasure.point_mass(0, 0.75)),
     )
-    for name, sg, sigma, sine_mu, cosine_mu in witnesses:
+    runs = [(name, inputs, range(3), WITNESS_STARTS) for name, *inputs in witnesses]
+    runs.append((f"C4 at {CAP_STARTS} starts", witnesses[0][1:], (0,), CAP_STARTS))
+    for name, (sg, sigma, sine_mu, cosine_mu), seeds, starts in runs:
         for tag in TAGS:
             reads = EQUATIONS[tag].reads
             mu = (sine_mu if tag == "vanvleck" else cosine_mu) if "mu" in reads else None
-            for seed in range(3):
+            for seed in seeds:
                 out.append((f"{name} {tag} seed{seed}",
                             (sg, tag, sigma if "sigma" in reads else None, mu),
-                            {"starts": WITNESS_STARTS, "seed": seed}))
+                            {"starts": starts, "seed": seed}))
     return out
 
 
@@ -86,7 +90,7 @@ def digest(matrix: list[tuple[str, tuple, dict]]) -> tuple[int, str]:
     states = []
     reported_roots = solvers._reported_roots
 
-    def record(F, res_inf, scale=1.0):
+    def record(F, res_inf, scale):
         states.append((F.tobytes(), res_inf.tobytes()))
         return reported_roots(F, res_inf, scale)
 
