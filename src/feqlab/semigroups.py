@@ -30,11 +30,10 @@ class MorphismKind(str, Enum):
 
 @dataclass(frozen=True)
 class FiniteSemigroup:
-    """Associative magma on {0..n-1}; an identity is detected, not required."""
+    """Associative magma on {0..n-1}; the identity, not required, is read from the table."""
 
     table: tuple[tuple[int, ...], ...]
     name: str | None = None
-    identity: int | None = None
 
     @property
     def n(self) -> int:
@@ -47,6 +46,13 @@ class FiniteSemigroup:
     def index_table(self) -> np.ndarray:
         """The Cayley table as an integer array, built once per semigroup."""
         return np.array(self.table, dtype=np.intp)
+
+    @cached_property
+    def identity(self) -> int | None:
+        """The element whose row and column are both 0..n-1, or None."""
+        table, elements = self.index_table, np.arange(self.n)
+        hits = np.flatnonzero((table == elements).all(axis=1) & (table.T == elements).all(axis=1))
+        return int(hits[0]) if hits.size else None
 
     def elements(self) -> range:
         return range(self.n)
@@ -77,14 +83,6 @@ def _bad_slab(tables: np.ndarray, x: int) -> np.ndarray:
     return left != right
 
 
-def _find_identity(table: Sequence[Sequence[int]]) -> int | None:
-    n = len(table)
-    for e in range(n):
-        if all(table[e][x] == x and table[x][e] == x for x in range(n)):
-            return e
-    return None
-
-
 def validate_semigroup(table: Sequence[Sequence[int]], name: str | None = None) -> FiniteSemigroup:
     """Check a Cayley table and return the wrapped semigroup.
 
@@ -101,10 +99,15 @@ def validate_semigroup(table: Sequence[Sequence[int]], name: str | None = None) 
     for x, row in enumerate(table):
         if len(row) != n:
             raise BadParams(f"row {x} has {len(row)} entries, expected {n}")
-        for y, v in enumerate(row):
-            if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < n:
+        cells, plain = tuple(row), True
+        for y, v in enumerate(cells):
+            if type(v) is not int:  # any integer but a bool; numpy's are stored as ints
+                if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+                    raise EntryOutOfRange(x, y, v, n)
+                plain = False
+            if not 0 <= v < n:
                 raise EntryOutOfRange(x, y, v, n)
-        rows.append(tuple(row))
+        rows.append(cells if plain else tuple(map(int, cells)))
     t = tuple(rows)
     index_table = np.array(t, dtype=np.intp)
     stack = index_table[None]
@@ -112,7 +115,7 @@ def validate_semigroup(table: Sequence[Sequence[int]], name: str | None = None) 
         bad = _bad_slab(stack, x)[0]
         if bad.any():
             raise NotAssociative(x, *divmod(int(bad.argmax()), n))
-    sg = FiniteSemigroup(table=t, name=name, identity=_find_identity(t))
+    sg = FiniteSemigroup(table=t, name=name)
     sg.__dict__["index_table"] = index_table  # the cached_property's memo, filled here
     return sg
 
@@ -179,7 +182,7 @@ def cyclic_group(n: int) -> FiniteSemigroup:
     if n < 1:
         raise BadParams("cyclic group needs n >= 1")
     table = tuple(tuple((x + y) % n for y in range(n)) for x in range(n))
-    return FiniteSemigroup(table=table, name=f"C{n}", identity=0)
+    return FiniteSemigroup(table=table, name=f"C{n}")
 
 
 def null_semigroup(n: int) -> FiniteSemigroup:
@@ -187,7 +190,7 @@ def null_semigroup(n: int) -> FiniteSemigroup:
     if n < 1:
         raise BadParams("null semigroup needs n >= 1")
     table = tuple(tuple(0 for _ in range(n)) for _ in range(n))
-    return FiniteSemigroup(table=table, name=f"null{n}", identity=0 if n == 1 else None)
+    return FiniteSemigroup(table=table, name=f"null{n}")
 
 
 def left_zero(n: int) -> FiniteSemigroup:
@@ -195,7 +198,7 @@ def left_zero(n: int) -> FiniteSemigroup:
     if n < 1:
         raise BadParams("left zero semigroup needs n >= 1")
     table = tuple(tuple(x for _ in range(n)) for x in range(n))
-    return FiniteSemigroup(table=table, name=f"leftzero{n}", identity=0 if n == 1 else None)
+    return FiniteSemigroup(table=table, name=f"leftzero{n}")
 
 
 # One-line notations in lexicographic order; index 0 is the identity.
@@ -212,7 +215,7 @@ def symmetric_group_3() -> FiniteSemigroup:
     table = tuple(
         tuple(idx[tuple(p[q[i]] for i in range(3))] for q in _S3_PERMS) for p in _S3_PERMS
     )
-    return FiniteSemigroup(table=table, name="S3", identity=0)
+    return FiniteSemigroup(table=table, name="S3")
 
 
 def s3_inversion() -> InvolutiveMorphism:
@@ -232,13 +235,10 @@ def direct_product(a: FiniteSemigroup, b: FiniteSemigroup) -> FiniteSemigroup:
         for x1 in a.elements()
         for y1 in b.elements()
     )
-    ident = None
-    if a.identity is not None and b.identity is not None:
-        ident = a.identity * nb + b.identity
     name = None
     if a.name and b.name:
         name = f"{a.name}x{b.name}"
-    return FiniteSemigroup(table=table, name=name, identity=ident)
+    return FiniteSemigroup(table=table, name=name)
 
 
 def enumerate_all_semigroups(n: int) -> Iterator[FiniteSemigroup]:
@@ -263,5 +263,4 @@ def enumerate_all_semigroups(n: int) -> Iterator[FiniteSemigroup]:
         for x in range(n):
             bad |= _bad_slab(tables, x).any(axis=(1, 2))
         for table in tables[~bad].tolist():
-            t = tuple(map(tuple, table))
-            yield FiniteSemigroup(table=t, identity=_find_identity(t))
+            yield FiniteSemigroup(table=tuple(map(tuple, table)))

@@ -138,8 +138,9 @@ def test_cli_digest_matrix_and_its_calls():
     tool = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tool)
     argvs = tool.calls()
-    assert len(argvs) == 4816
-    assert Counter(argv[0] for argv in argvs) == {"solve": 784, "oracle": 784, "verify": 3136, "stability": 112}
+    assert len(argvs) == 4832
+    assert Counter(argv[0] for argv in argvs) == {"solve": 784, "oracle": 784, "verify": 3136, "stability": 112,
+                                                  "validate": 8, "analyze": 8}
     # every command on the C4 desk case, and one call that exits 64 for a missing --mu
     desk = ["--sg", "c4.sg.json", "--sigma", "c4_negation.sigma.json", "--mu", "c4_delta1.mu.json"]
     picked = [argv for argv in argvs if argv[0] == "stability" and argv[1:7] == desk]

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import warnings
 
 import numpy as np
@@ -52,7 +53,7 @@ from feqlab.errors import (
     UsageError,
     WrongMorphismKind,
 )
-from feqlab.solvers import closed_form
+from feqlab.solvers import _defect_operator, closed_form
 
 # integral f(x t y) dmu = integral f(y t x) dmu: the engine's signed
 # middle-t case with no products, which holds on abelian semigroups and
@@ -113,6 +114,22 @@ class TestVanVleck:
         rep = residual_vanvleck(s3, f, sigma, mu, force=True)
         assert rep.out_of_hypothesis
         assert rep.max_abs == 0.0
+
+    def test_negative_first_term(self, c4, s3, sigma_neg):
+        # the terms in the other order: the first is negated in place in the
+        # grid and enters the oracle's L as -weight, and -a + b rounds as b - a
+        vanvleck = EQUATIONS["vanvleck"]
+        flipped = dataclasses.replace(vanvleck, terms=(Term(-1, "xyt"), Term(1, "sxt")))
+        rng = np.random.default_rng(24)
+        for sg, sigma, (p, q) in ((c4, sigma_neg, (1, 3)), (s3, s3_inversion(), (1, 4))):
+            for mu in (DiracMeasure.point_mass(p), DiracMeasure.from_pairs([(p, 0.5 - 0.25j), (q, -1.5 + 2j)])):
+                f = rng.normal(size=sg.n) + 1j * rng.normal(size=sg.n)
+                grid, flipped_grid = (_defect(eq, compile_terms(eq, sg, sigma, mu), f, None)
+                                      for eq in (vanvleck, flipped))
+                assert np.abs(grid).max() > 0.0
+                assert np.array_equal(flipped_grid, grid), (sg.name, mu)
+                L, flipped_L = (_defect_operator(eq, sg, sigma, mu, 1).L for eq in (vanvleck, flipped))
+                assert np.array_equal(flipped_L, L), (sg.name, mu)
 
 
 class TestDalembert:

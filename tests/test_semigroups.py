@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from feqlab import (
+    FiniteSemigroup,
     MorphismKind,
     center,
     cyclic_group,
@@ -51,18 +52,30 @@ def brute_involutions(sg, kind):
 
 
 def test_validate_c4():
-    sg = validate_semigroup([[(x + y) % 4 for y in range(4)] for x in range(4)])
-    assert "index_table" in sg.__dict__  # the associativity check's array, not rebuilt
-    assert sg.index_table.dtype == np.intp
-    assert sg.index_table.tolist() == [list(row) for row in sg.table]
-    assert sg.n == 4
-    assert sg.identity == 0
-    assert center(sg) == [0, 1, 2, 3]  # abelian
+    lists = [[(x + y) % 4 for y in range(4)] for x in range(4)]
+    # numpy integers are integers: stored as ints, the same semigroup
+    for table in (lists, np.array(lists), np.array(lists, dtype=np.uint8)):
+        sg = validate_semigroup(table)
+        assert "index_table" in sg.__dict__  # the associativity check's array, not rebuilt
+        assert sg.index_table.dtype == np.intp
+        assert sg.index_table.tolist() == [list(row) for row in sg.table]
+        assert all(type(v) is int for row in sg.table for v in row)
+        assert sg == FiniteSemigroup(cyclic_group(4).table)
+        assert sg.n == 4
+        assert sg.identity == 0
+        assert center(sg) == [0, 1, 2, 3]  # abelian
 
 
 def test_validate_rejects_bad_entry():
     with pytest.raises(EntryOutOfRange):
         validate_semigroup([[0, 2], [1, 0]])
+    # the first bad cell in row-major order, numpy's integers as ints
+    for table, message in (([[0, 1], [True, 0]], "table[1][0] = True is outside 0..1"),
+                           (np.array([[0, 1], [3, 2]]), "table[1][0] = 3 is outside 0..1"),
+                           ([[0, 1.0], [1, 0]], "table[0][1] = 1.0 is outside 0..1")):
+        with pytest.raises(EntryOutOfRange) as err:
+            validate_semigroup(table)
+        assert str(err.value) == message
 
 
 def test_validate_rejects_nonassociative():
@@ -166,9 +179,12 @@ def test_index_period_chain(s3, c4):
 
 
 def test_standard_families_are_valid():
-    for sg in (cyclic_group(5), null_semigroup(3), left_zero(3),
-               symmetric_group_3(), direct_product(cyclic_group(2), cyclic_group(3))):
-        validate_semigroup(sg.table)  # raises on any defect
+    # the identity is read from the table, however the semigroup was built
+    for sg, identity in ((cyclic_group(5), 0), (null_semigroup(3), None), (left_zero(3), None),
+                         (symmetric_group_3(), 0), (direct_product(cyclic_group(2), cyclic_group(3)), 0),
+                         (FiniteSemigroup(cyclic_group(3).table), 0),
+                         (direct_product(left_zero(2), cyclic_group(2)), None)):
+        assert validate_semigroup(sg.table).identity == sg.identity == identity  # raises on any defect
 
 
 def test_direct_product_structure():
@@ -197,9 +213,15 @@ def test_census_matches_brute_force(n):
             identity = next((e for e in range(n)
                              if all(t[e][x] == x and t[x][e] == x for x in range(n))), None)
             expected.append((t, identity))
-    got = [(sg.table, sg.identity) for sg in enumerate_all_semigroups(n)]
+    census = list(enumerate_all_semigroups(n))
+    got = [(sg.table, sg.identity) for sg in census]
     assert got == expected
     assert all(type(v) is int for t, _ in got for row in t for v in row)
+    # built directly from its table, a semigroup is the census's own
+    for sg, (_, identity) in zip(census, expected):
+        direct = FiniteSemigroup(table=sg.table)
+        assert direct.identity == identity
+        assert direct == sg and hash(direct) == hash(sg)
 
 
 def test_census_tables_are_valid():

@@ -11,8 +11,10 @@ complex pair, 0 delta_9 (out of range on every bundled table) and one
 without atoms. The calls run in process, from the fixture directory, so
 argv holds only file names. They are `solve`, `oracle --starts 30` and
 `verify` (both function fixtures, with and without `--battery`) for
-every tag x table x (no sigma or each sigma) x (no mu or each mu), and
-`stability --trials 50 --seed 3` for every table, sigma and mu.
+every tag x table x (no sigma or each sigma) x (no mu or each mu),
+`stability --trials 50 --seed 3` for every table, sigma and mu, and
+`validate` and `analyze` for every table with `--format json` and
+`--format table`.
 
 Warnings are caught per call, all of them, and hashed as "Category:
 message" lines after stderr, so neither a moved source line nor the
@@ -71,6 +73,8 @@ def calls() -> list[list[str]]:
     for table, sigma, mu in itertools.product(TABLES, (None, *SIGMAS), (None, *MEASURES)):
         out.append(["stability", "--sg", table, *optional("--sigma", sigma), *optional("--mu", mu),
                     "--trials", "50", "--seed", "3"])
+    for command, table, fmt in itertools.product(("validate", "analyze"), TABLES, ("json", "table")):
+        out.append([command, "--sg", table, "--format", fmt])
     return out
 
 
