@@ -79,7 +79,7 @@ def build_parser() -> _Parser:
                                 "(vanvleck only; ignored for any other --eq)")
         if "force" in flags:
             p.add_argument("--force", action="store_true",
-                           help="evaluate despite a failed hypothesis; report is marked")
+                           help="evaluate despite a non-central support; the report is marked")
         p.add_argument("--format", choices=("json", "table"), default="json")
         return p
 

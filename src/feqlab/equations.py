@@ -4,12 +4,15 @@ EQUATIONS holds every equation the CLI knows. An entry gives the linear
 terms of its defect as words in x, y, sigma(y) and an atom t of the
 measure, its quadratic part, the hypotheses it requires and its closed
 form in characters; the inputs it reads follow from the words, and one
-gate, bind_inputs, checks them for every path. One evaluator compiles the
-words once per call, where they do not depend on the atom, and gathers
-each averaged term through the atom's column, one n x n gather per term
-and atom, for one function or a stack of them (the closed forms verify
-all their solutions in one pass per law); the Gauss-Newton oracle in
-`solvers` builds its linear operator from the same compiled terms.
+gate, bind_inputs, checks them for every path. compile_terms compiles
+the words once per call, where they do not depend on the atom, and
+_defect gathers each averaged term through the atom's column, one n x n
+gather per term and atom, for one function or a stack of them. residual
+reports one function; _row_sups gives the sups of a stack (the closed
+forms verify all their solutions in one pass per law, and the
+superstability campaign reads each trial's defect); the Gauss-Newton
+oracle in `solvers` builds its linear operator from the same compiled
+terms.
 
 Every report scans the full (x, y) grid, giving the sup-norm of the
 defect and the lexicographically first pair attaining it. A function
@@ -24,7 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Callable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -261,19 +264,6 @@ def finite_top(equation: str, top: float) -> float:
     return top
 
 
-def _grid_report(equation: str, grid: np.ndarray, *, out_of_hypothesis: bool = False) -> ResidualReport:
-    mags = np.abs(grid)
-    flat = int(np.argmax(mags))  # first occurrence in row-major order, or the first NaN
-    top = finite_top(equation, float(mags.flat[flat]))
-    n = mags.shape[1]
-    return ResidualReport(
-        equation=equation,
-        max_abs=top,
-        argmax=(flat // n, flat % n),
-        out_of_hypothesis=out_of_hypothesis,
-    )
-
-
 def bind_inputs(eq: Equation, sg: FiniteSemigroup, sigma: InvolutiveMorphism | None,
                 mu: DiracMeasure | None, *, hypotheses: Sequence[str] | None = None,
                 force: bool = False) -> tuple[DiracMeasure | None, bool]:
@@ -438,33 +428,23 @@ def _row_sups(eq: Equation, terms: CompiledTerms, F: np.ndarray) -> np.ndarray:
     return np.max(np.abs(_defect(eq, terms, F, None)), axis=(-2, -1))
 
 
-def residual_evaluator(eq: Equation, sg: FiniteSemigroup, sigma: InvolutiveMorphism | None = None,
-                       mu: DiracMeasure | None = None, *,
-                       force: bool = False) -> Callable[..., ResidualReport]:
-    """evaluate(f, g=None), the residual report of eq for any functions
-    on the same inputs. The inputs are checked by bind_inputs and the
-    terms compiled once, here; force=True lets a non-central support
-    through and marks every report out-of-hypothesis. evaluate refuses
-    a missing g that eq's products read, as bind_inputs refuses inputs."""
-    mu, central = bind_inputs(eq, sg, sigma, mu, force=force)
-    terms = compile_terms(eq, sg, sigma, mu)
-
-    def evaluate(f: Sequence[complex], g: Sequence[complex] | None = None) -> ResidualReport:
-        if g is None and eq.uses_g:
-            raise UsageError(f"equation '{eq.tag}' needs g")
-        arr = check_function(sg, f)
-        garr = None if g is None else check_function(sg, g)
-        return _grid_report(eq.tag, _defect(eq, terms, arr, garr), out_of_hypothesis=not central)
-
-    return evaluate
-
-
 def residual(eq: Equation, sg: FiniteSemigroup, f: Sequence[complex], *,
              g: Sequence[complex] | None = None, sigma: InvolutiveMorphism | None = None,
              mu: DiracMeasure | None = None, force: bool = False) -> ResidualReport:
     """Residual report of any equation: its inputs first (bind_inputs),
-    then the functions and the grid."""
-    return residual_evaluator(eq, sg, sigma, mu, force=force)(f, g)
+    then a missing g that eq's products read (refused as bind_inputs
+    refuses inputs), the functions and the grid. force=True lets a
+    non-central support through and marks the report out-of-hypothesis."""
+    mu, central = bind_inputs(eq, sg, sigma, mu, force=force)
+    terms = compile_terms(eq, sg, sigma, mu)
+    if g is None and eq.uses_g:
+        raise UsageError(f"equation '{eq.tag}' needs g")
+    arr = check_function(sg, f)
+    garr = None if g is None else check_function(sg, g)
+    mags = np.abs(_defect(eq, terms, arr, garr))
+    flat = int(np.argmax(mags))  # first occurrence in row-major order, or the first NaN
+    return ResidualReport(eq.tag, finite_top(eq.tag, float(mags.flat[flat])), divmod(flat, sg.n),
+                          out_of_hypothesis=not central)
 
 
 def residual_vanvleck(sg: FiniteSemigroup, f: Sequence[complex], sigma: InvolutiveMorphism,

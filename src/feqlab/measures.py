@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import BadParams, LengthMismatch, PointOutOfRange
-from .semigroups import FiniteSemigroup, InvolutiveMorphism, center
+from .semigroups import FiniteSemigroup, InvolutiveMorphism, _is_integer, center
 
 
 @dataclass(frozen=True)
@@ -41,9 +41,10 @@ _TINY = 2.0 ** -1074  # the smallest subnormal: the spacing of the underflow ran
 class DiracMeasure:
     """Finite complex combination of point masses.
 
-    Atoms are canonicalized on construction: duplicates merged by
-    summing weights (which must then be finite), sorted by point. Points
-    are validated against a semigroup only at use.
+    Atoms are canonicalized on construction: points checked to be
+    nonnegative integers but bools (numpy's stored as ints), duplicates
+    merged by summing weights (which must then be finite), sorted by
+    point. Points are validated against a semigroup only at use.
     """
 
     atoms: tuple[tuple[int, complex], ...]
@@ -51,6 +52,8 @@ class DiracMeasure:
     def __post_init__(self):
         merged: dict[int, complex] = {}
         for point, w in self.atoms:
+            if not _is_integer(point):
+                raise BadParams(f"atom point {point!r} is not an integer")
             point = int(point)
             if point < 0:
                 raise BadParams(f"atom point {point} is negative")
@@ -61,11 +64,11 @@ class DiracMeasure:
 
     @classmethod
     def from_pairs(cls, pairs: Sequence[tuple[int, complex]]) -> "DiracMeasure":
-        return cls(tuple((int(p), complex(w)) for p, w in pairs))
+        return cls(tuple(pairs))
 
     @classmethod
     def point_mass(cls, point: int, weight: complex = 1.0) -> "DiracMeasure":
-        return cls(((int(point), complex(weight)),))
+        return cls(((point, weight),))
 
     def to_json(self) -> dict:
         return {"atoms": [{"point": p, "w": [w.real, w.imag]} for p, w in self.atoms]}

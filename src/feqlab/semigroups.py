@@ -71,6 +71,11 @@ class InvolutiveMorphism:
     kind: MorphismKind
 
 
+def _is_integer(v) -> bool:
+    """Any integer but a bool, numpy's included: a table cell, a map entry or an atom point."""
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
 def _bad_slab(tables: np.ndarray, x: int) -> np.ndarray:
     """Mask of (xy)z != x(yz) at [b, y, z] for one x over a (B, n, n)
     stack of tables: one n x n slab per table, two 1-D gathers into the
@@ -101,8 +106,8 @@ def validate_semigroup(table: Sequence[Sequence[int]], name: str | None = None) 
             raise BadParams(f"row {x} has {len(row)} entries, expected {n}")
         cells, plain = tuple(row), True
         for y, v in enumerate(cells):
-            if type(v) is not int:  # any integer but a bool; numpy's are stored as ints
-                if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+            if type(v) is not int:  # numpy's integers are stored as ints
+                if not _is_integer(v):
                     raise EntryOutOfRange(x, y, v, n)
                 plain = False
             if not 0 <= v < n:
@@ -135,11 +140,13 @@ def _obeys_law(table: Sequence[Sequence[int]], m: Sequence[int], kind: MorphismK
 
 
 def validate_morphism(sg: FiniteSemigroup, map_: Sequence[int], kind: MorphismKind) -> InvolutiveMorphism:
-    """Check an explicit map against the involution and structure laws."""
+    """Check an explicit map against the involution and structure laws.
+    Its entries are integers but bools, stored as ints, as in
+    validate_semigroup."""
     n = sg.n
-    if len(map_) != n or sorted(map_) != list(range(n)):
+    if len(map_) != n or not all(map(_is_integer, map_)) or sorted(map_) != list(range(n)):
         raise NotMorphism(f"map must be a permutation of 0..{n - 1}")
-    m = tuple(map_)
+    m = tuple(map(int, map_))
     if any(m[m[x]] != x for x in range(n)):
         raise NotInvolutive("map composed with itself is not the identity")
     if not _obeys_law(sg.table, m, kind):

@@ -452,11 +452,12 @@ def _reported_roots(F: np.ndarray, res_inf: np.ndarray, scale: float) -> list[np
 
 def match_solution_sets(oracle_roots: Sequence[np.ndarray], closed: Sequence[np.ndarray],
                         mu: DiracMeasure | None = None) -> tuple[list[tuple[int, int]], list[int], list[int]]:
-    """Greedy sup-norm matching at ORACLE_TOL, both sides divided by
-    _unit_scale(mu) as newton_oracle solves. Returns (pairs, unmatched
-    oracle indices, unmatched closed-form indices)."""
-    scale = _unit_scale(mu)
-    oracle_roots, closed = ([v / scale for v in vs] for vs in (oracle_roots, closed))
+    """Greedy sup-norm matching at ORACLE_TOL times _unit_scale(mu), the
+    oracle's gate at the unit norm newton_oracle solves at. The vectors
+    are not divided by the scale, which overflows them when it is
+    subnormal. Returns (pairs, unmatched oracle indices, unmatched
+    closed-form indices)."""
+    gate = ORACLE_TOL * _unit_scale(mu)
     used: set[int] = set()
     pairs: list[tuple[int, int]] = []
     unmatched_a: list[int] = []
@@ -468,7 +469,7 @@ def match_solution_sets(oracle_roots: Sequence[np.ndarray], closed: Sequence[np.
             d = float(np.max(np.abs(root - ref)))
             if d < best_dist:
                 best, best_dist = j, d
-        if best >= 0 and best_dist <= ORACLE_TOL:
+        if best >= 0 and best_dist <= gate:
             used.add(best)
             pairs.append((i, best))
         else:

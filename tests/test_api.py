@@ -133,14 +133,23 @@ def test_readme_example_runs_as_documented():
     assert len(checked) == 3, checked
 
 
-def test_cli_digest_matrix_and_its_calls():
+def test_cli_digest_matrix_and_its_calls(tmp_path, monkeypatch):
     spec = importlib.util.spec_from_file_location("cli_digest", ROOT / "tools" / "cli_digest.py")
     tool = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tool)
     argvs = tool.calls()
-    assert len(argvs) == 4832
-    assert Counter(argv[0] for argv in argvs) == {"solve": 784, "oracle": 784, "verify": 3136, "stability": 112,
+    assert len(argvs) == 4856
+    assert Counter(argv[0] for argv in argvs) == {"solve": 784, "oracle": 784, "verify": 3160, "stability": 112,
                                                   "validate": 8, "analyze": 8}
+    # --force on S3 with the inversion, once per measure with and without
+    # --battery; a transposition mass is not central, so its report is marked
+    forced = [argv for argv in argvs if "--force" in argv]
+    assert len(forced) == 12 and Counter(argv[argv.index("--mu") + 1] for argv in forced) == \
+        dict.fromkeys(tool.MEASURES, 2)
+    tool.write_inputs(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    code, out, err = tool.run(next(argv for argv in forced if "s3_transposition.mu.json" in argv))
+    assert (code, err) == (1, "") and out.endswith(', "out_of_hypothesis": true}\n')
     # every command on the C4 desk case, and one call that exits 64 for a missing --mu
     desk = ["--sg", "c4.sg.json", "--sigma", "c4_negation.sigma.json", "--mu", "c4_delta1.mu.json"]
     picked = [argv for argv in argvs if argv[0] == "stability" and argv[1:7] == desk]

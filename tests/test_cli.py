@@ -297,6 +297,46 @@ class TestVerify:
             "--f", str(fn))
         assert code == 0  # 0.02 <= 0.5
 
+    @pytest.mark.parametrize("battery", [[], ["--battery"]], ids=["plain", "battery"])
+    def test_forced_noncentral_support_is_marked(self, capsys, fxdir, tmp_path, battery):
+        # a transposition is not central in S3: refused (exit 4) unless
+        # forced, and a forced report fails (exit 1) and carries the marker
+        fn = tmp_path / "s3.fn.json"
+        fn.write_text(json.dumps({"values": [[v, 0] for v in (0, 1, -1, 0.5, -0.5, 2)]}))
+        argv = ["verify", "--eq", "vanvleck", *battery, "--sg", str(fxdir / "s3.sg.json"),
+                "--sigma", str(fxdir / "s3_inversion.sigma.json"),
+                "--mu", str(fxdir / "s3_transposition.mu.json"), "--f", str(fn)]
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (4, "") and err.startswith("hypothesis violation: ")
+        code, out, err = run(capsys, *argv, "--force")
+        assert (code, err) == (1, "")
+        assert ("per_item" in json.loads(out)) == bool(battery)
+        assert out.endswith(', "out_of_hypothesis": true}\n')
+
+
+class TestSchemaErrors:
+    """Each schema check of jsonio, through the verify call that loads it."""
+
+    @pytest.mark.parametrize("flag, obj, message", [
+        ("sg", {"n": 1, "table": [[0]], "name": 5}, "'name' must be a string"),
+        ("sigma", {"map": [0, 3, 2, 1]}, "morphism JSON needs 'map' and 'kind'"),
+        ("sigma", {"kind": "auto"}, "morphism JSON needs 'map' and 'kind'"),
+        ("sigma", {"map": [0, 3, 2, 1], "kind": "inner"}, "kind must be 'auto' or 'anti'"),
+        ("f", {"values": [[0, 0], [1, 0], [0, 0], [-1]]}, "function value must be a [re, im] pair"),
+        ("mu", {"atoms": [{"point": 1, "w": ["1", 0]}]}, "atom weight must be a [re, im] pair"),
+        ("mu", {"atoms": {"point": 1, "w": [1, 0]}}, "measure JSON needs an 'atoms' list"),
+        ("mu", [], "measure JSON needs an 'atoms' list"),
+        ("mu", {"atoms": [{"point": 1}]}, "each atom needs 'point' and 'w'"),
+        ("mu", {"atoms": [[1, [1, 0]]]}, "each atom needs 'point' and 'w'"),
+    ])
+    def test_exit_3(self, capsys, fxdir, tmp_path, flag, obj, message):
+        bad = tmp_path / f"bad.{flag}.json"
+        bad.write_text(json.dumps(obj))
+        inputs = {"sg": fxdir / "c4.sg.json", "sigma": fxdir / "c4_negation.sigma.json",
+                  "mu": fxdir / "c4_delta1.mu.json", "f": fxdir / "c4_sine.fn.json", flag: bad}
+        argv = ["verify", "--eq", "vanvleck"] + [a for k, path in inputs.items() for a in (f"--{k}", str(path))]
+        assert run(capsys, *argv) == (3, "", f"parse error: {bad}: {message}\n")
+
 
 class TestStability:
     def test_small_campaign(self, capsys, fxdir):
@@ -407,6 +447,22 @@ class TestOracle:
                                  "--mu", str(tmp_path / "mu.json"))
         assert code == 0
         assert payload["matched"] == 3 and len(payload["oracle_roots"]) == 3
+
+    @pytest.mark.parametrize("weight", [1e-310, 5e-324])
+    def test_subnormal_norm_prints_no_warning(self, capsys, fxdir, tmp_path, weight):
+        # matching divided the roots by the subnormal norm, which overflowed
+        # them with RuntimeWarnings; the closed form finds no mean above its
+        # rounding bound, so the oracle's one root stays unmatched (exit 1)
+        mu = tmp_path / "tiny.mu.json"
+        mu.write_text(json.dumps({"atoms": [{"point": 1, "w": [weight, 0]}]}))
+        code, out, err = run(capsys, "oracle", "--eq", "vanvleck",
+                             "--sg", str(fxdir / "c4.sg.json"),
+                             "--sigma", str(fxdir / "c4_negation.sigma.json"),
+                             "--mu", str(mu))
+        payload = json.loads(out)
+        assert (code, err) == (1, "")
+        assert payload["closed_form"] == [] and payload["matched"] == 0
+        assert len(payload["oracle_only"]) == 1 and payload["oracle_only"] == payload["oracle_roots"]
 
     def test_unneeded_sigma_is_not_loaded(self, capsys, fxdir, tmp_path):
         # spherical takes no sigma, so a non-permutation one is ignored as in solve

@@ -36,7 +36,6 @@ from feqlab.equations import (
     companion_cosine,
     compile_terms,
     residual,
-    residual_evaluator,
 )
 from feqlab.errors import BadParams, LengthMismatch, PointOutOfRange
 from feqlab.solvers import DEDUP_TOL, ORACLE_TOL, closed_form, match_solution_sets, newton_oracle
@@ -61,6 +60,18 @@ class TestDiracMeasure:
         # finite weights whose merged sum overflows
         with pytest.raises(BadParams, match="finite"):
             DiracMeasure.from_pairs([(1, 1e308), (1, 1e308)])
+
+    def test_points_are_integers(self):
+        # int() moved 1.7 to 1, "3" to 3 and True to 1
+        for build in (lambda: DiracMeasure.point_mass(1.7), lambda: DiracMeasure.point_mass(True),
+                      lambda: DiracMeasure.point_mass(np.float64(2.0)), lambda: DiracMeasure.from_pairs([("3", 1)]),
+                      lambda: DiracMeasure(((np.bool_(True), 1.0),))):
+            with pytest.raises(BadParams, match="is not an integer$"):
+                build()
+        # numpy's integers are integers, stored as ints
+        mu = DiracMeasure.from_pairs([(np.int64(3), 1.0), (np.uint8(1), 2.0), (3, 0.5)])
+        assert mu.atoms == ((1, 2 + 0j), (3, 1.5 + 0j)) and all(type(p) is int for p, _ in mu.atoms)
+        assert DiracMeasure.point_mass(np.intp(2)).atoms == ((2, 1 + 0j),)
 
 
 class TestIntegration:
@@ -200,12 +211,12 @@ class TestToleranceConfig:
     def test_no_hypothesis_or_residual_takes_tol(self, c4, sigma_neg, mu_delta1, sine):
         # eq_tol judges verdicts; a hypothesis check, a residual report, a
         # solution set or a companion function never reads it
-        for fn in (is_sigma_invariant, bind_inputs, residual_evaluator, residual,
+        for fn in (is_sigma_invariant, bind_inputs, residual,
                    residual_vanvleck, residual_integral_dalembert, residual_central_dalembert,
                    closed_form, solve_vanvleck, solve_dalembert, solve_spherical,
                    solve_central_dalembert, companion_cosine):
             assert "tol" not in inspect.signature(fn).parameters, fn.__name__
-        for fn in (bind_inputs, residual_evaluator, residual_vanvleck):
+        for fn in (bind_inputs, residual, residual_vanvleck):
             assert inspect.signature(fn).parameters["force"].kind is inspect.Parameter.KEYWORD_ONLY
         # a stale positional tol must not land in force, nor pass unseen
         for call in (lambda: residual_vanvleck(c4, sine, sigma_neg, mu_delta1, DEFAULT_TOL),

@@ -9,6 +9,7 @@ import pytest
 from feqlab import (
     FiniteSemigroup,
     MorphismKind,
+    canonical_json,
     center,
     cyclic_group,
     direct_product,
@@ -16,6 +17,7 @@ from feqlab import (
     enumerate_involutive_morphisms,
     index_period,
     left_zero,
+    morphism_to_json,
     null_semigroup,
     s3_inversion,
     symmetric_group_3,
@@ -148,8 +150,16 @@ def test_morphism_enumeration_caps():
 
 
 def test_validate_morphism(c4, s3):
-    m = validate_morphism(c4, [0, 3, 2, 1], MorphismKind.AUTOMORPHISM)
-    assert m.map == (0, 3, 2, 1)
+    # numpy integers are integers: stored as ints, the same morphism
+    for map_ in ([0, 3, 2, 1], np.array([0, 3, 2, 1]), np.array([0, 3, 2, 1], dtype=np.uint8)):
+        m = validate_morphism(c4, map_, MorphismKind.AUTOMORPHISM)
+        assert m.map == (0, 3, 2, 1) and all(type(v) is int for v in m.map)
+        assert canonical_json(morphism_to_json(m)) == '{"map": [0, 3, 2, 1], "kind": "auto"}'
+    # a float or a bool is no integer, whatever its value
+    for map_, sg in (([0.0, 3.0, 2.0, 1.0], c4), ([0, 3, 2.0, 1], c4), (["0", 3, 2, 1], c4),
+                     ([False, True], cyclic_group(2)), (np.array([False, True]), cyclic_group(2))):
+        with pytest.raises(NotMorphism, match=r"^map must be a permutation of 0\.\.\d$"):
+            validate_morphism(sg, map_, MorphismKind.AUTOMORPHISM)
     with pytest.raises(NotInvolutive):
         validate_morphism(c4, [1, 2, 3, 0], MorphismKind.AUTOMORPHISM)
     with pytest.raises(NotMorphism):
@@ -245,6 +255,21 @@ def test_associativity_memory_stays_in_slabs():
         finally:
             tracemalloc.stop()
         assert peak < bound
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: cyclic_group(0), "cyclic group needs n >= 1"),
+    (lambda: null_semigroup(0), "null semigroup needs n >= 1"),
+    (lambda: left_zero(0), "left zero semigroup needs n >= 1"),
+    (lambda: validate_semigroup([]), "semigroup needs at least one element"),
+    (lambda: next(enumerate_all_semigroups(0)), "census needs n >= 1"),
+    (lambda: index_period(cyclic_group(4), 4), r"element 4 outside 0\.\.3"),
+    (lambda: index_period(cyclic_group(4), -1), r"element -1 outside 0\.\.3"),
+], ids=["cyclic_group", "null_semigroup", "left_zero", "validate_semigroup", "census", "index_period",
+        "index_period_negative"])
+def test_empty_order_or_foreign_element_is_bad_params(call, message):
+    with pytest.raises(BadParams, match=f"^{message}$"):
+        call()
 
 
 def test_census_caps():

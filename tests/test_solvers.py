@@ -50,7 +50,6 @@ from feqlab.equations import (
     compile_terms,
     identity_battery,
     residual,
-    residual_evaluator,
 )
 from feqlab.errors import (
     DegenerateMeasureWarning,
@@ -259,7 +258,7 @@ SIGMA_ENTRIES = {
     "residual_vanvleck": lambda c4, s: residual_vanvleck(c4, _SINE, s, _POINT1),
     "residual_integral_dalembert@2": lambda c4, s: residual_integral_dalembert(c4, _SINE, s, _POINT2),
     "residual_wilson": lambda c4, s: residual(EQUATIONS["wilson_variant"], c4, _SINE, g=_SINE, sigma=s),
-    "residual_evaluator": lambda c4, s: residual_evaluator(EQUATIONS["dalembert_variant"], c4, s),
+    "residual_dalembert": lambda c4, s: residual_dalembert(c4, _SINE, s),
     "identity_battery": lambda c4, s: identity_battery(c4, _SINE, s, _POINT1),
     "approximate_battery": lambda c4, s: approximate_battery(c4, _SINE, s, _POINT1, 0.1),
     "newton_oracle": lambda c4, s: newton_oracle(c4, "vanvleck", s, _POINT1, starts=4),
@@ -613,6 +612,24 @@ class TestNewtonOracle:
             refs = closed_form(tag, c4, sigma, mu).vectors()
             pairs, extra, missing = match_solution_sets(got, refs, mu)
             assert len(pairs) == count and not extra and not missing, tag
+
+    @pytest.mark.parametrize("weight", [1e-310, 5e-324])
+    def test_subnormal_scale_matches_without_overflow(self, weight):
+        # the gate is scaled, not the vectors: divided by a subnormal norm
+        # they overflowed, with RuntimeWarnings
+        mu = DiracMeasure.point_mass(1, weight)
+        root = np.array([0, 1, 0, -1], dtype=complex)
+        assert match_solution_sets([root], [], mu) == ([], [0], [])
+        assert match_solution_sets([root, root * weight], [root * weight], mu) == ([(1, 0)], [0], [])
+
+    def test_overflowing_norm_raises_at_the_starts(self, c4, sigma_neg):
+        # ||mu|| = inf is not scaled to unit norm, so the starts and their
+        # defect are not finite; the CLI's closed form refuses this norm first
+        mu = DiracMeasure.from_pairs([(1, 1e308), (3, 1e308)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteResidual, match="^vanvleck oracle defect is not finite at the starts"):
+                newton_oracle(c4, "vanvleck", sigma_neg, mu, starts=8)
 
     def test_unneeded_measure_scales_nothing(self, c4, sigma_neg):
         got = newton_oracle(c4, "dalembert_variant", sigma_neg, DiracMeasure.point_mass(1, 1e-3),

@@ -10,10 +10,13 @@ from feqlab import (
     DEFAULT_TOL,
     CampaignConfig,
     DiracMeasure,
+    InvolutiveMorphism,
+    MorphismKind,
     StabilityTrial,
     ToleranceConfig,
     Verdict,
     approximate_battery,
+    cyclic_group,
     fuzz_campaign,
     measure_norm,
     perturb,
@@ -24,7 +27,6 @@ from feqlab import (
 )
 from feqlab import stability
 from feqlab.cli import main
-from feqlab.equations import EQUATIONS, residual_evaluator
 from feqlab.errors import BadParams, DegenerateIntegral
 from feqlab.stability import _rounding_slack, _verdict
 
@@ -85,18 +87,20 @@ class TestMeasuredDelta:
         f = [0.1, 0.1, 0.1, 0.1]
         assert residual_vanvleck(c4, f, sigma_neg, mu_delta1).max_abs == pytest.approx(0.02)
 
-    def test_matches_residual_report(self, c4, sigma_neg, mu_delta1, rng_values):
-        # the campaign's compiled evaluator measures what residual_vanvleck reports
-        f = rng_values
-        rep = residual_vanvleck(c4, f, sigma_neg, mu_delta1)
-        vanvleck = residual_evaluator(EQUATIONS["vanvleck"], c4, sigma_neg, mu_delta1)
-        assert vanvleck(f).max_abs == rep.max_abs
-
-
-@pytest.fixture
-def rng_values():
-    rng = np.random.default_rng(7)
-    return rng.normal(size=4) + 1j * rng.normal(size=4)
+    def test_matches_residual_report(self):
+        # every trial's delta, read from the campaign's compiled terms, is
+        # bit for bit what residual_vanvleck reports for its function
+        cfg = CampaignConfig(trials=80, radius_max=2.0, seed=13)
+        for order, mu in ((4, DiracMeasure.point_mass(1)),
+                          (4, DiracMeasure.from_pairs([(1, 0.5 - 0.25j), (3, 2.0)])),
+                          (16, DiracMeasure.from_pairs([(1, 0.75j), (5, -0.5), (13, 1.25 + 0.5j)]))):
+            sg = cyclic_group(order)
+            sigma = InvolutiveMorphism(tuple(-x % order for x in range(order)), MorphismKind.AUTOMORPHISM)
+            _, trials = fuzz_campaign(sg, sigma, mu, cfg)
+            assert any(t.verdict is Verdict.WITHIN_BOUND for t in trials), order
+            for t in trials:
+                f = perturb(t.base, t.radius, (cfg.seed, t.trial, 1))
+                assert t.measured_delta == residual_vanvleck(sg, f, sigma, mu).max_abs, (order, t.trial)
 
 
 class TestPerturb:

@@ -8,13 +8,16 @@ gives the same exit code, stdout and stderr.
 
 The fixtures are the bundle of `feqlab fixtures` plus three measures: a
 complex pair, 0 delta_9 (out of range on every bundled table) and one
-without atoms. The calls run in process, from the fixture directory, so
-argv holds only file names. They are `solve`, `oracle --starts 30` and
-`verify` (both function fixtures, with and without `--battery`) for
-every tag x table x (no sigma or each sigma) x (no mu or each mu),
-`stability --trials 50 --seed 3` for every table, sigma and mu, and
-`validate` and `analyze` for every table with `--format json` and
-`--format table`.
+without atoms; and a function of six values. The calls run in process,
+from the fixture directory, so argv holds only file names. They are
+`solve`, `oracle --starts 30` and `verify` (both function fixtures, with
+and without `--battery`) for every tag x table x (no sigma or each
+sigma) x (no mu or each mu); `verify --eq vanvleck` of the six values on
+S3 with the inversion for each mu, with and without `--battery` and
+`--force` (most of these measures are not central in S3, so the forced
+reports are marked out of hypothesis); `stability --trials 50 --seed 3`
+for every table, sigma and mu; and `validate` and `analyze` for every
+table with `--format json` and `--format table`.
 
 Warnings are caught per call, all of them, and hashed as "Category:
 message" lines after stderr, so neither a moved source line nor the
@@ -50,12 +53,15 @@ EXTRA_MEASURES = {
 }
 MEASURES = ("c4_delta1.mu.json", "c4_halfpair.mu.json", "s3_transposition.mu.json", *EXTRA_MEASURES)
 FUNCTIONS = ("c4_sine.fn.json", "c4_cosine.fn.json")
+S3_FUNCTION = "s3_values.fn.json"
+EXTRA_INPUTS = {**EXTRA_MEASURES,
+                S3_FUNCTION: {"values": [[0, 0], [1, -0.5], [-1, 0.25], [0.5, 0], [-0.5, 1], [2, 0]]}}
 
 
 def write_inputs(outdir: str | Path) -> None:
-    """The bundle and the extra measures, written to outdir."""
+    """The bundle and the extra inputs, written to outdir."""
     write_fixtures(outdir)
-    for name, obj in EXTRA_MEASURES.items():
+    for name, obj in EXTRA_INPUTS.items():
         (Path(outdir) / name).write_text(json.dumps(obj) + "\n")
 
 
@@ -70,6 +76,9 @@ def calls() -> list[list[str]]:
         out += [["solve", *inputs], ["oracle", *inputs, "--starts", "30"]]
         for fn in FUNCTIONS:
             out += [["verify", *inputs, "--f", fn], ["verify", *inputs, "--f", fn, "--battery"]]
+    for mu, battery, force in itertools.product(MEASURES, ([], ["--battery"]), ([], ["--force"])):
+        out.append(["verify", "--eq", "vanvleck", "--sg", "s3.sg.json", "--sigma", "s3_inversion.sigma.json",
+                    "--mu", mu, "--f", S3_FUNCTION, *battery, *force])
     for table, sigma, mu in itertools.product(TABLES, (None, *SIGMAS), (None, *MEASURES)):
         out.append(["stability", "--sg", table, *optional("--sigma", sigma), *optional("--mu", mu),
                     "--trials", "50", "--seed", "3"])
