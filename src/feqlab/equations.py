@@ -50,10 +50,13 @@ from .measures import (
     ToleranceConfig,
     _check_points,
     _cmul,
+    _modulus,
+    _right_sum,
     check_function,
     integrate,
     is_sigma_invariant,
     measure_norm,
+    pushforward,
     right_transform,
     support_in_center,
 )
@@ -534,35 +537,26 @@ def _sup_terms(sg: FiniteSemigroup, arr: np.ndarray, sigma: InvolutiveMorphism,
                mu: DiracMeasure, mean: complex) -> _SupTerms:
     """The terms shared by the identity battery (exactly zero on
     solutions) and the approximate battery (bounded by multiples of
-    delta). mean is the integral of arr under mu, points already checked."""
-    table = sg.index_table
-    s = np.asarray(sigma.map)
-    x = np.arange(sg.n)
-    twisted = np.zeros(sg.n, dtype=complex)
-    plain = np.zeros(sg.n, dtype=complex)
-    pair_plain = pair_twist = 0j
-    for a, wa in mu.atoms:
-        for b, wb in mu.atoms:
-            w = wa * wb
-            twisted += _cmul(w, arr[table[table[x, s[a]], b]])
-            plain += _cmul(w, arr[table[table[x, a], b]])
-            pair_plain += w * arr[table[a, b]]
-            pair_twist += w * arr[table[a, s[b]]]
-    twist = np.zeros(sg.n, dtype=complex)
-    for p, w in mu.atoms:
-        twist += _cmul(w, arr[table[x, s[p]]] - arr[table[s, s[p]]])
-    rt = right_transform(sg, arr, mu)
+    delta). mean is the integral of arr under mu, points already checked.
+
+    A double mean is an iterated one: iint f(x a b) dmu(a) dnu(b) is
+    R_mu(R_nu f)(x) for the right transform R_nu f(x) = int f(x t) dnu(t).
+    So every term comes from rt = R_mu f and rs = R_{sigma*mu} f, with
+    sigma*mu the pushforward of mu under sigma."""
+    table, s = sg.index_table, np.asarray(sigma.map)
+    smu = pushforward(mu, sigma)
+    rt, rs = _right_sum(table, arr, mu), _right_sum(table, arr, smu)
     f_mean = _cmul(arr, mean)
-    cross = arr[table[s[None, :], x[:, None]]]  # f(sigma(y) x) at [x, y]
+    cross = arr[table[s[None, :], np.arange(sg.n)[:, None]]]  # f(sigma(y) x) at [x, y]
     return _SupTerms(
         odd=_sup(arr[s] + arr),
         cross=_sup(cross + cross.T),
-        twisted=_sup(twisted - f_mean),
-        plain=_sup(plain + f_mean),
+        twisted=_sup(_right_sum(table, rt, smu) - f_mean),
+        plain=_sup(_right_sum(table, rt, mu) + f_mean),
         sigma_right=_sup(rt[s] - rt),
-        sigma_twist=_sup(twist),
-        pair_plain=pair_plain,
-        pair_twist=pair_twist,
+        sigma_twist=_sup(rs - rs[s]),
+        pair_plain=integrate(rt, mu),
+        pair_twist=integrate(rs, mu),
         rt=rt,
     )
 
@@ -637,7 +631,7 @@ def approximate_battery(sg: FiniteSemigroup, f: Sequence[complex], sigma: Involu
     if mean == 0:
         raise DegenerateIntegral("mean of f under mu vanishes; bounds are undefined")
     norm = measure_norm(mu)
-    amean = abs(mean)
+    amean = _modulus(mean)
     eq = tol.eq_tol
     sups = _sup_terms(sg, arr, sigma, mu, mean)
     # the companion cosine, as companion_cosine computes it

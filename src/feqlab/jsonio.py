@@ -16,7 +16,14 @@ import numpy as np
 
 from .errors import ParseError
 from .measures import DiracMeasure
-from .semigroups import FiniteSemigroup, InvolutiveMorphism, MorphismKind, validate_morphism, validate_semigroup
+from .semigroups import (
+    FiniteSemigroup,
+    InvolutiveMorphism,
+    MorphismKind,
+    _is_integer,
+    validate_morphism,
+    validate_semigroup,
+)
 
 
 def _load_obj(path: str | Path) -> Any:
@@ -34,18 +41,14 @@ def _load_obj(path: str | Path) -> Any:
         raise ParseError(f"{path}: JSON nested too deeply") from exc
 
 
-def _is_int(v: Any) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)  # JSON true/false are not integers
-
-
 def load_semigroup(path: str | Path) -> FiniteSemigroup:
     obj = _load_obj(path)
     if not isinstance(obj, dict) or "table" not in obj or "n" not in obj:
         raise ParseError(f"{path}: semigroup JSON needs 'n' and 'table'")
     table = obj["table"]
-    if not _is_int(obj["n"]) or not isinstance(table, list) or len(table) != obj["n"]:
+    if not _is_integer(obj["n"]) or not isinstance(table, list) or len(table) != obj["n"]:
         raise ParseError(f"{path}: 'n' must match the table size")
-    if not all(isinstance(row, list) and all(_is_int(v) for v in row) for row in table):
+    if not all(isinstance(row, list) and all(_is_integer(v) for v in row) for row in table):
         raise ParseError(f"{path}: table entries must be integers")
     name = obj.get("name")
     if name is not None and not isinstance(name, str):
@@ -60,14 +63,14 @@ def load_morphism(path: str | Path, sg: FiniteSemigroup) -> InvolutiveMorphism:
     if obj["kind"] not in ("auto", "anti"):
         raise ParseError(f"{path}: kind must be 'auto' or 'anti'")
     m = obj["map"]
-    if not isinstance(m, list) or not all(_is_int(v) for v in m):
+    if not isinstance(m, list) or not all(_is_integer(v) for v in m):
         raise ParseError(f"{path}: map must be a list of integers")
     return validate_morphism(sg, m, MorphismKind(obj["kind"]))
 
 
 def _as_complex(pair: Any, what: str, path: str | Path) -> complex:
     if (not isinstance(pair, list) or len(pair) != 2
-            or not all(_is_int(v) or isinstance(v, float) for v in pair)):
+            or not all(_is_integer(v) or isinstance(v, float) for v in pair)):
         raise ParseError(f"{path}: {what} must be a [re, im] pair")
     try:
         return complex(pair[0], pair[1])
@@ -83,7 +86,7 @@ def load_measure(path: str | Path) -> DiracMeasure:
     for atom in obj["atoms"]:
         if not isinstance(atom, dict) or "point" not in atom or "w" not in atom:
             raise ParseError(f"{path}: each atom needs 'point' and 'w'")
-        if not _is_int(atom["point"]) or atom["point"] < 0:
+        if not _is_integer(atom["point"]) or atom["point"] < 0:
             raise ParseError(f"{path}: atom point must be a nonnegative integer")
         atoms.append((atom["point"], _as_complex(atom["w"], "atom weight", path)))
     return DiracMeasure(tuple(atoms))

@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import BadParams, LengthMismatch, PointOutOfRange
-from .semigroups import FiniteSemigroup, InvolutiveMorphism, _is_integer, center
+from .semigroups import FiniteSemigroup, InvolutiveMorphism, _is_integer, _is_number, center
 
 
 @dataclass(frozen=True)
@@ -42,9 +42,10 @@ class DiracMeasure:
     """Finite complex combination of point masses.
 
     Atoms are canonicalized on construction: points checked to be
-    nonnegative integers but bools (numpy's stored as ints), duplicates
-    merged by summing weights (which must then be finite), sorted by
-    point. Points are validated against a semigroup only at use.
+    nonnegative integers but bools (numpy's stored as ints), weights to
+    be numbers but bools, duplicates merged by summing weights (which
+    must then be finite), sorted by point. Points are validated against
+    a semigroup only at use.
     """
 
     atoms: tuple[tuple[int, complex], ...]
@@ -57,6 +58,8 @@ class DiracMeasure:
             point = int(point)
             if point < 0:
                 raise BadParams(f"atom point {point} is negative")
+            if not _is_number(w):
+                raise BadParams(f"atom weight {w!r} is not a number")
             merged[point] = merged.get(point, 0j) + complex(w)
         if not all(math.isfinite(w.real) and math.isfinite(w.imag) for w in merged.values()):
             raise BadParams("atom weights must be finite")
@@ -74,9 +77,19 @@ class DiracMeasure:
         return {"atoms": [{"point": p, "w": [w.real, w.imag]} for p, w in self.atoms]}
 
 
+def _modulus(z: complex) -> float:
+    """abs(z), or inf where complex abs raises: finite parts whose
+    modulus exceeds the largest float. math.hypot would round some
+    finite moduli differently."""
+    try:
+        return abs(z)
+    except OverflowError:
+        return math.inf
+
+
 def measure_norm(mu: DiracMeasure) -> float:
-    """Total variation: sum of |w| over atoms."""
-    return float(sum(abs(w) for _, w in mu.atoms))
+    """Total variation: sum of |w| over atoms, inf when it overflows."""
+    return float(sum(_modulus(w) for _, w in mu.atoms))
 
 
 def _check_points(mu: DiracMeasure, n: int) -> None:
@@ -86,11 +99,15 @@ def _check_points(mu: DiracMeasure, n: int) -> None:
 
 
 def check_function(sg: FiniteSemigroup, f: Sequence[complex]) -> np.ndarray:
-    """Coerce f to a complex vector of length sg.n."""
-    arr = np.asarray(f, dtype=complex)
-    if arr.ndim != 1 or len(arr) != sg.n:
-        raise LengthMismatch(int(arr.size), sg.n)
-    return arr
+    """Coerce f to a complex vector of length sg.n. Its values must be
+    numbers but bools; a numpy array's dtype must be an integer, float
+    or complex one."""
+    values = f if isinstance(f, np.ndarray) else np.asarray(f, dtype=object)
+    if values.ndim != 1 or len(values) != sg.n:
+        raise LengthMismatch(int(values.size), sg.n)
+    if not (values.dtype.kind in "iufc" if values is f else all(map(_is_number, values))):
+        raise BadParams("function values must be numbers")
+    return values.astype(complex, copy=False)
 
 
 def integrate(f: Sequence[complex], mu: DiracMeasure) -> complex:
@@ -141,12 +158,18 @@ def _cmul(a, b, out: np.ndarray | None = None) -> np.ndarray:
 
 
 def right_transform(sg: FiniteSemigroup, f: Sequence[complex], mu: DiracMeasure) -> np.ndarray:
-    """x -> integral of f(x * t) dmu(t) over S, one column gather per atom."""
+    """x -> integral of f(x * t) dmu(t) over S."""
     arr = check_function(sg, f)
     _check_points(mu, sg.n)
-    out = np.zeros(sg.n, dtype=complex)
+    return _right_sum(sg.index_table, arr, mu)
+
+
+def _right_sum(table: np.ndarray, arr: np.ndarray, mu: DiracMeasure) -> np.ndarray:
+    """right_transform of a checked complex vector arr under a measure
+    whose points are checked: one column gather per atom, in atom order."""
+    out = np.zeros(len(arr), dtype=complex)
     for p, w in mu.atoms:
-        out += _cmul(w, arr[sg.index_table[:, p]])
+        out += _cmul(w, arr[table[:, p]])
     return out
 
 

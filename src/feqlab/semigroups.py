@@ -76,6 +76,11 @@ def _is_integer(v) -> bool:
     return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
 
 
+def _is_number(v) -> bool:
+    """Any int, float or complex but a bool, numpy's included: an atom weight or a function value."""
+    return isinstance(v, (int, float, complex, np.number)) and not isinstance(v, bool)
+
+
 def _bad_slab(tables: np.ndarray, x: int) -> np.ndarray:
     """Mask of (xy)z != x(yz) at [b, y, z] for one x over a (B, n, n)
     stack of tables: one n x n slab per table, two 1-D gathers into the

@@ -36,6 +36,7 @@ from .errors import (
 from .jsonio import function_to_json
 from .measures import (
     DiracMeasure,
+    _modulus,
     character_mean_slack,
     integrate,
     measure_norm,
@@ -155,7 +156,7 @@ def closed_form(equation: str, sg: FiniteSemigroup, sigma: InvolutiveMorphism | 
         if form.sigma_sign:
             s = c[list(sigma.map)]
         if form.sigma_sign < 0:
-            if abs(integrate(s, mu) + mean) > 2 * rounding:
+            if _modulus(integrate(s, mu) + mean) > 2 * rounding:
                 continue
             f = (s - c) / 2.0
         elif form.sigma_sign > 0:
@@ -163,7 +164,8 @@ def closed_form(equation: str, sg: FiniteSemigroup, sigma: InvolutiveMorphism | 
         else:
             f = c
         kept.add((chi.period, chi.turns))
-        out.append(Solution(f if mu is None else f * mean, Provenance(chi, form.formula)))
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails verification below
+            out.append(Solution(f if mu is None else f * mean, Provenance(chi, form.formula)))
     if out:
         # Verified against each equation sharing the form, then form.checks,
         # whose hypotheses are among the form's, checked above. Every law's

@@ -814,6 +814,37 @@ class TestNonFiniteInputs:
         assert code == 2 and out == ""
         assert "structural error" in err and "not finite" in err
 
+    @pytest.mark.parametrize("argv, n, weight, expected", [
+        # ||mu|| = |w| exceeds the largest float, though both parts are finite
+        (("solve", "--eq", "spherical"), 1, [1.5e308, 1.5e308], 2),
+        (("stability",), 1, [1.5e308, 1.5e308], 2),
+        # the odd form's mean test sums 2 mean(chi), whose modulus overflows
+        (("solve", "--eq", "vanvleck"), 5, [1e308, 0], 0),
+        (("stability",), 5, [1e308, 0], 0),
+        # the solution chi * mean(chi) overflows in numpy, then fails its check
+        (("solve", "--eq", "spherical"), 1, [1e308, 1e308], 2),
+    ], ids=["solve_norm", "stability_norm", "solve_odd_form", "stability_odd_form", "solve_product"])
+    def test_overflowing_modulus_no_traceback(self, capsys, tmp_path, argv, n, weight, expected):
+        # complex abs raises OverflowError where the modulus of finite parts
+        # overflows (exit 70), and numpy warned on stderr. The warnings are
+        # recorded, since the suite's filter cannot see what reaches stderr
+        paths = {}
+        for flag, obj in (("sg", semigroup_to_json(cyclic_group(n))),
+                          ("sigma", {"map": list(range(n)), "kind": "auto"}),
+                          ("mu", {"atoms": [{"point": min(n - 1, 1), "w": weight}]})):
+            paths[flag] = tmp_path / f"{flag}.json"
+            paths[flag].write_text(json.dumps(obj))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run(capsys, *argv, *[a for flag, path in paths.items()
+                                                  for a in (f"--{flag}", str(path))])
+        assert code == expected, err
+        assert "Traceback" not in err and not caught
+        if expected == 2:
+            assert out == "" and err.startswith("structural error: ") and err.count("\n") == 1
+        elif argv[0] == "solve":
+            assert json.loads(out) == {"equation": "vanvleck", "solutions": []}
+
     def test_stability_missing_sigma_is_usage_error(self, capsys, fxdir):
         code, out, err = run(capsys, "stability", "--trials", "5",
                              "--sg", str(fxdir / "c4.sg.json"),

@@ -646,6 +646,16 @@ class TestNonFinite:
             with pytest.raises(NonFiniteResidual, match="dalembert_variant"):
                 approximate_battery(c4, f, sigma_neg, mu_delta1, delta=1.0)
 
+    def test_mean_modulus_overflow_raises_without_warning(self, c4, sigma_neg, mu_delta1):
+        # abs of the mean z = 1.3e308 (1 + i) raised a bare OverflowError;
+        # its modulus reads inf, and the twisted double mean's f(1) z = z^2
+        # overflows
+        z = 1.3e308 * (1 + 1j)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteResidual, match="^battery term is not finite"):
+                approximate_battery(c4, [0, z, 0, -z], sigma_neg, mu_delta1, 0.5)
+
     @pytest.mark.parametrize("seed", range(3))
     def test_battery_bit_equal_to_pointwise(self, s3, seed):
         rng = np.random.default_rng(10 + seed)
@@ -657,31 +667,32 @@ class TestNonFinite:
         t, s, n = s3.mul, sigma.map, 6
         mean = integrate(f, mu)
 
+        # the atoms of the pushforward of mu under sigma, in point order
+        smu = sorted((s[p], w) for p, w in mu.atoms)
+
         def sup(vals):
             return float(max(abs(v) for v in vals))
 
-        def double(x, twist):
-            return sum(wa * wb * f[t(t(x, s[a] if twist else a), b)]
-                       for a, wa in mu.atoms for b, wb in mu.atoms)
+        def right(x, atoms=mu.atoms):
+            return sum(w * f[t(x, p)] for p, w in atoms)
 
-        def right(x):
-            return sum(w * f[t(x, p)] for p, w in mu.atoms)
+        def double(x, atoms):  # sum_a w_a sum_b w_b f(x a b), a over atoms, b over mu
+            return sum(w * right(t(x, p)) for p, w in atoms)
+
+        def twist(x):
+            return right(x, smu)
 
         want = {
             "1_sigma_odd": sup(f[s[x]] + f[x] for x in range(n)),
             "3_cross_antisym": sup(f[t(s[y], x)] + f[t(s[x], y)] for x in range(n) for y in range(n)),
-            "4_twisted_double_mean": sup(double(x, True) - f[x] * mean for x in range(n)),
-            "5_double_mean": sup(double(x, False) + f[x] * mean for x in range(n)),
+            "4_twisted_double_mean": sup(double(x, smu) - f[x] * mean for x in range(n)),
+            "5_double_mean": sup(double(x, mu.atoms) + f[x] * mean for x in range(n)),
             "6_sigma_right_mean": sup(right(s[x]) - right(x) for x in range(n)),
-            "7_sigma_twist_mean": sup(
-                sum(w * (f[t(x, s[p])] - f[t(s[x], s[p])]) for p, w in mu.atoms) for x in range(n)),
+            "7_sigma_twist_mean": sup(twist(x) - twist(s[x]) for x in range(n)),
+            "2_nonzero_mean": abs(mean),
+            "8_vanishing_double_mean": max(abs(sum(w * right(p) for p, w in mu.atoms)),
+                                           abs(sum(w * twist(p) for p, w in mu.atoms))),
         }
-        def pair(twist):
-            return abs(sum(wa * wb * f[t(a, s[b] if twist else b)]
-                           for a, wa in mu.atoms for b, wb in mu.atoms))
-
-        want["2_nonzero_mean"] = abs(mean)
-        want["8_vanishing_double_mean"] = max(pair(False), pair(True))
         got = {it.name: it.value for it in identity_battery(s3, f, sigma, mu, force=True)}
         assert got == want
 

@@ -33,6 +33,7 @@ from feqlab.equations import (
     Term,
     _defect,
     bind_inputs,
+    check_function,
     companion_cosine,
     compile_terms,
     residual,
@@ -72,6 +73,17 @@ class TestDiracMeasure:
         mu = DiracMeasure.from_pairs([(np.int64(3), 1.0), (np.uint8(1), 2.0), (3, 0.5)])
         assert mu.atoms == ((1, 2 + 0j), (3, 1.5 + 0j)) and all(type(p) is int for p, _ in mu.atoms)
         assert DiracMeasure.point_mass(np.intp(2)).atoms == ((2, 1 + 0j),)
+
+    @pytest.mark.parametrize("weight", ["0.5", True, np.bool_(True), None, [1.0]],
+                             ids=["str", "bool", "numpy_bool", "none", "list"])
+    def test_weights_are_numbers(self, weight):
+        # complex() read "0.5" as 0.5 and True as 1, and raised a bare TypeError on None
+        with pytest.raises(BadParams, match="is not a number$"):
+            DiracMeasure.from_pairs([(1, weight), (3, 1.0)])
+
+    def test_numpy_weights_are_numbers(self):
+        mu = DiracMeasure.from_pairs([(1, np.float32(0.5)), (2, np.complex128(1j)), (3, np.int8(-2))])
+        assert mu.atoms == ((1, 0.5 + 0j), (2, 1j), (3, -2 + 0j))
 
 
 class TestIntegration:
@@ -122,6 +134,26 @@ class TestIntegration:
     def test_right_transform_length_check(self, c4):
         with pytest.raises(LengthMismatch, match="^function has 2 values, semigroup has 4 elements$"):
             right_transform(c4, [1, 2], DiracMeasure.point_mass(0))
+
+    @pytest.mark.parametrize("f", [
+        ["0", "1", "0", "-1"], [0, 1, False, -1], [None, 1, 0, -1], [0, 1, 0, [-1]],
+        np.array([False, True, False, True]), np.array(["0", "1", "0", "-1"]),
+        np.array([0, 1, 0, -1], dtype=object),
+    ], ids=["strings", "bool", "none", "list", "bool_array", "string_array", "object_array"])
+    def test_function_values_are_numbers(self, c4, sigma_neg, mu_delta1, f):
+        # the strings and bools were read as numbers, None as NaN
+        for evaluate in (lambda: check_function(c4, f), lambda: right_transform(c4, f, mu_delta1),
+                         lambda: residual_vanvleck(c4, f, sigma_neg, mu_delta1)):
+            with pytest.raises(BadParams, match="^function values must be numbers$"):
+                evaluate()
+
+    @pytest.mark.parametrize("f", [
+        [np.float64(0), np.int32(1), np.complex64(2), np.uint8(3)], np.arange(4),
+        np.arange(4, dtype=np.float32), np.arange(4, dtype=np.complex64), np.arange(4, dtype=np.uint8),
+    ], ids=["numpy_scalars", "int_array", "float32_array", "complex64_array", "uint8_array"])
+    def test_numpy_function_values_are_numbers(self, c4, f):
+        got = check_function(c4, f)
+        assert got.dtype == complex and got.tolist() == [0, 1, 2, 3]
 
     def test_middle_transform(self, c4, sine, mu_delta1):
         got = middle_transform(c4, sine, mu_delta1)
