@@ -5,14 +5,13 @@ terms of its defect as words in x, y, sigma(y) and an atom t of the
 measure, its quadratic part, the hypotheses it requires and its closed
 form in characters; the inputs it reads follow from the words, and one
 gate, bind_inputs, checks them for every path. compile_terms compiles
-the words once per call, where they do not depend on the atom, and
-_defect gathers each averaged term through the atom's column, one n x n
-gather per term and atom, for one function or a stack of them. residual
-reports one function; _row_sups gives the sups of a stack (the closed
-forms verify all their solutions in one pass per law, and the
-superstability campaign reads each trial's defect); the Gauss-Newton
-oracle in `solvers` builds its linear operator from the same compiled
-terms.
+the words once per call, and _linear sums them for one function or a
+stack: a word a b t is the right transform R_mu f, computed once, at
+a b; only a word a t b is gathered per atom. residual reports one
+function; _row_sups gives the sups of a stack (the closed forms verify
+all their solutions in one pass per law, and the superstability
+campaign reads each trial's defect); the Gauss-Newton oracle in
+`solvers` reads its linear operator from _linear at the unit vectors.
 
 Every report scans the full (x, y) grid, giving the sup-norm of the
 defect and the lexicographically first pair attaining it. A function
@@ -128,17 +127,21 @@ def closed_form_slack(mu: DiracMeasure | None) -> float:
     the float mean within (32 + 1.5k) u N of the mean; g adds a sum, so
     the float f is within e = (68 + 1.5k) u N of f. A defect has at most
     two terms and products of weight at most 2, so it moves by at most
-    2 N e + 4 N e + 2 e^2 between f and the float f, and its float
-    evaluation (the term sums, k weighted sums, a product and a
-    difference per cell) adds under 6 (k + 8) u N^2. The hypotheses hold
-    exactly, so f is an exact solution, except in the odd form where
-    d = mean(chi o sigma) + mean(chi) passed its float test without being
-    zero: the exact defect of f is then mean(chi) d chi o sigma(x)
-    (chi(y) - chi o sigma(y))/2, at most N |d|. The test lets the float
-    |d| reach twice the mean slack, (4k + 68) u N, and |d| exceeds it by
-    (66 + 3k) u N at most, so N |d| <= (134 + 7k) u N^2. With (408 + 9k)
-    u N^2 from f and (48 + 6k) u N^2 from the evaluation, rounding leaves
-    under (590 + 22k) u N^2 <= (300 + 11k) eps N^2; underflow adds a few
+    2 N e + 4 N e + 2 e^2 between f and the float f. Per component, a
+    right transform sums k products w f, each within 2u of |w| |f|, in
+    k - 1 roundings, so two terms a b t and their sum are off by
+    (2k + 4) u N^2, two terms a t b (summed, weighted per atom) by
+    (2k + 5) u N^2, and the product and difference add 8u N^2: the
+    evaluation adds under sqrt(2) (2k + 13) u N^2 < 6 (k + 8) u N^2.
+    The hypotheses hold exactly, so f is an exact solution, except in
+    the odd form where d = mean(chi o sigma) + mean(chi) passed its
+    float test without being zero: the exact defect of f is then
+    mean(chi) d chi o sigma(x) (chi(y) - chi o sigma(y))/2, at most
+    N |d|. The test lets the float |d| reach twice the mean slack,
+    (4k + 68) u N, and |d| exceeds it by (66 + 3k) u N at most, so
+    N |d| <= (134 + 7k) u N^2. With (408 + 9k) u N^2 from f and
+    (48 + 6k) u N^2 from the evaluation, rounding leaves under
+    (590 + 22k) u N^2 <= (300 + 11k) eps N^2; underflow adds a few
     2^-1074 per cell, which 2^-1022 covers.
     """
     k, norm = (0, 1.0) if mu is None else (len(mu.atoms), measure_norm(mu))
@@ -308,13 +311,12 @@ def bind_inputs(eq: Equation, sg: FiniteSemigroup, sigma: InvolutiveMorphism | N
 
 class CompiledTerms(NamedTuple):
     """The terms of an equation compiled for one call by compile_terms:
-    every index array that does not depend on the atom, and the atoms
-    as their columns."""
+    every index array that does not depend on the atom."""
 
-    table: np.ndarray                                   # the index table: table[a, b] = a b
-    atoms: tuple[tuple[np.ndarray, complex], ...]       # (table[:, z], weight) per atom, in atom order
-    averaged: tuple[tuple[int, np.ndarray, bool | None], ...]  # (sign, head, swap), see compile_terms
-    plain: tuple[tuple[int, np.ndarray], ...]           # (sign, idx[x, y])
+    table: np.ndarray                                # the index table: table[a, b] = a b
+    mu: DiracMeasure | None                          # the measure the averaged words read
+    middle: tuple[tuple[int, np.ndarray, bool], ...]  # (sign, values of a, swap) per word a t b
+    plain: tuple[tuple[int, np.ndarray, bool], ...]   # (sign, idx[x, y], averaged) per word a b or a b t
 
 
 def compile_terms(eq: Equation, sg: FiniteSemigroup, sigma: InvolutiveMorphism | None,
@@ -323,18 +325,17 @@ def compile_terms(eq: Equation, sg: FiniteSemigroup, sigma: InvolutiveMorphism |
     already checked by bind_inputs.
 
     A word a b (see Term) is the row gather table[a, b]: its rows are the
-    values of a, transposed when a lies on the y axis. An averaged term
-    is a weighted sum of right translates: f(a b t) at the atom z is
-    (f o R_z)(a b), and f o R_z = f[table[:, z]] has n values, so a b t
-    compiles to the index array of a b alone (swap None), gathered
-    through each atom's column. a t b compiles to the values of a and
-    swap: at z it is the same row gather of G = f[table], by the rows
-    table[a, z]."""
+    values of a, transposed when a lies on the y axis (swap). A word
+    a b t averages to (R_mu f)(a b), for the right transform
+    R_mu f(x) = integral f(x t) dmu(t), so it compiles to the index array
+    of a b, marked averaged, and is read through R_mu f. A word a t b
+    compiles to the values of a and swap: at the atom z it is the same
+    row gather of G = f[table], by the rows table[a, z]."""
     table = sg.index_table
     letters = {"x": np.arange(sg.n), "y": np.arange(sg.n)}
     if sigma is not None:
         letters["s"] = np.asarray(sigma.map)
-    averaged, plain = [], []
+    middle, plain = [], []
     for term in eq.terms:
         at, ab = term.word.find("t"), term.word.replace("t", "", 1)
         if not (len(ab) == 2 and at in (-1, 1, 2) and ab[0] in "xys" and ab[1] in "xy"
@@ -342,15 +343,10 @@ def compile_terms(eq: Equation, sg: FiniteSemigroup, sigma: InvolutiveMorphism |
             raise ValueError(f"cannot compile the word '{term.word}'")
         rows, swap = letters[ab[0]], ab[0] != "x"
         if at == 1:
-            averaged.append((term.sign, rows, swap))
-            continue
-        idx = np.ascontiguousarray(_rows(table, rows, swap))  # take copies a strided index per call
-        if at == 2:
-            averaged.append((term.sign, idx, None))
-        else:
-            plain.append((term.sign, idx))
-    atoms = tuple((table[:, p], w) for p, w in mu.atoms) if averaged else ()
-    return CompiledTerms(table, atoms, tuple(averaged), tuple(plain))
+            middle.append((term.sign, rows, swap))
+        else:  # take copies a strided index per call
+            plain.append((term.sign, np.ascontiguousarray(_rows(table, rows, swap)), at == 2))
+    return CompiledTerms(table, mu, tuple(middle), tuple(plain))
 
 
 def _rows(grid: np.ndarray, rows: np.ndarray, swap: bool) -> np.ndarray:
@@ -359,63 +355,49 @@ def _rows(grid: np.ndarray, rows: np.ndarray, swap: bool) -> np.ndarray:
     return out.swapaxes(-1, -2) if swap else out
 
 
-def _gather_terms(terms: CompiledTerms, f: np.ndarray):
-    """f at every compiled term, grouped as a pointwise loop sums them:
-    per atom, in atom order, its weight and the (sign, values) of the
-    averaged terms; then None and those of the plain terms. The values
-    are gathered one at a time as a group is read, each a fresh array
-    of shape (..., n, n) for f of shape (..., n); with f = np.arange(n)
-    they are the terms' index arrays idx[x, y].
-
-    take(axis=-1) gathers as f[..., idx] does; numpy's indexing has a
-    fast path for one axis only, and is slower with the ellipsis."""
-    G = None
-    if any(swap is not None for _, _, swap in terms.averaged):
-        G = f.take(terms.table, axis=-1)  # G[..., a, b] = f(a b)
-
-    def averaged(col: np.ndarray, h: np.ndarray):
-        for sign, head, swap in terms.averaged:
-            yield sign, h.take(head, axis=-1) if swap is None else _rows(G, col.take(head), swap)
-
-    for col, w in terms.atoms:
-        yield w, averaged(col, f.take(col, axis=-1))  # f o R_z
-    if terms.plain:
-        yield None, ((sign, f.take(idx, axis=-1)) for sign, idx in terms.plain)
-
-
-def _group_sum(w: complex | None, values) -> np.ndarray:
-    """The signed values of one group summed left to right in the first
-    of them, then weighted in place; the others are freed as they are
-    added, so at most two are alive."""
+def _signed_sum(values) -> np.ndarray:
+    """The (sign, values) pairs, each values a fresh array, summed left to
+    right in the first of them; the others are freed as they are added,
+    so at most two are alive."""
     sign, acc = next(values)
     if sign < 0:
         np.negative(acc, out=acc)
     for sign, v in values:
         (np.add if sign > 0 else np.subtract)(acc, v, out=acc)
-    return acc if w is None else _cmul(w, acc, out=acc)
+    return acc
+
+
+def _linear(terms: CompiledTerms, f: np.ndarray) -> np.ndarray:
+    """The compiled terms summed at every pair for f of shape (..., n),
+    a grid of shape (..., n, n), each cell rounded as for one function
+    alone: per atom, the words a t b summed and weighted in place; then
+    the words a b and a b t summed, a b t read from rt = R_mu f (once
+    per call, atoms in order). take(axis=-1) gathers as f[..., idx]
+    does; numpy's indexing is slower with the ellipsis."""
+    table, grid = terms.table, None
+    if terms.middle:
+        G = f.take(table, axis=-1)  # G[..., a, b] = f(a b)
+        for p, w in terms.mu.atoms:
+            col = table[:, p]
+            group = _signed_sum((sign, _rows(G, col.take(rows), swap)) for sign, rows, swap in terms.middle)
+            group = _cmul(w, group, out=group)
+            grid = group if grid is None else np.add(grid, group, out=grid)
+    if terms.plain:
+        rt = _right_sum(table, f, terms.mu) if any(avg for _, _, avg in terms.plain) else None
+        group = _signed_sum((sign, (rt if avg else f).take(idx, axis=-1)) for sign, idx, avg in terms.plain)
+        grid = group if grid is None else np.add(grid, group, out=grid)
+    if grid is None:  # a measure without atoms averages every word a t b to 0
+        grid = np.zeros(f.shape + f.shape[-1:], dtype=complex)
+    return grid
 
 
 # Overflow and NaN surface as a NonFiniteResidual from the sup, not as warnings.
 @np.errstate(over="ignore", invalid="ignore")
 def _defect(eq: Equation, terms: CompiledTerms, f: np.ndarray, g: np.ndarray | None) -> np.ndarray:
-    """The defect of eq at every pair, its terms compiled by
-    compile_terms, summed in the order a pointwise loop would: per atom
-    the signed terms left to right, weighted, then each product
-    subtracted. The sums and the weighting run in place in the fresh
-    gathered arrays (see _group_sum), so only the sign of a zero can
-    differ from the loop's.
-
-    The functions lie on the last axis: a stack of shape (..., n) gives
-    grids of shape (..., n, n), each cell rounded as it is for one
-    function alone, since every step acts elementwise."""
-    grid = None
-    for w, values in _gather_terms(terms, f):
-        if grid is None:
-            grid = _group_sum(w, values)
-        else:
-            grid += _group_sum(w, values)
-    if grid is None:  # a measure without atoms averages every term to 0
-        grid = np.zeros(f.shape + f.shape[-1:], dtype=complex)
+    """The defect of eq at every pair: its linear part (_linear), then
+    each product subtracted. The functions lie on the last axis, as in
+    _linear."""
+    grid = _linear(terms, f)
     at = {"fx": f[..., :, None], "fy": f[..., None, :]}
     if g is not None:
         at.update(gx=g[..., :, None], gy=g[..., None, :])
@@ -575,11 +557,14 @@ def identity_battery(sg: FiniteSemigroup, f: Sequence[complex], sigma: Involutiv
     mean = integrate(arr, mu)
     sups = _sup_terms(sg, arr, sigma, mu, mean)
     pair = _sup(np.array([sups.pair_plain, sups.pair_twist]))
+    amean = _modulus(mean)
+    if not math.isfinite(amean):
+        raise NonFiniteResidual("battery mean is not finite (overflow or non-finite input)")
 
     eq = tol.eq_tol
     items = [
         BatteryItem("1_sigma_odd", sups.odd, False, sups.odd <= eq),
-        BatteryItem("2_nonzero_mean", float(abs(mean)), True, abs(mean) > eq),
+        BatteryItem("2_nonzero_mean", amean, True, amean > eq),
         BatteryItem("3_cross_antisym", sups.cross, False, sups.cross <= eq),
         BatteryItem("4_twisted_double_mean", sups.twisted, False, sups.twisted <= eq),
         BatteryItem("5_double_mean", sups.plain, False, sups.plain <= eq),

@@ -98,16 +98,22 @@ def _check_points(mu: DiracMeasure, n: int) -> None:
             raise PointOutOfRange(point, n)
 
 
-def check_function(sg: FiniteSemigroup, f: Sequence[complex]) -> np.ndarray:
-    """Coerce f to a complex vector of length sg.n. Its values must be
-    numbers but bools; a numpy array's dtype must be an integer, float
-    or complex one."""
+def _numbers(f: Sequence[complex], n: int | None = None) -> np.ndarray:
+    """f as a complex array. Its values must be numbers but bools
+    (BadParams): a numpy array is checked by its dtype, which must be an
+    integer, float or complex one, anything else value by value. With n,
+    f must first be a vector of n values (LengthMismatch)."""
     values = f if isinstance(f, np.ndarray) else np.asarray(f, dtype=object)
-    if values.ndim != 1 or len(values) != sg.n:
-        raise LengthMismatch(int(values.size), sg.n)
-    if not (values.dtype.kind in "iufc" if values is f else all(map(_is_number, values))):
+    if n is not None and (values.ndim != 1 or len(values) != n):
+        raise LengthMismatch(int(values.size), n)
+    if not (values.dtype.kind in "iufc" if values is f else all(map(_is_number, values.flat))):
         raise BadParams("function values must be numbers")
     return values.astype(complex, copy=False)
+
+
+def check_function(sg: FiniteSemigroup, f: Sequence[complex]) -> np.ndarray:
+    """Coerce f to a complex vector of length sg.n (see _numbers)."""
+    return _numbers(f, sg.n)
 
 
 def integrate(f: Sequence[complex], mu: DiracMeasure) -> complex:
@@ -165,11 +171,12 @@ def right_transform(sg: FiniteSemigroup, f: Sequence[complex], mu: DiracMeasure)
 
 
 def _right_sum(table: np.ndarray, arr: np.ndarray, mu: DiracMeasure) -> np.ndarray:
-    """right_transform of a checked complex vector arr under a measure
-    whose points are checked: one column gather per atom, in atom order."""
-    out = np.zeros(len(arr), dtype=complex)
+    """right_transform of checked complex values arr, of shape (..., n),
+    under a measure whose points are checked: one column gather per atom,
+    in atom order."""
+    out = np.zeros(arr.shape, dtype=complex)
     for p, w in mu.atoms:
-        out += _cmul(w, arr[table[:, p]])
+        out += _cmul(w, arr.take(table[:, p], axis=-1))
     return out
 
 

@@ -19,7 +19,7 @@ from .characters import Character, character_to_scalar, characters_cached
 from .equations import (
     EQUATIONS,
     Equation,
-    _gather_terms,
+    _linear,
     _row_sups,
     bind_inputs,
     closed_form_slack,
@@ -334,16 +334,12 @@ def _defect_operator(eq: Equation, sg: FiniteSemigroup, sigma: InvolutiveMorphis
                      mu: DiracMeasure | None, starts: int) -> _QuadraticDefect:
     """The defect of an equation with a closed form, for a call at starts
     starts, on inputs bind_inputs has checked. Its linear part L (n^2 x n)
-    reads the description the residual grids gather f through: gathered
-    at f = np.arange(n), each term gives its index array, and each atom's
-    weights are added into L cell by cell, term by term, in atom order."""
+    is the residual grids' own, read at the unit vectors: row (x, y) of
+    L holds the linear part at (x, y) of each e_k. It is added into zeros,
+    which keeps L C-ordered and clears the sign of every zero."""
     n = sg.n
-    rows = np.arange(n * n)
     L = np.zeros((n * n, n), dtype=complex)
-    for w, terms in _gather_terms(compile_terms(eq, sg, sigma, mu), np.arange(n)):
-        weight = 1.0 if w is None else w
-        for sign, idx in terms:
-            L[rows, idx.ravel()] += weight if sign > 0 else -weight
+    L += _linear(compile_terms(eq, sg, sigma, mu), np.eye(n, dtype=complex)).reshape(n, n * n).T
     return _QuadraticDefect(L, eq.products[0].coef, starts)
 
 

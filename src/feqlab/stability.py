@@ -27,6 +27,7 @@ from .measures import (
     DEFAULT_TOL,
     DiracMeasure,
     ToleranceConfig,
+    _numbers,
     measure_norm,
 )
 from .semigroups import FiniteSemigroup, InvolutiveMorphism
@@ -104,11 +105,12 @@ def perturb(f: Sequence[complex], radius: float, seed) -> np.ndarray:
 
     seed may be an int or a tuple of ints (the entropy of the PCG64
     stream np.random.default_rng draws from), so campaigns can split
-    substreams per trial.
+    substreams per trial. The values of f must be numbers, as for
+    measures.check_function.
     """
     if not radius >= 0:
         raise BadParams("radius must be nonnegative")
-    arr = np.asarray(f, dtype=complex)
+    arr = _numbers(f)
     return arr + _polydisk(seed, radius, arr.shape)
 
 
@@ -133,10 +135,13 @@ def _rounding_slack(sup_f: float, mu_norm: float, atoms: int) -> float:
       sup: sup_f <= (1 + 2 eps) M.
       norm: k hypots (Python's abs) and k - 1 sums, so
         m <= (1 + 2k eps) mu_norm.
-      defect: a cell sums k terms w (f(a) - f(b)), each within 3u of
-        |w| (|f(a)| + |f(b)|) per component, less 2 f(x) f(y), within 2u
-        of 2|f(x)||f(y)|, with k more roundings: it is off by at most
-        E = sqrt(2) (k + 3) u (2 m M + 2 M^2) = sqrt(2) (k + 3) eps M (M + m).
+      defect: a cell is rt(sigma(y) x) - rt(x y) - 2 f(x) f(y). Per
+        component, a value rt(a) of the right transform sums k products
+        w f(a t), each within 2u of |w| |f(a t)|, in k - 1 roundings, so
+        it is within (k + 1) u m M; the difference adds 2u m M,
+        2 f(x) f(y) is within 4u M^2 and the last difference adds
+        u (2 m M + 2 M^2): (2k + 6) u m M + 6u M^2 in all, so the cell is
+        off by at most E = sqrt(2) (k + 3) eps M (M + m).
         With the modulus, d <= (1 + 2 eps) delta + E.
       bound: a product, a sum, a sqrt and a sum, so B(delta, mu_norm)
         <= (1 + 2 eps) bound.

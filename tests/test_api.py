@@ -138,13 +138,13 @@ def test_cli_digest_matrix_and_its_calls(tmp_path, monkeypatch):
     tool = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tool)
     argvs = tool.calls()
-    assert len(argvs) == 4856
-    assert Counter(argv[0] for argv in argvs) == {"solve": 784, "oracle": 784, "verify": 3160, "stability": 112,
+    assert len(argvs) == 5548
+    assert Counter(argv[0] for argv in argvs) == {"solve": 896, "oracle": 896, "verify": 3612, "stability": 128,
                                                   "validate": 8, "analyze": 8}
     # --force on S3 with the inversion, once per measure with and without
     # --battery; a transposition mass is not central, so its report is marked
     forced = [argv for argv in argvs if "--force" in argv]
-    assert len(forced) == 12 and Counter(argv[argv.index("--mu") + 1] for argv in forced) == \
+    assert len(forced) == 14 and Counter(argv[argv.index("--mu") + 1] for argv in forced) == \
         dict.fromkeys(tool.MEASURES, 2)
     tool.write_inputs(tmp_path)
     monkeypatch.chdir(tmp_path)

@@ -7,6 +7,7 @@ import contextlib
 import dataclasses
 import io
 import json
+import sys
 import warnings
 
 import pytest
@@ -813,6 +814,24 @@ class TestNonFiniteInputs:
         code, out, err = run(capsys, *argv, "--battery")
         assert code == 2 and out == ""
         assert "structural error" in err and "not finite" in err
+
+    def test_overflowing_battery_mean_exit_2(self, capsys, tmp_path):
+        # every battery term is 0 on the null semigroup, but the modulus of
+        # the mean (M + Mi) 0.8 exceeds the largest float M (exit 70 before)
+        top = sys.float_info.max
+        paths = {}
+        for flag, obj in (("sg", {"n": 2, "table": [[0, 0], [0, 0]]}),
+                          ("sigma", {"map": [0, 1], "kind": "auto"}),
+                          ("mu", {"atoms": [{"point": 1, "w": [top, top]}]}),
+                          ("f", {"values": [[0, 0], [0.8, 0]]})):
+            paths[flag] = tmp_path / f"{flag}.json"
+            paths[flag].write_text(json.dumps(obj))
+        argv = ["verify", "--eq", "vanvleck"] + [a for flag, path in paths.items()
+                                                 for a in (f"--{flag}", str(path))]
+        assert run(capsys, *argv)[0] == 1
+        code, out, err = run(capsys, *argv, "--battery")
+        assert code == 2 and out == ""
+        assert err == "structural error: battery mean is not finite (overflow or non-finite input)\n"
 
     @pytest.mark.parametrize("argv, n, weight, expected", [
         # ||mu|| = |w| exceeds the largest float, though both parts are finite

@@ -354,8 +354,11 @@ class TestReportShape:
 
 
 def _pointwise(sg, sigma, mu, f, g):
-    """Every law's defect evaluated cell by cell with scalar arithmetic,
-    atoms accumulated in order: the rounding the grids must reproduce."""
+    """Every law's defect grid evaluated cell by cell with scalar
+    arithmetic: the rounding the grids must reproduce. A middle word
+    a t b is averaged per cell, atoms accumulated in order; a trailing
+    word a b t reads the right transform rt at a b, each of its values
+    accumulated over the atoms in order."""
     t, s = sg.mul, sigma.map
 
     def avg(term):
@@ -364,27 +367,21 @@ def _pointwise(sg, sigma, mu, f, g):
             acc += w * term(p)
         return acc
 
+    rt = [avg(lambda p: f[t(a, p)]) for a in range(sg.n)]
     laws = {
-        "vanvleck": lambda x, y: avg(lambda p: f[t(t(s[y], x), p)] - f[t(t(x, y), p)])
-        - 2.0 * f[x] * f[y],
+        "vanvleck": lambda x, y: rt[t(s[y], x)] - rt[t(x, y)] - 2.0 * f[x] * f[y],
         "dalembert_variant": lambda x, y: f[t(x, y)] + f[t(s[y], x)] - 2.0 * f[x] * f[y],
         "integral_dalembert": lambda x, y: avg(lambda p: f[t(t(x, p), y)] + f[t(t(s[y], p), x)])
         - 2.0 * f[x] * f[y],
-        "corollary33": lambda x, y: avg(lambda p: f[t(t(x, y), p)] + f[t(t(s[y], x), p)])
-        - 2.0 * f[x] * f[y],
+        "corollary33": lambda x, y: rt[t(x, y)] + rt[t(s[y], x)] - 2.0 * f[x] * f[y],
         "spherical": lambda x, y: avg(lambda p: f[t(t(x, p), y)]) - f[x] * f[y],
-        "spherical_right": lambda x, y: avg(lambda p: f[t(t(x, y), p)]) - f[x] * f[y],
+        "spherical_right": lambda x, y: rt[t(x, y)] - f[x] * f[y],
         "sine_addition": lambda x, y: f[t(x, y)] - f[x] * g[y] - f[y] * g[x],
         "wilson_variant": lambda x, y: f[t(x, y)] + f[t(s[y], x)] - 2.0 * f[x] * g[y],
         "middle_commutation": lambda x, y: avg(lambda p: f[t(t(x, p), y)] - f[t(t(y, p), x)]),
     }
-    out = {}
-    for name, law in laws.items():
-        grid = np.array([[law(x, y) for y in range(sg.n)] for x in range(sg.n)])
-        mags = np.abs(grid)
-        flat = int(np.argmax(mags))
-        out[name] = (float(mags.flat[flat]), divmod(flat, sg.n))
-    return out
+    return {name: np.array([[law(x, y) for y in range(sg.n)] for x in range(sg.n)])
+            for name, law in laws.items()}
 
 
 class TestRegistryGrids:
@@ -438,10 +435,15 @@ class TestRegistryGrids:
         assert_registry_is_pointwise(c4, sigma_neg, DiracMeasure(()), f, g)
 
 
+# The laws of _pointwise by name.
+REGISTRY_LAWS = {**EQUATIONS, "spherical_right": SPHERICAL_RIGHT, "middle_commutation": MIDDLE_COMMUTATION}
+
+
 def assert_registry_is_pointwise(sg, sigma, mu, f, g):
-    """Every registry report, through the public residual functions,
-    against _pointwise: the same sup and argmax, to the bit. vanvleck
-    runs with force=True, so mu need not be central."""
+    """Every registry law against _pointwise, to the bit: its whole
+    defect grid, and the sup and argmax of its report through the public
+    residual functions. vanvleck runs with force=True, so mu need not be
+    central."""
     reports = {
         "vanvleck": residual_vanvleck(sg, f, sigma, mu, force=True),
         "dalembert_variant": residual_dalembert(sg, f, sigma),
@@ -453,9 +455,14 @@ def assert_registry_is_pointwise(sg, sigma, mu, f, g):
         "wilson_variant": residual_wilson(sg, f, g, sigma),
         "middle_commutation": residual(MIDDLE_COMMUTATION, sg, f, mu=mu),
     }
-    for name, (top, arg) in _pointwise(sg, sigma, mu, f, g).items():
-        assert reports[name].max_abs == top, name
-        assert reports[name].argmax == arg, name
+    for name, want in _pointwise(sg, sigma, mu, f, g).items():
+        eq = REGISTRY_LAWS[name]
+        grid = _defect(eq, compile_terms(eq, sg, sigma, mu), f, g if eq.uses_g else None)
+        assert np.array_equal(grid, want), name
+        mags = np.abs(want)
+        flat = int(np.argmax(mags))
+        assert reports[name].max_abs == mags.flat[flat], name
+        assert reports[name].argmax == divmod(flat, sg.n), name
 
 
 class TestStackedDefect:

@@ -763,22 +763,32 @@ def word_at(sg, word, letters):
 
 def words_operator(eq, sg, sigma, mu):
     """The linear part L (n^2 x n) of eq's defect, built cell by cell from
-    its words with sg.mul: per cell, each atom in order adds its signed
-    weight at the element each averaged word evaluates to, then each
-    plain word adds its sign. The order in which the oracle's operator
-    must add them, so the two agree bit for bit."""
+    its words with sg.mul: per cell, each atom in order adds its weight
+    times the signs of the middle words (a t b) at the elements they
+    evaluate to; then the plain (a b) and trailing (a b t) words add
+    their signs left to right, a trailing word the sum, atom by atom, of
+    the weights at the elements it evaluates to. The order in which the
+    oracle's operator must add them, so the two agree bit for bit."""
     n = sg.n
     L = np.zeros((n * n, n), dtype=complex)
-    averaged = [term for term in eq.terms if "t" in term.word]
-    plain = [term for term in eq.terms if "t" not in term.word]
+    middle = [term for term in eq.terms if term.word[1:2] == "t"]
+    rest = [term for term in eq.terms if term.word[1:2] != "t"]
     for x in range(n):
         for y in range(n):
             letters = {"x": x, "y": y, "s": None if sigma is None else sigma.map[y]}
-            for p, w in mu.atoms if averaged else ():
-                for term in averaged:
-                    L[x * n + y, word_at(sg, term.word, {**letters, "t": p})] += w if term.sign > 0 else -w
-            for term in plain:
-                L[x * n + y, word_at(sg, term.word, letters)] += 1.0 if term.sign > 0 else -1.0
+            for p, w in mu.atoms if middle else ():
+                signs = np.zeros(n)
+                for term in middle:
+                    signs[word_at(sg, term.word, {**letters, "t": p})] += term.sign
+                L[x * n + y] += signs * w
+            for term in rest:
+                values = np.zeros(n, dtype=complex)
+                if "t" in term.word:
+                    for p, w in mu.atoms:
+                        values[word_at(sg, term.word, {**letters, "t": p})] += w
+                else:
+                    values[word_at(sg, term.word, letters)] = 1.0
+                L[x * n + y] += term.sign * values
     return L
 
 

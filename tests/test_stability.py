@@ -120,6 +120,20 @@ class TestPerturb:
         assert np.array_equal(perturb(base, 0.5, seed=(4, 2, 1)), perturb(base, 0.5, seed=(4, 2, 1)))
         assert not np.array_equal(perturb(base, 0.5, seed=11), perturb(base, 0.5, seed=12))
 
+    @pytest.mark.parametrize("f", [
+        ["0", "1"], [True, False], [None, 1.0], np.array([True, False]), np.array(["0", "1"]),
+        np.array([0, 1], dtype=object),
+    ], ids=["strings", "bools", "none", "bool_array", "string_array", "object_array"])
+    def test_refuses_non_numbers(self, f):
+        # the strings and bools were read as numbers, as check_function read them before
+        with pytest.raises(BadParams, match="^function values must be numbers$"):
+            perturb(f, 0.0, 1)
+
+    def test_numbers_of_any_kind(self):
+        for f in ([0, 1.5, 2j, np.float32(3)], np.arange(4), np.arange(4, dtype=np.complex64)):
+            out = perturb(f, 0.0, 1)
+            assert out.dtype == complex and np.array_equal(out, np.asarray(f, dtype=complex))
+
     @pytest.mark.parametrize("seed", [0, 42, (42, 7), (42, 7, 1), (0, 999, 1)])
     def test_stream_is_explicit_pcg64(self, sine, seed):
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))

@@ -6,9 +6,11 @@ feqlab from the checkout's own src/) and compare the printed lines: the
 call count, the sha256 and the exit codes are equal when every call
 gives the same exit code, stdout and stderr.
 
-The fixtures are the bundle of `feqlab fixtures` plus three measures: a
-complex pair, 0 delta_9 (out of range on every bundled table) and one
-without atoms; and a function of six values. The calls run in process,
+The fixtures are the bundle of `feqlab fixtures` plus four measures: a
+complex pair, a pair on 0 and 1 whose complex weights are not dyadic
+(so a change in the order in which a mean is rounded shows), 0 delta_9
+(out of range on every bundled table) and one without atoms; and a
+function of six values. The calls run in process,
 from the fixture directory, so argv holds only file names. They are
 `solve`, `oracle --starts 30` and `verify` (both function fixtures, with
 and without `--battery`) for every tag x table x (no sigma or each
@@ -48,6 +50,7 @@ TABLES = ("c4.sg.json", "s3.sg.json", "null2.sg.json", "leftzero2.sg.json")
 SIGMAS = ("c4_negation.sigma.json", "c4_identity.sigma.json", "s3_inversion.sigma.json")
 EXTRA_MEASURES = {
     "complex_pair.mu.json": {"atoms": [{"point": 1, "w": [0.5, -0.25]}, {"point": 3, "w": [0.5, 0.25]}]},
+    "nondyadic_pair.mu.json": {"atoms": [{"point": 0, "w": [-0.56, -0.76]}, {"point": 1, "w": [0.78, -0.76]}]},
     "zero_at_9.mu.json": {"atoms": [{"point": 9, "w": [0.0, 0.0]}]},
     "no_atoms.mu.json": {"atoms": []},
 }
