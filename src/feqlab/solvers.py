@@ -54,6 +54,11 @@ ZERO_ROOT_CUTOFF = 1e-3
 # to a closed-form solution within ORACLE_TOL.
 DEDUP_TOL = 1e-7
 ORACLE_TOL = 1e-6
+# A point with sup|f| at or below ZERO_VALLEY can neither be reported nor
+# lie within DEDUP_TOL of a reported root, with a margin for rounding
+# (see _reported_roots), so a start there cannot change the oracle's
+# report and counts as settled.
+ZERO_VALLEY = ZERO_ROOT_CUTOFF - 2 * DEDUP_TOL
 
 
 @dataclass(frozen=True)
@@ -369,6 +374,14 @@ def newton_oracle(sg: FiniteSemigroup, equation: str,
     masked copy. The state is C-ordered on purpose: numpy's vectorized
     complex multiply rounds strided operands apart from contiguous ones
     (see measures._cmul), so the layout fixes the bits of every root.
+    The loop stops after 80 steps, or once every start is settled: its
+    cost is at most 1e-26 (converged), its damping has reached 1e13
+    (stalled), or its sup |f| is at most ZERO_VALLEY, where
+    _reported_roots drops it. No start can then change the report, so
+    the starts sinking into the zero valley at Gauss-Newton's linear
+    rate at a singular root are not iterated to 1e-26. A settled start
+    keeps stepping while any other start runs, so a start that only
+    passes near 0 goes on as it did under the first two rules.
     Converged roots (defect <= ORACLE_TOL) are clustered at DEDUP_TOL,
     each cluster is represented by its best member, near-zero roots are
     dropped (ZERO_ROOT_CUTOFF), and the result is sorted canonically.
@@ -413,7 +426,7 @@ def newton_oracle(sg: FiniteSemigroup, equation: str,
         lam *= np.where(better, 0.4, 10.0)
         np.maximum(lam, 1e-12, out=lam)
         np.minimum(lam, 1e14, out=lam)
-        if ((cost <= 1e-26) | (lam >= 1e13)).all():
+        if ((cost <= 1e-26) | (lam >= 1e13) | (np.max(np.abs(F), axis=0) <= ZERO_VALLEY)).all():
             break
 
     return _reported_roots(F.T, np.max(np.abs(r), axis=0), scale)
@@ -435,12 +448,14 @@ def _reported_roots(F: np.ndarray, res_inf: np.ndarray, scale: float) -> list[np
     sorted canonically.
 
     A row within DEDUP_TOL of a row above ZERO_ROOT_CUTOFF has sup >
-    ZERO_ROOT_CUTOFF - DEDUP_TOL. So the rows below that, with a margin
-    for rounding, can neither be reported nor decide whether a row above
-    the cutoff is a head, and are dropped before clustering.
+    ZERO_ROOT_CUTOFF - DEDUP_TOL. So the rows at or below ZERO_VALLEY,
+    that bound less another DEDUP_TOL for rounding, can neither be
+    reported nor decide whether a row above the cutoff is a head, and
+    are dropped before clustering. newton_oracle's loop reads the same
+    bound: a start at or below it is settled.
     """
     sup = np.max(np.abs(F), axis=1)
-    kept = np.flatnonzero((res_inf <= ORACLE_TOL) & (sup > ZERO_ROOT_CUTOFF - 2 * DEDUP_TOL))
+    kept = np.flatnonzero((res_inf <= ORACLE_TOL) & (sup > ZERO_VALLEY))
     order = sorted(kept, key=lambda i: (float(res_inf[i]), i))
     clusters = _cluster_heads(F[order], DEDUP_TOL)
     roots = [vec * scale for vec in clusters if float(np.max(np.abs(vec))) > ZERO_ROOT_CUTOFF]

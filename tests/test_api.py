@@ -172,9 +172,11 @@ def test_oracle_digest_matrix_and_its_calls():
     assert sum(label.startswith("census ") for label, _, _ in matrix) == 494
     reported_roots = solvers._reported_roots
     picked = [call for call in matrix if call[0].startswith("C4 vanvleck ")] + matrix[:2]
-    count, sha = tool.digest(picked)
-    assert count == 5 and tool.digest(picked)[1] == sha and len(sha) == 64
+    count, sha, roots, counts = tool.digest(picked)
+    assert count == 5 and tool.digest(picked) == (count, sha, roots, counts) and len(sha) == len(counts) == 64
+    assert roots == 3  # C4's sine solution at each of the three seeds
     assert solvers._reported_roots is reported_roots
-    # one more start moves the digest
+    # one more start moves the state digest, not the root counts
     label, args, kwargs = picked[0]
-    assert tool.digest([(label, args, {**kwargs, "starts": 201})])[1] != tool.digest(picked[:1])[1]
+    moved, alone = tool.digest([(label, args, {**kwargs, "starts": 201})]), tool.digest(picked[:1])
+    assert moved[1] != alone[1] and moved[2:] == alone[2:] and alone[2] == 1

@@ -5,10 +5,12 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import importlib.util
 import io
 import json
 import sys
 import warnings
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -1019,3 +1021,22 @@ class TestFuzz:
             json.loads(out.getvalue())
         else:
             assert out.getvalue() == ""
+
+
+class TestSeededFuzz:
+    def test_every_command_keeps_the_exit_code_contract(self):
+        """150 seeded calls of tools/cli_fuzz.py, with extreme weights and
+        values, keep its rules: a documented exit code other than 70, no
+        VIOLATION, and only the one-line message on stderr. Longer runs:
+        python3 tools/cli_fuzz.py --seed S --calls N."""
+        path = Path(__file__).resolve().parents[1] / "tools" / "cli_fuzz.py"
+        spec = importlib.util.spec_from_file_location("cli_fuzz", path)
+        tool = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tool)
+        exits, failures = tool.fuzz(0, 150)
+        assert failures == []
+        assert sum(exits.values()) == 150
+        assert {code for _, code in exits} <= DOCUMENTED_CODES - {70}
+        assert {command for command, _ in exits} == {*FILE_FLAGS, "fixtures"}
+        # the oracle and the campaign ran to a report, not only to an error
+        assert exits["oracle", 0] and exits["stability", 0]

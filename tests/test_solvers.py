@@ -66,6 +66,7 @@ from feqlab.solvers import (
     DEDUP_TOL,
     ORACLE_TOL,
     ZERO_ROOT_CUTOFF,
+    ZERO_VALLEY,
     _QuadraticDefect,
     _cluster_heads,
     _defect_operator,
@@ -926,7 +927,11 @@ def jacobian_oracle(sg, eq, sigma, mu, starts, seed):
     residual recomputed at the top of each iteration and every converged
     row clustered: the reference for the closed-form normal equations
     and the cutoff filter. Like the oracle it solves for mu / ||mu|| and
-    scales the roots back (every witness measure has a positive norm)."""
+    scales the roots back (every witness measure has a positive norm).
+    It keeps the oracle's first stop rule on purpose: it runs until every
+    start has converged or stalled, also those in the zero valley, so
+    matching its roots shows that stopping once the rest sit at or below
+    ZERO_VALLEY loses no root."""
     n = sg.n
     scale = measure_norm(mu) if mu is not None else 1.0
     if mu is not None:
@@ -1036,8 +1041,9 @@ def fresh_oracle_state(sg, tag, sigma, mu, starts, seed):
     """The final (F, res_inf) that newton_oracle hands to _reported_roots,
     from its loop as it stood with starts on the last axis and fresh
     arrays at every step (three np.where per step), started from a
-    C-ordered copy of the polydisk points: the bit reference for the
-    loop that works in place."""
+    C-ordered copy of the polydisk points, and stopped once every start
+    has converged, stalled or come to sup |f| <= ZERO_VALLEY: the bit
+    reference for the loop that works in place."""
     eq = closed_form_equation(tag)
     mu, _ = bind_inputs(eq, sg, sigma, mu, hypotheses=())
     norm = 1.0 if mu is None else measure_norm(mu)
@@ -1057,7 +1063,7 @@ def fresh_oracle_state(sg, tag, sigma, mu, starts, seed):
         r = np.where(better, r_try, r)
         cost = np.where(better, cost_try, cost)
         lam = np.where(better, np.maximum(lam * 0.4, 1e-12), np.minimum(lam * 10.0, 1e14))
-        if np.all((cost <= 1e-26) | (lam >= 1e13)):
+        if np.all((cost <= 1e-26) | (lam >= 1e13) | (np.max(np.abs(F), axis=0) <= ZERO_VALLEY)):
             break
     return F.T, np.max(np.abs(r), axis=0)
 
@@ -1112,6 +1118,42 @@ class TestOracleBits:
                 F, res_inf = seen[0]
                 F_ref, res_ref = fresh_oracle_state(sg, tag, sigma, mu, starts, seed)
                 assert np.array_equal(F, F_ref) and np.array_equal(res_inf, res_ref), (name, seed)
+
+
+class TestOracleStop:
+    def test_zero_valley_starts_settle_the_census_loop(self, monkeypatch):
+        """On an order-3 census table, swept as the census is, every call
+        stops within 13 steps (25 when the valley starts had to reach cost
+        1e-26), and every start it hands to _reported_roots has converged
+        or lies at or below ZERO_VALLEY. None can have stalled: lam grows
+        from 1e-3 by at most 10 a step, so 13 steps leave it below 1e13."""
+        census = next(sg for sg in enumerate_all_semigroups(3) if sg.table == ((0, 1, 1), (1, 1, 1), (1, 1, 2)))
+        steps, seen = [], []
+
+        def count(M):
+            steps[-1] += 1
+            return _gauss_jordan(M)
+
+        def record(F, res_inf, scale=1.0):
+            seen.append(F.copy())
+            return _reported_roots(F, res_inf, scale)
+
+        monkeypatch.setattr("feqlab.solvers._gauss_jordan", count)
+        monkeypatch.setattr("feqlab.solvers._reported_roots", record)
+        eq = EQUATIONS["vanvleck"]
+        for kind in MorphismKind:
+            for sigma in enumerate_involutive_morphisms(census, kind):
+                for z in center(census):
+                    mu = DiracMeasure.point_mass(z)
+                    steps.append(0)
+                    seen.clear()
+                    newton_oracle(census, "vanvleck", sigma, mu, starts=120, seed=0)
+                    assert 0 < steps[-1] <= 13, (sigma.map, z, steps[-1])
+                    F = seen[0].T
+                    r = _defect_operator(eq, census, sigma, mu, 120).residuals(F, np.empty((9, 120), complex))
+                    converged = np.sum(np.abs(r) ** 2, axis=0) <= 1e-26
+                    assert (converged | (np.max(np.abs(F), axis=0) <= ZERO_VALLEY)).all(), (sigma.map, z)
+        assert len(steps) == 12
 
 
 class TestOracleWorkspace:

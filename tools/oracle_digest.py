@@ -2,9 +2,13 @@
 matrix of calls, to show that a change keeps every bit of the oracle.
 
 Run `python3 tools/oracle_digest.py` in each of two checkouts (it imports
-feqlab from the checkout's own src/) and compare the printed lines: the
-call count and the sha256 are equal when every call returns the same
-roots and ends in the same state.
+feqlab from the checkout's own src/) and compare the printed lines. On
+the first, the call count and the sha256 are equal when every call
+returns the same roots and ends in the same state. The second holds the
+total root count and a sha256 over each call's label and root count: it
+stays equal when a change moves only the bits of the states or roots,
+as a change to when the loop stops does, and not how many roots each
+call finds.
 
 The state is what newton_oracle hands to _reported_roots: the final
 points, one row per start, and the sup of each start's defect. Each call
@@ -84,9 +88,11 @@ def calls() -> list[tuple[str, tuple, dict]]:
     return out
 
 
-def digest(matrix: list[tuple[str, tuple, dict]]) -> tuple[int, str]:
-    """(call count, sha256 hex) of the calls."""
-    sha = hashlib.sha256()
+def digest(matrix: list[tuple[str, tuple, dict]]) -> tuple[int, str, int, str]:
+    """(call count, sha256 hex, root count, sha256 hex of the root counts)
+    of the calls."""
+    sha, counts_sha = hashlib.sha256(), hashlib.sha256()
+    total = 0
     states = []
     reported_roots = solvers._reported_roots
 
@@ -98,22 +104,29 @@ def digest(matrix: list[tuple[str, tuple, dict]]) -> tuple[int, str]:
     try:
         for label, args, kwargs in matrix:
             states.clear()
-            sha.update(json.dumps(label).encode() + b"\n")
+            head = json.dumps(label).encode() + b"\n"
+            sha.update(head)
+            counts_sha.update(head)
             try:
                 roots = newton_oracle(*args, **kwargs)
             except Exception as exc:  # hashed, as a changed error must change the digest
-                sha.update(f"{type(exc).__name__}: {exc}\n".encode())
+                error = f"{type(exc).__name__}: {exc}\n".encode()
+                sha.update(error)
+                counts_sha.update(error)
                 continue
             for F, res_inf in states:
                 sha.update(F + res_inf)
             sha.update(json.dumps(len(roots)).encode())
+            counts_sha.update(json.dumps(len(roots)).encode())
+            total += len(roots)
             for root in roots:
                 sha.update(root.tobytes())
     finally:
         solvers._reported_roots = reported_roots
-    return len(matrix), sha.hexdigest()
+    return len(matrix), sha.hexdigest(), total, counts_sha.hexdigest()
 
 
 if __name__ == "__main__":
-    count, hexdigest = digest(calls())
+    count, hexdigest, roots, counts = digest(calls())
     print(f"{count} calls sha256 {hexdigest}")
+    print(f"{roots} roots sha256 {counts}")
