@@ -76,6 +76,11 @@ def _is_integer(v) -> bool:
     return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
 
 
+def _is_real(v) -> bool:
+    """Any int or float but a bool, numpy's included: a campaign's radius."""
+    return isinstance(v, (int, float, np.integer, np.floating)) and not isinstance(v, bool)
+
+
 def _is_number(v) -> bool:
     """Any int, float or complex but a bool, numpy's included: an atom weight or a function value."""
     return isinstance(v, (int, float, complex, np.number)) and not isinstance(v, bool)

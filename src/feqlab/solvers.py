@@ -434,11 +434,18 @@ def newton_oracle(sg: FiniteSemigroup, equation: str,
 
 def _polydisk(seed, radius: float, shape: tuple[int, ...]) -> np.ndarray:
     """Points of the complex polydisk of the given radius, each coordinate
-    uniform in its disk, from np.random.default_rng(seed): an int or a
-    tuple of ints."""
-    rng = np.random.default_rng(seed)
+    uniform in its disk, from the PCG64 stream of seed (an int or a tuple
+    of ints), the one np.random.default_rng(seed) draws: all of u, then
+    all of theta."""
+    rng = np.random.Generator(np.random.PCG64(seed))
     u = rng.random(shape)
     theta = rng.random(shape)
+    return _disk(radius, u, theta)
+
+
+def _disk(radius, u: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    """radius sqrt(u) e^(2 pi i theta): uniform in the disk of that radius
+    for u and theta uniform in [0, 1). radius broadcasts against them."""
     return radius * np.sqrt(u) * np.exp(2j * np.pi * theta)
 
 

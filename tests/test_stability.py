@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import json
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -27,7 +29,7 @@ from feqlab import (
 )
 from feqlab import stability
 from feqlab.cli import main
-from feqlab.errors import BadParams, DegenerateIntegral
+from feqlab.errors import BadParams, DegenerateIntegral, NonFiniteResidual
 from feqlab.stability import _rounding_slack, _verdict
 
 
@@ -39,6 +41,24 @@ def classify(sg, f, sigma, mu, tol=DEFAULT_TOL) -> StabilityTrial:
     sup_f = float(np.max(np.abs(arr)))
     bound, verdict = _verdict(sup_f, delta, measure_norm(mu), len(mu.atoms), tol)
     return StabilityTrial(arr, 0.0, 0, delta, sup_f, bound, verdict)
+
+
+OVERFLOW = "vanvleck residual is not finite (overflow or non-finite input)"
+
+
+def c4_neg(mu: DiracMeasure):
+    return cyclic_group(4), InvolutiveMorphism((0, 3, 2, 1), MorphismKind.AUTOMORPHISM), mu
+
+
+def c16_odd3():
+    """C16 with negation and a 3-atom measure on odd points, where the sine
+    variant has nonzero solutions."""
+    sigma = InvolutiveMorphism(tuple((-x) % 16 for x in range(16)), MorphismKind.AUTOMORPHISM)
+    return cyclic_group(16), sigma, DiracMeasure.from_pairs([(1, 0.75), (5, 0.5 - 0.25j), (11, 0.3)])
+
+
+def fields(t: StabilityTrial) -> tuple:
+    return t.base.tobytes(), t.radius, t.trial, t.measured_delta, t.sup_f, t.bound, t.verdict
 
 
 def brute_bound(delta: float, m: float) -> float:
@@ -285,6 +305,22 @@ class TestCampaign:
             with pytest.raises(BadParams):
                 CampaignConfig(trials=5, radius_max=bad)
 
+    @pytest.mark.parametrize("kwargs", [
+        {"trials": True}, {"trials": 2.5}, {"trials": "3"}, {"trials": np.float64(3.0)},
+        {"seed": True}, {"seed": 1.5}, {"seed": "1"}, {"seed": np.bool_(True)},
+        {"radius_max": True}, {"radius_max": "1"}, {"radius_max": 1j}, {"radius_max": None},
+    ], ids=repr)
+    def test_config_refuses_wrong_types(self, kwargs):
+        # bools were read as 1, and the others raised a bare TypeError
+        with pytest.raises(BadParams):
+            CampaignConfig(**{"trials": 5, **kwargs})
+
+    def test_config_takes_numpy_numbers(self, c4, sigma_neg, mu_delta1):
+        cfg = CampaignConfig(trials=np.int64(3), radius_max=np.float32(0.5), seed=np.uint8(2))
+        want = fuzz_campaign(c4, sigma_neg, mu_delta1, CampaignConfig(trials=3, radius_max=0.5, seed=2))
+        got = fuzz_campaign(c4, sigma_neg, mu_delta1, cfg)
+        assert got[0] == want[0] and list(map(fields, got[1])) == list(map(fields, want[1]))
+
     def test_no_violations_and_counts(self, c4, sigma_neg, mu_delta1):
         cfg = CampaignConfig(trials=200, radius_max=1.0, seed=42)
         summary, trials = fuzz_campaign(c4, sigma_neg, mu_delta1, cfg)
@@ -306,21 +342,28 @@ class TestCampaign:
         assert s1 == s2
         assert [t.sup_f for t in t1] == [t.sup_f for t in t2]
 
-    @pytest.mark.parametrize("mu", [DiracMeasure.point_mass(1), DiracMeasure.from_pairs([(1, 0.5 - 0.25j), (3, 2.0)])],
-                             ids=["delta1", "two_atoms"])
-    def test_records_equal_reference_per_trial(self, c4, sigma_neg, mu):
-        # the campaign's hoisted hypotheses, terms and norm change no record;
-        # the reference verdict is written out here, not read from _verdict
-        cfg = CampaignConfig(trials=120, radius_max=1.5, seed=11)
-        summary, trials = fuzz_campaign(c4, sigma_neg, mu, cfg)
-        bases = solve_vanvleck(c4, sigma_neg, mu).vectors() + [np.zeros(4, dtype=complex)]
+    @pytest.mark.parametrize("case, count", [
+        (c4_neg(DiracMeasure.point_mass(1)), 120),
+        (c4_neg(DiracMeasure.from_pairs([(1, 0.5 - 0.25j), (3, 2.0)])), 120),
+        # 16 trials a chunk at n = 16: two full chunks and a partial one
+        (c16_odd3(), 40),
+    ], ids=["delta1", "two_atoms", "c16_odd3"])
+    def test_records_equal_reference_per_trial(self, case, count):
+        # the campaign's hoisted hypotheses, terms and norm, and its chunks,
+        # change no record; the reference verdict is written out here, not
+        # read from _verdict
+        sg, sigma, mu = case
+        cfg = CampaignConfig(trials=count, radius_max=1.5, seed=11)
+        summary, trials = fuzz_campaign(sg, sigma, mu, cfg)
+        bases = solve_vanvleck(sg, sigma, mu).vectors() + [np.zeros(sg.n, dtype=complex)]
+        assert len(bases) > 1
         m = measure_norm(mu)
         for k, got in enumerate(trials):
             rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((cfg.seed, k))))
             base = bases[int(rng.integers(len(bases)))]
             radius = float(rng.uniform(0.0, cfg.radius_max))
             f = perturb(base, radius, (cfg.seed, k, 1))
-            delta = residual_vanvleck(c4, f, sigma_neg, mu).max_abs
+            delta = residual_vanvleck(sg, f, sigma, mu).max_abs
             sup_f = float(np.max(np.abs(f)))
             bound = superstability_bound(delta, m)
             if delta <= DEFAULT_TOL.eq_tol:
@@ -334,6 +377,51 @@ class TestCampaign:
                 (radius, k, delta, sup_f, bound, verdict)
         assert summary.exact == sum(t.verdict is Verdict.EXACT_SOLUTION for t in trials)
         assert summary.max_ratio == max(t.ratio for t in trials)
+
+    @pytest.mark.parametrize("case, trials", [(c4_neg(DiracMeasure.point_mass(1)), 600), (c16_odd3(), 40)],
+                             ids=["c4", "c16_odd3"])
+    def test_chunk_size_changes_no_bit(self, case, trials, monkeypatch):
+        # one trial a chunk, the default, and the whole campaign in one chunk
+        cfg = CampaignConfig(trials=trials, radius_max=2.0, seed=3)
+        runs = []
+        for cells in (1, stability._CHUNK_CELLS, trials * case[0].n ** 2):
+            monkeypatch.setattr(stability, "_CHUNK_CELLS", cells)
+            summary, records = fuzz_campaign(*case, cfg)
+            runs.append((summary, list(map(fields, records))))
+        assert runs[0] == runs[1] == runs[2]
+        assert len(runs[0][1]) == trials
+
+    def test_overflow_past_the_first_chunk_raises_in_trial_order(self, c4, sigma_neg, mu_delta1, monkeypatch):
+        # with seed 1 and radii up to 9.6e153, trial 648 (the third chunk
+        # at n = 4) is the first whose defect 2 f(x) f(y) overflows
+        cfg = CampaignConfig(trials=648, radius_max=9.6e153, seed=1)
+        bases = solve_vanvleck(c4, sigma_neg, mu_delta1).vectors() + [np.zeros(4, dtype=complex)]
+        rng = np.random.Generator(np.random.PCG64((1, 648)))
+        f = perturb(bases[int(rng.integers(len(bases)))], float(rng.uniform(0.0, 9.6e153)), (1, 648, 1))
+        with pytest.raises(NonFiniteResidual):
+            residual_vanvleck(c4, f, sigma_neg, mu_delta1)
+        for cells in (1, stability._CHUNK_CELLS):
+            monkeypatch.setattr(stability, "_CHUNK_CELLS", cells)
+            summary, _ = fuzz_campaign(c4, sigma_neg, mu_delta1, cfg)
+            assert summary.trials == 648 and summary.violations == 0
+            with pytest.raises(NonFiniteResidual, match=f"^{re.escape(OVERFLOW)}$"):
+                fuzz_campaign(c4, sigma_neg, mu_delta1, CampaignConfig(trials=700, radius_max=9.6e153, seed=1))
+
+    def test_overflowing_radius_exits_2_without_warning(self, c4, sigma_neg, mu_delta1, tmp_path, capsys):
+        # more trials than a chunk holds at n = 4; a warning from the chunk's
+        # arithmetic would be an error under the suite's filter (exit 70)
+        with pytest.raises(NonFiniteResidual, match=f"^{re.escape(OVERFLOW)}$"):
+            fuzz_campaign(c4, sigma_neg, mu_delta1, CampaignConfig(trials=600, radius_max=1e200))
+        write_fixtures(tmp_path)
+        sg, sigma, mu = (str(tmp_path / name) for name in
+                         ("c4.sg.json", "c4_negation.sigma.json", "c4_delta1.mu.json"))
+        argv = ["stability", "--trials", "600", "--radius", "1e200", "--sg", sg, "--sigma", sigma, "--mu", mu]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(argv)
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == (2, "", f"structural error: {OVERFLOW}\n")
+        assert caught == []
 
     def test_violations_are_counted_and_exit_1(self, c4, sigma_neg, mu_delta1, monkeypatch,
                                                capsys, tmp_path):

@@ -8,17 +8,18 @@ contents of its input files, enough to replay it. It exits 1 when any
 call breaks a rule, else 0. A seed and a call count fix every call.
 
 Each call picks a command (every one of `validate`, `analyze`, `solve`,
-`verify`, `stability --trials 20`, `oracle --starts 20` and `fixtures`)
-and writes the inputs it reads. Tables are mostly valid ones, from the
-order <= 3 census or among C4, C5, S3, the Klein group, left-zero and
-null semigroups, else a random, ragged or mislabeled table. A morphism is
-mostly an involutive (anti-)automorphism of the table, else a random
-map. Measure weights and function values draw their parts partly from
-extremes: +-1e308 to 1.7e308 (one pair in ten has both parts there,
-so its modulus may overflow), 1e+-154, 1e+-20, 1e-308 and 5e-324, and
-rarely infinity or NaN; a few are not numbers at all, and a quarter of
-the candidate functions are 0. Flags take valid values mostly,
-and sometimes invalid ones (`--tol nan`, `--starts 0`, `--seed -1`).
+`verify`, `stability --trials 20` or, on one call in ten, 600, `oracle
+--starts 20` and `fixtures`) and writes the inputs it reads. Tables are
+mostly valid ones, from the order <= 3 census or among C4, C5, S3, the
+Klein group, left-zero and null semigroups, else a random, ragged or
+mislabeled table. A morphism is mostly an involutive (anti-)automorphism
+of the table, else a random map. Measure weights and function values
+draw their parts partly from extremes: +-1e308 to 1.7e308 (one pair in
+ten has both parts there, so its modulus may overflow), 1e+-154, 1e+-20,
+1e-308 and 5e-324, and rarely infinity or NaN; a few are not numbers at
+all, and a quarter of the candidate functions are 0. Flags take valid
+values mostly, and sometimes invalid ones (`--tol nan`, `--starts 0`,
+`--seed -1`).
 
 The rules, for every call:
 - the exit code is in the README's table and is not 70 (an internal
@@ -162,7 +163,8 @@ def call(rng: random.Random, pool: tuple[list, list], stem: str) -> tuple[list[s
         argv += ["--starts", "20" if rng.random() < 0.95 else rng.choice(("0", "10001")),
                  "--seed", str(rng.randrange(-1, 1000) if rng.random() < 0.05 else rng.randrange(1000))]
     if command == "stability":
-        argv += ["--trials", "20" if rng.random() < 0.95 else "0",
+        x = rng.random()  # 600 trials fill more than one chunk of the campaign at n >= 3
+        argv += ["--trials", "20" if x < 0.85 else "600" if x < 0.95 else "0",
                  "--seed", str(rng.randrange(1000)),
                  "--radius", str(rng.choice((1.0, 1.0, 1.0, 0.0, 1e-3, 10.0, 1e308, float("nan"))))]
     if command in ("verify", "stability") and rng.random() < 0.3:
