@@ -6,10 +6,10 @@ measure, its quadratic part, the hypotheses it requires and its closed
 form in characters; the inputs it reads follow from the words, and one
 gate, bind_inputs, checks them for every path. compile_terms compiles
 the words once per call, and _linear sums them for one function or a
-stack: a word a b t is the right transform R_mu f, computed once, at
-a b; only a word a t b is gathered per atom. residual reports one
-function; _row_sups gives the sups of a stack (the closed forms verify
-all their solutions in one pass per law, and the superstability
+stack, each word one read of f, of R_mu f (a b t) or of R_mu applied
+down the rows of f[table] (a t b), each built once. residual reports
+one function; _row_sups gives the sups of a stack (the closed forms
+verify all their solutions in one pass per law, and the superstability
 campaign reads each trial's defect); the Gauss-Newton oracle in
 `solvers` reads its linear operator from _linear at the unit vectors.
 
@@ -102,11 +102,12 @@ class ClosedForm(NamedTuple):
     sigma = chi it fails its mean test (the sum of the means is then
     2 mean(chi), bit for bit); a nonzero chi takes the value 1 at an
     idempotent e, where chi o sigma is 0 or 1, so chi and the even forms
-    are nonzero at e. In floats too: a kept mean exceeds 2^-1022, and
-    the odd form has an entry of modulus at least |mean| / n (the nonzero
-    values of chi form a group of m <= n roots of unity, so two distinct
-    values lie min(1, 2 sin(pi / n)) >= 2 / n apart or more), so no
-    product rounds to zero."""
+    are nonzero at e. In floats too, at closed_form's unit scale: a kept
+    mean exceeds 2^-1022, and the odd form has an entry of modulus at
+    least |mean| / n (the nonzero values of chi form a group of m <= n
+    roots of unity, so two distinct values lie min(1, 2 sin(pi / n)) >=
+    2 / n apart or more), so no product rounds to zero (scaled back, one
+    may; closed_form refuses a solution that rounds to 0)."""
 
     sigma_sign: int
     formula: str
@@ -128,11 +129,11 @@ def closed_form_slack(mu: DiracMeasure | None) -> float:
     the float f is within e = (68 + 1.5k) u N of f. A defect has at most
     two terms and products of weight at most 2, so it moves by at most
     2 N e + 4 N e + 2 e^2 between f and the float f. Per component, a
-    right transform sums k products w f, each within 2u of |w| |f|, in
-    k - 1 roundings, so two terms a b t and their sum are off by
-    (2k + 4) u N^2, two terms a t b (summed, weighted per atom) by
-    (2k + 5) u N^2, and the product and difference add 8u N^2: the
-    evaluation adds under sqrt(2) (2k + 13) u N^2 < 6 (k + 8) u N^2.
+    term a b t or a t b reads a k-term transform, rt or H, which sums k
+    products w f, each within 2u of |w| |f|, in k - 1 roundings; so two
+    terms and their sum are off by (2k + 4) u N^2, and the product and
+    difference add 8u N^2: the evaluation adds under
+    sqrt(2) (2k + 12) u N^2 < 6 (k + 8) u N^2.
     The hypotheses hold exactly, so f is an exact solution, except in
     the odd form where d = mean(chi o sigma) + mean(chi) passed its
     float test without being zero: the exact defect of f is then
@@ -310,32 +311,29 @@ def bind_inputs(eq: Equation, sg: FiniteSemigroup, sigma: InvolutiveMorphism | N
 
 
 class CompiledTerms(NamedTuple):
-    """The terms of an equation compiled for one call by compile_terms:
-    every index array that does not depend on the atom."""
+    """The terms of an equation compiled for one call by compile_terms."""
 
-    table: np.ndarray                                # the index table: table[a, b] = a b
-    mu: DiracMeasure | None                          # the measure the averaged words read
-    middle: tuple[tuple[int, np.ndarray, bool], ...]  # (sign, values of a, swap) per word a t b
-    plain: tuple[tuple[int, np.ndarray, bool], ...]   # (sign, idx[x, y], averaged) per word a b or a b t
+    table: np.ndarray        # the index table: table[a, b] = a b
+    mu: DiracMeasure | None  # the measure the averaged words read
+    words: tuple[tuple, ...]  # (sign, source, index) per word, in order: source f, rt or H
 
 
 def compile_terms(eq: Equation, sg: FiniteSemigroup, sigma: InvolutiveMorphism | None,
                   mu: DiracMeasure | None) -> CompiledTerms:
-    """The terms of eq compiled once for all the atoms of mu, the inputs
-    already checked by bind_inputs.
-
-    A word a b (see Term) is the row gather table[a, b]: its rows are the
+    """The terms of eq, the inputs checked by bind_inputs: each word to
+    the grid it reads, its source, and where. A word a b (see Term)
+    reads f at the index array table[a, b]: the rows of table at the
     values of a, transposed when a lies on the y axis (swap). A word
     a b t averages to (R_mu f)(a b), for the right transform
-    R_mu f(x) = integral f(x t) dmu(t), so it compiles to the index array
-    of a b, marked averaged, and is read through R_mu f. A word a t b
-    compiles to the values of a and swap: at the atom z it is the same
-    row gather of G = f[table], by the rows table[a, z]."""
+    R_mu f(x) = integral f(x t) dmu(t), so it reads rt = R_mu f there. A
+    word a t b is G(a t, b) for G(u, b) = f(u b), so it averages to
+    H(a, b), H = R_mu applied down the rows of G: it reads H at (values
+    of a, swap)."""
     table = sg.index_table
     letters = {"x": np.arange(sg.n), "y": np.arange(sg.n)}
     if sigma is not None:
         letters["s"] = np.asarray(sigma.map)
-    middle, plain = [], []
+    words = []
     for term in eq.terms:
         at, ab = term.word.find("t"), term.word.replace("t", "", 1)
         if not (len(ab) == 2 and at in (-1, 1, 2) and ab[0] in "xys" and ab[1] in "xy"
@@ -343,10 +341,10 @@ def compile_terms(eq: Equation, sg: FiniteSemigroup, sigma: InvolutiveMorphism |
             raise ValueError(f"cannot compile the word '{term.word}'")
         rows, swap = letters[ab[0]], ab[0] != "x"
         if at == 1:
-            middle.append((term.sign, rows, swap))
+            words.append((term.sign, "H", (rows, swap)))
         else:  # take copies a strided index per call
-            plain.append((term.sign, np.ascontiguousarray(_rows(table, rows, swap)), at == 2))
-    return CompiledTerms(table, mu, tuple(middle), tuple(plain))
+            words.append((term.sign, "rt" if at == 2 else "f", np.ascontiguousarray(_rows(table, rows, swap))))
+    return CompiledTerms(table, mu, tuple(words))
 
 
 def _rows(grid: np.ndarray, rows: np.ndarray, swap: bool) -> np.ndarray:
@@ -356,9 +354,9 @@ def _rows(grid: np.ndarray, rows: np.ndarray, swap: bool) -> np.ndarray:
 
 
 def _signed_sum(values) -> np.ndarray:
-    """The (sign, values) pairs, each values a fresh array, summed left to
-    right in the first of them; the others are freed as they are added,
-    so at most two are alive."""
+    """The (sign, values) pairs summed left to right in the first of them,
+    a fresh array; the others are freed as they are added, so at most
+    two are alive."""
     sign, acc = next(values)
     if sign < 0:
         np.negative(acc, out=acc)
@@ -368,27 +366,24 @@ def _signed_sum(values) -> np.ndarray:
 
 
 def _linear(terms: CompiledTerms, f: np.ndarray) -> np.ndarray:
-    """The compiled terms summed at every pair for f of shape (..., n),
-    a grid of shape (..., n, n), each cell rounded as for one function
-    alone: per atom, the words a t b summed and weighted in place; then
-    the words a b and a b t summed, a b t read from rt = R_mu f (once
-    per call, atoms in order). take(axis=-1) gathers as f[..., idx]
-    does; numpy's indexing is slower with the ellipsis."""
-    table, grid = terms.table, None
-    if terms.middle:
-        G = f.take(table, axis=-1)  # G[..., a, b] = f(a b)
-        for p, w in terms.mu.atoms:
-            col = table[:, p]
-            group = _signed_sum((sign, _rows(G, col.take(rows), swap)) for sign, rows, swap in terms.middle)
-            group = _cmul(w, group, out=group)
-            grid = group if grid is None else np.add(grid, group, out=grid)
-    if terms.plain:
-        rt = _right_sum(table, f, terms.mu) if any(avg for _, _, avg in terms.plain) else None
-        group = _signed_sum((sign, (rt if avg else f).take(idx, axis=-1)) for sign, idx, avg in terms.plain)
-        grid = group if grid is None else np.add(grid, group, out=grid)
-    if grid is None:  # a measure without atoms averages every word a t b to 0
-        grid = np.zeros(f.shape + f.shape[-1:], dtype=complex)
-    return grid
+    """The compiled terms summed left to right at every pair for f of
+    shape (..., n), a grid of shape (..., n, n), each cell rounded as for
+    one function alone. rt = R_mu f and H = R_mu applied down the rows of
+    f[table] are built once per call where a word reads them, each
+    summed over the atoms in order (0 without atoms). Each read is a
+    fresh array. take(axis=-1) gathers as f[..., idx] does; numpy's
+    indexing is slower with the ellipsis."""
+    sources = {source for _, source, _ in terms.words}
+    grids = {"f": f}
+    if "rt" in sources:
+        grids["rt"] = _right_sum(terms.table, f, terms.mu)
+    if "H" in sources:
+        grids["H"] = _right_sum(terms.table, f.take(terms.table, axis=-1), terms.mu, axis=-2)
+
+    def read(source: str, index) -> np.ndarray:
+        return _rows(grids["H"], *index) if source == "H" else grids[source].take(index, axis=-1)
+
+    return _signed_sum((sign, read(source, index)) for sign, source, index in terms.words)
 
 
 # Overflow and NaN surface as a NonFiniteResidual from the sup, not as warnings.

@@ -164,19 +164,24 @@ def _cmul(a, b, out: np.ndarray | None = None) -> np.ndarray:
 
 
 def right_transform(sg: FiniteSemigroup, f: Sequence[complex], mu: DiracMeasure) -> np.ndarray:
-    """x -> integral of f(x * t) dmu(t) over S."""
+    """x -> integral of f(x * t) dmu(t) over S. Adding 0.0 gives every
+    zero the sign the scalar sum from 0 gives it, +0."""
     arr = check_function(sg, f)
     _check_points(mu, sg.n)
-    return _right_sum(sg.index_table, arr, mu)
+    return _right_sum(sg.index_table, arr, mu) + 0.0
 
 
-def _right_sum(table: np.ndarray, arr: np.ndarray, mu: DiracMeasure) -> np.ndarray:
-    """right_transform of checked complex values arr, of shape (..., n),
-    under a measure whose points are checked: one column gather per atom,
-    in atom order."""
-    out = np.zeros(arr.shape, dtype=complex)
-    for p, w in mu.atoms:
-        out += _cmul(w, arr.take(table[:, p], axis=-1))
+def _right_sum(table: np.ndarray, arr: np.ndarray, mu: DiracMeasure, axis: int = -1) -> np.ndarray:
+    """right_transform of checked complex values arr along axis (by default
+    the last), under a measure whose points are checked: one gather along
+    axis per atom, each weighted, then added in atom order into the
+    first; zeros without atoms. A zero may keep a negative sign."""
+    terms = (_cmul(w, arr.take(table[:, p], axis=axis)) for p, w in mu.atoms)
+    out = next(terms, None)
+    if out is None:
+        return np.zeros(arr.shape, dtype=complex)
+    for term in terms:
+        out += term
     return out
 
 

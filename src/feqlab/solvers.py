@@ -9,6 +9,7 @@ cross-check completeness of the closed forms.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from typing import Sequence
@@ -36,7 +37,6 @@ from .errors import (
 from .jsonio import function_to_json
 from .measures import (
     DiracMeasure,
-    _modulus,
     character_mean_slack,
     integrate,
     measure_norm,
@@ -135,11 +135,23 @@ def closed_form(equation: str, sg: FiniteSemigroup, sigma: InvolutiveMorphism | 
     """Solution set of a registered equation, built from the characters of
     sg as its ClosedForm describes, once bind_inputs has checked the inputs
     against the form's hypotheses (a measure whose norm overflows is then
-    refused). Every solution is verified."""
+    refused). Every solution is verified.
+
+    Every closed-form equation is homogeneous: f solves at mu exactly
+    when f / s solves at mu / s. So the weights are divided by the power
+    of two s = 2^e with ||mu / s|| in [1, 2) (math.frexp; s = 1 without
+    a measure), and the mean tests, the solutions and their verification
+    are all taken at mu / s, where no mean or sum of means nears
+    overflow. Each solution is then multiplied by s once, with ldexp.
+    Scaling by a power of two is exact unless a value is subnormal, so
+    where none is, every decision and every value is the one taken at mu
+    itself. A solution that overflows when scaled back is refused, as an
+    overflowing norm is, and so is one that rounds to 0 (BadParams). A
+    solution near the float limit is verified at the unit scale only:
+    its residual at mu itself may overflow, so `verify` there exits 2."""
     eq = closed_form_equation(equation)
     form = eq.closed_form
     mu, _ = bind_inputs(eq, sg, sigma, mu, hypotheses=form.hypotheses)
-    out: list[Solution] = []
     norm = 1.0 if mu is None else measure_norm(mu)
     if not np.isfinite(norm):
         raise BadParams("measure norm is not finite (overflow)")
@@ -148,8 +160,13 @@ def closed_form(equation: str, sg: FiniteSemigroup, sigma: InvolutiveMorphism | 
         warnings.warn("zero-norm measure: equation degenerates, returning empty set",
                       DegenerateMeasureWarning, stacklevel=3)
         return SolutionSet(form.label, ())
+    e = math.frexp(norm)[1] - 1
+    if e:  # by ldexp: 2^-e overflows for e <= -1024
+        mu = DiracMeasure(tuple((p, complex(math.ldexp(w.real, -e), math.ldexp(w.imag, -e)))
+                                for p, w in mu.atoms))
     rounding = 0.0 if mu is None else character_mean_slack(mu)  # of one float mean
     kept: set[tuple[int, tuple[int, ...]]] = set()  # (period, turns) of the kept characters
+    values, chis = [], []
     for chi in characters_cached(sg):
         if form.sigma_sign and (chi.period, tuple([chi.turns[y] for y in sigma.map])) in kept:
             continue  # chi o sigma gives the same function
@@ -161,7 +178,7 @@ def closed_form(equation: str, sg: FiniteSemigroup, sigma: InvolutiveMorphism | 
         if form.sigma_sign:
             s = c[list(sigma.map)]
         if form.sigma_sign < 0:
-            if _modulus(integrate(s, mu) + mean) > 2 * rounding:
+            if abs(integrate(s, mu) + mean) > 2 * rounding:
                 continue
             f = (s - c) / 2.0
         elif form.sigma_sign > 0:
@@ -169,27 +186,34 @@ def closed_form(equation: str, sg: FiniteSemigroup, sigma: InvolutiveMorphism | 
         else:
             f = c
         kept.add((chi.period, chi.turns))
-        with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails verification below
-            out.append(Solution(f if mu is None else f * mean, Provenance(chi, form.formula)))
-    if out:
-        # Verified against each equation sharing the form, then form.checks,
-        # whose hypotheses are among the form's, checked above. Every law's
-        # terms are compiled first, then its defect is gathered for all
-        # the solutions at once, one law's (k, n, n) grid at a time. The
-        # sups are walked solution by solution, law by law, so the first
-        # pair that is not finite or above the gate raises, as one report
-        # per pair would.
-        laws = [eq for eq in EQUATIONS.values() if eq.closed_form is form] + list(form.checks)
-        compiled = [compile_terms(law, sg, sigma, mu) for law in laws]
-        F = np.array([sol.values for sol in out])
-        sups = [_row_sups(law, terms, F).tolist() for law, terms in zip(laws, compiled)]
-        gate = closed_form_slack(mu)
-        for row in zip(*sups):
-            for law, top in zip(laws, row):
-                if finite_top(law.tag, top) > gate:
-                    raise FeqlabError(f"internal: closed form failed verification for "
-                                      f"{law.tag} (residual {top:.3e})")
-    return SolutionSet(form.label, tuple(out))
+        values.append(f if mu is None else f * mean)
+        chis.append(chi)
+    if not values:
+        return SolutionSet(form.label, ())
+    # Verified against each equation sharing the form, then form.checks,
+    # whose hypotheses are among the form's, checked above. Every law's
+    # terms are compiled first, then its defect is gathered for all the
+    # solutions at once, one law's (k, n, n) grid at a time. The sups are
+    # walked solution by solution, law by law, so the first pair that is
+    # not finite or above the gate raises, as one report per pair would.
+    laws = [eq for eq in EQUATIONS.values() if eq.closed_form is form] + list(form.checks)
+    compiled = [compile_terms(law, sg, sigma, mu) for law in laws]
+    F = np.array(values)
+    sups = [_row_sups(law, terms, F).tolist() for law, terms in zip(laws, compiled)]
+    gate = closed_form_slack(mu)
+    for row in zip(*sups):
+        for law, top in zip(laws, row):
+            if finite_top(law.tag, top) > gate:
+                raise FeqlabError(f"internal: closed form failed verification for "
+                                  f"{law.tag} (residual {top:.3e})")
+    if e:
+        with np.errstate(over="ignore"):
+            F = np.ldexp(F.view(float), e).view(complex)
+        if not np.isfinite(F).all():
+            raise BadParams("a solution is not finite at the measure's scale (overflow)")
+        if not F.any(axis=1).all():
+            raise BadParams("a solution rounds to 0 at the measure's scale (underflow)")
+    return SolutionSet(form.label, tuple(Solution(f, Provenance(chi, form.formula)) for f, chi in zip(F, chis)))
 
 
 # ---------------------------------------------------------------------------
@@ -340,8 +364,10 @@ def _defect_operator(eq: Equation, sg: FiniteSemigroup, sigma: InvolutiveMorphis
     """The defect of an equation with a closed form, for a call at starts
     starts, on inputs bind_inputs has checked. Its linear part L (n^2 x n)
     is the residual grids' own, read at the unit vectors: row (x, y) of
-    L holds the linear part at (x, y) of each e_k. It is added into zeros,
-    which keeps L C-ordered and clears the sign of every zero."""
+    L holds the linear part at (x, y) of each e_k, where an averaged word
+    reads the weights of the atoms t at which it evaluates to k, summed in
+    atom order (R_mu e_k or H of e_k). It is added into zeros, which
+    keeps L C-ordered and clears the sign of every zero."""
     n = sg.n
     L = np.zeros((n * n, n), dtype=complex)
     L += _linear(compile_terms(eq, sg, sigma, mu), np.eye(n, dtype=complex)).reshape(n, n * n).T
@@ -470,6 +496,8 @@ def _reported_roots(F: np.ndarray, res_inf: np.ndarray, scale: float) -> list[np
     return roots
 
 
+# A distance that overflows is inf, or NaN from an inf root: no match.
+@np.errstate(over="ignore", invalid="ignore")
 def match_solution_sets(oracle_roots: Sequence[np.ndarray], closed: Sequence[np.ndarray],
                         mu: DiracMeasure | None = None) -> tuple[list[tuple[int, int]], list[int], list[int]]:
     """Greedy sup-norm matching at ORACLE_TOL times _unit_scale(mu), the

@@ -117,12 +117,17 @@ def perturb(f: Sequence[complex], radius: float, seed) -> np.ndarray:
     seed may be an int or a tuple of ints (the entropy of the PCG64
     stream, the one np.random.default_rng draws from), so campaigns can
     split substreams per trial. The values of f must be numbers, as for
-    measures.check_function.
+    measures.check_function. A sum that overflows where f is finite is
+    refused (BadParams), without a warning.
     """
     if not radius >= 0:
         raise BadParams("radius must be nonnegative")
     arr = _numbers(f)
-    return arr + _polydisk(seed, radius, arr.shape)
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = arr + _polydisk(seed, radius, arr.shape)
+    if not np.isfinite(out[np.isfinite(arr)]).all():
+        raise BadParams("perturbed values are not finite (overflow)")
+    return out
 
 
 def _rounding_slack(sup_f: float, mu_norm: float, atoms: int) -> float:

@@ -454,8 +454,9 @@ class TestOracle:
     @pytest.mark.parametrize("weight", [1e-310, 5e-324])
     def test_subnormal_norm_prints_no_warning(self, capsys, fxdir, tmp_path, weight):
         # matching divided the roots by the subnormal norm, which overflowed
-        # them with RuntimeWarnings; the closed form finds no mean above its
-        # rounding bound, so the oracle's one root stays unmatched (exit 1)
+        # them with RuntimeWarnings; the closed form decides its means at
+        # mu / 2^e, so it finds the one solution and the root matches it
+        # (exit 1 with an empty closed form before)
         mu = tmp_path / "tiny.mu.json"
         mu.write_text(json.dumps({"atoms": [{"point": 1, "w": [weight, 0]}]}))
         code, out, err = run(capsys, "oracle", "--eq", "vanvleck",
@@ -463,9 +464,22 @@ class TestOracle:
                              "--sigma", str(fxdir / "c4_negation.sigma.json"),
                              "--mu", str(mu))
         payload = json.loads(out)
-        assert (code, err) == (1, "")
-        assert payload["closed_form"] == [] and payload["matched"] == 0
-        assert len(payload["oracle_only"]) == 1 and payload["oracle_only"] == payload["oracle_roots"]
+        assert (code, err) == (0, "")
+        assert payload["closed_form"] == [[[0, 0], [weight, 0], [0, 0], [-weight, 0]]]
+        assert payload["matched"] == 1 and len(payload["oracle_roots"]) == 1
+
+    def test_subnormal_norm_matches_every_spherical_root(self, capsys, fxdir, tmp_path):
+        # the four characters of C4 times mean(chi) = chi(1) 5e-324: at the
+        # subnormal norm the closed form kept none of them (exit 1, four
+        # oracle_only roots)
+        mu = tmp_path / "tiny.mu.json"
+        mu.write_text(json.dumps({"atoms": [{"point": 1, "w": [5e-324, 0]}]}))
+        code, out, err = run(capsys, "oracle", "--eq", "spherical",
+                             "--sg", str(fxdir / "c4.sg.json"), "--mu", str(mu))
+        payload = json.loads(out)
+        assert (code, err) == (0, "")
+        assert payload["matched"] == 4 and len(payload["closed_form"]) == 4
+        assert payload["oracle_only"] == [] and payload["closed_only"] == []
 
     def test_unneeded_sigma_is_not_loaded(self, capsys, fxdir, tmp_path):
         # spherical takes no sigma, so a non-permutation one is ignored as in solve
@@ -842,8 +856,9 @@ class TestNonFiniteInputs:
         # the odd form's mean test sums 2 mean(chi), whose modulus overflows
         (("solve", "--eq", "vanvleck"), 5, [1e308, 0], 0),
         (("stability",), 5, [1e308, 0], 0),
-        # the solution chi * mean(chi) overflows in numpy, then fails its check
-        (("solve", "--eq", "spherical"), 1, [1e308, 1e308], 2),
+        # solved at mu / 2^1023 and scaled back, psi = w (its self-check
+        # overflowed at mu itself, exit 2)
+        (("solve", "--eq", "spherical"), 1, [1e308, 1e308], 0),
     ], ids=["solve_norm", "stability_norm", "solve_odd_form", "stability_odd_form", "solve_product"])
     def test_overflowing_modulus_no_traceback(self, capsys, tmp_path, argv, n, weight, expected):
         # complex abs raises OverflowError where the modulus of finite parts
@@ -864,7 +879,26 @@ class TestNonFiniteInputs:
         if expected == 2:
             assert out == "" and err.startswith("structural error: ") and err.count("\n") == 1
         elif argv[0] == "solve":
-            assert json.loads(out) == {"equation": "vanvleck", "solutions": []}
+            payload = json.loads(out)
+            assert payload["equation"] == argv[2]
+            assert [s["values"] for s in payload["solutions"]] == ([] if argv[2] == "vanvleck" else [[weight]])
+
+    def test_solution_near_the_float_limit_is_verified_at_unit_scale(self, capsys, tmp_path):
+        """solve decides and verifies at mu / 2^1023, so it prints psi = w
+        for mu = (1e308 + 1e308i) delta_0 on the one-element table; verify
+        of that psi at mu itself overflows its residual (exit 2)."""
+        paths = {}
+        for flag, obj in (("sg", semigroup_to_json(cyclic_group(1))),
+                          ("mu", {"atoms": [{"point": 0, "w": [1e308, 1e308]}]})):
+            paths[flag] = tmp_path / f"{flag}.json"
+            paths[flag].write_text(json.dumps(obj))
+        inputs = [a for flag, path in paths.items() for a in (f"--{flag}", str(path))]
+        code, payload = run_json(capsys, "solve", "--eq", "spherical", *inputs)
+        assert code == 0 and [s["values"] for s in payload["solutions"]] == [[[1e308, 1e308]]]
+        fn = tmp_path / "psi.fn.json"
+        fn.write_text(json.dumps({"values": [[1e308, 1e308]]}))
+        code, out, err = run(capsys, "verify", "--eq", "spherical", *inputs, "--f", str(fn))
+        assert code == 2 and out == "" and "not finite" in err
 
     def test_stability_missing_sigma_is_usage_error(self, capsys, fxdir):
         code, out, err = run(capsys, "stability", "--trials", "5",
@@ -1023,20 +1057,39 @@ class TestFuzz:
             assert out.getvalue() == ""
 
 
+def load_cli_fuzz():
+    path = Path(__file__).resolve().parents[1] / "tools" / "cli_fuzz.py"
+    spec = importlib.util.spec_from_file_location("cli_fuzz", path)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    return tool
+
+
 class TestSeededFuzz:
     def test_every_command_keeps_the_exit_code_contract(self):
         """150 seeded calls of tools/cli_fuzz.py, with extreme weights and
         values, keep its rules: a documented exit code other than 70, no
         VIOLATION, and only the one-line message on stderr. Longer runs:
         python3 tools/cli_fuzz.py --seed S --calls N."""
-        path = Path(__file__).resolve().parents[1] / "tools" / "cli_fuzz.py"
-        spec = importlib.util.spec_from_file_location("cli_fuzz", path)
-        tool = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(tool)
-        exits, failures = tool.fuzz(0, 150)
+        exits, failures, _ = load_cli_fuzz().fuzz(0, 150)
         assert failures == []
         assert sum(exits.values()) == 150
         assert {code for _, code in exits} <= DOCUMENTED_CODES - {70}
         assert {command for command, _ in exits} == {*FILE_FLAGS, "fixtures"}
         # the oracle and the campaign ran to a report, not only to an error
         assert exits["oracle", 0] and exits["stability", 0]
+
+    @pytest.mark.parametrize("starts, kinds", [("200", {"oracle_only"}), ("1", {"closed_only"})])
+    def test_mismatch_kinds_read_alike_from_json_and_table(self, tmp_path, starts, kinds):
+        """The fuzzer's count of oracle_only and closed_only roots reads
+        the same report alike in either format: the census table
+        ((0,0,0),(0,0,1),(0,1,2)) with sigma the identity, where 200
+        starts split a singular root and 1 start misses a root."""
+        tool = load_cli_fuzz()
+        (tmp_path / "sg.json").write_text(json.dumps({"n": 3, "table": [[0, 0, 0], [0, 0, 1], [0, 1, 2]]}))
+        (tmp_path / "sigma.json").write_text(json.dumps({"map": [0, 1, 2], "kind": "anti"}))
+        argv = ["oracle", "--eq", "dalembert_variant", "--sg", str(tmp_path / "sg.json"),
+                "--sigma", str(tmp_path / "sigma.json"), "--starts", starts, "--seed", "0"]
+        for fmt in ([], ["--format", "table"]):
+            code, out, _, _ = tool.run(argv + fmt)
+            assert code == 1 and tool.mismatch_kinds(argv + fmt, out) == kinds

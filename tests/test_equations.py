@@ -355,10 +355,10 @@ class TestReportShape:
 
 def _pointwise(sg, sigma, mu, f, g):
     """Every law's defect grid evaluated cell by cell with scalar
-    arithmetic: the rounding the grids must reproduce. A middle word
-    a t b is averaged per cell, atoms accumulated in order; a trailing
-    word a b t reads the right transform rt at a b, each of its values
-    accumulated over the atoms in order."""
+    arithmetic: the rounding the grids must reproduce. A trailing word
+    a b t reads the right transform rt at a b, and a middle word a t b
+    reads H at (a, b), H(a, b) the mean of f(a t b); each value of rt
+    and H is accumulated over the atoms in order."""
     t, s = sg.mul, sigma.map
 
     def avg(term):
@@ -368,17 +368,17 @@ def _pointwise(sg, sigma, mu, f, g):
         return acc
 
     rt = [avg(lambda p: f[t(a, p)]) for a in range(sg.n)]
+    H = [[avg(lambda p: f[t(t(a, p), b)]) for b in range(sg.n)] for a in range(sg.n)]
     laws = {
         "vanvleck": lambda x, y: rt[t(s[y], x)] - rt[t(x, y)] - 2.0 * f[x] * f[y],
         "dalembert_variant": lambda x, y: f[t(x, y)] + f[t(s[y], x)] - 2.0 * f[x] * f[y],
-        "integral_dalembert": lambda x, y: avg(lambda p: f[t(t(x, p), y)] + f[t(t(s[y], p), x)])
-        - 2.0 * f[x] * f[y],
+        "integral_dalembert": lambda x, y: H[x][y] + H[s[y]][x] - 2.0 * f[x] * f[y],
         "corollary33": lambda x, y: rt[t(x, y)] + rt[t(s[y], x)] - 2.0 * f[x] * f[y],
-        "spherical": lambda x, y: avg(lambda p: f[t(t(x, p), y)]) - f[x] * f[y],
+        "spherical": lambda x, y: H[x][y] - f[x] * f[y],
         "spherical_right": lambda x, y: rt[t(x, y)] - f[x] * f[y],
         "sine_addition": lambda x, y: f[t(x, y)] - f[x] * g[y] - f[y] * g[x],
         "wilson_variant": lambda x, y: f[t(x, y)] + f[t(s[y], x)] - 2.0 * f[x] * g[y],
-        "middle_commutation": lambda x, y: avg(lambda p: f[t(t(x, p), y)] - f[t(t(y, p), x)]),
+        "middle_commutation": lambda x, y: H[x][y] - H[y][x],
     }
     return {name: np.array([[law(x, y) for y in range(sg.n)] for x in range(sg.n)])
             for name, law in laws.items()}

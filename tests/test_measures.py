@@ -131,6 +131,14 @@ class TestIntegration:
                         want[x] += w * f[sg.mul(x, p)]
                 assert right_transform(sg, f, mu).tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("weights", [(2.0,), (2.0, 0.5), (2.0 + 1j, -0.5)])
+    def test_right_transform_zeros_are_positive(self, c4, weights):
+        # as in the scalar sum from 0j, a zero value is +0 in both parts,
+        # also where every product is -0
+        f = np.full(4, complex(-0.0, -0.0))
+        mu = DiracMeasure.from_pairs(list(enumerate(weights)))
+        assert right_transform(c4, f, mu).tobytes() == np.zeros(4, dtype=complex).tobytes()
+
     def test_right_transform_length_check(self, c4):
         with pytest.raises(LengthMismatch, match="^function has 2 values, semigroup has 4 elements$"):
             right_transform(c4, [1, 2], DiracMeasure.point_mass(0))

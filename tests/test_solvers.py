@@ -3,6 +3,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import itertools
+import math
 import warnings
 
 import numpy as np
@@ -52,6 +53,7 @@ from feqlab.equations import (
     residual,
 )
 from feqlab.errors import (
+    BadParams,
     DegenerateMeasureWarning,
     FeqlabError,
     LengthMismatch,
@@ -113,10 +115,11 @@ class TestSolveVanVleck:
         with pytest.raises(NonCentralSupport):
             solve_vanvleck(s3, sigma, DiracMeasure.point_mass(1))
 
-    def test_overflow_fails_self_verification(self, c4, sigma_neg):
-        # the self-check grid overflows; a NaN residual must not pass as verified
-        with pytest.raises(NonFiniteResidual):
-            solve_vanvleck(c4, sigma_neg, DiracMeasure.point_mass(1, 1e308))
+    def test_huge_measure_is_solved_at_unit_scale(self, c4, sigma_neg):
+        # the self-check runs at mu / 2^1023, where nothing overflows; at mu
+        # itself its grid overflowed and the call raised NonFiniteResidual
+        sols = solve_vanvleck(c4, sigma_neg, DiracMeasure.point_mass(1, 1e308))
+        assert [s.values.tolist() for s in sols.solutions] == [[0, 1e308, 0, -1e308]]
 
     def test_solutions_verify_and_dedup(self, c4, sigma_neg):
         # a scaled measure: solutions rescale but stay closed under the engine
@@ -451,12 +454,14 @@ class TestCharacterPairing:
     def test_subnormal_mean_reports_no_zero_function(self):
         # on the semilattice {0, a, b} with ab = 0, the indicator of a has
         # (chi + chi o sigma)/2 = 1/2 at a and b and mean 5e-324, whose
-        # half rounds to zero; a mean below 2^-1022 is not told from zero,
-        # so neither that character nor the constant one (mean 1e-323) is kept
+        # half rounds to zero: the means are decided at mu / 2^-1073, where
+        # both characters are kept, and scaled back that solution is 0, so
+        # the call is refused rather than report it
         sg = validate_semigroup([[0, 0, 0], [0, 1, 0], [0, 0, 2]])
         swap = InvolutiveMorphism(map=(0, 2, 1), kind=MorphismKind.AUTOMORPHISM)
         mu = DiracMeasure.from_pairs([(1, 5e-324), (2, 5e-324)])
-        assert solve_central_dalembert(sg, swap, mu).solutions == ()
+        with pytest.raises(BadParams, match=r"^a solution rounds to 0 at the measure's scale \(underflow\)$"):
+            solve_central_dalembert(sg, swap, mu)
         mu = DiracMeasure.from_pairs([(1, 2.0 ** -1021), (2, 2.0 ** -1021)])
         sols = solve_central_dalembert(sg, swap, mu).vectors()
         assert [f.tolist() for f in sols] == [[0, 2.0 ** -1022, 2.0 ** -1022], [2.0 ** -1020] * 3]
@@ -764,25 +769,17 @@ def word_at(sg, word, letters):
 
 def words_operator(eq, sg, sigma, mu):
     """The linear part L (n^2 x n) of eq's defect, built cell by cell from
-    its words with sg.mul: per cell, each atom in order adds its weight
-    times the signs of the middle words (a t b) at the elements they
-    evaluate to; then the plain (a b) and trailing (a b t) words add
-    their signs left to right, a trailing word the sum, atom by atom, of
-    the weights at the elements it evaluates to. The order in which the
-    oracle's operator must add them, so the two agree bit for bit."""
+    its words with sg.mul: per cell, the words add their signs left to
+    right, a plain word (a b) at the element it evaluates to, an averaged
+    one (a b t or a t b) the sum, atom by atom, of the weights at the
+    elements it evaluates to. The order in which the oracle's operator
+    must add them, so the two agree bit for bit."""
     n = sg.n
     L = np.zeros((n * n, n), dtype=complex)
-    middle = [term for term in eq.terms if term.word[1:2] == "t"]
-    rest = [term for term in eq.terms if term.word[1:2] != "t"]
     for x in range(n):
         for y in range(n):
             letters = {"x": x, "y": y, "s": None if sigma is None else sigma.map[y]}
-            for p, w in mu.atoms if middle else ():
-                signs = np.zeros(n)
-                for term in middle:
-                    signs[word_at(sg, term.word, {**letters, "t": p})] += term.sign
-                L[x * n + y] += signs * w
-            for term in rest:
+            for term in eq.terms:
                 values = np.zeros(n, dtype=complex)
                 if "t" in term.word:
                     for p, w in mu.atoms:
@@ -1258,10 +1255,13 @@ class TestSelfCheck:
         ("corollary33", 2, "integral_dalembert"),
         ("spherical", 1, "spherical"),
     ])
-    def test_overflow_names_the_first_law(self, c4, sigma_neg, tag, point, law):
-        # solutions of size 1e160 square to inf; the first solution's first
-        # law raises, corollary33's being the middle form it shares
-        mu = DiracMeasure.point_mass(point, 1e160)
+    def test_overflow_names_the_first_law(self, c4, sigma_neg, tag, point, law, monkeypatch):
+        # the self-check runs at unit scale, where no input overflows its
+        # grids, so every sup is made inf, as an overflowing grid gives it;
+        # the first solution's first law raises, corollary33's being the
+        # middle form it shares
+        monkeypatch.setattr("feqlab.solvers._row_sups", lambda law, terms, F: np.full(len(F), np.inf))
+        mu = DiracMeasure.point_mass(point)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(NonFiniteResidual,
@@ -1298,12 +1298,111 @@ class TestSelfCheck:
         assert all(residual_central_dalembert(c3, f, neg, mu).max_abs <= 1e-30 for f in central)
 
 
+def scaled_by(mu, k):
+    """mu times 2^k, each weight part scaled with ldexp."""
+    return DiracMeasure(tuple((p, complex(math.ldexp(w.real, k), math.ldexp(w.imag, k))) for p, w in mu.atoms))
+
+
+def normal_range(mu):
+    """(kmin, kmax), the k for which each weight part of mu 2^k is zero or
+    normal: a part m 2^e (frexp, 1/2 <= |m| < 1) times 2^k is normal for
+    -1021 <= e + k <= 1024."""
+    exponents = [math.frexp(x)[1] for _, w in mu.atoms for x in (w.real, w.imag) if x]
+    return -1021 - min(exponents), 1024 - max(exponents)
+
+
+def assert_scales_by_powers_of_two(tag, sg, sigma, mu, ks):
+    """closed_form at mu 2^k, for each k in ks, has the provenances of the
+    one at mu and its values are ldexp(values at mu, k), bit for bit (the
+    values at mu where the form reads no measure); where the norm or a
+    value overflows there, the call is refused (BadParams)."""
+    base = closed_form(tag, sg, sigma, mu).solutions
+    reads_mu = "mu" in EQUATIONS[tag].reads
+    for k in ks:
+        mu_k = scaled_by(mu, k)
+        with np.errstate(over="ignore"):
+            want = [np.ldexp(s.values.view(float), k if reads_mu else 0).view(complex) for s in base]
+        if not (math.isfinite(measure_norm(mu_k)) and all(np.isfinite(v).all() for v in want)):
+            with pytest.raises(BadParams):
+                closed_form(tag, sg, sigma, mu_k)
+            continue
+        got = closed_form(tag, sg, sigma, mu_k).solutions
+        assert [s.provenance for s in got] == [s.provenance for s in base], (tag, mu.atoms, k)
+        assert [s.values.tobytes() for s in got] == [v.tobytes() for v in want], (tag, mu.atoms, k)
+
+
+class TestPowerOfTwoScale:
+    """closed_form decides and verifies at mu / 2^e with ||mu / 2^e|| in
+    [1, 2), so multiplying mu by 2^k moves no decision and no byte where
+    the weights stay normal, from subnormal solutions to overflow."""
+
+    @staticmethod
+    def cases(s3):
+        """(tag, table, sigma, mu) for every closed-form tag over the order
+        <= 3 census, C4, S3 and the Klein group, with every involutive
+        morphism (spherical reads none) and a unit mass at each point or
+        at the first and the last; the hypotheses of each form filter them."""
+        tables = [sg for n in (1, 2, 3) for sg in enumerate_all_semigroups(n)]
+        tables += [cyclic_group(4), s3, direct_product(cyclic_group(2), cyclic_group(2))]
+        for sg in tables:
+            morphisms = [m for kind in MorphismKind for m in enumerate_involutive_morphisms(sg, kind)]
+            masses = [DiracMeasure.point_mass(p) for p in range(sg.n)]
+            masses += [DiracMeasure.from_pairs([(0, 1.0), (sg.n - 1, 1.0)])] if sg.n > 1 else []
+            for tag, eq in EQUATIONS.items():
+                if eq.closed_form is None:
+                    continue
+                for sigma in morphisms if "sigma" in eq.reads else morphisms[:1]:
+                    for mu in masses if "mu" in eq.reads else masses[:1]:
+                        try:
+                            bind_inputs(eq, sg, sigma, mu, hypotheses=eq.closed_form.hypotheses)
+                        except FeqlabError:
+                            continue
+                        yield tag, sg, sigma, mu
+
+    def test_census_and_named_tables(self, s3):
+        # both ends of the normal range (test_every_k_on_c4 walks all of
+        # it): a mean test taken at mu itself drops every mean at or below
+        # its 2^-1022 floor, so a unit mass times 2^-1022 kept nothing
+        count = 0
+        for tag, sg, sigma, mu in self.cases(s3):
+            assert_scales_by_powers_of_two(tag, sg, sigma, mu, normal_range(mu))
+            count += 1
+        assert count == 2146
+
+    def test_every_k_on_c4(self, c4):
+        # the four characters times delta_1's means 1, i, -1, -i: the values
+        # at kmin are 2^-1022 i^j, and every k up to 2^1023 i^j is exact
+        mu = DiracMeasure.point_mass(1)
+        kmin, kmax = normal_range(mu)
+        assert (kmin, kmax) == (-1022, 1023)
+        assert_scales_by_powers_of_two("spherical", c4, None, mu, range(kmin, kmax + 1))
+
+    def test_overflow_at_the_measures_scale_is_refused(self):
+        # ||mu|| is finite, but chi * mean(chi) rounds above the largest
+        # float at one point when scaled back (at mu itself its self-check
+        # overflowed)
+        mu = DiracMeasure.point_mass(5, -1.619665548552851e+308 - 7.799898191400271e+307j)
+        with pytest.raises(BadParams, match=r"^a solution is not finite at the measure's scale \(overflow\)$"):
+            solve_spherical(cyclic_group(7), mu)
+
+
 class TestMatching:
     def test_match_solution_sets(self):
         a = [np.array([0, 1, 0, -1], dtype=complex)]
         b = [np.array([0, 1, 0, -1], dtype=complex) + 1e-9]
         pairs, ua, ub = match_solution_sets(a, b)
         assert pairs == [(0, 0)] and not ua and not ub
+
+    def test_overflowing_distance_is_no_match(self):
+        # closed forms at unit scale now reach roots near the float limit,
+        # where a difference overflows: numpy warned, as oracle on the
+        # table [[2, 0, 1], [0, 1, 2], [1, 2, 0]] with mu = -1.3e308 delta_2
+        # (corollary33) showed in tools/cli_fuzz.py
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = match_solution_sets([np.array([1.3e308, 0j]), np.array([np.inf, 0j])],
+                                      [np.array([-1.3e308, 0j])])
+        assert got == ([], [0, 1], [0])
 
     def test_unmatched_reported(self):
         a = [np.zeros(4, dtype=complex) + 1.0]

@@ -162,6 +162,19 @@ class TestPerturb:
         want = np.asarray(sine, dtype=complex) + 0.75 * np.sqrt(u) * np.exp(2j * np.pi * theta)
         assert np.array_equal(perturb(sine, 0.75, seed), want)
 
+    def test_overflow_raises_without_warning(self):
+        # the sum 1.7e308 + 1.7e308 cos(theta) overflows at point 0; numpy
+        # warned and returned inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(BadParams, match=r"^perturbed values are not finite \(overflow\)$"):
+                perturb([1.7e308, 0, 0, 0], 1.7e308, 3)
+            with pytest.raises(BadParams, match="overflow"):
+                perturb([0, 0], float("inf"), 3)
+            # a value that is not finite already is no overflow, and stays
+            out = perturb([float("inf"), 1.0], 0.5, 3)
+        assert out[0].real == float("inf") and np.isfinite(out[1])
+
     def test_rejects_negative_radius(self, sine):
         for bad in (-0.5, float("nan")):
             with pytest.raises(BadParams):

@@ -2,10 +2,14 @@
 against the exit-code contract of the README.
 
 Run `python3 tools/cli_fuzz.py --seed S --calls N` (it imports feqlab
-from the checkout's own src/). It prints the call count and the exit
-code counts, then every call that breaks a rule: its argv and the
-contents of its input files, enough to replay it. It exits 1 when any
-call breaks a rule, else 0. A seed and a call count fix every call.
+from the checkout's own src/). It prints the call count, the exit code
+counts, the number of rule breaks, and how many `oracle` reports (exit 0
+or 1) it saw and how many of them list `oracle_only` roots and
+`closed_only` roots; then every call that breaks a rule: its argv and
+the contents of its input files, enough to replay it. It exits 1 when
+any call breaks a rule, else 0; a mismatch between the oracle and the
+closed form is counted, not a rule. A seed and a call count fix every
+call.
 
 Each call picks a command (every one of `validate`, `analyze`, `solve`,
 `verify`, `stability --trials 20` or, on one call in ten, 600, `oracle
@@ -206,13 +210,26 @@ def broken_rule(argv: list[str], code: int, stdout: str, stderr: str, categories
     return None
 
 
-def fuzz(seed: int, calls: int) -> tuple[Counter, list[tuple[list[str], dict, str, str, str]]]:
-    """(counts of each (command, exit code), failures) of calls random
-    calls from seed, run in a fresh directory; a failure is (argv, input
-    files, rule, stdout, stderr)."""
+def mismatch_kinds(argv: list[str], stdout: str) -> set[str]:
+    """Which of oracle_only and closed_only an oracle report (exit 0 or 1)
+    lists roots under, read from its JSON or its table (where a key with
+    roots is followed by a line [0])."""
+    if "table" in argv:
+        return {key for key in ("oracle_only", "closed_only") if f"\n{key}:\n  [0]" in stdout}
+    payload = json.loads(stdout)
+    return {key for key in ("oracle_only", "closed_only") if payload[key]}
+
+
+def fuzz(seed: int, calls: int) -> tuple[Counter, list[tuple[list[str], dict, str, str, str]], Counter]:
+    """(counts of each (command, exit code), failures, oracle counts) of
+    calls random calls from seed, run in a fresh directory; a failure is
+    (argv, input files, rule, stdout, stderr), and the oracle counts are
+    of the oracle reports ("reports") and of those with oracle_only and
+    with closed_only roots."""
     rng = random.Random(seed)
     pool = semigroups()
     exits: Counter = Counter()
+    oracle: Counter = Counter()
     failures = []
     home = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
@@ -227,9 +244,12 @@ def fuzz(seed: int, calls: int) -> tuple[Counter, list[tuple[list[str], dict, st
                 rule = broken_rule(argv, code, stdout, stderr, categories)
                 if rule is not None:
                     failures.append((argv, files, rule, stdout, stderr))
+                elif argv[0] == "oracle" and code in (0, 1):
+                    oracle["reports"] += 1
+                    oracle.update(mismatch_kinds(argv, stdout))
         finally:
             os.chdir(home)
-    return exits, failures
+    return exits, failures, oracle
 
 
 if __name__ == "__main__":
@@ -237,12 +257,13 @@ if __name__ == "__main__":
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--calls", type=int, default=1000)
     args = parser.parse_args()
-    exits, failures = fuzz(args.seed, args.calls)
+    exits, failures, oracle = fuzz(args.seed, args.calls)
     codes = Counter()
     for (_, code), n in exits.items():
         codes[code] += n
     print(f"{args.calls} calls seed {args.seed} exits "
-          + " ".join(f"{code}x{n}" for code, n in sorted(codes.items())) + f" failures {len(failures)}")
+          + " ".join(f"{code}x{n}" for code, n in sorted(codes.items())) + f" failures {len(failures)}"
+          + f" oracle {oracle['reports']} oracle_only {oracle['oracle_only']} closed_only {oracle['closed_only']}")
     for argv, files, rule, stdout, stderr in failures:
         print(json.dumps({"rule": rule, "argv": argv, "files": files, "stderr": stderr[-2000:]}))
     sys.exit(1 if failures else 0)
