@@ -1,7 +1,7 @@
 """feqlab: functional-equation laboratory on finite semigroups.
 
 Solve and verify sine/cosine variant functional equations with
-measure-twisted arguments, cross-check closed forms against a numeric
+measure-twisted arguments, cross-check closed forms against a spectral
 root-finding oracle, and fuzz the superstability dichotomy.
 """
 
@@ -75,6 +75,7 @@ from .solvers import (
     solve_dalembert,
     solve_spherical,
     solve_vanvleck,
+    spectral_oracle,
 )
 from .stability import (
     CampaignConfig,
@@ -82,7 +83,6 @@ from .stability import (
     StabilityTrial,
     Verdict,
     fuzz_campaign,
-    perturb,
     superstability_bound,
 )
 

@@ -31,13 +31,14 @@ from .jsonio import (
 )
 from .measures import DEFAULT_TOL, ToleranceConfig, check_function
 from .semigroups import MorphismKind, center, enumerate_involutive_morphisms
-from .solvers import closed_form, closed_form_equation, match_solution_sets, newton_oracle
+from .solvers import closed_form, closed_form_equation, match_solution_sets, spectral_oracle
 from .stability import CampaignConfig, fuzz_campaign
 
 EQUATION_TAGS = tuple(EQUATIONS)
 
 ORACLE_MAX_ORDER = 4
-# a call's arrays (see solvers._QuadraticDefect) take 16 MB at n = 4 and the cap
+# --starts is accepted in 1..ORACLE_MAX_STARTS and changes nothing: the
+# spectral oracle has no starts
 ORACLE_MAX_STARTS = 10_000
 
 
@@ -67,7 +68,8 @@ def build_parser() -> _Parser:
         if "radius" in flags:
             p.add_argument("--radius", type=float, default=1.0)
         if "starts" in flags:
-            p.add_argument("--starts", type=int, default=200)
+            p.add_argument("--starts", type=int, default=200,
+                           help="accepted for compatibility; the spectral oracle has no starts")
         if "seed" in flags:
             p.add_argument("--seed", type=int, default=0)
         if "tol" in flags:
@@ -90,7 +92,7 @@ def build_parser() -> _Parser:
         "eq", "sg", "sigma", "mu", "f", "tol", "battery", "force")
     add("stability", "seeded superstability fuzz campaign",
         "sg", "sigma", "mu", "trials", "radius", "seed", "tol")
-    add("oracle", "numeric multistart roots vs closed form",
+    add("oracle", "spectral oracle roots vs closed form",
         "eq", "sg", "sigma", "mu", "starts", "seed")
     fx = sub.add_parser("fixtures", help="write the bundled example inputs")
     fx.add_argument("--out", default="fixtures", help="output directory")
@@ -194,7 +196,7 @@ def cmd_oracle(args) -> tuple[dict, int]:
     eq = args.eq
     sigma, mu = _load_inputs(args, sg, closed_form_equation(eq))
     closed = closed_form(eq, sg, sigma, mu)
-    roots = newton_oracle(sg, eq, sigma, mu, starts=args.starts, seed=args.seed)
+    roots = spectral_oracle(sg, eq, sigma, mu, seed=args.seed)
     refs = closed.vectors()
     pairs, oracle_only, closed_only = match_solution_sets(roots, refs, mu)
 

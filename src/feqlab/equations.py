@@ -10,8 +10,8 @@ stack, each word one read of f, of R_mu f (a b t) or of R_mu applied
 down the rows of f[table] (a t b), each built once. residual reports
 one function; _row_sups gives the sups of a stack (the closed forms
 verify all their solutions in one pass per law, and the superstability
-campaign reads each trial's defect); the Gauss-Newton oracle in
-`solvers` reads its linear operator from _linear at the unit vectors.
+campaign reads each trial's defect); the spectral oracle in `solvers`
+reads its linear operator from _linear at the unit vectors.
 
 Every report scans the full (x, y) grid, giving the sup-norm of the
 defect and the lexicographically first pair attaining it. A function

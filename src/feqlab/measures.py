@@ -98,22 +98,17 @@ def _check_points(mu: DiracMeasure, n: int) -> None:
             raise PointOutOfRange(point, n)
 
 
-def _numbers(f: Sequence[complex], n: int | None = None) -> np.ndarray:
-    """f as a complex array. Its values must be numbers but bools
-    (BadParams): a numpy array is checked by its dtype, which must be an
-    integer, float or complex one, anything else value by value. With n,
-    f must first be a vector of n values (LengthMismatch)."""
+def check_function(sg: FiniteSemigroup, f: Sequence[complex]) -> np.ndarray:
+    """f as a complex vector of length sg.n. f must be a vector of sg.n
+    values (LengthMismatch), each a number but a bool (BadParams): a
+    numpy array is checked by its dtype, which must be an integer, float
+    or complex one, anything else value by value."""
     values = f if isinstance(f, np.ndarray) else np.asarray(f, dtype=object)
-    if n is not None and (values.ndim != 1 or len(values) != n):
-        raise LengthMismatch(int(values.size), n)
+    if values.ndim != 1 or len(values) != sg.n:
+        raise LengthMismatch(int(values.size), sg.n)
     if not (values.dtype.kind in "iufc" if values is f else all(map(_is_number, values.flat))):
         raise BadParams("function values must be numbers")
     return values.astype(complex, copy=False)
-
-
-def check_function(sg: FiniteSemigroup, f: Sequence[complex]) -> np.ndarray:
-    """Coerce f to a complex vector of length sg.n (see _numbers)."""
-    return _numbers(f, sg.n)
 
 
 def integrate(f: Sequence[complex], mu: DiracMeasure) -> complex:

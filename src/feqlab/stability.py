@@ -15,7 +15,6 @@ import math
 from collections import Counter
 from dataclasses import asdict, dataclass
 from enum import Enum
-from typing import Sequence
 
 import numpy as np
 
@@ -27,11 +26,10 @@ from .measures import (
     DEFAULT_TOL,
     DiracMeasure,
     ToleranceConfig,
-    _numbers,
     measure_norm,
 )
 from .semigroups import FiniteSemigroup, InvolutiveMorphism, _is_integer, _is_real
-from .solvers import _disk, _polydisk, solve_vanvleck
+from .solvers import solve_vanvleck
 
 # The grid cells one chunk of a campaign gathers at once: 256 trials at
 # n = 4, 16 at n = 16, one from n = 64. Larger chunks are no faster and
@@ -111,23 +109,10 @@ def superstability_bound(delta: float, mu_norm: float) -> float:
     return (mu_norm + math.sqrt(mu_norm * mu_norm + 2.0 * delta)) / 2.0
 
 
-def perturb(f: Sequence[complex], radius: float, seed) -> np.ndarray:
-    """f plus an independent uniform-in-disk complex offset per value.
-
-    seed may be an int or a tuple of ints (the entropy of the PCG64
-    stream, the one np.random.default_rng draws from), so campaigns can
-    split substreams per trial. The values of f must be numbers, as for
-    measures.check_function. A sum that overflows where f is finite is
-    refused (BadParams), without a warning.
-    """
-    if not radius >= 0:
-        raise BadParams("radius must be nonnegative")
-    arr = _numbers(f)
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = arr + _polydisk(seed, radius, arr.shape)
-    if not np.isfinite(out[np.isfinite(arr)]).all():
-        raise BadParams("perturbed values are not finite (overflow)")
-    return out
+def _disk(radius, u: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    """radius sqrt(u) e^(2 pi i theta): uniform in the disk of that radius
+    for u and theta uniform in [0, 1). radius broadcasts against them."""
+    return radius * np.sqrt(u) * np.exp(2j * np.pi * theta)
 
 
 def _rounding_slack(sup_f: float, mu_norm: float, atoms: int) -> float:
@@ -196,9 +181,10 @@ def fuzz_campaign(sg: FiniteSemigroup, sigma: InvolutiveMorphism, mu: DiracMeasu
 
     Per trial: substream (seed, trial index) picks a base (an exact
     solution or zero) and a radius in the schedule, and substream (seed,
-    trial index, 1) draws the perturbation's disk offsets, as perturb
-    does. The trials are then evaluated in chunks of about _CHUNK_CELLS
-    grid cells: every perturbed function of a chunk is formed at once,
+    trial index, 1) draws the perturbation's disk offsets: all of u,
+    then all of theta, for radius sqrt(u) e^(2 pi i theta) (_disk). The
+    trials are then evaluated in chunks of about _CHUNK_CELLS grid
+    cells: every perturbed function of a chunk is formed at once,
     and its defect sups come from one (trials, n, n) gather, each equal
     to residual_vanvleck's max_abs bit for bit. The trials are
     classified in order, so the first non-finite defect raises
@@ -219,7 +205,7 @@ def fuzz_campaign(sg: FiniteSemigroup, sigma: InvolutiveMorphism, mu: DiracMeasu
         trials = range(first, min(first + chunk, config.trials))
         picks = np.empty(len(trials), dtype=np.intp)
         radii = np.empty((len(trials), 1))
-        draws = np.empty((len(trials), 2, n))  # per trial, u then theta, as _polydisk draws them
+        draws = np.empty((len(trials), 2, n))  # per trial, all of u, then all of theta
         for i, trial in enumerate(trials):
             rng = np.random.Generator(np.random.PCG64((config.seed, trial)))
             picks[i] = rng.integers(len(bases))

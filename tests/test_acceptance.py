@@ -33,7 +33,6 @@ from feqlab import (
     integrate,
     match_solution_sets,
     measure_norm,
-    newton_oracle,
     residual_central_dalembert,
     residual_dalembert,
     residual_sine_addition,
@@ -44,6 +43,7 @@ from feqlab import (
     solve_central_dalembert,
     solve_spherical,
     solve_vanvleck,
+    spectral_oracle,
     superstability_bound,
     write_fixtures,
 )
@@ -139,7 +139,7 @@ def test_criterion_2_oracle_completeness(corpus):
     ok_counts = (counts[1], counts[2], counts[3]) == (1, 8, 113)
     mismatches = 0
     for sg, sigma, mu, sols in cases:
-        roots = newton_oracle(sg, "vanvleck", sigma, mu, starts=120, seed=0)
+        roots = spectral_oracle(sg, "vanvleck", sigma, mu, seed=0)
         _, oracle_only, closed_only = match_solution_sets(roots, sols.vectors())
         if oracle_only or closed_only:
             mismatches += 1

@@ -64,12 +64,12 @@ PUBLIC_NAMES = [
     "function_to_json", "fuzz_campaign", "identity_battery", "index_period",
     "integrate", "is_sigma_invariant", "left_zero", "load_function", "load_measure",
     "load_morphism", "load_semigroup", "match_solution_sets", "measure_norm",
-    "morphism_to_json", "newton_oracle", "null_semigroup", "perturb", "pushforward",
+    "morphism_to_json", "newton_oracle", "null_semigroup", "pushforward",
     "render_table", "residual_central_dalembert", "residual_dalembert",
     "residual_integral_dalembert", "residual_sine_addition", "residual_spherical",
     "residual_vanvleck", "residual_wilson", "right_transform", "s3_inversion",
     "semigroup_to_json", "solve_central_dalembert", "solve_dalembert",
-    "solve_spherical", "solve_vanvleck", "superstability_bound", "support_in_center",
+    "solve_spherical", "solve_vanvleck", "spectral_oracle", "superstability_bound", "support_in_center",
     "symmetric_group_3", "validate_morphism", "validate_semigroup", "write_fixtures"
 ]
 
@@ -162,21 +162,18 @@ def test_cli_digest_matrix_and_its_calls(tmp_path, monkeypatch):
 
 
 def test_oracle_digest_matrix_and_its_calls():
-    import feqlab.solvers as solvers
-
     spec = importlib.util.spec_from_file_location("oracle_digest", ROOT / "tools" / "oracle_digest.py")
     tool = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tool)
     matrix = tool.calls()
-    assert len(matrix) == 544
+    assert len(matrix) == 539
     assert sum(label.startswith("census ") for label, _, _ in matrix) == 494
-    reported_roots = solvers._reported_roots
     picked = [call for call in matrix if call[0].startswith("C4 vanvleck ")] + matrix[:2]
     count, sha, roots, counts = tool.digest(picked)
     assert count == 5 and tool.digest(picked) == (count, sha, roots, counts) and len(sha) == len(counts) == 64
     assert roots == 3  # C4's sine solution at each of the three seeds
-    assert solvers._reported_roots is reported_roots
-    # one more start moves the state digest, not the root counts
-    label, args, kwargs = picked[0]
-    moved, alone = tool.digest([(label, args, {**kwargs, "starts": 201})]), tool.digest(picked[:1])
-    assert moved[1] != alone[1] and moved[2:] == alone[2:] and alone[2] == 1
+    # a call that raises is hashed with its error, in both lines
+    label, args, _ = picked[0]
+    failed, alone = tool.digest([(label, args, {"seed": -1})]), tool.digest(picked[:1])
+    assert (failed[0], failed[2], alone[2]) == (1, 0, 1)
+    assert failed[1] != alone[1] and failed[3] != alone[3]

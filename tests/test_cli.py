@@ -16,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from feqlab import cyclic_group, semigroup_to_json, symmetric_group_3, write_fixtures
+from feqlab import canonical_json, cyclic_group, render_table, semigroup_to_json, symmetric_group_3, write_fixtures
 from feqlab.cli import EQUATION_TAGS, build_parser, main
 from feqlab.equations import EQUATIONS
 from feqlab.errors import DegenerateMeasureWarning, FeqlabError
@@ -394,7 +394,7 @@ class TestStability:
         for argv in (("stability", "--seed", "-1"), ("oracle", "--eq", "vanvleck", "--seed", "-1")):
             code, out, err = run(capsys, *argv, *inputs)
             assert code == 64 and out == "" and "seed" in err
-        # rejected before the oracle allocates its starts
+        # --starts keeps its range, checked first, though the oracle has no starts
         for starts in ("0", "10001", "100000000"):
             code, out, err = run(capsys, "oracle", "--eq", "vanvleck", "--starts", starts, *inputs)
             assert code == 64 and out == "" and "--starts" in err
@@ -410,6 +410,17 @@ class TestOracle:
         assert code == 0
         assert payload["matched"] == 1
         assert payload["oracle_only"] == [] and payload["closed_only"] == []
+
+    def test_singular_root_is_one_root(self, capsys, tmp_path):
+        # a census table with sigma the identity as an anti-automorphism:
+        # multistart Gauss-Newton split a singular root in two here and
+        # reported 5 roots, 3 of them oracle_only (exit 1)
+        (tmp_path / "sg.json").write_text(json.dumps({"n": 3, "table": [[0, 0, 0], [0, 0, 1], [0, 1, 2]]}))
+        (tmp_path / "sigma.json").write_text(json.dumps({"map": [0, 1, 2], "kind": "anti"}))
+        code, payload = run_json(capsys, "oracle", "--eq", "dalembert_variant", "--sg", str(tmp_path / "sg.json"),
+                                 "--sigma", str(tmp_path / "sigma.json"), "--starts", "200", "--seed", "0")
+        assert code == 0
+        assert payload["matched"] == 2 and len(payload["oracle_roots"]) == 2
 
     def test_order_cap(self, capsys, tmp_path):
         big = tmp_path / "c5.sg.json"
@@ -675,9 +686,8 @@ class TestEquationMatrix:
 README_SOLVE = ('{"equation": "vanvleck", "solutions": [{"values": [[0, 0], [1, 0], [0, 0], [-1, 0]], '
                 '"provenance": {"chi": {"values": [{"q": 0, "m": 1}, {"q": 1, "m": 4}, {"q": 1, "m": 2}, '
                 '{"q": 3, "m": 4}]}, "formula": "(chi o sigma - chi)/2 * mean(chi)"}}]}\n')
-README_ORACLE = ('{"equation": "vanvleck", "oracle_roots": [[[-1.7891245078523812e-175, -3.8867187584379315e-176], '
-                 '[1, -8.7975570627499846e-176], [1.7878906288814485e-175, 3.8836340610105998e-176], '
-                 '[-1, 8.7913876678953213e-176]]], "closed_form": [[[0, 0], [1, 0], [0, 0], [-1, 0]]], '
+README_ORACLE = ('{"equation": "vanvleck", "oracle_roots": [[[0, 0], [1, 5.9945934210020707e-34], [0, 0], '
+                 '[-1, -5.9945934210020707e-34]]], "closed_form": [[[0, 0], [1, 0], [0, 0], [-1, 0]]], '
                  '"matched": 1, "oracle_only": [], "closed_only": []}\n')
 README_STABILITY = ('{"trials": 1000, "violations": 0, "exact": 0, "within_bound": 1000, '
                     '"max_ratio": 0.99631781186880175, "seed": 42}\n')
@@ -703,7 +713,7 @@ class TestPinnedOutput:
         assert out == README_SOLVE
 
     def test_readme_oracle(self, capsys, fxdir):
-        # the root's last bits pin the oracle's clustering and its Gauss-Newton steps
+        # the root's last bits pin the oracle's eigenvalue reads; --starts changes nothing
         code, out, _ = run(
             capsys, "oracle", "--eq", "vanvleck", "--starts", "200", "--seed", "0",
             "--sg", str(fxdir / "c4.sg.json"),
@@ -789,8 +799,8 @@ class TestNonFiniteInputs:
 
     def test_overflowing_oracle_exit_2(self, capsys, fxdir, tmp_path):
         # the oracle solves at unit norm, so only a norm that overflows (two
-        # masses of 1e308) leaves its defect non-finite at the starts; it must
-        # exit 2, not report a mismatch. solve, whose mean tests read a
+        # masses of 1e308) leaves its operator non-finite; it must exit 2,
+        # not report a mismatch. solve, whose mean tests read a
         # rounding bound of ||mu|| = inf, printed an empty set with exit 0
         mu = tmp_path / "heavy.mu.json"
         mu.write_text(json.dumps({"atoms": [{"point": 1, "w": [1e308, 0]},
@@ -1079,17 +1089,17 @@ class TestSeededFuzz:
         # the oracle and the campaign ran to a report, not only to an error
         assert exits["oracle", 0] and exits["stability", 0]
 
-    @pytest.mark.parametrize("starts, kinds", [("200", {"oracle_only"}), ("1", {"closed_only"})])
-    def test_mismatch_kinds_read_alike_from_json_and_table(self, tmp_path, starts, kinds):
+    @pytest.mark.parametrize("kinds", [set(), {"oracle_only"}, {"closed_only"}, {"oracle_only", "closed_only"}],
+                             ids=["none", "oracle_only", "closed_only", "both"])
+    def test_mismatch_kinds_read_alike_from_json_and_table(self, kinds):
         """The fuzzer's count of oracle_only and closed_only roots reads
-        the same report alike in either format: the census table
-        ((0,0,0),(0,0,1),(0,1,2)) with sigma the identity, where 200
-        starts split a singular root and 1 start misses a root."""
+        an oracle report alike in either format, as main prints it. The
+        reports are canned, so the test does not rest on the inputs where
+        the oracle and a closed form disagree."""
         tool = load_cli_fuzz()
-        (tmp_path / "sg.json").write_text(json.dumps({"n": 3, "table": [[0, 0, 0], [0, 0, 1], [0, 1, 2]]}))
-        (tmp_path / "sigma.json").write_text(json.dumps({"map": [0, 1, 2], "kind": "anti"}))
-        argv = ["oracle", "--eq", "dalembert_variant", "--sg", str(tmp_path / "sg.json"),
-                "--sigma", str(tmp_path / "sigma.json"), "--starts", starts, "--seed", "0"]
-        for fmt in ([], ["--format", "table"]):
-            code, out, _, _ = tool.run(argv + fmt)
-            assert code == 1 and tool.mismatch_kinds(argv + fmt, out) == kinds
+        one, two = [[0, 0], [1, 0.5]], [[1, 0], [-1, 0]]
+        payload = {"equation": "spherical", "oracle_roots": [one], "closed_form": [two], "matched": 0,
+                   "oracle_only": [one] if "oracle_only" in kinds else [],
+                   "closed_only": [two] if "closed_only" in kinds else []}
+        for fmt, text in (([], canonical_json(payload)), (["--format", "table"], render_table(payload))):
+            assert tool.mismatch_kinds(["oracle", "--eq", "spherical", *fmt], text + "\n") == kinds

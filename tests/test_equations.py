@@ -127,7 +127,7 @@ class TestVanVleck:
                                       for eq in (vanvleck, flipped))
                 assert np.abs(grid).max() > 0.0
                 assert np.array_equal(flipped_grid, grid), (sg.name, mu)
-                L, flipped_L = (_defect_operator(eq, sg, sigma, mu, 1).L for eq in (vanvleck, flipped))
+                L, flipped_L = (_defect_operator(eq, sg, sigma, mu) for eq in (vanvleck, flipped))
                 assert np.array_equal(flipped_L, L), (sg.name, mu)
 
 

@@ -39,7 +39,15 @@ from feqlab.equations import (
     residual,
 )
 from feqlab.errors import BadParams, LengthMismatch, PointOutOfRange
-from feqlab.solvers import DEDUP_TOL, ORACLE_TOL, closed_form, match_solution_sets, newton_oracle
+from feqlab.solvers import (
+    CLUSTER_TOL,
+    KERNEL_TOL,
+    ORACLE_TOL,
+    closed_form,
+    match_solution_sets,
+    newton_oracle,
+    spectral_oracle,
+)
 
 
 class TestDiracMeasure:
@@ -242,10 +250,10 @@ class TestToleranceConfig:
         assert tol.eq_tol == 1e-9
 
     def test_eq_tol_is_the_only_setting(self):
-        # the oracle's acceptance rules are constants beside ZERO_ROOT_CUTOFF
+        # the oracle's gates are constants of solvers
         assert [field.name for field in dataclasses.fields(ToleranceConfig)] == ["eq_tol"]
-        assert DEDUP_TOL == 1e-7 and ORACLE_TOL == 1e-6
-        for fn in (newton_oracle, match_solution_sets):
+        assert (CLUSTER_TOL, KERNEL_TOL, ORACLE_TOL) == (1e-5, 1e-6, 1e-6)
+        for fn in (spectral_oracle, newton_oracle, match_solution_sets):
             assert "tol" not in inspect.signature(fn).parameters
 
     def test_no_hypothesis_or_residual_takes_tol(self, c4, sigma_neg, mu_delta1, sine):

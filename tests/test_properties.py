@@ -22,7 +22,6 @@ from feqlab import (
     enumerate_involutive_morphisms,
     integrate,
     measure_norm,
-    perturb,
     pushforward,
     residual_vanvleck,
     superstability_bound,
@@ -181,10 +180,3 @@ class TestStabilityLaws:
         b = superstability_bound(delta, m)
         assert b >= m
         assert abs(2 * b * b - 2 * m * b - delta) <= 1e-9 * (1 + b * b)
-
-    @given(seed=st.integers(0, 2**32 - 1), radius=st.floats(0, 2))
-    @settings(max_examples=60, deadline=None)
-    def test_perturb_stays_in_disk(self, seed, radius):
-        base = np.array([0, 1, 0, -1], dtype=complex)
-        out = perturb(base, radius, seed=seed)
-        assert np.max(np.abs(out - base)) <= radius + 1e-12

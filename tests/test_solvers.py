@@ -45,10 +45,9 @@ from feqlab import (
 from feqlab.characters import characters_cached
 from feqlab.equations import (
     EQUATIONS,
-    _defect,
     approximate_battery,
     bind_inputs,
-    compile_terms,
+    closed_form_slack,
     identity_battery,
     residual,
 )
@@ -64,20 +63,12 @@ from feqlab.errors import (
     UsageError,
     WrongMorphismKind,
 )
+from feqlab import solvers
 from feqlab.solvers import (
-    DEDUP_TOL,
-    ORACLE_TOL,
-    ZERO_ROOT_CUTOFF,
-    ZERO_VALLEY,
-    _QuadraticDefect,
-    _cluster_heads,
     _defect_operator,
-    _gauss_jordan,
-    _polydisk,
-    _reported_roots,
-    _unit_scale,
+    _joint_eigenvalues,
     closed_form,
-    closed_form_equation,
+    spectral_oracle,
 )
 
 
@@ -267,6 +258,7 @@ SIGMA_ENTRIES = {
     "approximate_battery": lambda c4, s: approximate_battery(c4, _SINE, s, _POINT1, 0.1),
     "newton_oracle": lambda c4, s: newton_oracle(c4, "vanvleck", s, _POINT1, starts=4),
     "newton_oracle@2": lambda c4, s: newton_oracle(c4, "corollary33", s, _POINT2, starts=4),
+    "spectral_oracle": lambda c4, s: spectral_oracle(c4, "vanvleck", s, _POINT1),
 }
 
 
@@ -556,6 +548,9 @@ class TestColdCache:
 
 
 class TestNewtonOracle:
+    """The oracle under newton_oracle, the name and signature it keeps
+    from the multistart oracle it replaced; starts changes nothing."""
+
     def test_vanvleck_c4(self, c4, sigma_neg, mu_delta1, sine):
         roots = newton_oracle(c4, "vanvleck", sigma_neg, mu_delta1, starts=200, seed=0)
         assert len(roots) == 1
@@ -628,15 +623,6 @@ class TestNewtonOracle:
         assert match_solution_sets([root], [], mu) == ([], [0], [])
         assert match_solution_sets([root, root * weight], [root * weight], mu) == ([(1, 0)], [0], [])
 
-    def test_overflowing_norm_raises_at_the_starts(self, c4, sigma_neg):
-        # ||mu|| = inf is not scaled to unit norm, so the starts and their
-        # defect are not finite; the CLI's closed form refuses this norm first
-        mu = DiracMeasure.from_pairs([(1, 1e308), (3, 1e308)])
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(NonFiniteResidual, match="^vanvleck oracle defect is not finite at the starts"):
-                newton_oracle(c4, "vanvleck", sigma_neg, mu, starts=8)
-
     def test_unneeded_measure_scales_nothing(self, c4, sigma_neg):
         got = newton_oracle(c4, "dalembert_variant", sigma_neg, DiracMeasure.point_mass(1, 1e-3),
                             starts=100, seed=2)
@@ -663,100 +649,7 @@ class TestNewtonOracle:
             assert not extra and not missing
 
 
-def greedy_cluster_heads(rows, dedup_tol):
-    """The oracle's clustering as a scalar loop: each row joins the first
-    cluster with any member within dedup_tol, else opens a new one."""
-    heads, members = [], []
-    for vec in rows:
-        for group in members:
-            if any(float(np.max(np.abs(vec - m))) <= dedup_tol for m in group):
-                group.append(vec)
-                break
-        else:
-            heads.append(vec)
-            members.append([vec])
-    return heads
-
-
-class TestClusterHeads:
-    TOL = 1e-7
-
-    def check(self, rows):
-        rows = np.asarray(rows, dtype=complex)
-        got = _cluster_heads(rows, self.TOL)
-        want = greedy_cluster_heads(rows, self.TOL)
-        assert len(got) == len(want)
-        assert all(np.array_equal(a, b) for a, b in zip(got, want))
-        return got
-
-    def test_chain_is_one_cluster(self):
-        # a ~ b and b ~ c, but a and c are 1.6 tol apart: single linkage joins all three
-        a, b, c = [0.0, 1.0], [0.8e-7, 1.0], [1.6e-7, 1.0]
-        heads = self.check([a, b, c])
-        assert len(heads) == 1 and np.array_equal(heads[0], np.array(a, dtype=complex))
-        # in the order a, c, b the chain closes only at b, which joins a's cluster
-        assert len(self.check([a, c, b])) == 2
-
-    def test_bound_is_inclusive(self):
-        assert len(self.check([[0.0], [self.TOL], [2 * self.TOL + 1e-9]])) == 2
-
-    def test_row_near_two_clusters(self):
-        # x is within tol of both heads and joins the first one opened; the
-        # last row is near x and the second head, in different clusters
-        first, second, x = [0.0, 0.0], [1.8e-7, 0.0], [0.9e-7, 0.0]
-        heads = self.check([first, second, x, [1.85e-7, 0.0]])
-        assert [h[0].real for h in heads] == [0.0, 1.8e-7]
-
-    def test_empty(self):
-        assert _cluster_heads(np.zeros((0, 3), dtype=complex), self.TOL) == []
-
-    @pytest.mark.parametrize("seed", range(6))
-    def test_random_clouds(self, seed):
-        rng = np.random.default_rng(seed)
-        n = 2 + seed % 3
-        centres = rng.standard_normal((4, n)) + 1j * rng.standard_normal((4, n))
-        picks = rng.integers(0, 4, 120)
-        scale = self.TOL * rng.uniform(0.2, 2.0)
-        rows = centres[picks] + scale * (rng.standard_normal((120, n)) + 1j * rng.standard_normal((120, n)))
-        self.check(rows)
-
-    def test_3000_rows_match_one_distance_row_per_row(self):
-        # chains and near-ties around 40 centres, and 200 scattered singletons
-        rng = np.random.default_rng(2024)
-        centres = rng.standard_normal((40, 4)) + 1j * rng.standard_normal((40, 4))
-        noise = rng.standard_normal((2800, 4)) + 1j * rng.standard_normal((2800, 4))
-        rows = np.concatenate([centres[rng.integers(0, 40, 2800)] + 0.6 * self.TOL * noise,
-                               rng.standard_normal((200, 4)) + 1j * rng.standard_normal((200, 4))])
-        rows = rows[rng.permutation(len(rows))]
-        got = _cluster_heads(rows, self.TOL)
-        want = one_row_per_k_heads(rows, self.TOL)
-        assert 240 <= len(want) < len(rows)
-        assert len(got) == len(want)
-        assert all(np.array_equal(a, b) for a, b in zip(got, want))
-
-
-def one_row_per_k_heads(V, dedup_tol):
-    """The oracle's clustering with one distance row per row: the
-    quadratic reference _cluster_heads must agree with."""
-    return [V[k] for k in range(len(V))
-            if not np.any(np.max(np.abs(V[:k] - V[k]), axis=1) <= dedup_tol)]
-
-
 CLOSED_FORM_TAGS = [tag for tag, eq in EQUATIONS.items() if eq.closed_form is not None]
-
-
-def explicit_normal_equations(L, c, F, r, lam):
-    """J^H J + lam I and J^H r from the Jacobian of r(f) = L f - c f(x) f(y),
-    written out entry by entry."""
-    starts, n = F.shape
-    J = np.broadcast_to(L, (starts, n * n, n)).copy()
-    for s in range(starts):
-        for x in range(n):
-            for y in range(n):
-                J[s, x * n + y, x] -= c * F[s, y]
-                J[s, x * n + y, y] -= c * F[s, x]
-    JH = np.conj(np.transpose(J, (0, 2, 1)))
-    return JH @ J + lam[:, None, None] * np.eye(n), (JH @ r[:, :, None])[:, :, 0]
 
 
 def word_at(sg, word, letters):
@@ -817,406 +710,154 @@ class TestDefectOperator:
             if weights == "complex":
                 w = w + 1j * rng.normal(size=3)
             mu = DiracMeasure.from_pairs(list(zip(points, w.tolist())))
-            L = _defect_operator(eq, sg, sigma, mu, 1).L
+            L = _defect_operator(eq, sg, sigma, mu)
             assert L.tobytes() == words_operator(eq, sg, sigma, mu).tobytes(), name
 
 
-class TestNormalEquations:
-    @pytest.mark.parametrize("tag", CLOSED_FORM_TAGS)
-    @pytest.mark.parametrize("n", [1, 2, 3, 4])
-    def test_closed_form_equals_explicit_jacobian(self, tag, n):
-        eq = EQUATIONS[tag]
-        sg = cyclic_group(n)
-        sigma = InvolutiveMorphism(map=tuple((-x) % n for x in range(n)), kind=MorphismKind.AUTOMORPHISM)
-        mu = DiracMeasure.from_pairs([(n - 1, 0.7 - 0.4j), (0, -0.3 + 1.1j)])
-        defect = _defect_operator(eq, sg, sigma, mu, 7)
-        rng = np.random.default_rng(n)
-        F = rng.standard_normal((7, n)) + 1j * rng.standard_normal((7, n))
-        # the oracle holds starts on the last axis
-        r = defect.residuals(F.T, np.empty((n * n, 7), dtype=complex)).T
-        for f, row in zip(F, r):
-            grid = _defect(eq, compile_terms(eq, sg, sigma, mu), f, None)
-            assert np.max(np.abs(row.reshape(n, n) - grid)) <= 1e-12 * np.max(np.abs(grid))
-        lam = 10.0 ** rng.uniform(-12, 2, 7)
-        M = defect.augmented(F.T, r.T, lam)
-        assert M.shape == (n, n + 1, 7)
-        A, g = M[:, :n].transpose(2, 0, 1), -M[:, n].T
-        A_ref, g_ref = explicit_normal_equations(defect.L, defect.c, F, r, lam)
-        assert np.max(np.abs(A - A_ref)) <= 1e-12 * np.max(np.abs(A_ref))
-        assert np.max(np.abs(g - g_ref)) <= 1e-12 * np.max(np.abs(g_ref))
+class TestJointEigenvalues:
+    """_joint_eigenvalues on hand-built blocks, whose joint eigenspaces
+    are known."""
+
+    @staticmethod
+    def tuples(*blocks):
+        found = _joint_eigenvalues(np.array(blocks, dtype=complex), np.random.default_rng(0))
+        assert all(np.abs(lam.imag).max() <= 1e-12 for lam in found)
+        return sorted(tuple(np.round(lam.real, 9).tolist()) for lam in found)
+
+    def test_last_block_splits_a_shared_eigenvalue(self):
+        assert self.tuples(np.diag([1, 2, 2]), np.diag([3, 4, 4]), np.diag([0, 0, 1])) == \
+            [(1, 3, 0), (2, 4, 0), (2, 4, 1)]
+
+    def test_a_joint_eigenspace_gives_one_tuple(self):
+        assert self.tuples(np.diag([1, 2, 2]), np.diag([3, 4, 4]), np.diag([5, 6, 6])) == [(1, 3, 5), (2, 4, 6)]
+
+    def test_defective_block_keeps_only_its_eigenvector(self):
+        # e_1 ends a Jordan chain of the first block and is no eigenvector
+        jordan = [[1, 1, 0], [0, 1, 0], [0, 0, 2]]
+        assert self.tuples(jordan, np.diag([0, 0, 1]), np.zeros((3, 3))) == [(1, 0, 0), (2, 1, 0)]
+
+    def test_blocks_without_a_common_eigenvector(self):
+        assert self.tuples([[1, 0], [0, 2]], [[0, 1], [1, 0]]) == []
+
+    def test_eigenspace_without_its_root_is_no_root(self):
+        # C3, negation, mu = delta_2: the sine functions chi - chi o sigma
+        # span two joint eigenspaces with lambda != 0, but lambda / c lies
+        # in neither (wilson_variant branches); the closed form is empty too
+        c3 = cyclic_group(3)
+        neg = InvolutiveMorphism((0, 2, 1), MorphismKind.AUTOMORPHISM)
+        mu = DiracMeasure.point_mass(2)
+        L = _defect_operator(EQUATIONS["vanvleck"], c3, neg, mu)
+        found = _joint_eigenvalues(np.ascontiguousarray(L.reshape(3, 3, 3).transpose(1, 0, 2)),
+                                   np.random.default_rng(0))
+        assert sum(np.abs(lam).max() > solvers.CLUSTER_TOL for lam in found) == 2
+        assert spectral_oracle(c3, "vanvleck", neg, mu) == []
+        assert solve_vanvleck(c3, neg, mu).solutions == ()
+
+    def test_open_cluster_is_an_internal_error(self, c4, sigma_neg, mu_delta1, monkeypatch):
+        # with no combination to draw, the first subspace that is no joint
+        # eigenspace stays open: it raises, it is never dropped
+        monkeypatch.setattr(solvers, "_TRIES", 0)
+        with pytest.raises(FeqlabError, match="^internal: spectral oracle left a cluster of dimension 4 open$"):
+            spectral_oracle(c4, "vanvleck", sigma_neg, mu_delta1)
 
 
-# the floating-point state newton_oracle runs _gauss_jordan under
-ORACLE_ERRSTATE = dict(over="ignore", invalid="ignore", divide="ignore")
+def negation(sg):
+    """x -> x^(-1) on an abelian group, an involutive automorphism."""
+    inverse = tuple(next(y for y in sg.elements() if sg.mul(x, y) == sg.identity) for x in sg.elements())
+    return InvolutiveMorphism(inverse, MorphismKind.AUTOMORPHISM)
 
 
-def hpd_batch(rng, n, starts):
-    """starts systems J^H J + lam I, x = b, stacked on the last axis of an
-    n x (n+1) x starts array as the oracle builds them, with J of O(1)
-    entries and often fewer rows than columns (so lam is the smallest
-    eigenvalue) and lam from 1e-12 to 1e14; also A and b start-first."""
-    rows = rng.integers(1, n * n + 1)
-    J = rng.standard_normal((starts, rows, n)) + 1j * rng.standard_normal((starts, rows, n))
-    J *= 10.0 ** rng.uniform(-1, 1, (starts, 1, 1))
-    lam = 10.0 ** rng.uniform(-12, 14, starts)
-    lam[:2] = 1e-12, 1e14
-    A = np.conj(J.transpose(0, 2, 1)) @ J + lam[:, None, None] * np.eye(n)
-    b = rng.standard_normal((starts, n)) + 1j * rng.standard_normal((starts, n))
-    b *= 10.0 ** rng.uniform(-6, 6, (starts, 1))
-    M = np.ascontiguousarray(np.concatenate([A, b[:, :, None]], axis=2).transpose(1, 2, 0))
-    return M, A, b
+def sweep_cases(tables, tags, masses):
+    """(tag, sg, sigma, mu) for each table, tag, involutive morphism the
+    tag reads (every one of either kind) and measure masses(sg, sigma, tag)
+    gives, kept where the closed form's hypotheses hold; an input the tag
+    does not read is None."""
+    for sg, morphisms in tables:
+        for tag in tags:
+            eq = EQUATIONS[tag]
+            for sigma in morphisms if "sigma" in eq.reads else [None]:
+                for mu in masses(sg, sigma, tag) if "mu" in eq.reads else [None]:
+                    try:
+                        bind_inputs(eq, sg, sigma, mu, hypotheses=eq.closed_form.hypotheses)
+                    except FeqlabError:
+                        continue
+                    yield tag, sg, sigma, mu
 
 
-class TestGaussJordan:
-    @pytest.mark.parametrize("seed", range(4))
-    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
-    def test_backward_error_and_lapack(self, n, seed):
-        M, A, b = hpd_batch(np.random.default_rng((n, seed)), n, 50)
-        x = _gauss_jordan(M).T
-        norm_A = np.linalg.norm(A, 2, axis=(1, 2))
-        norm_x = np.linalg.norm(x, axis=1)
-        assert np.all(np.linalg.norm((A @ x[:, :, None])[:, :, 0] - b, axis=1) <= 1e-12 * norm_A * norm_x)
-        # forward error within the usual bound for a backward-stable solve
-        ref = np.linalg.solve(A, b[:, :, None])[:, :, 0]
-        assert np.all(np.linalg.norm(x - ref, axis=1)
-                      <= 1e-12 * np.linalg.cond(A) * np.linalg.norm(ref, axis=1))
+def sweep(cases):
+    """(cases, closed-form solutions, missed, extra) of spectral_oracle
+    against closed_form over the cases."""
+    count = solutions = missed = extra = 0
+    for tag, sg, sigma, mu in cases:
+        closed = closed_form(tag, sg, sigma, mu).vectors()
+        _, oracle_only, closed_only = match_solution_sets(spectral_oracle(sg, tag, sigma, mu), closed, mu)
+        count += 1
+        solutions += len(closed)
+        missed += len(closed_only)
+        extra += len(oracle_only)
+    return count, solutions, missed, extra
 
-    @pytest.mark.parametrize("bad", ["nan", "inf", "zero_pivot"])
-    def test_non_finite_start_leaves_the_others_alone(self, bad):
-        n, starts, hit = 3, 8, 5
-        M, _, _ = hpd_batch(np.random.default_rng(11), n, starts)
-        alone = [_gauss_jordan(M[:, :, [s]].copy())[:, 0] for s in range(starts)]
-        if bad == "zero_pivot":
-            M[:, :n, hit] = 0.0
-        else:
-            M[1, :, hit] = float(bad)
-        with np.errstate(**ORACLE_ERRSTATE), warnings.catch_warnings():
-            warnings.simplefilter("error")
-            x = _gauss_jordan(M)
-        assert not np.any(np.isfinite(x[:, hit]))
-        for s in range(starts):
-            if s != hit:
-                assert np.array_equal(x[:, s], alone[s])
 
-    def test_oracle_rejects_a_singular_step(self, c4, sigma_neg, mu_delta1, monkeypatch):
-        # one start's matrix is zeroed at every step: its step divides by a
-        # zero pivot, is rejected, and no warning or error escapes
-        want = newton_oracle(c4, "vanvleck", sigma_neg, mu_delta1, starts=60, seed=3)
-        calls = []
+def unit_masses(sg, sigma, tag):
+    """A unit mass at each point, made a sigma-symmetric pair of halves
+    for the cosine forms where sigma moves the point."""
+    for p in range(sg.n):
+        q = p if sigma is None or tag == "vanvleck" else sigma.map[p]
+        yield DiracMeasure.point_mass(p) if q == p else DiracMeasure.from_pairs([(p, 0.5), (q, 0.5)])
 
-        def singular_start(M):
-            calls.append(M.shape)
-            M[:, :-1, 7] = 0.0
-            return _gauss_jordan(M)
 
-        monkeypatch.setattr("feqlab.solvers._gauss_jordan", singular_start)
+class TestSpectralOracle:
+    def test_order_3_census_every_closed_form(self):
+        # every labeled table of order <= 3, every involutive (anti-)
+        # automorphism, the five closed-form tags
+        tables = [(sg, [m for kind in MorphismKind for m in enumerate_involutive_morphisms(sg, kind)])
+                  for n in (1, 2, 3) for sg in enumerate_all_semigroups(n)]
+        assert sweep(sweep_cases(tables, CLOSED_FORM_TAGS, unit_masses)) == (1610, 1904, 0, 0)
+
+    def test_ladder_past_the_cli_cap(self):
+        # orders 8 and 16, where multistart Gauss-Newton found no vanvleck
+        # root at C16 in 200 starts, with negation, delta_1 and the
+        # sigma-symmetric pair (delta_1 + delta_-1)/2
+        tables = [(sg, [negation(sg)]) for sg in (cyclic_group(8), cyclic_group(16),
+                                                 direct_product(cyclic_group(2), cyclic_group(4)))]
+
+        def masses(sg, sigma, tag):
+            return [DiracMeasure.point_mass(1), DiracMeasure.from_pairs([(1, 0.5), (negation(sg).map[1], 0.5)])]
+
+        assert sweep(sweep_cases(tables, ["vanvleck", "spherical", "corollary33"], masses)) == (15, 76, 0, 0)
+
+    def test_noncentral_spherical_root_outside_the_form(self, s3):
+        # mu = delta_e + delta_tau is not central in S3: the law is solved
+        # exactly by (2, 2, -1, -1, -1, -1), a function no character
+        # gives, beside chi * mean(chi) = 2 for the trivial character. The
+        # oracle finds both; the closed form stops at the characters
+        mu = DiracMeasure.from_pairs([(0, 1.0), (1, 1.0)])
+        outside = np.array([2, 2, -1, -1, -1, -1], dtype=complex)
+        assert residual(EQUATIONS["spherical"], s3, outside, mu=mu).max_abs == 0.0
+        closed = closed_form("spherical", s3, None, mu).vectors()
+        roots = spectral_oracle(s3, "spherical", None, mu)
+        pairs, extra, missing = match_solution_sets(roots, closed, mu)
+        assert len(closed) == len(pairs) == 1 and not missing
+        assert len(extra) == 1 and np.max(np.abs(roots[extra[0]] - outside)) <= 1e-12
+
+    def test_seed_moves_no_root(self, c4, sigma_neg, upsilon):
+        for tag, sigma, mu in (("vanvleck", sigma_neg, DiracMeasure.point_mass(1)),
+                               ("corollary33", sigma_neg, upsilon), ("spherical", None, upsilon)):
+            want = spectral_oracle(c4, tag, sigma, mu, seed=0)
+            assert [v.tobytes() for v in spectral_oracle(c4, tag, sigma, mu, seed=0)] == [v.tobytes() for v in want]
+            for seed in (1, 2, 3):
+                got = spectral_oracle(c4, tag, sigma, mu, seed=seed)
+                pairs, extra, missing = match_solution_sets(got, want, mu)
+                assert len(pairs) == len(want) > 0 and not extra and not missing, (tag, seed)
+
+    def test_overflowing_norm_raises(self, c4, sigma_neg):
+        # ||mu|| = inf cannot be brought to unit norm; no LinAlgError escapes
+        mu = DiracMeasure.from_pairs([(1, 1e308), (3, 1e308)])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = newton_oracle(c4, "vanvleck", sigma_neg, mu_delta1, starts=60, seed=3)
-        # the oracle solved its steps through the patched elimination
-        assert calls and set(calls) == {(4, 5, 60)}
-        assert len(got) == len(want) > 0
-        assert all(np.array_equal(a, b) for a, b in zip(got, want))
-
-
-def jacobian_oracle(sg, eq, sigma, mu, starts, seed):
-    """newton_oracle with an explicit (starts, n^2, n) Jacobian, the
-    residual recomputed at the top of each iteration and every converged
-    row clustered: the reference for the closed-form normal equations
-    and the cutoff filter. Like the oracle it solves for mu / ||mu|| and
-    scales the roots back (every witness measure has a positive norm).
-    It keeps the oracle's first stop rule on purpose: it runs until every
-    start has converged or stalled, also those in the zero valley, so
-    matching its roots shows that stopping once the rest sit at or below
-    ZERO_VALLEY loses no root."""
-    n = sg.n
-    scale = measure_norm(mu) if mu is not None else 1.0
-    if mu is not None:
-        mu = DiracMeasure.from_pairs([(p, w / scale) for p, w in mu.atoms])
-    rows = np.arange(n * n)
-    L = words_operator(eq, sg, sigma, mu)
-    c = eq.products[0].coef
-    xs, ys = rows // n, rows % n
-
-    def residuals(F):
-        return F @ L.T - c * F[:, xs] * F[:, ys]
-
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-    radius = (measure_norm(mu) if mu is not None else 1.0) + 1.0
-    u = rng.random((starts, n))
-    theta = rng.random((starts, n))
-    F = radius * np.sqrt(u) * np.exp(2j * np.pi * theta)
-    lam = np.full(starts, 1e-3)
-    cost = np.sum(np.abs(residuals(F)) ** 2, axis=1)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(80):
-            r = residuals(F)
-            J = np.broadcast_to(L, (starts, n * n, n)).copy()
-            J[:, rows, xs] -= c * F[:, ys]
-            J[:, rows, ys] -= c * F[:, xs]
-            JH = np.conj(np.transpose(J, (0, 2, 1)))
-            step = np.linalg.solve(JH @ J + lam[:, None, None] * np.eye(n), -(JH @ r[:, :, None]))[:, :, 0]
-            F_try = F + step
-            cost_try = np.sum(np.abs(residuals(F_try)) ** 2, axis=1)
-            better = cost_try < cost
-            F = np.where(better[:, None], F_try, F)
-            cost = np.where(better, cost_try, cost)
-            lam = np.where(better, np.maximum(lam * 0.4, 1e-12), np.minimum(lam * 10.0, 1e14))
-            if np.all((cost <= 1e-26) | (lam >= 1e13)):
-                break
-    return unfiltered_roots(F, np.max(np.abs(residuals(F)), axis=1), scale)
-
-
-def unfiltered_roots(F, res_inf, scale=1.0):
-    """Every converged row clustered one distance row per row, then the
-    cutoff applied and the roots scaled and sorted canonically."""
-    order = sorted((i for i in range(len(F)) if res_inf[i] <= ORACLE_TOL),
-                   key=lambda i: (float(res_inf[i]), i))
-    roots = [v * scale for v in one_row_per_k_heads(F[order], DEDUP_TOL)
-             if float(np.max(np.abs(v))) > ZERO_ROOT_CUTOFF]
-    roots.sort(key=lambda v: tuple((round(z.real, 8), round(z.imag, 8)) for z in v))
-    return roots
-
-
-def oracle_witnesses(s3):
-    """(name, sg, automorphism, measure for the sine variant, sigma-invariant
-    measure for the cosine family) on C4, the Klein group and S3."""
-    c4 = cyclic_group(4)
-    klein = direct_product(cyclic_group(2), cyclic_group(2))
-    auto = MorphismKind.AUTOMORPHISM
-    return [
-        ("C4", c4, InvolutiveMorphism(map=(0, 3, 2, 1), kind=auto), DiracMeasure.point_mass(1),
-         DiracMeasure.from_pairs([(1, 0.5), (3, 0.5)])),
-        ("Klein", klein, InvolutiveMorphism(map=(0, 2, 1, 3), kind=auto), DiracMeasure.point_mass(1),
-         DiracMeasure.from_pairs([(1, 0.5), (2, 0.5)])),
-        ("S3", s3, conjugation_by(s3, 1), DiracMeasure.point_mass(0), DiracMeasure.point_mass(0, 0.75)),
-    ]
-
-
-class TestOracleAgainstJacobian:
-    @pytest.mark.parametrize("tag", CLOSED_FORM_TAGS)
-    def test_same_roots_as_explicit_jacobian(self, tag, s3):
-        eq = EQUATIONS[tag]
-        found = 0
-        for name, sg, sigma, sine_mu, cosine_mu in oracle_witnesses(s3):
-            sigma = sigma if "sigma" in eq.reads else None
-            mu = (sine_mu if tag == "vanvleck" else cosine_mu) if "mu" in eq.reads else None
-            for seed in range(3):
-                got = newton_oracle(sg, tag, sigma, mu, starts=40, seed=seed)
-                want = jacobian_oracle(sg, eq, sigma, mu, 40, seed)
-                assert len(got) == len(want), (name, seed)
-                for a, b in zip(got, want):
-                    assert np.max(np.abs(a - b)) <= 1e-12, (name, seed)
-                found += len(want)
-        assert found > 0
-
-
-def fresh_residuals(defect, F):
-    """The defect at each column of F, in fresh arrays."""
-    return defect.L @ F - defect.c * F[defect.xs] * F[defect.ys]
-
-
-def fresh_augmented(defect, F, r, lam):
-    """[J^H J + lam I | -J^H r] built in fresh arrays, as the oracle's loop
-    built it before it worked in place."""
-    n, starts = F.shape
-    cF = defect.c * F
-    cF_bar = np.conj(cF)
-    M = np.empty((n, n + 1, starts), dtype=complex)
-    H = cF[:, None] * cF_bar - (defect.cPT @ F).reshape(n, n, starts)
-    A = M[:, :n]
-    np.add(H, np.conj(H.transpose(1, 0, 2)), out=A)
-    A += defect.LhL
-    M.reshape(n * (n + 1), starts)[::n + 2] += 2.0 * np.sum(np.abs(cF) ** 2, axis=0) + lam
-    R = r.reshape(n, n, starts)
-    M[:, n] = np.sum((R + R.transpose(1, 0, 2)) * cF_bar, axis=1) - defect.L_H @ r
-    return M
-
-
-@np.errstate(over="ignore", invalid="ignore", divide="ignore")
-def fresh_oracle_state(sg, tag, sigma, mu, starts, seed):
-    """The final (F, res_inf) that newton_oracle hands to _reported_roots,
-    from its loop as it stood with starts on the last axis and fresh
-    arrays at every step (three np.where per step), started from a
-    C-ordered copy of the polydisk points, and stopped once every start
-    has converged, stalled or come to sup |f| <= ZERO_VALLEY: the bit
-    reference for the loop that works in place."""
-    eq = closed_form_equation(tag)
-    mu, _ = bind_inputs(eq, sg, sigma, mu, hypotheses=())
-    norm = 1.0 if mu is None else measure_norm(mu)
-    scale = _unit_scale(mu)
-    mu = None if mu is None else DiracMeasure(tuple((p, w / scale) for p, w in mu.atoms))
-    defect = _defect_operator(eq, sg, sigma, mu, starts)
-    F = np.ascontiguousarray(_polydisk(seed, norm / scale + 1.0, (starts, sg.n)).T)
-    lam = np.full(starts, 1e-3)
-    r = fresh_residuals(defect, F)
-    cost = np.sum(np.abs(r) ** 2, axis=0)
-    for _ in range(80):
-        F_try = F + _gauss_jordan(fresh_augmented(defect, F, r, lam))
-        r_try = fresh_residuals(defect, F_try)
-        cost_try = np.sum(np.abs(r_try) ** 2, axis=0)
-        better = cost_try < cost
-        F = np.where(better, F_try, F)
-        r = np.where(better, r_try, r)
-        cost = np.where(better, cost_try, cost)
-        lam = np.where(better, np.maximum(lam * 0.4, 1e-12), np.minimum(lam * 10.0, 1e14))
-        if np.all((cost <= 1e-26) | (lam >= 1e13) | (np.max(np.abs(F), axis=0) <= ZERO_VALLEY)):
-            break
-    return F.T, np.max(np.abs(r), axis=0)
-
-
-def bit_reference_cases(s3):
-    """(name, sg, sigma, measure, starts, seeds) for every closed-form tag:
-    the C4 fixtures at 200 starts; the Klein group and S3 (oracle_witnesses);
-    one order-3 census table, swept as the census is, with every
-    involutive morphism and a unit mass at each central point; C2xC4,
-    of order 8; and the trivial group at one start, whose arrays hold a
-    single element."""
-    auto = MorphismKind.AUTOMORPHISM
-    cases = [("C4", cyclic_group(4), InvolutiveMorphism((0, 3, 2, 1), auto), DiracMeasure.point_mass(1),
-              DiracMeasure.from_pairs([(1, 0.5), (3, 0.5)]), 200, (0, 1))]
-    cases += [(name, sg, sigma, sine_mu, cosine_mu, 60, (0, 1))
-              for name, sg, sigma, sine_mu, cosine_mu in oracle_witnesses(s3)[1:]]
-    census = next(sg for sg in enumerate_all_semigroups(3) if sg.table == ((0, 1, 1), (1, 1, 1), (1, 1, 2)))
-    cases += [(f"census-{kind.value}{sigma.map}-{z}", census, sigma, DiracMeasure.point_mass(z),
-               DiracMeasure.point_mass(z), 120, (0,))
-              for kind in MorphismKind for sigma in enumerate_involutive_morphisms(census, kind)
-              for z in center(census)]
-    c2xc4 = direct_product(cyclic_group(2), cyclic_group(4))
-    negation = InvolutiveMorphism((0, 3, 2, 1, 4, 7, 6, 5), auto)  # x -> -x
-    cases.append(("C2xC4", c2xc4, negation, DiracMeasure.point_mass(5), DiracMeasure.point_mass(0, 0.75),
-                  30, (0,)))
-    trivial = cyclic_group(1)
-    cases.append(("C1", trivial, InvolutiveMorphism((0,), auto), DiracMeasure.point_mass(0, 0.3 - 0.8j),
-                  DiracMeasure.point_mass(0, 1.7), 1, range(8)))
-    return cases
-
-
-class TestOracleBits:
-    """The loop that works in place against its fresh-array reference,
-    bit for bit, at the state newton_oracle hands to _reported_roots."""
-
-    @pytest.mark.parametrize("tag", CLOSED_FORM_TAGS)
-    def test_final_state_equals_fresh_loop(self, tag, s3, monkeypatch):
-        eq = EQUATIONS[tag]
-        seen = []
-
-        def record(F, res_inf, scale=1.0):
-            seen.append((F.copy(), res_inf.copy()))
-            return _reported_roots(F, res_inf, scale)
-
-        monkeypatch.setattr("feqlab.solvers._reported_roots", record)
-        for name, sg, sigma, sine_mu, cosine_mu, starts, seeds in bit_reference_cases(s3):
-            sigma = sigma if "sigma" in eq.reads else None
-            mu = (sine_mu if tag == "vanvleck" else cosine_mu) if "mu" in eq.reads else None
-            for seed in seeds:
-                seen.clear()
-                newton_oracle(sg, tag, sigma, mu, starts=starts, seed=seed)
-                F, res_inf = seen[0]
-                F_ref, res_ref = fresh_oracle_state(sg, tag, sigma, mu, starts, seed)
-                assert np.array_equal(F, F_ref) and np.array_equal(res_inf, res_ref), (name, seed)
-
-
-class TestOracleStop:
-    def test_zero_valley_starts_settle_the_census_loop(self, monkeypatch):
-        """On an order-3 census table, swept as the census is, every call
-        stops within 13 steps (25 when the valley starts had to reach cost
-        1e-26), and every start it hands to _reported_roots has converged
-        or lies at or below ZERO_VALLEY. None can have stalled: lam grows
-        from 1e-3 by at most 10 a step, so 13 steps leave it below 1e13."""
-        census = next(sg for sg in enumerate_all_semigroups(3) if sg.table == ((0, 1, 1), (1, 1, 1), (1, 1, 2)))
-        steps, seen = [], []
-
-        def count(M):
-            steps[-1] += 1
-            return _gauss_jordan(M)
-
-        def record(F, res_inf, scale=1.0):
-            seen.append(F.copy())
-            return _reported_roots(F, res_inf, scale)
-
-        monkeypatch.setattr("feqlab.solvers._gauss_jordan", count)
-        monkeypatch.setattr("feqlab.solvers._reported_roots", record)
-        eq = EQUATIONS["vanvleck"]
-        for kind in MorphismKind:
-            for sigma in enumerate_involutive_morphisms(census, kind):
-                for z in center(census):
-                    mu = DiracMeasure.point_mass(z)
-                    steps.append(0)
-                    seen.clear()
-                    newton_oracle(census, "vanvleck", sigma, mu, starts=120, seed=0)
-                    assert 0 < steps[-1] <= 13, (sigma.map, z, steps[-1])
-                    F = seen[0].T
-                    r = _defect_operator(eq, census, sigma, mu, 120).residuals(F, np.empty((9, 120), complex))
-                    converged = np.sum(np.abs(r) ** 2, axis=0) <= 1e-26
-                    assert (converged | (np.max(np.abs(F), axis=0) <= ZERO_VALLEY)).all(), (sigma.map, z)
-        assert len(steps) == 12
-
-
-class TestOracleWorkspace:
-    def test_steps_write_to_arrays_allocated_once(self, c4, sigma_neg, mu_delta1, monkeypatch):
-        """Every system a call builds is its defect's own M, and every
-        defect is written to the out it was given."""
-        augmented, residuals = _QuadraticDefect.augmented, _QuadraticDefect.residuals
-        systems, defects = [], []
-
-        def record_augmented(self, F, r, lam):
-            systems.append((self, augmented(self, F, r, lam)))
-            return systems[-1][1]
-
-        def record_residuals(self, F, out):
-            defects.append((self, out, residuals(self, F, out)))
-            return defects[-1][2]
-
-        monkeypatch.setattr(_QuadraticDefect, "augmented", record_augmented)
-        monkeypatch.setattr(_QuadraticDefect, "residuals", record_residuals)
-        newton_oracle(c4, "vanvleck", sigma_neg, mu_delta1, starts=50, seed=0)
-        defect = systems[0][0]
-        assert len(systems) > 1 and len(defects) == len(systems) + 1
-        assert all(owner is defect and M is defect.M for owner, M in systems)
-        assert all(owner is defect and got is out for owner, out, got in defects)
-
-
-class TestReportedRoots:
-    @pytest.mark.parametrize("below_first", [True, False])
-    def test_row_at_cutoff_near_a_row_below_it(self, below_first):
-        eps = DEDUP_TOL
-        below = [ZERO_ROOT_CUTOFF - 0.4 * eps, 0.0]
-        above = [ZERO_ROOT_CUTOFF + 0.4 * eps, 0.0]
-        rng = np.random.default_rng(7)
-        valley = 1e-4 * (rng.standard_normal((50, 2)) + 1j * rng.standard_normal((50, 2)))
-        F = np.concatenate([np.array([below, above, [1.0, -1.0], [1.0 + 0.5 * eps, -1.0]], dtype=complex),
-                            valley, [[ZERO_ROOT_CUTOFF - 2 * eps, 0.0]], [[0.5, 0.5]]])
-        res_inf = np.concatenate([[1e-9, 2e-9] if below_first else [2e-9, 1e-9], [3e-10, 1e-10],
-                                  rng.uniform(0.0, 1e-8, 50), [0.0], [1.0]])
-        got = _reported_roots(F, res_inf, 1.0)
-        want = unfiltered_roots(F, res_inf)
-        # the pair at 1 is one root; the row above the cutoff is one only when it comes first
-        assert len(got) == len(want) == (1 if below_first else 2)
-        assert all(np.array_equal(a, b) for a, b in zip(got, want))
-
-
-class TestOracleStarts:
-    @pytest.mark.parametrize("seed", [0, 42, (42, 7), (0, 999, 1)])
-    def test_stream_is_explicit_pcg64(self, seed):
-        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-        u = rng.random((50, 4))
-        theta = rng.random((50, 4))
-        want = 2.0 * np.sqrt(u) * np.exp(2j * np.pi * theta)
-        assert np.array_equal(_polydisk(seed, 2.0, (50, 4)), want)
-
-    def test_oracle_starts_from_polydisk(self, c4, sigma_neg, mu_delta1, monkeypatch):
-        seen = []
-
-        def record(seed, radius, shape):
-            seen.append((seed, radius, shape))
-            return _polydisk(seed, radius, shape)
-
-        monkeypatch.setattr("feqlab.solvers._polydisk", record)
-        newton_oracle(c4, "vanvleck", sigma_neg, mu_delta1, starts=30, seed=4)
-        newton_oracle(c4, "dalembert_variant", sigma_neg, None, starts=20, seed=5)
-        # radius 1 + ||mu||, and 2 without a measure
-        assert seen == [(4, 2.0, (30, 4)), (5, 2.0, (20, 4))]
+            for tag in ("vanvleck", "spherical"):
+                with pytest.raises(NonFiniteResidual, match=f"^{tag} oracle operator is not finite \\(overflow\\)$"):
+                    spectral_oracle(c4, tag, sigma_neg, mu)
 
 
 class TestSelfCheck:
@@ -1248,6 +889,31 @@ class TestSelfCheck:
                             dataclasses.replace(eq, closed_form=eq.closed_form._replace(sigma_sign=1)))
         with pytest.raises(FeqlabError, match="closed form failed verification for vanvleck"):
             solve_vanvleck(c4, sigma_neg, DiracMeasure.point_mass(1, weight))
+
+    @pytest.mark.parametrize("shift", [1e-6, 1e-9])
+    def test_shifted_solution_fails_verification(self, c4, shift, monkeypatch):
+        # chi(2) off by shift moves chi * mean(chi) at 2 and no mean test
+        # (delta_1 reads chi(1)): a defect of order shift, far above the
+        # derived gate and below a constant gate of 1e-3
+        real = solvers.character_to_scalar
+
+        def shifted(chi):
+            c = real(chi).copy()
+            c[2] += shift
+            return c
+
+        monkeypatch.setattr(solvers, "character_to_scalar", shifted)
+        with pytest.raises(FeqlabError, match="^internal: closed form failed verification for spherical"):
+            solve_spherical(c4, DiracMeasure.point_mass(1))
+
+    def test_slack_is_its_derived_bound(self):
+        # (300 + 11k) eps ||mu||^2 + 2^-1022, as closed_form_slack derives it
+        eps, tiny = 2.0 ** -52, 2.0 ** -1022
+        assert closed_form_slack(None) == 300 * eps * 1.0 * 1.0 + tiny
+        assert closed_form_slack(DiracMeasure.point_mass(1)) == 311 * eps * 1.0 * 1.0 + tiny
+        mu = DiracMeasure.from_pairs([(0, 3.0), (2, -4j), (5, 0.5)])  # ||mu|| = 7.5
+        assert closed_form_slack(mu) == 333 * eps * 7.5 * 7.5 + tiny
+        assert closed_form_slack(DiracMeasure.point_mass(0, 1e150)) == 311 * eps * 1e150 * 1e150 + tiny
 
     @pytest.mark.parametrize("tag, point, law", [
         ("vanvleck", 1, "vanvleck"),

@@ -21,7 +21,6 @@ from feqlab import (
     cyclic_group,
     fuzz_campaign,
     measure_norm,
-    perturb,
     residual_vanvleck,
     solve_vanvleck,
     superstability_bound,
@@ -41,6 +40,16 @@ def classify(sg, f, sigma, mu, tol=DEFAULT_TOL) -> StabilityTrial:
     sup_f = float(np.max(np.abs(arr)))
     bound, verdict = _verdict(sup_f, delta, measure_norm(mu), len(mu.atoms), tol)
     return StabilityTrial(arr, 0.0, 0, delta, sup_f, bound, verdict)
+
+
+def perturbed(base, radius, seed) -> np.ndarray:
+    """base plus uniform-in-disk offsets of the given radius from the
+    PCG64 stream of seed (an int or a tuple of ints): all of u, then all
+    of theta, as fuzz_campaign draws trial t's from (seed, t, 1)."""
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+    u = rng.random(len(base))
+    theta = rng.random(len(base))
+    return np.asarray(base, dtype=complex) + radius * np.sqrt(u) * np.exp(2j * np.pi * theta)
 
 
 OVERFLOW = "vanvleck residual is not finite (overflow or non-finite input)"
@@ -119,66 +128,8 @@ class TestMeasuredDelta:
             _, trials = fuzz_campaign(sg, sigma, mu, cfg)
             assert any(t.verdict is Verdict.WITHIN_BOUND for t in trials), order
             for t in trials:
-                f = perturb(t.base, t.radius, (cfg.seed, t.trial, 1))
+                f = perturbed(t.base, t.radius, (cfg.seed, t.trial, 1))
                 assert t.measured_delta == residual_vanvleck(sg, f, sigma, mu).max_abs, (order, t.trial)
-
-
-class TestPerturb:
-    def test_radius_zero_identity(self, sine):
-        out = perturb(np.asarray(sine, dtype=complex), 0.0, seed=3)
-        assert np.array_equal(out, np.asarray(sine, dtype=complex))
-
-    def test_bounded_by_radius(self, sine):
-        base = np.asarray(sine, dtype=complex)
-        for seed in range(20):
-            out = perturb(base, 0.25, seed=seed)
-            assert np.max(np.abs(out - base)) <= 0.25 + 1e-15
-
-    def test_deterministic_and_tuple_seeds(self, sine):
-        base = np.asarray(sine, dtype=complex)
-        assert np.array_equal(perturb(base, 0.5, seed=11), perturb(base, 0.5, seed=11))
-        assert np.array_equal(perturb(base, 0.5, seed=(4, 2, 1)), perturb(base, 0.5, seed=(4, 2, 1)))
-        assert not np.array_equal(perturb(base, 0.5, seed=11), perturb(base, 0.5, seed=12))
-
-    @pytest.mark.parametrize("f", [
-        ["0", "1"], [True, False], [None, 1.0], np.array([True, False]), np.array(["0", "1"]),
-        np.array([0, 1], dtype=object),
-    ], ids=["strings", "bools", "none", "bool_array", "string_array", "object_array"])
-    def test_refuses_non_numbers(self, f):
-        # the strings and bools were read as numbers, as check_function read them before
-        with pytest.raises(BadParams, match="^function values must be numbers$"):
-            perturb(f, 0.0, 1)
-
-    def test_numbers_of_any_kind(self):
-        for f in ([0, 1.5, 2j, np.float32(3)], np.arange(4), np.arange(4, dtype=np.complex64)):
-            out = perturb(f, 0.0, 1)
-            assert out.dtype == complex and np.array_equal(out, np.asarray(f, dtype=complex))
-
-    @pytest.mark.parametrize("seed", [0, 42, (42, 7), (42, 7, 1), (0, 999, 1)])
-    def test_stream_is_explicit_pcg64(self, sine, seed):
-        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-        u = rng.random(4)
-        theta = rng.random(4)
-        want = np.asarray(sine, dtype=complex) + 0.75 * np.sqrt(u) * np.exp(2j * np.pi * theta)
-        assert np.array_equal(perturb(sine, 0.75, seed), want)
-
-    def test_overflow_raises_without_warning(self):
-        # the sum 1.7e308 + 1.7e308 cos(theta) overflows at point 0; numpy
-        # warned and returned inf
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(BadParams, match=r"^perturbed values are not finite \(overflow\)$"):
-                perturb([1.7e308, 0, 0, 0], 1.7e308, 3)
-            with pytest.raises(BadParams, match="overflow"):
-                perturb([0, 0], float("inf"), 3)
-            # a value that is not finite already is no overflow, and stays
-            out = perturb([float("inf"), 1.0], 0.5, 3)
-        assert out[0].real == float("inf") and np.isfinite(out[1])
-
-    def test_rejects_negative_radius(self, sine):
-        for bad in (-0.5, float("nan")):
-            with pytest.raises(BadParams):
-                perturb(np.asarray(sine, dtype=complex), bad, seed=0)
 
 
 class TestDichotomy:
@@ -254,7 +205,7 @@ class TestApproximateBattery:
         # holds must agree with the reported lhs/rhs either way
         base = np.asarray(sine, dtype=complex)
         for seed in range(10):
-            f = perturb(base, 0.05, seed=seed)
+            f = perturbed(base, 0.05, seed=seed)
             delta = residual_vanvleck(c4, f, sigma_neg, mu_delta1).max_abs
             items = approximate_battery(c4, f, sigma_neg, mu_delta1, delta=delta)
             assert len(items) == 8
@@ -375,7 +326,7 @@ class TestCampaign:
             rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((cfg.seed, k))))
             base = bases[int(rng.integers(len(bases)))]
             radius = float(rng.uniform(0.0, cfg.radius_max))
-            f = perturb(base, radius, (cfg.seed, k, 1))
+            f = perturbed(base, radius, (cfg.seed, k, 1))
             delta = residual_vanvleck(sg, f, sigma, mu).max_abs
             sup_f = float(np.max(np.abs(f)))
             bound = superstability_bound(delta, m)
@@ -410,7 +361,7 @@ class TestCampaign:
         cfg = CampaignConfig(trials=648, radius_max=9.6e153, seed=1)
         bases = solve_vanvleck(c4, sigma_neg, mu_delta1).vectors() + [np.zeros(4, dtype=complex)]
         rng = np.random.Generator(np.random.PCG64((1, 648)))
-        f = perturb(bases[int(rng.integers(len(bases)))], float(rng.uniform(0.0, 9.6e153)), (1, 648, 1))
+        f = perturbed(bases[int(rng.integers(len(bases)))], float(rng.uniform(0.0, 9.6e153)), (1, 648, 1))
         with pytest.raises(NonFiniteResidual):
             residual_vanvleck(c4, f, sigma_neg, mu_delta1)
         for cells in (1, stability._CHUNK_CELLS):
@@ -471,6 +422,6 @@ class TestCampaign:
         sup = float(np.max(np.abs(base)))
         for seed in range(30):
             r = 0.1 * (seed + 1) / 30
-            f = perturb(base, r, seed=seed)
+            f = perturbed(base, r, seed=seed)
             delta = residual_vanvleck(c4, f, sigma_neg, mu_delta1).max_abs
             assert delta <= (2 * m + 2 * sup + 2 * r) * r + 1e-12

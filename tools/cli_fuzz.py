@@ -13,17 +13,17 @@ call.
 
 Each call picks a command (every one of `validate`, `analyze`, `solve`,
 `verify`, `stability --trials 20` or, on one call in ten, 600, `oracle
---starts 20` and `fixtures`) and writes the inputs it reads. Tables are
-mostly valid ones, from the order <= 3 census or among C4, C5, S3, the
-Klein group, left-zero and null semigroups, else a random, ragged or
-mislabeled table. A morphism is mostly an involutive (anti-)automorphism
-of the table, else a random map. Measure weights and function values
-draw their parts partly from extremes: +-1e308 to 1.7e308 (one pair in
-ten has both parts there, so its modulus may overflow), 1e+-154, 1e+-20,
-1e-308 and 5e-324, and rarely infinity or NaN; a few are not numbers at
-all, and a quarter of the candidate functions are 0. Flags take valid
-values mostly, and sometimes invalid ones (`--tol nan`, `--starts 0`,
-`--seed -1`).
+--starts 20`, a count the oracle ignores, and `fixtures`) and writes
+the inputs it reads. Tables are mostly valid ones, from the order <= 3
+census or among C4, C5, S3, the Klein group, left-zero and null
+semigroups, else a random, ragged or mislabeled table. A morphism is
+mostly an involutive (anti-)automorphism of the table, else a random
+map. Measure weights and function values draw their parts partly from
+extremes: +-1e308 to 1.7e308 (one pair in ten has both parts there, so
+its modulus may overflow), 1e+-154, 1e+-20, 1e-308 and 5e-324, and
+rarely infinity or NaN; a few are not numbers at all, and a quarter of
+the candidate functions are 0. Flags take valid values mostly, and
+sometimes invalid ones (`--tol nan`, `--starts 0`, `--seed -1`).
 
 The rules, for every call:
 - the exit code is in the README's table and is not 70 (an internal

@@ -1,30 +1,25 @@
-"""One sha256 over newton_oracle's roots and final states on a fixed
-matrix of calls, to show that a change keeps every bit of the oracle.
+"""One sha256 over spectral_oracle's roots on a fixed matrix of calls, to
+show that a change keeps every bit of the oracle.
 
 Run `python3 tools/oracle_digest.py` in each of two checkouts (it imports
 feqlab from the checkout's own src/) and compare the printed lines. On
 the first, the call count and the sha256 are equal when every call
-returns the same roots and ends in the same state. The second holds the
-total root count and a sha256 over each call's label and root count: it
-stays equal when a change moves only the bits of the states or roots,
-as a change to when the loop stops does, and not how many roots each
-call finds.
+returns the same roots, bit for bit. The second holds the total root
+count and a sha256 over each call's label and root count: it stays equal
+when a change moves only the low bits of the roots, and not how many
+roots each call finds.
 
-The state is what newton_oracle hands to _reported_roots: the final
-points, one row per start, and the sup of each start's defect. Each call
-hashes its label, those two arrays and its roots, all as raw bytes. A
-call that raises hashes its error type and message instead.
+Each call hashes its label, its root count and its roots, as raw bytes.
+A call that raises hashes its error type and message instead.
 
 The calls are:
 - the order <= 3 census, as the census_crosscheck benchmark sweeps it:
   vanvleck on every labeled table, with every involutive morphism of
-  either kind and a unit mass at each central point, 120 starts, seed 0;
-- C4, the Klein group and S3 with every closed-form tag, seeds 0 to 2,
-  200 starts: an involutive automorphism (on S3 the inversion, an
+  either kind and a unit mass at each central point, seed 0;
+- C4, the Klein group and S3 with every closed-form tag, seeds 0 to 2:
+  an involutive automorphism (on S3 the inversion, an
   anti-automorphism), a unit mass for vanvleck and a sigma-invariant
-  measure for the others, each input passed only when the tag reads it;
-- the C4 calls again at seed 0 and 10000 starts, the cap of
-  `feqlab oracle --starts`, where the per-call workspace is largest.
+  measure for the others, each input passed only when the tag reads it.
 """
 
 from __future__ import annotations
@@ -36,7 +31,6 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-import feqlab.solvers as solvers  # noqa: E402
 from feqlab import (  # noqa: E402
     DiracMeasure,
     InvolutiveMorphism,
@@ -46,18 +40,17 @@ from feqlab import (  # noqa: E402
     direct_product,
     enumerate_all_semigroups,
     enumerate_involutive_morphisms,
-    newton_oracle,
     s3_inversion,
+    spectral_oracle,
     symmetric_group_3,
 )
 from feqlab.equations import EQUATIONS  # noqa: E402
 
-CENSUS_STARTS, WITNESS_STARTS, CAP_STARTS = 120, 200, 10_000
 TAGS = tuple(tag for tag, eq in EQUATIONS.items() if eq.closed_form is not None)
 
 
 def calls() -> list[tuple[str, tuple, dict]]:
-    """(label, args, keyword args) of every newton_oracle call, in order."""
+    """(label, args, keyword args) of every spectral_oracle call, in order."""
     out = []
     for n in (1, 2, 3):
         for i, sg in enumerate(enumerate_all_semigroups(n)):
@@ -65,8 +58,7 @@ def calls() -> list[tuple[str, tuple, dict]]:
                 for sigma in enumerate_involutive_morphisms(sg, kind):
                     for z in center(sg):
                         out.append((f"census n{n} table{i} {kind.value} {sigma.map} z{z}",
-                                    (sg, "vanvleck", sigma, DiracMeasure.point_mass(z)),
-                                    {"starts": CENSUS_STARTS, "seed": 0}))
+                                    (sg, "vanvleck", sigma, DiracMeasure.point_mass(z)), {"seed": 0}))
     auto = MorphismKind.AUTOMORPHISM
     witnesses = (
         ("C4", cyclic_group(4), InvolutiveMorphism((0, 3, 2, 1), auto), DiracMeasure.point_mass(1),
@@ -75,16 +67,13 @@ def calls() -> list[tuple[str, tuple, dict]]:
          DiracMeasure.point_mass(1), DiracMeasure.from_pairs([(1, 0.5), (2, 0.5)])),
         ("S3", symmetric_group_3(), s3_inversion(), DiracMeasure.point_mass(0), DiracMeasure.point_mass(0, 0.75)),
     )
-    runs = [(name, inputs, range(3), WITNESS_STARTS) for name, *inputs in witnesses]
-    runs.append((f"C4 at {CAP_STARTS} starts", witnesses[0][1:], (0,), CAP_STARTS))
-    for name, (sg, sigma, sine_mu, cosine_mu), seeds, starts in runs:
+    for name, sg, sigma, sine_mu, cosine_mu in witnesses:
         for tag in TAGS:
             reads = EQUATIONS[tag].reads
             mu = (sine_mu if tag == "vanvleck" else cosine_mu) if "mu" in reads else None
-            for seed in seeds:
+            for seed in range(3):
                 out.append((f"{name} {tag} seed{seed}",
-                            (sg, tag, sigma if "sigma" in reads else None, mu),
-                            {"starts": starts, "seed": seed}))
+                            (sg, tag, sigma if "sigma" in reads else None, mu), {"seed": seed}))
     return out
 
 
@@ -93,36 +82,22 @@ def digest(matrix: list[tuple[str, tuple, dict]]) -> tuple[int, str, int, str]:
     of the calls."""
     sha, counts_sha = hashlib.sha256(), hashlib.sha256()
     total = 0
-    states = []
-    reported_roots = solvers._reported_roots
-
-    def record(F, res_inf, scale):
-        states.append((F.tobytes(), res_inf.tobytes()))
-        return reported_roots(F, res_inf, scale)
-
-    solvers._reported_roots = record
-    try:
-        for label, args, kwargs in matrix:
-            states.clear()
-            head = json.dumps(label).encode() + b"\n"
-            sha.update(head)
-            counts_sha.update(head)
-            try:
-                roots = newton_oracle(*args, **kwargs)
-            except Exception as exc:  # hashed, as a changed error must change the digest
-                error = f"{type(exc).__name__}: {exc}\n".encode()
-                sha.update(error)
-                counts_sha.update(error)
-                continue
-            for F, res_inf in states:
-                sha.update(F + res_inf)
-            sha.update(json.dumps(len(roots)).encode())
-            counts_sha.update(json.dumps(len(roots)).encode())
-            total += len(roots)
-            for root in roots:
-                sha.update(root.tobytes())
-    finally:
-        solvers._reported_roots = reported_roots
+    for label, args, kwargs in matrix:
+        head = json.dumps(label).encode() + b"\n"
+        sha.update(head)
+        counts_sha.update(head)
+        try:
+            roots = spectral_oracle(*args, **kwargs)
+        except Exception as exc:  # hashed, as a changed error must change the digest
+            error = f"{type(exc).__name__}: {exc}\n".encode()
+            sha.update(error)
+            counts_sha.update(error)
+            continue
+        sha.update(json.dumps(len(roots)).encode())
+        counts_sha.update(json.dumps(len(roots)).encode())
+        total += len(roots)
+        for root in roots:
+            sha.update(root.tobytes())
     return len(matrix), sha.hexdigest(), total, counts_sha.hexdigest()
 
 
