@@ -37,6 +37,7 @@ from .errors import (
 )
 from .jsonio import function_to_json
 from .measures import (
+    _TINY,
     DiracMeasure,
     character_mean_slack,
     integrate,
@@ -386,11 +387,25 @@ def newton_oracle(sg: FiniteSemigroup, equation: str,
 def match_solution_sets(oracle_roots: Sequence[np.ndarray], closed: Sequence[np.ndarray],
                         mu: DiracMeasure | None = None) -> tuple[list[tuple[int, int]], list[int], list[int]]:
     """Greedy sup-norm matching at ORACLE_TOL times _unit_scale(mu), the
-    oracle's gate at the unit norm spectral_oracle solves at. The vectors
-    are not divided by the scale, which overflows them when it is
-    subnormal. Returns (pairs, unmatched oracle indices, unmatched
-    closed-form indices)."""
-    gate = ORACLE_TOL * _unit_scale(mu)
+    oracle's gate at the unit norm spectral_oracle solves at, plus
+    3 * 2^-1074 for rounding in the subnormal range. The vectors are not
+    divided by the scale, which overflows them when it is subnormal.
+    Returns (pairs, unmatched oracle indices, unmatched closed-form
+    indices).
+
+    Both sets are solved at unit norm and scaled back, the roots by
+    the norm and the closed form by ldexp. Where a scaled value is
+    subnormal, each of its parts rounds to the nearest multiple of
+    2^-1074, off by up to 2^-1075 in absolute terms, not relative ones.
+    So two vectors within ORACLE_TOL at unit norm can differ at scale
+    by up to 2^-1074 more in each part, sqrt(2) 2^-1074 in modulus.
+    np.abs of the difference adds at most half the spacing, 2^-1075, in
+    the subnormal range (see stability._rounding_slack), and the
+    product ORACLE_TOL * scale may round down by 2^-1075, or underflow
+    to 0. So (sqrt(2) + 1) 2^-1074 < 3 * 2^-1074 covers the rounding;
+    for normal values ORACLE_TOL absorbs it, and the extra term is
+    below every normal float."""
+    gate = ORACLE_TOL * _unit_scale(mu) + 3 * _TINY
     used: set[int] = set()
     pairs: list[tuple[int, int]] = []
     unmatched_a: list[int] = []

@@ -7,6 +7,12 @@ actual defect, and check the verdict. On a finite semigroup the bound
 holds for every f (the defect at (x0, x0), where |f(x0)| = sup|f|,
 gives 2 sup|f|^2 - 2 ||mu|| sup|f| <= delta), so a VIOLATION verdict
 means a fault of the harness: a wrong defect, norm or bound.
+
+A campaign draws from one counter-based stream, Philox keyed by
+SeedSequence(seed) (Salmon et al., SC 2011). Trial t owns the block of
+_block(n) uniforms that starts at counter t _block(n) / 4: the base
+pick, the radius, all of u, all of theta, then padding. So trial t alone
+is replayed by Philox(SeedSequence(seed)).advance(t _block(n) // 4).
 """
 
 from __future__ import annotations
@@ -45,10 +51,10 @@ class Verdict(str, Enum):
 
 @dataclass(frozen=True)
 class StabilityTrial:
-    """One campaign trial: base perturbed within radius, drawn from the
-    campaign's substreams (seed, trial) and (seed, trial, 1); the sups
-    of its defect (measured_delta) and of its values (sup_f), the
-    superstability bound at that defect, and the verdict."""
+    """One campaign trial: base perturbed within radius, both drawn from
+    the trial's block of the campaign's stream; the sups of its defect
+    (measured_delta) and of its values (sup_f), the superstability
+    bound at that defect, and the verdict."""
 
     base: np.ndarray
     radius: float
@@ -99,14 +105,23 @@ class CampaignSummary:
         return asdict(self)
 
 
-def superstability_bound(delta: float, mu_norm: float) -> float:
+# Overflow gives inf, as in Python's float arithmetic.
+@np.errstate(over="ignore")
+def superstability_bound(delta, mu_norm):
     """(||mu|| + sqrt(||mu||^2 + 2 delta))/2, the cap on bounded
-    approximate solutions; exact (no sqrt rounding) when delta == 0."""
-    if not (delta >= 0 and mu_norm >= 0):
+    approximate solutions; exact (no sqrt rounding) where delta == 0.
+    Elementwise over arrays; a float for floats."""
+    delta = np.asarray(delta, dtype=float)
+    if not (np.all(delta >= 0) and np.all(np.asarray(mu_norm) >= 0)):
         raise BadParams("delta and mu_norm must be nonnegative")
-    if delta == 0:
-        return mu_norm
-    return (mu_norm + math.sqrt(mu_norm * mu_norm + 2.0 * delta)) / 2.0
+    return np.where(delta == 0, mu_norm, (mu_norm + np.sqrt(mu_norm * mu_norm + 2.0 * delta)) / 2.0)[()]
+
+
+def _block(n: int) -> int:
+    """The uniforms a trial owns on a table of order n: a pick, a radius,
+    n of u and n of theta, padded to a multiple of 4, the outputs of one
+    Philox counter step, so that every block starts on a step."""
+    return (2 * n + 5) // 4 * 4
 
 
 def _disk(radius, u: np.ndarray, theta: np.ndarray) -> np.ndarray:
@@ -115,7 +130,7 @@ def _disk(radius, u: np.ndarray, theta: np.ndarray) -> np.ndarray:
     return radius * np.sqrt(u) * np.exp(2j * np.pi * theta)
 
 
-def _rounding_slack(sup_f: float, mu_norm: float, atoms: int) -> float:
+def _rounding_slack(sup_f, mu_norm: float, atoms: int):
     """A bound on sup_f - bound that rounding alone can produce, where
     sup_f = max|f|, mu_norm = ||mu|| (a measure with `atoms` atoms) and
     bound = superstability_bound(delta, mu_norm) are the floats a trial
@@ -156,22 +171,31 @@ def _rounding_slack(sup_f: float, mu_norm: float, atoms: int) -> float:
     the same steps that is under (4k + 8) 2^-1074 / max(sup_f, mu_norm),
     negligible unless both are below about 2^-500. A trial reaches this
     test only with delta > eq_tol >= 0, so f, and with it sup_f, is nonzero.
+    Elementwise over arrays of sup_f.
     """
     return ((4 * atoms + 11) * _EPS * (sup_f + mu_norm)
-            + (4 * atoms + 8) * _TINY / max(sup_f, mu_norm))
+            + (4 * atoms + 8) * _TINY / np.maximum(sup_f, mu_norm))
 
 
-def _verdict(sup_f: float, delta: float, mu_norm: float, atoms: int,
-             tol: ToleranceConfig) -> tuple[float, Verdict]:
+# Verdict of each kind code of _verdict
+_VERDICTS = np.array([Verdict.EXACT_SOLUTION, Verdict.WITHIN_BOUND, Verdict.VIOLATION], dtype=object)
+
+
+@np.errstate(over="ignore")
+def _verdict(sup_f, delta, mu_norm: float, atoms: int, tol: ToleranceConfig):
     """The superstability bound and the verdict of a function with sup
     sup_f whose sine-variant defect has sup delta (the smallest delta it
-    meets), for a measure of norm mu_norm with `atoms` atoms."""
+    meets), for a measure of norm mu_norm with `atoms` atoms. Elementwise
+    over arrays of sup_f and delta (an array of Verdicts); a float and a
+    Verdict for floats. Only the trials past eq_tol reach
+    _rounding_slack, as its derivation assumes."""
+    sup_f = np.asarray(sup_f, dtype=float)
     bound = superstability_bound(delta, mu_norm)
-    if delta <= tol.eq_tol:
-        return bound, Verdict.EXACT_SOLUTION
-    if sup_f <= bound + _rounding_slack(sup_f, mu_norm, atoms):
-        return bound, Verdict.WITHIN_BOUND
-    return bound, Verdict.VIOLATION
+    kind = np.where(np.asarray(delta) <= tol.eq_tol, 0, 2)
+    judged = kind == 2
+    sups = sup_f[judged]
+    kind[judged] = np.where(sups <= np.asarray(bound)[judged] + _rounding_slack(sups, mu_norm, atoms), 1, 2)
+    return bound, _VERDICTS[kind]
 
 
 def fuzz_campaign(sg: FiniteSemigroup, sigma: InvolutiveMorphism, mu: DiracMeasure,
@@ -179,17 +203,20 @@ def fuzz_campaign(sg: FiniteSemigroup, sigma: InvolutiveMorphism, mu: DiracMeasu
                   tol: ToleranceConfig = DEFAULT_TOL) -> tuple[CampaignSummary, list[StabilityTrial]]:
     """Seeded perturbation campaign over the fixture's exact solutions.
 
-    Per trial: substream (seed, trial index) picks a base (an exact
-    solution or zero) and a radius in the schedule, and substream (seed,
-    trial index, 1) draws the perturbation's disk offsets: all of u,
-    then all of theta, for radius sqrt(u) e^(2 pi i theta) (_disk). The
-    trials are then evaluated in chunks of about _CHUNK_CELLS grid
-    cells: every perturbed function of a chunk is formed at once,
-    and its defect sups come from one (trials, n, n) gather, each equal
-    to residual_vanvleck's max_abs bit for bit. The trials are
-    classified in order, so the first non-finite defect raises
-    NonFiniteResidual. Bit-reproducible for a fixed seed, whatever the
-    chunk size. Returns the summary plus every trial record.
+    Trial t reads its block of _block(n) uniforms from the campaign's one
+    Philox stream (module docstring): u0 picks the base floor(u0 k) of
+    the k bases (the exact solutions, then zero; u0 < 1 keeps it below
+    k), u1 scales the radius u1 radius_max, and the next n and n are u
+    and theta of the offsets radius sqrt(u) e^(2 pi i theta) (_disk).
+    The trials run in chunks of about _CHUNK_CELLS grid cells: one
+    random((trials, K)) call draws a chunk's blocks, every perturbed
+    function of the chunk is formed at once, and its defect sups come
+    from one (trials, n, n) gather, each equal to residual_vanvleck's
+    max_abs bit for bit. The first non-finite defect, in trial order,
+    raises NonFiniteResidual. The verdicts are then taken over the
+    arrays of sups and defects at once. Bit-reproducible for a fixed
+    seed, whatever the chunk size. Returns the summary plus every trial
+    record.
     """
     # solve_vanvleck checks the inputs against the sine variant's hypotheses;
     # the compiled terms and the norm are then fixed for the whole campaign
@@ -197,32 +224,31 @@ def fuzz_campaign(sg: FiniteSemigroup, sigma: InvolutiveMorphism, mu: DiracMeasu
     vanvleck = EQUATIONS["vanvleck"]
     terms = compile_terms(vanvleck, sg, sigma, mu)
     mu_norm, atoms = measure_norm(mu), len(mu.atoms)
-    stack, n = np.array(bases), sg.n
-    chunk = max(1, _CHUNK_CELLS // (n * n))
+    stack, n, count = np.array(bases), sg.n, config.trials
+    chunk, width = max(1, _CHUNK_CELLS // (n * n)), _block(n)
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(int(config.seed))))
 
-    records: list[StabilityTrial] = []
-    for first in range(0, config.trials, chunk):
-        trials = range(first, min(first + chunk, config.trials))
-        picks = np.empty(len(trials), dtype=np.intp)
-        radii = np.empty((len(trials), 1))
-        draws = np.empty((len(trials), 2, n))  # per trial, all of u, then all of theta
-        for i, trial in enumerate(trials):
-            rng = np.random.Generator(np.random.PCG64((config.seed, trial)))
-            picks[i] = rng.integers(len(bases))
-            radii[i] = rng.uniform(0.0, config.radius_max)
-            np.random.Generator(np.random.PCG64((config.seed, trial, 1))).random(out=draws[i])
+    picks = np.empty(count, dtype=np.intp)
+    radii, sups, deltas = np.empty(count), np.empty(count), np.empty(count)
+    for first in range(0, count, chunk):
+        part = slice(first, min(first + chunk, count))
+        block = rng.random((part.stop - first, width))
+        picks[part] = block[:, 0] * len(bases)  # truncation is floor: u0 >= 0
+        radii[part] = block[:, 1] * config.radius_max
         with np.errstate(over="ignore", invalid="ignore"):  # an overflow makes the defect non-finite
-            F = stack[picks] + _disk(radii, draws[:, 0], draws[:, 1])
-            sups = np.max(np.abs(F), axis=1)
-        deltas = _row_sups(vanvleck, terms, F)
-        for i, trial in enumerate(trials):
-            delta = finite_top("vanvleck", float(deltas[i]))  # as residual_vanvleck
-            sup_f = float(sups[i])
-            bound, verdict = _verdict(sup_f, delta, mu_norm, atoms, tol)
-            records.append(StabilityTrial(bases[picks[i]], float(radii[i, 0]), trial, delta, sup_f, bound, verdict))
-    counts = Counter(t.verdict for t in records)
+            F = stack[picks[part]] + _disk(radii[part, None], block[:, 2:2 + n], block[:, 2 + n:2 + 2 * n])
+            sups[part] = np.max(np.abs(F), axis=1)
+        deltas[part] = _row_sups(vanvleck, terms, F)
+        # as residual_vanvleck: the chunk's max is not finite where any of its defects is not
+        finite_top("vanvleck", float(deltas[part].max()))
+    bounds, verdicts = _verdict(sups, deltas, mu_norm, atoms, tol)
+    records = [StabilityTrial(bases[pick], radius, trial, delta, sup_f, bound, verdict)
+               for trial, (pick, radius, delta, sup_f, bound, verdict)
+               in enumerate(zip(picks.tolist(), radii.tolist(), deltas.tolist(), sups.tolist(),
+                                bounds.tolist(), verdicts.tolist()))]
+    counts = Counter(verdicts.tolist())
     summary = CampaignSummary(
-        trials=config.trials,
+        trials=count,
         violations=counts[Verdict.VIOLATION],
         exact=counts[Verdict.EXACT_SOLUTION],
         within_bound=counts[Verdict.WITHIN_BOUND],

@@ -156,9 +156,18 @@ def test_cli_digest_matrix_and_its_calls(tmp_path, monkeypatch):
     picked += [argv for argv in argvs if argv[1:3] == ["--eq", "vanvleck"]
                and (argv[3:9] == desk or argv[3:7] == desk[:4] and "--mu" not in argv)]
     assert len(picked) == 13
-    count, sha, exits = tool.digest(picked)
+    results = tool.digests(picked)
+    count, sha, exits = results[None]
     assert (count, exits) == (13, {0: 5, 1: 2, 64: 6})
-    assert tool.digest(picked)[1] == sha and len(sha) == 64
+    assert tool.digests(picked)[None][1] == sha and len(sha) == 64
+    # one line per command, each hashing that command's calls alone, then the total line
+    alone = tool.digests([argv for argv in picked if argv[0] == "stability"])[None]
+    assert results["stability"] == alone and alone[0] == 1 and alone[1] != sha
+    assert sum(results[command][0] for command in tool.COMMANDS if command in results) == 13
+    printed = tool.lines(results)
+    assert [line.split(" ", 1)[0] for line in printed] == ["solve", "oracle", "verify", "stability", "13"]
+    assert printed[3] == f"stability 1 calls sha256 {alone[1]} exits 0x1"
+    assert printed[-1] == f"13 calls sha256 {sha} exits 0x5 1x2 64x6"
 
 
 def test_oracle_digest_matrix_and_its_calls():

@@ -690,7 +690,7 @@ README_ORACLE = ('{"equation": "vanvleck", "oracle_roots": [[[0, 0], [1, 5.99459
                  '[-1, -5.9945934210020707e-34]]], "closed_form": [[[0, 0], [1, 0], [0, 0], [-1, 0]]], '
                  '"matched": 1, "oracle_only": [], "closed_only": []}\n')
 README_STABILITY = ('{"trials": 1000, "violations": 0, "exact": 0, "within_bound": 1000, '
-                    '"max_ratio": 0.99631781186880175, "seed": 42}\n')
+                    '"max_ratio": 0.99998952101432848, "seed": 42}\n')
 README_BATTERY = ('{"equation": "vanvleck", "max_abs": 0, "argmax": [0, 0], "per_item": ['
                   '{"name": "1_sigma_odd", "value": 0, "ok": true}, '
                   '{"name": "2_nonzero_mean", "value": 1, "flag": true, "ok": true}, '

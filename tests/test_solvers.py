@@ -1070,6 +1070,32 @@ class TestMatching:
                                       [np.array([-1.3e308, 0j])])
         assert got == ([], [0, 1], [0])
 
+    @pytest.mark.parametrize("tag, table, sigma, atoms", [
+        ("integral_dalembert", None, (0, 2, 1), [(1, 5e-324), (2, 5e-324)]),
+        # C3 relabeled so that 1 is the identity
+        ("spherical", [[2, 0, 1], [0, 1, 2], [1, 2, 0]], None, [(1, 5e-324)]),
+    ], ids=["integral_dalembert", "spherical"])
+    def test_subnormal_roots_one_rounding_apart_match(self, tag, table, sigma, atoms):
+        # at a subnormal norm ORACLE_TOL * ||mu|| underflows to 0, and each
+        # scaled value rounds to a multiple of 2^-1074: the oracle's
+        # [-5e-324, 0, 0] and the closed form's [-5e-324, 5e-324, 5e-324]
+        # (integral_dalembert) are one step apart and were reported as one
+        # oracle_only and one closed_only
+        sg = cyclic_group(3) if table is None else validate_semigroup(table, name="relabeled")
+        sigma = None if sigma is None else InvolutiveMorphism(sigma, MorphismKind.AUTOMORPHISM)
+        mu = DiracMeasure.from_pairs(atoms)
+        roots, closed = spectral_oracle(sg, tag, sigma, mu), closed_form(tag, sg, sigma, mu).vectors()
+        pairs, oracle_only, closed_only = match_solution_sets(roots, closed, mu)
+        assert len(pairs) == len(roots) == len(closed) and not oracle_only and not closed_only
+        assert 0 < max(float(np.max(np.abs(roots[i] - closed[j]))) for i, j in pairs) <= 3 * 5e-324
+
+    def test_subnormal_allowance_is_three_steps(self):
+        # ORACLE_TOL * 5e-324 is 0: three steps of 2^-1074 match, four do not
+        mu = DiracMeasure.point_mass(1, 5e-324)
+        root = np.zeros(3, dtype=complex)
+        assert match_solution_sets([root], [root + 3 * 5e-324], mu) == ([(0, 0)], [], [])
+        assert match_solution_sets([root], [root + 4 * 5e-324], mu) == ([], [0], [0])
+
     def test_unmatched_reported(self):
         a = [np.zeros(4, dtype=complex) + 1.0]
         b = [np.zeros(4, dtype=complex) - 1.0]

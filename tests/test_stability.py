@@ -28,7 +28,7 @@ from feqlab import (
 )
 from feqlab import stability
 from feqlab.cli import main
-from feqlab.errors import BadParams, DegenerateIntegral, NonFiniteResidual
+from feqlab.errors import BadParams, DegenerateIntegral, DegenerateMeasureWarning, NonFiniteResidual
 from feqlab.stability import _rounding_slack, _verdict
 
 
@@ -42,14 +42,40 @@ def classify(sg, f, sigma, mu, tol=DEFAULT_TOL) -> StabilityTrial:
     return StabilityTrial(arr, 0.0, 0, delta, sup_f, bound, verdict)
 
 
+def offset(base, radius, u, theta) -> np.ndarray:
+    """base plus the offsets radius sqrt(u) e^(2 pi i theta), uniform in
+    the disk of that radius for u and theta uniform in [0, 1)."""
+    return np.asarray(base, dtype=complex) + radius * np.sqrt(u) * np.exp(2j * np.pi * theta)
+
+
 def perturbed(base, radius, seed) -> np.ndarray:
     """base plus uniform-in-disk offsets of the given radius from the
-    PCG64 stream of seed (an int or a tuple of ints): all of u, then all
-    of theta, as fuzz_campaign draws trial t's from (seed, t, 1)."""
+    PCG64 stream of seed: all of u, then all of theta."""
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
     u = rng.random(len(base))
     theta = rng.random(len(base))
-    return np.asarray(base, dtype=complex) + radius * np.sqrt(u) * np.exp(2j * np.pi * theta)
+    return offset(base, radius, u, theta)
+
+
+def block(seed: int, trial: int, n: int) -> np.ndarray:
+    """Trial `trial`'s uniforms of a campaign on a table of order n,
+    replayed alone: the campaign's Philox stream, keyed by
+    SeedSequence(seed), holds K = 2 + 2n uniforms per trial rounded up to
+    a multiple of 4 (the pick, the radius, all of u, all of theta, then
+    padding), so the block starts at counter trial K / 4."""
+    width = (2 + 2 * n + 3) // 4 * 4
+    bitgen = np.random.Philox(np.random.SeedSequence(seed)).advance(trial * width // 4)
+    return np.random.Generator(bitgen).random(width)
+
+
+def replayed(bases, cfg: CampaignConfig, trial: int):
+    """(base, radius, perturbed function) of a campaign trial, replayed
+    from its block: base floor(u0 k) of the k bases, radius u1 radius_max."""
+    n = len(bases[0])
+    uniforms = block(cfg.seed, trial, n)
+    base = bases[int(uniforms[0] * len(bases))]
+    radius = float(uniforms[1] * cfg.radius_max)
+    return base, radius, offset(base, radius, uniforms[2:2 + n], uniforms[2 + n:2 + 2 * n])
 
 
 OVERFLOW = "vanvleck residual is not finite (overflow or non-finite input)"
@@ -96,6 +122,20 @@ class TestBound:
         assert superstability_bound(1.0, 1.0) < superstability_bound(2.0, 1.0)
         assert superstability_bound(1.0, 1.0) < superstability_bound(1.0, 2.0)
 
+    def test_arrays_match_the_scalar_formula_bit_for_bit(self):
+        # the array bound and verdicts are the scalar float arithmetic, cell
+        # by cell, overflow to inf included
+        deltas = np.array([0.0, 5e-324, 1e-300, 0.02, 4.0, 1e200, 1.7e308])
+        for m in (0.0, 1.0, 2.5, 1e200):
+            scalar = [m if d == 0 else (m + math.sqrt(m * m + 2.0 * d)) / 2.0 for d in deltas.tolist()]
+            assert superstability_bound(deltas, m).tolist() == scalar
+            for scale in (0.5, 1.5):
+                sups = np.array(scalar) * scale
+                bounds, verdicts = _verdict(sups, deltas, m, 2, DEFAULT_TOL)
+                assert bounds.tolist() == scalar
+                assert verdicts.tolist() == [_verdict(float(f), float(d), m, 2, DEFAULT_TOL)[1]
+                                             for f, d in zip(sups, deltas)]
+
     def test_rejects_negative(self):
         with pytest.raises(BadParams):
             superstability_bound(-0.1, 1.0)
@@ -128,7 +168,8 @@ class TestMeasuredDelta:
             _, trials = fuzz_campaign(sg, sigma, mu, cfg)
             assert any(t.verdict is Verdict.WITHIN_BOUND for t in trials), order
             for t in trials:
-                f = perturbed(t.base, t.radius, (cfg.seed, t.trial, 1))
+                uniforms = block(cfg.seed, t.trial, order)
+                f = offset(t.base, t.radius, uniforms[2:2 + order], uniforms[2 + order:2 + 2 * order])
                 assert t.measured_delta == residual_vanvleck(sg, f, sigma, mu).max_abs, (order, t.trial)
 
 
@@ -257,6 +298,74 @@ class TestApproximateBattery:
             assert by_name[it.name].rhs >= it.rhs
 
 
+class TestStream:
+    """The campaign draws trial t's uniforms from its block of one Philox
+    stream, and a block replays alone (block above)."""
+
+    @pytest.mark.parametrize("case, trials, picked", [
+        # 256 trials a chunk at n = 4, 16 at n = 16
+        (c4_neg(DiracMeasure.point_mass(1)), 300, (0, 7, 255, 256, 299)),
+        (c16_odd3(), 40, (0, 15, 16, 39)),
+    ], ids=["n4", "n16"])
+    def test_replay_is_the_chunks_block(self, case, trials, picked, monkeypatch):
+        # the radii, u and theta each chunk hands to _disk are the replayed
+        # blocks' bit for bit, and each record's base is the replayed pick
+        sg, sigma, mu = case
+        n, disk, seen = sg.n, stability._disk, []
+
+        def spy(radius, u, theta):
+            seen.append((radius[:, 0].copy(), u.copy(), theta.copy()))
+            return disk(radius, u, theta)
+
+        monkeypatch.setattr(stability, "_disk", spy)
+        cfg = CampaignConfig(trials=trials, radius_max=1.5, seed=11)
+        _, records = fuzz_campaign(sg, sigma, mu, cfg)
+        assert len(seen) == (2 if n == 4 else 3)
+        radii, us, thetas = (np.concatenate(parts) for parts in zip(*seen))
+        bases = solve_vanvleck(sg, sigma, mu).vectors() + [np.zeros(n, dtype=complex)]
+        for t in picked:
+            uniforms = block(cfg.seed, t, n)
+            assert len(uniforms) == {4: 12, 16: 36}[n]
+            assert np.array_equal(records[t].base, bases[int(uniforms[0] * len(bases))])
+            assert radii[t] == records[t].radius == uniforms[1] * cfg.radius_max
+            assert np.array_equal(us[t], uniforms[2:2 + n])
+            assert np.array_equal(thetas[t], uniforms[2 + n:2 + 2 * n])
+
+    def test_one_seed_sequence_per_campaign(self, c4, sigma_neg, mu_delta1, monkeypatch):
+        built = []
+        monkeypatch.setattr(np.random, "SeedSequence",
+                            lambda *args, cls=np.random.SeedSequence: built.append(args) or cls(*args))
+        fuzz_campaign(c4, sigma_neg, mu_delta1, CampaignConfig(trials=600, seed=9))
+        assert built == [(9,)]
+
+    def test_seed_of_2_to_the_128_runs(self, tmp_path, capsys):
+        # a Philox key must be below 2^128; SeedSequence takes any seed >= 0
+        write_fixtures(tmp_path)
+        sg, sigma, mu = (str(tmp_path / name) for name in
+                         ("c4.sg.json", "c4_negation.sigma.json", "c4_delta1.mu.json"))
+        code = main(["stability", "--trials", "20", "--seed", str(2 ** 128),
+                     "--sg", sg, "--sigma", sigma, "--mu", mu])
+        out = json.loads(capsys.readouterr().out)
+        assert code == 0 and out["seed"] == 2 ** 128 and out["trials"] == 20 and out["violations"] == 0
+
+    def test_zero_norm_measure_at_radius_zero_warns_only_of_the_measure(self, c4, sigma_neg):
+        # every trial is the zero function, with sup 0 and delta 0 at norm 0:
+        # a slack taken over all trials would divide 0 by 0 (an error under
+        # the suite's filter)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            summary, _ = fuzz_campaign(c4, sigma_neg, DiracMeasure(()), CampaignConfig(trials=300, radius_max=0.0))
+        assert [w.category for w in caught] == [DegenerateMeasureWarning]
+        assert summary.exact == 300 and summary.max_ratio == 0.0
+
+    def test_pick_of_the_largest_uniform_is_the_last_base(self):
+        # floor(u0 k) < k for every u0 < 1 and k < 2^53: no clamp
+        k = np.arange(1, 66)
+        picks = np.empty(len(k), dtype=np.intp)
+        picks[:] = (1 - 2.0 ** -53) * k  # as the campaign truncates
+        assert picks.tolist() == [math.floor((1 - 2.0 ** -53) * j) for j in k.tolist()] == (k - 1).tolist()
+
+
 class TestCampaign:
     def test_config_validation(self):
         with pytest.raises(BadParams):
@@ -323,10 +432,7 @@ class TestCampaign:
         assert len(bases) > 1
         m = measure_norm(mu)
         for k, got in enumerate(trials):
-            rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((cfg.seed, k))))
-            base = bases[int(rng.integers(len(bases)))]
-            radius = float(rng.uniform(0.0, cfg.radius_max))
-            f = perturbed(base, radius, (cfg.seed, k, 1))
+            base, radius, f = replayed(bases, cfg, k)
             delta = residual_vanvleck(sg, f, sigma, mu).max_abs
             sup_f = float(np.max(np.abs(f)))
             bound = superstability_bound(delta, m)
@@ -356,20 +462,19 @@ class TestCampaign:
         assert len(runs[0][1]) == trials
 
     def test_overflow_past_the_first_chunk_raises_in_trial_order(self, c4, sigma_neg, mu_delta1, monkeypatch):
-        # with seed 1 and radii up to 9.6e153, trial 648 (the third chunk
+        # with seed 8 and radii up to 9.6e153, trial 643 (the third chunk
         # at n = 4) is the first whose defect 2 f(x) f(y) overflows
-        cfg = CampaignConfig(trials=648, radius_max=9.6e153, seed=1)
+        cfg = CampaignConfig(trials=643, radius_max=9.6e153, seed=8)
         bases = solve_vanvleck(c4, sigma_neg, mu_delta1).vectors() + [np.zeros(4, dtype=complex)]
-        rng = np.random.Generator(np.random.PCG64((1, 648)))
-        f = perturbed(bases[int(rng.integers(len(bases)))], float(rng.uniform(0.0, 9.6e153)), (1, 648, 1))
+        _, _, f = replayed(bases, cfg, 643)
         with pytest.raises(NonFiniteResidual):
             residual_vanvleck(c4, f, sigma_neg, mu_delta1)
         for cells in (1, stability._CHUNK_CELLS):
             monkeypatch.setattr(stability, "_CHUNK_CELLS", cells)
             summary, _ = fuzz_campaign(c4, sigma_neg, mu_delta1, cfg)
-            assert summary.trials == 648 and summary.violations == 0
+            assert summary.trials == 643 and summary.violations == 0
             with pytest.raises(NonFiniteResidual, match=f"^{re.escape(OVERFLOW)}$"):
-                fuzz_campaign(c4, sigma_neg, mu_delta1, CampaignConfig(trials=700, radius_max=9.6e153, seed=1))
+                fuzz_campaign(c4, sigma_neg, mu_delta1, CampaignConfig(trials=700, radius_max=9.6e153, seed=8))
 
     def test_overflowing_radius_exits_2_without_warning(self, c4, sigma_neg, mu_delta1, tmp_path, capsys):
         # more trials than a chunk holds at n = 4; a warning from the chunk's

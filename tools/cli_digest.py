@@ -4,7 +4,10 @@ change keeps every CLI answer byte for byte.
 Run `python3 tools/cli_digest.py` in each of two checkouts (it imports
 feqlab from the checkout's own src/) and compare the printed lines: the
 call count, the sha256 and the exit codes are equal when every call
-gives the same exit code, stdout and stderr.
+gives the same exit code, stdout and stderr. One line per command
+(solve, oracle, verify, stability, validate, analyze) hashes that
+command's calls alone, so a change to one command's bytes moves only its
+line; the last line hashes the whole matrix.
 
 The fixtures are the bundle of `feqlab fixtures` plus four measures: a
 complex pair, a pair on 0 and 1 whose complex weights are not dyadic
@@ -105,10 +108,14 @@ def run(argv: list[str]) -> tuple[int, str, str]:
     return code, out.getvalue(), stderr
 
 
-def digest(argvs: list[list[str]]) -> tuple[int, str, Counter]:
+COMMANDS = ("solve", "oracle", "verify", "stability", "validate", "analyze")
+
+
+def digests(argvs: list[list[str]]) -> dict[str | None, tuple[int, str, Counter]]:
     """(call count, sha256 hex, exit code counts) of the calls, run in a
-    fresh fixture directory."""
-    sha, exits = hashlib.sha256(), Counter()
+    fresh fixture directory: under None for all of them, and under each
+    command for its calls alone."""
+    shas, exits = {None: hashlib.sha256()}, {None: Counter()}
     home = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
         write_inputs(tmp)
@@ -116,14 +123,25 @@ def digest(argvs: list[list[str]]) -> tuple[int, str, Counter]:
         try:
             for argv in argvs:
                 code, stdout, stderr = run(argv)
-                exits[code] += 1
-                sha.update(json.dumps([argv, code, stdout, stderr]).encode() + b"\n")
+                line = json.dumps([argv, code, stdout, stderr]).encode() + b"\n"
+                for key in (None, argv[0]):
+                    shas.setdefault(key, hashlib.sha256()).update(line)
+                    exits.setdefault(key, Counter())[code] += 1
         finally:
             os.chdir(home)
-    return len(argvs), sha.hexdigest(), exits
+    return {key: (exits[key].total(), sha.hexdigest(), exits[key]) for key, sha in shas.items()}
+
+
+def lines(results: dict[str | None, tuple[int, str, Counter]]) -> list[str]:
+    """The printed lines: one per command of COMMANDS that ran, then the
+    whole matrix's."""
+    def line(count: int, hexdigest: str, exits: Counter) -> str:
+        return f"{count} calls sha256 {hexdigest} exits " + " ".join(
+            f"{code}x{n}" for code, n in sorted(exits.items()))
+
+    return [f"{command} {line(*results[command])}" for command in COMMANDS if command in results] \
+        + [line(*results[None])]
 
 
 if __name__ == "__main__":
-    count, hexdigest, exits = digest(calls())
-    print(f"{count} calls sha256 {hexdigest} exits "
-          + " ".join(f"{code}x{n}" for code, n in sorted(exits.items())))
+    print("\n".join(lines(digests(calls()))))
