@@ -17,7 +17,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .errors import BadParams
-from .semigroups import FiniteSemigroup, index_period
+from .semigroups import FiniteSemigroup, _trail_search, index_period
 
 _ZERO = -1  # the integer turn that stands for the value 0
 _QUARTERS = (complex(1, 0), complex(0, 1), complex(-1, 0), complex(0, -1))
@@ -83,12 +83,13 @@ def character_to_scalar(chi: Character) -> np.ndarray:
 def enumerate_characters(sg: FiniteSemigroup) -> list[Character]:
     """All nonzero multiplicative functions on sg, canonically sorted.
 
-    Backtracking over exact candidate values, most-constrained element
-    first. Each choice is propagated: chi(x) = 0 forces zero on the ideal
-    generated by x, and a nonzero chi(x) forces chi(xy) and chi(yx) for
-    every assigned y. A forced value that clashes prunes the branch, and
-    every assigned pair has its product checked, so a complete assignment
-    is multiplicative. The all-zero function is excluded.
+    The trail search of semigroups over exact candidate values,
+    most-constrained element first. Each choice is propagated: chi(x) = 0
+    forces zero on the ideal generated by x, and a nonzero chi(x) forces
+    chi(xy) and chi(yx) for every assigned y. A forced value that clashes
+    prunes the branch, and every assigned pair has its product checked,
+    so a complete assignment is multiplicative. The all-zero function is
+    excluded.
 
     The search runs in integer turns over M, the lcm of the element
     periods: k >= 0 stands for e^(2 pi i k/M) and -1 for zero, so a
@@ -96,59 +97,26 @@ def enumerate_characters(sg: FiniteSemigroup) -> list[Character]:
     int tuples is the canonical order (-1 before 0 as zero before one),
     and each tuple becomes a Character over M, reduced to lowest terms.
     """
-    n = sg.n
     t = sg.table
     periods = [index_period(sg, x)[1] for x in sg.elements()]
     m = math.lcm(*periods)
     domains = [[_ZERO, *range(0, m, m // p)] for p in periods]
-
     order = sorted(sg.elements(), key=lambda x: (len(domains[x]), x))
-    values: list[int | None] = [None] * n
-    trail: list[int] = []  # assigned elements in assignment order, for undo
-    found: list[tuple[int, ...]] = []
 
-    def assign(e: int, v: int) -> bool:
-        """Set chi(e) = v and everything it forces; False on a clash."""
-        pending = [(e, v)]
-        while pending:
-            x, vx = pending.pop()
-            if values[x] is not None:
-                if values[x] != vx:
-                    return False
-                continue
-            values[x] = vx
-            trail.append(x)
-            row = t[x]
-            if vx == _ZERO:
-                for y in sg.elements():
-                    pending += ((row[y], _ZERO), (t[y][x], _ZERO))
-            else:
-                for y in trail:  # the value monoid is commutative
-                    vy = values[y]
-                    vxy = _ZERO if vy == _ZERO else (vx + vy) % m
-                    pending += ((row[y], vxy), (t[y][x], vxy))
+    def forces(values: list, trail: list[int], pending: list, x: int, vx: int) -> bool:
+        row = t[x]
+        if vx == _ZERO:
+            for y in sg.elements():
+                pending += ((row[y], _ZERO), (t[y][x], _ZERO))
+        else:
+            for y in trail:  # the value monoid is commutative
+                vy = values[y]
+                vxy = _ZERO if vy == _ZERO else (vx + vy) % m
+                pending += ((row[y], vxy), (t[y][x], vxy))
         return True
 
-    def extend(pos: int) -> None:
-        if pos == n:
-            if any(v != _ZERO for v in values):
-                found.append(tuple(values))
-            return
-        e = order[pos]
-        if values[e] is not None:
-            extend(pos + 1)
-            return
-        for v in domains[e]:
-            mark = len(trail)
-            if assign(e, v):
-                extend(pos + 1)
-            for x in trail[mark:]:
-                values[x] = None
-            del trail[mark:]
-
-    extend(0)
-    found.sort()
-    return [Character(m, vals) for vals in found]
+    found = _trail_search(order, domains, forces)
+    return [Character(m, vals) for vals in sorted(found) if any(v != _ZERO for v in vals)]
 
 
 @lru_cache(maxsize=4096)

@@ -94,8 +94,16 @@ def solve_dalembert(sg: FiniteSemigroup, sigma: InvolutiveMorphism) -> SolutionS
 
 
 def solve_spherical(sg: FiniteSemigroup, upsilon: DiracMeasure) -> SolutionSet:
-    """Nonzero solutions of the middle-integral multiplicativity law:
-    chi * mean(chi) for characters with mean(chi) != 0."""
+    """The solutions chi * mean(chi) of the middle-integral
+    multiplicativity law, for characters with mean(chi) != 0.
+
+    Every one solves. The set is complete for a measure with central
+    support, where the law reads int psi(x y t) dmu, and the spectral
+    oracle found no other root for any unit point mass on the labeled
+    order-4 census. It is not complete in general: on S3 with
+    mu = delta_e + delta_tau (tau the transposition at index 1),
+    (2, 2, -1, -1, -1, -1) solves exactly and is not in the set.
+    """
     return closed_form("spherical", sg, None, upsilon)
 
 

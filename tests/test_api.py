@@ -186,3 +186,22 @@ def test_oracle_digest_matrix_and_its_calls():
     failed, alone = tool.digest([(label, args, {"seed": -1})]), tool.digest(picked[:1])
     assert (failed[0], failed[2], alone[2]) == (1, 0, 1)
     assert failed[1] != alone[1] and failed[3] != alone[3]
+
+
+def test_census_count_tool_at_order_three(capsys, monkeypatch):
+    spec = importlib.util.spec_from_file_location("census_count", ROOT / "tools" / "census_count.py")
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    assert tool.CENSUS_COUNTS == (1, 8, 113, 3492) and tool.CYCLIC_MAX == 64
+    monkeypatch.setattr(tool, "CENSUS_COUNTS", tool.CENSUS_COUNTS[:3])
+    monkeypatch.setattr(tool, "CYCLIC_MAX", 12)
+    assert tool.main() == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:3] == [f"census n={n} tables {c} reference {c}" for n, c in ((1, 1), (2, 8), (3, 113))]
+    assert len(lines) == 15 and lines[-1] == "C12 involutive automorphisms 4 reference 4"
+    # a count that misses its reference is printed as such and fails the run
+    monkeypatch.setattr(tool, "CENSUS_COUNTS", (1, 9))
+    monkeypatch.setattr(tool, "CYCLIC_MAX", 0)
+    assert tool.main() == 1
+    assert capsys.readouterr().out.splitlines() == ["census n=1 tables 1 reference 1",
+                                                    "census n=2 tables 8 reference 9 MISMATCH"]

@@ -381,6 +381,10 @@ class TestStability:
             "--sigma", str(fxdir / "c4_negation.sigma.json"),
             "--mu", str(fxdir / "c4_delta1.mu.json"))
         assert code == 64 and "usage error" in err
+        # the cap is checked before any input is read, so nothing is allocated
+        for trials in ("100001", "1000000000000"):
+            code, out, err = run(capsys, "stability", "--trials", trials, "--sg", str(fxdir / "missing.json"))
+            assert (code, out) == (64, "") and err.startswith("usage error: --trials") and err.count("\n") == 1
         for radius in ("inf", "nan", "-1"):
             code, out, err = run(
                 capsys, "stability", "--trials", "5", "--radius", radius,

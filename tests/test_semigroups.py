@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 import tracemalloc
 
 import numpy as np
@@ -144,6 +145,35 @@ def test_morphism_kinds_not_merged(c4):
     assert all(m.kind is MorphismKind.ANTI_AUTOMORPHISM for m in antis)
 
 
+@pytest.mark.parametrize("kind", ["auto", "anti"])
+def test_involutions_match_brute_force_on_the_census(kind):
+    mk = MorphismKind.AUTOMORPHISM if kind == "auto" else MorphismKind.ANTI_AUTOMORPHISM
+    for n in (1, 2, 3):
+        for sg in enumerate_all_semigroups(n):
+            assert [m.map for m in enumerate_involutive_morphisms(sg, mk)] == brute_involutions(sg, kind), sg.table
+
+
+@pytest.mark.parametrize("kind", ["auto", "anti"])
+@pytest.mark.parametrize("make", [
+    symmetric_group_3,
+    lambda: direct_product(left_zero(2), cyclic_group(3)),
+    lambda: cyclic_group(8),
+    lambda: direct_product(left_zero(2), cyclic_group(4)),
+], ids=["S3", "LZ2xC3", "C8", "LZ2xC4"])
+def test_involutions_match_brute_force_at_orders_six_and_eight(make, kind):
+    sg = make()
+    mk = MorphismKind.AUTOMORPHISM if kind == "auto" else MorphismKind.ANTI_AUTOMORPHISM
+    assert [m.map for m in enumerate_involutive_morphisms(sg, mk)] == brute_involutions(sg, kind)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_cyclic_involutive_automorphisms_are_the_square_roots_of_one(n):
+    # x -> ax for each unit a with a^2 = 1 mod n, in the order of a = m(1)
+    roots = [a for a in range(n) if math.gcd(a, n) == 1 and a * a % n == 1 % n]
+    autos = enumerate_involutive_morphisms(cyclic_group(n), MorphismKind.AUTOMORPHISM)
+    assert [m.map for m in autos] == [tuple(a * x % n for x in range(n)) for a in roots]
+
+
 def test_morphism_enumeration_caps():
     with pytest.raises(TooLarge):
         enumerate_involutive_morphisms(cyclic_group(9), MorphismKind.AUTOMORPHISM)
@@ -241,10 +271,10 @@ def test_census_tables_are_valid():
 
 
 def test_associativity_memory_stays_in_slabs():
-    # the census is filtered one first-row chunk at a time and a table one
-    # n x n slab at a time: the whole order-3 census at once (~10 MiB) or an
-    # n^3 cube for C128 (>= 16 MiB) breaks these bounds; tracemalloc sees
-    # numpy's buffers
+    # the census is a depth-first search that holds one partial table and
+    # the tables found, and a table is checked one n x n slab at a time:
+    # all n^(n^2) order-3 tables at once (~10 MiB) or an n^3 cube for C128
+    # (>= 16 MiB) breaks these bounds; tracemalloc sees numpy's buffers
     c128 = [list(row) for row in cyclic_group(128).table]
     for run, bound in ((lambda: list(enumerate_all_semigroups(3)), 2 << 20),
                        (lambda: validate_semigroup(c128), 4 << 20)):
