@@ -5,7 +5,7 @@ terms of its defect as words in x, y, sigma(y) and an atom t of the
 measure, its quadratic part, the hypotheses it requires and its closed
 form in characters; the inputs it reads follow from the words, and one
 gate, bind_inputs, checks them for every path. compile_terms compiles
-the words once per call, and _linear sums them for one function or a
+the words once per table, and _linear sums them for one function or a
 stack, each word one read of f, of R_mu f (a b t) or of R_mu applied
 down the rows of f[table] (a t b), each built once. residual reports
 one function; _row_sups gives the sups of a stack (the closed forms
@@ -59,7 +59,7 @@ from .measures import (
     right_transform,
     support_in_center,
 )
-from .semigroups import FiniteSemigroup, InvolutiveMorphism, MorphismKind
+from .semigroups import FiniteSemigroup, InvolutiveMorphism, MorphismKind, _read_only
 
 
 class Term(NamedTuple):
@@ -311,7 +311,7 @@ def bind_inputs(eq: Equation, sg: FiniteSemigroup, sigma: InvolutiveMorphism | N
 
 
 class CompiledTerms(NamedTuple):
-    """The terms of an equation compiled for one call by compile_terms."""
+    """The terms of an equation compiled per table by compile_terms."""
 
     table: np.ndarray        # the index table: table[a, b] = a b
     mu: DiracMeasure | None  # the measure the averaged words read
@@ -328,23 +328,47 @@ def compile_terms(eq: Equation, sg: FiniteSemigroup, sigma: InvolutiveMorphism |
     R_mu f(x) = integral f(x t) dmu(t), so it reads rt = R_mu f there. A
     word a t b is G(a t, b) for G(u, b) = f(u b), so it averages to
     H(a, b), H = R_mu applied down the rows of G: it reads H at (values
-    of a, swap)."""
-    table = sg.index_table
-    letters = {"x": np.arange(sg.n), "y": np.arange(sg.n)}
-    if sigma is not None:
-        letters["s"] = np.asarray(sigma.map)
-    words = []
-    for term in eq.terms:
-        at, ab = term.word.find("t"), term.word.replace("t", "", 1)
-        if not (len(ab) == 2 and at in (-1, 1, 2) and ab[0] in "xys" and ab[1] in "xy"
-                and (ab[0] == "x") != (ab[1] == "x")):
-            raise ValueError(f"cannot compile the word '{term.word}'")
-        rows, swap = letters[ab[0]], ab[0] != "x"
-        if at == 1:
-            words.append((term.sign, "H", (rows, swap)))
-        else:  # take copies a strided index per call
-            words.append((term.sign, "rt" if at == 2 else "f", np.ascontiguousarray(_rows(table, rows, swap))))
-    return CompiledTerms(table, mu, tuple(words))
+    of a, swap).
+
+    The words are compiled once per table: they are memoized on sg under
+    eq's terms and sigma's map (when the words read sigma), never under
+    the tag, which two laws may share. A word that cannot compile raises
+    ValueError on every call. The index arrays are shared by every word
+    and law on sg that reads the same letter (_letter), and read-only."""
+    smap = tuple(sigma.map) if "sigma" in eq.reads else None
+    key = ("words", eq.terms, smap)
+    words = sg.memo.get(key)
+    if words is None:
+        words = sg.memo[key] = tuple(_compile_word(term, sg, smap) for term in eq.terms)
+    return CompiledTerms(sg.index_table, mu, words)
+
+
+def _compile_word(term: Term, sg: FiniteSemigroup, smap: tuple[int, ...] | None) -> tuple:
+    """(sign, source, index) of one term, as compile_terms describes."""
+    at, ab = term.word.find("t"), term.word.replace("t", "", 1)
+    if not (len(ab) == 2 and at in (-1, 1, 2) and ab[0] in "xys" and ab[1] in "xy"
+            and (ab[0] == "x") != (ab[1] == "x")):
+        raise ValueError(f"cannot compile the word '{term.word}'")
+    if at == 1:
+        return term.sign, "H", (_letter(sg, ab[0], smap, False), ab[0] != "x")
+    return term.sign, "rt" if at == 2 else "f", _letter(sg, ab[0], smap, True)
+
+
+def _letter(sg: FiniteSemigroup, letter: str, smap: tuple[int, ...] | None, gathered: bool) -> np.ndarray:
+    """The values of a first letter on sg (0..n-1 for x and y, sigma's map
+    for s), or, gathered, the index array table[a, b] of the words a b
+    it begins: the rows of the table at its values, transposed and made
+    contiguous unless it is x, whose array is the index table itself.
+    Read-only and memoized on sg: one n x n array per sigma, and one for y."""
+    if gathered and letter == "x":
+        return sg.index_table
+    key = ("letter", smap if letter == "s" else None, gathered)
+    out = sg.memo.get(key)
+    if out is None:
+        rows = np.arange(sg.n) if letter != "s" else np.array(smap)
+        out = sg.memo[key] = _read_only(np.ascontiguousarray(_rows(sg.index_table, rows, True))
+                                        if gathered else rows)
+    return out
 
 
 def _rows(grid: np.ndarray, rows: np.ndarray, swap: bool) -> np.ndarray:

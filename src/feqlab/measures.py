@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import BadParams, LengthMismatch, PointOutOfRange
-from .semigroups import FiniteSemigroup, InvolutiveMorphism, _is_integer, _is_number, center
+from .semigroups import FiniteSemigroup, InvolutiveMorphism, _is_integer, _is_number
 
 
 @dataclass(frozen=True)
@@ -75,6 +75,18 @@ class DiracMeasure:
 
     def to_json(self) -> dict:
         return {"atoms": [{"point": p, "w": [w.real, w.imag]} for p, w in self.atoms]}
+
+
+def _ldexp_measure(mu: DiracMeasure, e: int) -> DiracMeasure:
+    """mu / 2^e for a measure with ||mu / 2^e|| < 2, built without
+    running the constructor's checks again: a power-of-two scale keeps
+    the points, their order and the weights' finiteness, so these are
+    the atoms the constructor gives (adding to 0j clears a negative
+    zero from underflow, as its merge does)."""
+    out = object.__new__(DiracMeasure)
+    object.__setattr__(out, "atoms", tuple(
+        (p, 0j + complex(math.ldexp(w.real, -e), math.ldexp(w.imag, -e))) for p, w in mu.atoms))
+    return out
 
 
 def _modulus(z: complex) -> float:
@@ -198,5 +210,5 @@ def support_in_center(mu: DiracMeasure, sg: FiniteSemigroup) -> bool:
     """True when every atom point commutes with all of S; an atom of
     weight 0 is an absent point, as in is_sigma_invariant."""
     _check_points(mu, sg.n)
-    zs = set(center(sg))
-    return all(p in zs for p, w in mu.atoms if w != 0)
+    central = sg.central
+    return all(p in central for p, w in mu.atoms if w != 0)

@@ -44,8 +44,8 @@ class FiniteSemigroup:
 
     @cached_property
     def index_table(self) -> np.ndarray:
-        """The Cayley table as an integer array, built once per semigroup."""
-        return np.array(self.table, dtype=np.intp)
+        """The Cayley table as a read-only integer array, built once per semigroup."""
+        return _read_only(np.array(self.table, dtype=np.intp))
 
     @cached_property
     def identity(self) -> int | None:
@@ -53,6 +53,19 @@ class FiniteSemigroup:
         table, elements = self.index_table, np.arange(self.n)
         hits = np.flatnonzero((table == elements).all(axis=1) & (table.T == elements).all(axis=1))
         return int(hits[0]) if hits.size else None
+
+    @cached_property
+    def central(self) -> tuple[int, ...]:
+        """The elements commuting with everything, ascending, found once per semigroup."""
+        table = self.index_table
+        return tuple(np.flatnonzero((table == table.T).all(axis=1)).tolist())
+
+    @cached_property
+    def memo(self) -> dict:
+        """What other modules derive from the table alone, kept for the
+        semigroup's lifetime: equations.compile_terms stores its compiled
+        words and their read-only index arrays here."""
+        return {}
 
     def elements(self) -> range:
         return range(self.n)
@@ -84,6 +97,12 @@ def _is_real(v) -> bool:
 def _is_number(v) -> bool:
     """Any int, float or complex but a bool, numpy's included: an atom weight or a function value."""
     return isinstance(v, (int, float, complex, np.number)) and not isinstance(v, bool)
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    """a, locked against writes: an array memoized on a semigroup is shared by every caller."""
+    a.flags.writeable = False
+    return a
 
 
 def _bad_slab(table: np.ndarray, x: int) -> np.ndarray:
@@ -124,7 +143,7 @@ def validate_semigroup(table: Sequence[Sequence[int]], name: str | None = None) 
         if bad.any():
             raise NotAssociative(x, *divmod(int(bad.argmax()), n))
     sg = FiniteSemigroup(table=t, name=name)
-    sg.__dict__["index_table"] = index_table  # the cached_property's memo, filled here
+    sg.__dict__["index_table"] = _read_only(index_table)  # the cached_property's memo, filled here
     return sg
 
 
@@ -179,9 +198,9 @@ def _trail_search(order: Sequence[int], domains: Sequence[Sequence[int]], propag
 
 
 def center(sg: FiniteSemigroup) -> list[int]:
-    """Elements commuting with everything, ascending."""
-    table = sg.index_table
-    return np.flatnonzero((table == table.T).all(axis=1)).tolist()
+    """Elements commuting with everything, ascending: a fresh list of the
+    semigroup's memoized centre."""
+    return list(sg.central)
 
 
 def _obeys_law(table: Sequence[Sequence[int]], m: Sequence[int], kind: MorphismKind) -> bool:

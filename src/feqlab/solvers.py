@@ -39,6 +39,7 @@ from .jsonio import function_to_json
 from .measures import (
     _TINY,
     DiracMeasure,
+    _ldexp_measure,
     character_mean_slack,
     integrate,
     measure_norm,
@@ -155,8 +156,7 @@ def closed_form(equation: str, sg: FiniteSemigroup, sigma: InvolutiveMorphism | 
         return SolutionSet(form.label, ())
     e = math.frexp(norm)[1] - 1
     if e:  # by ldexp: 2^-e overflows for e <= -1024
-        mu = DiracMeasure(tuple((p, complex(math.ldexp(w.real, -e), math.ldexp(w.imag, -e)))
-                                for p, w in mu.atoms))
+        mu = _ldexp_measure(mu, e)
     rounding = 0.0 if mu is None else character_mean_slack(mu)  # of one float mean
     kept: set[tuple[int, tuple[int, ...]]] = set()  # (period, turns) of the kept characters
     values, chis = [], []
@@ -199,11 +199,14 @@ def closed_form(equation: str, sg: FiniteSemigroup, sigma: InvolutiveMorphism | 
             if finite_top(law.tag, top) > gate:
                 raise FeqlabError(f"internal: closed form failed verification for "
                                   f"{law.tag} (residual {top:.3e})")
-    if e:
+    # only a scale-up can overflow, and only a scale-down can round a row to 0
+    if e > 0:
         with np.errstate(over="ignore"):
             F = np.ldexp(F.view(float), e).view(complex)
         if not np.isfinite(F).all():
             raise BadParams("a solution is not finite at the measure's scale (overflow)")
+    elif e < 0:
+        F = np.ldexp(F.view(float), e).view(complex)
         if not F.any(axis=1).all():
             raise BadParams("a solution rounds to 0 at the measure's scale (underflow)")
     return SolutionSet(form.label, tuple(Solution(f, Provenance(chi, form.formula)) for f, chi in zip(F, chis)))
@@ -289,15 +292,17 @@ def _invariant(A: np.ndarray, Q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         Q = Q @ Vh[keep].conj().T
 
 
-def _joint_eigenvalues(A: np.ndarray, rng: np.random.Generator) -> list[np.ndarray]:
+def _joint_eigenvalues(A: np.ndarray, seed: int | np.random.Generator) -> list[np.ndarray]:
     """One tuple lambda (lambda_y per block) for each joint eigenspace of
     the square blocks A[y]: the vectors v != 0 with A[y] v = lambda_y v
     for every y. A subspace W, invariant under every block (at first
     the whole space), with orthonormal basis Q is compressed to
     C[y] = Q^H A[y] Q. Where each C[y] is a scalar lambda_y (within
     CLUSTER_TOL), W is one joint eigenspace. Else a random combination
-    B = sum alpha_y C[y] (alpha a unit complex normal vector from rng)
-    has its eigenvalues clustered, and each cluster's true kernel
+    B = sum alpha_y C[y] (alpha a unit complex normal vector drawn from
+    np.random.default_rng(seed), built at the first draw, as most inputs
+    draw none; a Generator is drawn from as it is) has its eigenvalues
+    clustered, and each cluster's true kernel
     ker(B - mean I) is taken by an SVD (eig's own vectors are near
     parallel at a defective eigenvalue, and the mean of a cluster is
     accurate where its members are not), refined to its largest
@@ -307,7 +312,7 @@ def _joint_eigenvalues(A: np.ndarray, rng: np.random.Generator) -> list[np.ndarr
     resolved (a cluster without a kernel vector, or W back whole) is
     drawn again, _TRIES times at most; then the cluster is open, an
     internal error, never dropped."""
-    found = []
+    found, rng = [], None
     todo = [(np.eye(A.shape[-1], dtype=complex), A)]
     while todo:
         Q, C = todo.pop()
@@ -317,6 +322,8 @@ def _joint_eigenvalues(A: np.ndarray, rng: np.random.Generator) -> list[np.ndarr
             found.append(lam)
             continue
         for _ in range(_TRIES):
+            if rng is None:
+                rng = np.random.default_rng(seed)
             alpha = rng.standard_normal(len(A)) + 1j * rng.standard_normal(len(A))
             B = np.tensordot(alpha / np.linalg.norm(alpha), C, 1)
             values = np.linalg.eigvals(B)
@@ -365,12 +372,13 @@ def spectral_oracle(sg: FiniteSemigroup, equation: str,
     if mu is not None and not math.isfinite(measure_norm(mu)):
         raise NonFiniteResidual(f"{equation} oracle operator is not finite (overflow)")
     scale = _unit_scale(mu)
-    mu = None if mu is None else DiracMeasure(tuple((p, w / scale) for p, w in mu.atoms))
+    if scale != 1.0:
+        mu = DiracMeasure(tuple((p, w / scale) for p, w in mu.atoms))
     L = _defect_operator(eq, sg, sigma, mu)
     c, n = eq.products[0].coef, sg.n
     A = np.ascontiguousarray(L.reshape(n, n, n).transpose(1, 0, 2))
     roots = []
-    for lam in _joint_eigenvalues(A, np.random.default_rng(seed)):
+    for lam in _joint_eigenvalues(A, seed):
         f = lam / c
         if np.abs(lam).max() > CLUSTER_TOL and np.abs(L @ f - c * np.outer(f, f).ravel()).max() <= ORACLE_TOL:
             roots.append(f)

@@ -528,6 +528,59 @@ class TestResidualEvaluator:
             compile_terms(Equation("bad", (Term(1, word),), ()), c4, sigma_neg, DiracMeasure.point_mass(1))
 
 
+class TestCompiledWordsMemo:
+    """compile_terms memoizes the words on the table, under the terms and
+    sigma's map, never the tag, and shares read-only index arrays."""
+
+    def test_laws_sharing_a_tag_keep_their_words(self, s3):
+        # SPHERICAL_RIGHT is reported as "spherical" but reads x y t where the
+        # registry's law reads x t y; with delta_1 off the center of S3 they differ
+        shared, mu, f = validate_semigroup(s3.table), DiracMeasure.point_mass(1), np.arange(6) + 1j
+        grids = []
+        for eq, source in ((EQUATIONS["spherical"], "H"), (SPHERICAL_RIGHT, "rt")):
+            terms = compile_terms(eq, shared, None, mu)
+            assert [word[1] for word in terms.words] == [source]
+            grid = _defect(eq, terms, f, None)
+            fresh = _defect(eq, compile_terms(eq, validate_semigroup(s3.table), None, mu), f, None)
+            assert grid.tobytes() == fresh.tobytes(), source
+            grids.append(grid)
+        assert grids[0].tobytes() != grids[1].tobytes()
+
+    def test_morphisms_on_one_table_keep_their_words(self):
+        # identity, then negation, on one C4: every law's grid is the one
+        # compiled on a freshly built equal table
+        shared, mu = cyclic_group(4), DiracMeasure.point_mass(1)
+        f, g = np.array([1, 2j, -3, 0.5]), np.array([0.25, -1j, 2, 1])
+        for smap in ((0, 1, 2, 3), (0, 3, 2, 1)):
+            sigma = InvolutiveMorphism(smap, MorphismKind.AUTOMORPHISM)
+            for eq in EQUATIONS.values():
+                gg = g if eq.uses_g else None
+                grid = _defect(eq, compile_terms(eq, shared, sigma, mu), f, gg)
+                fresh = _defect(eq, compile_terms(eq, cyclic_group(4), sigma, mu), f, gg)
+                assert grid.tobytes() == fresh.tobytes(), (eq.tag, smap)
+
+    def test_memoized_index_arrays_are_read_only_and_shared(self, sigma_neg, mu_delta1):
+        sg = cyclic_group(4)
+        by_word = {}
+        for eq in EQUATIONS.values():
+            terms = compile_terms(eq, sg, sigma_neg, mu_delta1)
+            for term, (_, source, index) in zip(eq.terms, terms.words):
+                array = index[0] if source == "H" else index
+                with pytest.raises(ValueError, match="read-only"):
+                    array[...] = 0
+                key = (term.word.replace("t", ""), source == "H")
+                assert by_word.setdefault(key, array) is array, (eq.tag, term.word)
+        assert by_word["xy", False] is sg.index_table
+        assert sg.index_table.tolist() == [list(row) for row in sg.table]
+
+    def test_a_word_that_cannot_compile_fails_on_every_call(self, c4):
+        # its first word compiles; nothing is kept of a failed compilation
+        bad = Equation("bad", (Term(1, "xy"), Term(1, "xx")), ())
+        for _ in range(3):
+            with pytest.raises(ValueError, match="^cannot compile the word 'xx'$"):
+                compile_terms(bad, c4, None, None)
+
+
 # The inputs each CLI tag loads, in load order, pinned apart from the words
 # and the companion g that decide them.
 CLI_INPUTS = {

@@ -14,6 +14,7 @@ from feqlab import (
     ToleranceConfig,
     cyclic_group,
     direct_product,
+    enumerate_all_semigroups,
     integrate,
     is_sigma_invariant,
     measure_norm,
@@ -234,6 +235,15 @@ class TestSupport:
     def test_noncentral_on_s3(self, s3):
         assert not support_in_center(DiracMeasure.point_mass(1), s3)
         assert support_in_center(DiracMeasure.point_mass(0), s3)
+
+    def test_every_point_of_the_census(self):
+        # a unit mass is central exactly when its point commutes with every
+        # element, on every table of order <= 3
+        for n in (1, 2, 3):
+            for sg in enumerate_all_semigroups(n):
+                for p in range(n):
+                    commutes = all(sg.mul(p, y) == sg.mul(y, p) for y in range(n))
+                    assert support_in_center(DiracMeasure.point_mass(p), sg) == commutes, (sg.table, p)
 
     def test_zero_weight_atom_is_an_absent_point(self, s3):
         # 1 is not central in S3, but an atom there of weight 0 is no support;

@@ -119,6 +119,13 @@ def test_center_s3_trivial(s3):
     assert center(s3) == [0]
 
 
+def test_center_is_a_fresh_list(s3):
+    got = center(s3)
+    got.append(5)
+    got[0] = 4
+    assert center(s3) == [0]
+
+
 def test_c4_automorphisms(c4):
     autos = enumerate_involutive_morphisms(c4, MorphismKind.AUTOMORPHISM)
     assert [m.map for m in autos] == brute_involutions(c4, "auto")

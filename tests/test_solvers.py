@@ -64,6 +64,7 @@ from feqlab.errors import (
     WrongMorphismKind,
 )
 from feqlab import solvers
+from feqlab.measures import _ldexp_measure
 from feqlab.solvers import (
     _defect_operator,
     _joint_eigenvalues,
@@ -850,6 +851,27 @@ class TestSpectralOracle:
                 pairs, extra, missing = match_solution_sets(got, want, mu)
                 assert len(pairs) == len(want) > 0 and not extra and not missing, (tag, seed)
 
+    def test_generator_is_built_at_the_first_draw(self, monkeypatch):
+        # the census case C2, identity, delta_1 draws no combination, so it
+        # builds no generator
+        c2 = validate_semigroup([[0, 1], [1, 0]])
+        ident = InvolutiveMorphism((0, 1), MorphismKind.AUTOMORPHISM)
+
+        def refuse(seed):
+            raise AssertionError("built a generator")
+
+        monkeypatch.setattr(np.random, "default_rng", refuse)
+        assert spectral_oracle(c2, "vanvleck", ident, DiracMeasure.point_mass(1)) == []
+
+    def test_a_drawing_case_keeps_its_stream(self, c4, sigma_neg, mu_delta1):
+        # C4, negation, delta_1 draws: each seed reads its roots from the
+        # same stream as a generator built before the search
+        want = {0: [[0j, complex(1, 5.994593421002071e-34), 0j, complex(-1, -5.994593421002071e-34)]],
+                1: [[0j, complex(0.9999999999999998, 3.2877680681536806e-34), 0j,
+                     complex(-0.9999999999999998, -3.2877680681536806e-34)]]}
+        for seed, roots in want.items():
+            assert [v.tolist() for v in spectral_oracle(c4, "vanvleck", sigma_neg, mu_delta1, seed)] == roots
+
     def test_overflowing_norm_raises(self, c4, sigma_neg):
         # ||mu|| = inf cannot be brought to unit norm; no LinAlgError escapes
         mu = DiracMeasure.from_pairs([(1, 1e308), (3, 1e308)])
@@ -1042,6 +1064,18 @@ class TestPowerOfTwoScale:
         kmin, kmax = normal_range(mu)
         assert (kmin, kmax) == (-1022, 1023)
         assert_scales_by_powers_of_two("spherical", c4, None, mu, range(kmin, kmax + 1))
+
+    def test_scaled_measure_is_the_constructors(self):
+        # mu / 2^e built without the constructor's checks has its atoms, bit
+        # for bit: a weight that underflows to -0.0 reads +0.0, as its merge
+        # makes it
+        mu = DiracMeasure.from_pairs([(7, -2.5), (0, 3.0 - 1e-320j), (2, -5e-324 + 0.25j)])
+        for e in (-3, 1, 2, 60):
+            want = DiracMeasure(tuple((p, complex(math.ldexp(w.real, -e), math.ldexp(w.imag, -e)))
+                                      for p, w in mu.atoms))
+            got = _ldexp_measure(mu, e)
+            assert [(p, w.real.hex(), w.imag.hex()) for p, w in got.atoms] == \
+                [(p, w.real.hex(), w.imag.hex()) for p, w in want.atoms], e
 
     def test_overflow_at_the_measures_scale_is_refused(self):
         # ||mu|| is finite, but chi * mean(chi) rounds above the largest
